@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from .ns_lattice import LatticeError, NSLattice, NSVector, QNSVector
+from .ns_lattice import LatticeError, NSLattice, NSVector
 from .surface_chow import (
     ChowClass,
     HiggsNumerics,
@@ -49,8 +49,8 @@ from .spectral import (
     spectral_cotangent_ch,
     spectral_todd,
 )
-from .hitchin_criterion import Regime, c2_gbun, classify
-from .hn_branches import RegimeError, monopole_components, rank2_fixed_components
+from .hitchin_criterion import Regime, classify
+from .hn_branches import monopole_components, rank2_fixed_components
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
 from .ns_lattice import signature
@@ -153,7 +153,7 @@ def encode(value: Any) -> Any:
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
     if isinstance(value, Regime):
         return value.value
-    if isinstance(value, (NSVector, QNSVector)):
+    if isinstance(value, NSVector):
         return [encode(c) for c in value.coords]
     if isinstance(value, ChowClass):
         return {"deg0": encode(value.deg0), "deg1": encode(value.deg1), "deg2": encode(value.deg2)}
@@ -228,14 +228,13 @@ def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, int]:
     c1 = _parse_vector(args.c1, x, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
-    threshold, integral = c2_gbun(x, h)
     payload = {
         "r": h.r,
         "c1": h.c1,
         "c2": h.c2,
         "regime": report.regime,
-        "c2_gbun": threshold,
-        "c2_gbun_integral": integral,
+        "c2_gbun": report.c2gbun,
+        "c2_gbun_integral": isinstance(report.c2gbun, int),
         "delta": report.witness.delta if report.witness else None,
         "n_points": report.witness.n_points if report.witness else None,
     }
@@ -246,19 +245,17 @@ def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
     x = load_surface(args.surface)
     c1 = _parse_vector(args.c1, x, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
-    threshold, _ = c2_gbun(x, h)
+    report = classify(x, h)
     base = {
         "r": h.r,
         "c1": h.c1,
         "c2": h.c2,
-        "c2_gbun": threshold,
+        "c2_gbun": report.c2gbun,
     }
-    try:
-        comps = monopole_components(x, h)
-    except RegimeError as exc:
+    if report.witness is None:
         base.update(
             {
-                "regime": exc.report.regime,
+                "regime": report.regime,
                 "n_total": None,
                 "betas": None,
                 "components": None,
@@ -266,8 +263,7 @@ def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
             }
         )
         return {**_echo(args), "payload": base}, 0
-    report = classify(x, h)
-    assert report.witness is not None
+    comps = monopole_components(x, h, report)
     base.update(
         {
             "regime": report.regime,
@@ -278,7 +274,7 @@ def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
         }
     )
     if h.r == 2 and h.c1 == x.polarization:
-        r2 = rank2_fixed_components(x, h.c2)
+        r2 = rank2_fixed_components(x, h.c2, report)
         base["rank2_fixed"] = {
             "instanton_branch": r2.instanton_branch,
             "components": [list(p) for p in r2.components],

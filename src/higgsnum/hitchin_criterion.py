@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .ns_lattice import NSVector, Rat, divide, ratnorm
+from .ns_lattice import NSVector, Rat, divide, ratio
 from .surface_chow import HiggsNumerics, SurfaceGeometry
 
 __all__ = [
@@ -79,10 +78,9 @@ def c2_gbun(x: SurfaceGeometry, h: HiggsNumerics) -> tuple[Rat, bool]:
     """
     x.lattice.check_vector(h.c1)
     r = h.r
-    value = Fraction(r - 1, 2 * r) * x.pair(h.c1, h.c1) - Fraction(
-        r * (r * r - 1), 24
-    ) * x.l_squared
-    value = ratnorm(value)
+    value = ratio(
+        12 * (r - 1) * x.pair(h.c1, h.c1) - r * r * (r * r - 1) * x.l_squared, 24 * r
+    )
     return value, isinstance(value, int)
 
 
@@ -96,11 +94,11 @@ def n_points(x: SurfaceGeometry, h: HiggsNumerics) -> Rat:
     x.lattice.check_vector(h.c1)
     r = h.r
     numerator = (
-        Fraction(r * r * (r * r - 1), 12) * x.l_squared
-        - (r - 1) * Fraction(x.pair(h.c1, h.c1))
-        + 2 * r * h.c2
+        r * r * (r * r - 1) * x.l_squared
+        - 12 * (r - 1) * x.pair(h.c1, h.c1)
+        + 24 * r * h.c2
     )
-    return ratnorm(numerator / (2 * r))
+    return ratio(numerator, 24 * r)
 
 
 def classify(x: SurfaceGeometry, h: HiggsNumerics) -> RegimeReport:

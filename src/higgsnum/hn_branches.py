@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .ns_lattice import NSVector, Rat, pair, qvec, ratnorm
+from .ns_lattice import NSVector, Rat, pair, ratnorm
 from .surface_chow import HiggsNumerics, SurfaceGeometry, ValidationError, discriminant
 from .hitchin_criterion import Regime, RegimeReport, classify
 
@@ -121,7 +121,7 @@ def discriminant_identity(x: SurfaceGeometry, t: HNType) -> tuple[Rat, Rat]:
     fs = t.factors
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
-            diff = qvec(fs[i].c1) / fs[i].rank - qvec(fs[j].c1) / fs[j].rank
+            diff = fs[i].c1 / fs[i].rank - fs[j].c1 / fs[j].rank
             rhs -= Fraction(fs[i].rank * fs[j].rank, total.r) * pair(
                 x.lattice, diff, diff
             )
@@ -246,14 +246,18 @@ class NestedComponent:
     lengths: tuple[int, ...]
 
 
-def monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> list[NestedComponent]:
+def monopole_components(
+    x: SurfaceGeometry, h: HiggsNumerics, report: Optional[RegimeReport] = None
+) -> list[NestedComponent]:
     """Candidate fixed-locus components for (r, c1, c2), by partition.
 
     Requires the Boundary or Generic regime; the total point count is
     n = c2 - c2_gbun and the components are the partitions of n into at
-    most r parts, in decreasing lex order.
+    most r parts, in decreasing lex order.  report is classify(x, h),
+    computed here unless the caller already has it.
     """
-    report = classify(x, h)
+    if report is None:
+        report = classify(x, h)
     if report.regime not in (Regime.BOUNDARY, Regime.GENERIC):
         raise RegimeError(
             f"no components to enumerate in regime {report.regime.value}", report
@@ -283,20 +287,23 @@ class Rank2Report:
         return len(self.components)
 
 
-def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
+def rank2_fixed_components(
+    x: SurfaceGeometry, c2: int, report: Optional[RegimeReport] = None
+) -> Rank2Report:
     """Type-(1,1) fixed components for rank 2, c1 = c1(L), given c2.
 
     The threshold vanishes for this c1, so the regime is Empty for
     c2 < 0 and the components are the pairs (n1, n2) with
     n1 >= n2 >= 0 and n1 + n2 = c2; there are floor(c2/2) + 1 of them,
     alongside the branch of sheaves with vanishing Higgs field, which is
-    only marked here.
+    only marked here.  report is the classification of (2, c1(L), c2),
+    computed here unless the caller already has it.
     """
     if not isinstance(c2, int):
         raise ValidationError(f"c2 must be an integer, got {c2!r}")
-    if c2 < 0:
+    if report is None:
         report = classify(x, HiggsNumerics(2, x.polarization, c2))
+    if c2 < 0:
         return Rank2Report(c2, report.regime, False, ())
-    report = classify(x, HiggsNumerics(2, x.polarization, c2))
     pairs = tuple((c2 - k, k) for k in range(c2 // 2 + 1))
     return Rank2Report(c2, report.regime, True, pairs)

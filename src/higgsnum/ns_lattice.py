@@ -7,6 +7,13 @@ projective surface modulo numerical equivalence.  Torsion never enters:
 we work with the image of divisor classes in rational cohomology, which
 is free by construction.
 
+There is one vector type, NSVector: integer numerators over one
+positive, gcd-reduced common denominator, which is 1 exactly when the
+vector is integral.  NSVector(coords) builds an integral vector and
+QNSVector(coords) one from rational coordinates.  Vector sums and the
+pairing run over the integer numerators and divide once at the end.
+The signature test is fraction-free symmetric Bareiss elimination.
+
 Everything here is computed with integers and `fractions.Fraction`.
 There are no floating-point numbers and no tolerances anywhere in the
 package; equality always means exact equality.
@@ -16,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -26,8 +35,11 @@ __all__ = [
     "Rat",
     "divide",
     "inertia",
+    "lincomb",
     "pair",
+    "pair_num",
     "qvec",
+    "ratio",
     "ratnorm",
     "signature",
 ]
@@ -40,151 +52,176 @@ class LatticeError(ValueError):
 
 
 def ratnorm(x: Rat) -> Rat:
-    """Collapse an exact rational to a plain int when it is integral."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+    """An exact rational as a plain int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
+def ratio(n: int, d: int) -> Rat:
+    """The exact quotient n/d of integers with d > 0: an int when d divides n."""
+    if n % d == 0:
+        return n // d
+    return Fraction(n, d)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NSVector:
-    """Integer coordinate vector in a fixed basis of the lattice."""
+    """Rational coordinate vector num/den in a fixed basis of the lattice.
 
-    coords: tuple[int, ...]
+    num is a tuple of integers and den a positive integer with
+    gcd(den, *num) = 1, so equal vectors have equal fields; den == 1
+    exactly when the vector is integral.  NSVector(coords) takes integer
+    coordinates and QNSVector(coords) rational ones.
+    """
 
-    def __post_init__(self) -> None:
-        coords = tuple(self.coords)
-        for c in coords:
+    num: tuple[int, ...]
+    den: int
+
+    def __init__(self, coords: Iterable[int]) -> None:
+        num = tuple(coords)
+        for c in num:
             if not isinstance(c, int):
                 raise LatticeError(f"integer coordinates required, got {c!r}")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", 1)
+
+    @classmethod
+    def rational(cls, coords: Iterable[Rat]) -> "NSVector":
+        """The vector with the given int or Fraction coordinates."""
+        qs = tuple(coords)
+        for c in qs:
+            if not isinstance(c, (int, Fraction)):
+                raise LatticeError(f"rational coordinates required, got {c!r}")
+        den = lcm(*(c.denominator for c in qs))
+        # the lcm of reduced denominators leaves gcd(den, *num) = 1
+        return _vec(tuple(c.numerator * (den // c.denominator) for c in qs), den)
 
     @classmethod
     def zero(cls, rank: int) -> "NSVector":
-        return cls((0,) * rank)
+        return _vec((0,) * rank, 1)
+
+    @property
+    def coords(self) -> tuple[Rat, ...]:
+        """Coordinates as ints when integral, as Fractions otherwise."""
+        if self.den == 1:
+            return self.num
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     def __add__(self, other: "NSVector") -> "NSVector":
-        if isinstance(other, NSVector):
-            _same_length(self, other)
-            return NSVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-        return NotImplemented
+        if not isinstance(other, NSVector):
+            return NotImplemented
+        return lincomb(1, self, 1, other)
 
     def __sub__(self, other: "NSVector") -> "NSVector":
-        if isinstance(other, NSVector):
-            _same_length(self, other)
-            return NSVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-        return NotImplemented
+        if not isinstance(other, NSVector):
+            return NotImplemented
+        return lincomb(1, self, -1, other)
 
     def __neg__(self) -> "NSVector":
-        return NSVector(tuple(-a for a in self.coords))
+        return _vec(tuple(-a for a in self.num), self.den)
 
-    def __mul__(self, k: Rat) -> Union["NSVector", "QNSVector"]:
-        if isinstance(k, int):
-            return NSVector(tuple(k * a for a in self.coords))
-        if isinstance(k, Fraction):
-            return QNSVector(tuple(k * a for a in self.coords))
-        return NotImplemented
+    def __mul__(self, k: Rat) -> "NSVector":
+        if not isinstance(k, (int, Fraction)):
+            return NotImplemented
+        p = k.numerator
+        return _reduced(tuple(p * a for a in self.num), k.denominator * self.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, k: int) -> "QNSVector":
-        return QNSVector(tuple(Fraction(a, k) for a in self.coords))
-
-    def as_rational(self) -> "QNSVector":
-        return QNSVector(tuple(Fraction(a) for a in self.coords))
-
-
-@dataclass(frozen=True)
-class QNSVector:
-    """Rational coordinate vector, used for intermediate divisions."""
-
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-
-    @classmethod
-    def zero(cls, rank: int) -> "QNSVector":
-        return cls((Fraction(0),) * rank)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __add__(self, other: Union["QNSVector", NSVector]) -> "QNSVector":
-        o = qvec(other) if isinstance(other, (QNSVector, NSVector)) else None
-        if o is None:
+    def __truediv__(self, k: Rat) -> "NSVector":
+        if not isinstance(k, (int, Fraction)):
             return NotImplemented
-        _same_length(self, o)
-        return QNSVector(tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union["QNSVector", NSVector]) -> "QNSVector":
-        o = qvec(other) if isinstance(other, (QNSVector, NSVector)) else None
-        if o is None:
-            return NotImplemented
-        _same_length(self, o)
-        return QNSVector(tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other: Union["QNSVector", NSVector]) -> "QNSVector":
-        return qvec(other).__sub__(self)
-
-    def __neg__(self) -> "QNSVector":
-        return QNSVector(tuple(-a for a in self.coords))
-
-    def __mul__(self, k: Rat) -> "QNSVector":
-        if isinstance(k, (int, Fraction)):
-            return QNSVector(tuple(k * a for a in self.coords))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k: Rat) -> "QNSVector":
-        return QNSVector(tuple(a / k for a in self.coords))
+        if k == 0:
+            raise ZeroDivisionError("vector divided by zero")
+        p = k.denominator if k > 0 else -k.denominator
+        return _reduced(tuple(p * a for a in self.num), abs(k.numerator) * self.den)
 
     def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.coords)
+        return self.den == 1
 
-    def to_integral(self) -> Optional[NSVector]:
-        """The same vector with int coordinates, or None if any is fractional."""
-        if not self.is_integral():
-            return None
-        return NSVector(tuple(int(a) for a in self.coords))
+    def as_rational(self) -> "NSVector":
+        """The vector itself: one type carries integral and rational vectors."""
+        return self
 
-
-AnyVector = Union[NSVector, QNSVector]
-
-
-def qvec(v: AnyVector) -> QNSVector:
-    """Promote a lattice vector to rational coordinates."""
-    if isinstance(v, QNSVector):
-        return v
-    if isinstance(v, NSVector):
-        return v.as_rational()
-    raise LatticeError(f"not a lattice vector: {v!r}")
+    def to_integral(self) -> Optional["NSVector"]:
+        """The vector itself when integral, or None if any coordinate is fractional."""
+        return self if self.den == 1 else None
 
 
-def _same_length(v, w) -> None:
-    if len(v) != len(w):
-        raise LatticeError(f"dimension mismatch: {len(v)} vs {len(w)}")
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _vec(num: tuple[int, ...], den: int) -> NSVector:
+    """An NSVector from fields already in reduced form."""
+    v = _new(NSVector)
+    _set(v, "num", num)
+    _set(v, "den", den)
+    return v
+
+
+def _reduced(num: tuple[int, ...], den: int) -> NSVector:
+    """An NSVector from integer numerators over a positive denominator."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return _vec(num, den)
+
+
+def lincomb(s: Rat, v: NSVector, t: Rat, w: NSVector) -> NSVector:
+    """s*v + t*w for exact scalars s, t, summed in integers and reduced once."""
+    if len(v.num) != len(w.num):
+        raise LatticeError(f"dimension mismatch: {len(v.num)} vs {len(w.num)}")
+    sd, td = s.denominator, t.denominator
+    # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
+    a = s.numerator * td * w.den
+    b = t.numerator * sd * v.den
+    return _reduced(
+        tuple(a * x + b * y for x, y in zip(v.num, w.num)), sd * td * v.den * w.den
+    )
+
+
+# the rational constructor of the one vector type
+QNSVector = NSVector.rational
+
+
+def qvec(v: NSVector) -> NSVector:
+    """The vector itself, after checking that it is one."""
+    if not isinstance(v, NSVector):
+        raise LatticeError(f"not a lattice vector: {v!r}")
+    return v
 
 
 def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Exact inertia (positive count, negative count) of a symmetric matrix.
+    """Exact inertia (positive count, negative count) of a symmetric integer matrix.
 
-    Symmetric reduction over the rationals: pick a nonzero diagonal
-    pivot, record its sign, replace the trailing block by its Schur
-    complement and repeat.  When the remaining diagonal vanishes but
-    some off-diagonal entry a_ij does not, the basis change
-    e_i -> e_i + e_j first produces the nonzero diagonal entry 2*a_ij.
-    Raises LatticeError if the form is degenerate.
+    Fraction-free symmetric Bareiss elimination with diagonal pivots,
+    swapped in symmetrically.  After step k each trailing entry a[i][j]
+    is the leading (k+1)-minor bordered by row i and column j, so every
+    division by the previous pivot is exact and the k-th pivot of the
+    rational reduction, d_k / d_(k-1), has sign sign(d_k) * sign(d_(k-1)).
+    When the remaining diagonal vanishes but some a_ij does not, the
+    basis change e_i -> e_i + e_j first makes the diagonal entry 2*a_ij;
+    the bordered minors are linear in row and column i, so adding row
+    and column j keeps them minors.  Raises LatticeError if the form is
+    degenerate or an entry is not an integer.
     """
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
+    for row in a:
+        for x in row:
+            if not isinstance(x, int):
+                raise LatticeError(f"inertia needs integer entries, got {x!r}")
     n = len(a)
     pos = neg = 0
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][i] != 0), None)
         if piv is None:
@@ -195,26 +232,32 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
             if off is None:
                 raise LatticeError("gram matrix is degenerate (nonzero kernel)")
             i, j = off
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
+            ri, rj = a[i], a[j]
+            for t in range(k, n):
+                ri[t] += rj[t]
+            for t in range(k, n):
                 a[t][i] += a[t][j]
             piv = i
         if piv != k:
             a[piv], a[k] = a[k], a[piv]
-            for row in a:
+            for row in a[k:]:
                 row[piv], row[k] = row[k], row[piv]
-        p = a[k][k]
-        if p > 0:
+        rk = a[k]
+        p = rk[k]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        tail = rk[k + 1:]
         for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / p
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
+            ri = a[i]
+            aik = ri[k]
+            nums = [p * x - aik * y for x, y in zip(ri[k + 1:], tail)]
+            quots = [x // prev for x in nums]
+            # floor remainders share the sign of prev, so they vanish iff their sum does
+            assert sum(nums) == prev * sum(quots), "inexact Bareiss division"
+            ri[k + 1:] = quots
+        prev = p
     return pos, neg
 
 
@@ -260,7 +303,7 @@ class NSLattice:
                 f"signature must be (1, {self.rank - 1}), got ({pos}, {neg})"
             )
 
-    def check_vector(self, v: AnyVector) -> None:
+    def check_vector(self, v: NSVector) -> None:
         if len(v) != self.rank:
             raise LatticeError(
                 f"vector of length {len(v)} does not fit lattice of rank {self.rank}"
@@ -273,29 +316,38 @@ class NSLattice:
         return NSVector(tuple(1 if j == i else 0 for j in range(self.rank)))
 
 
-def pair(lat: NSLattice, v: AnyVector, w: AnyVector) -> Rat:
+def pair_num(lat: NSLattice, v: NSVector, w: NSVector) -> int:
+    """Integer numerator of v.w over the denominator v.den * w.den."""
+    try:
+        vn, wn = v.num, w.num
+    except AttributeError:
+        raise LatticeError(f"not a pair of lattice vectors: {v!r}, {w!r}") from None
+    if len(vn) != lat.rank or len(wn) != lat.rank:
+        lat.check_vector(v)
+        lat.check_vector(w)
+    total = 0
+    for vi, row in zip(vn, lat.gram):
+        if vi:
+            total += vi * sum(map(mul, row, wn))
+    return total
+
+
+def pair(lat: NSLattice, v: NSVector, w: NSVector) -> Rat:
     """Intersection pairing v.w, exact.
 
-    Integer for integral vectors, rational in general.
+    Summed over the integer numerators and divided once by the common
+    denominator: an int exactly when the value is integral, a Fraction
+    otherwise.
     """
-    lat.check_vector(v)
-    lat.check_vector(w)
-    vq, wq = qvec(v), qvec(w)
-    total = Fraction(0)
-    for i, vi in enumerate(vq.coords):
-        if vi == 0:
-            continue
-        row = lat.gram[i]
-        total += vi * sum(row[j] * wj for j, wj in enumerate(wq.coords))
-    return ratnorm(total)
+    return ratio(pair_num(lat, v, w), v.den * w.den)
 
 
-def divide(lat: NSLattice, v: AnyVector, r: int) -> Optional[NSVector]:
+def divide(lat: NSLattice, v: NSVector, r: int) -> Optional[NSVector]:
     """v/r as a lattice vector, or None when v is not divisible by r."""
     if not isinstance(r, int) or r < 1:
         raise LatticeError(f"divisor must be a positive integer, got {r!r}")
     lat.check_vector(v)
-    return (qvec(v) / r).to_integral()
+    return (v / r).to_integral()
 
 
 def signature(lat: NSLattice) -> tuple[int, int]:

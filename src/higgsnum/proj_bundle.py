@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .ns_lattice import LatticeError, NSVector, QNSVector, Rat, qvec
-from .surface_chow import ChowClass, SurfaceGeometry, chow_mul
+from .ns_lattice import LatticeError, NSVector, Rat
+from .surface_chow import ChowClass, SurfaceGeometry, ValidationError, chow_mul
 
 __all__ = [
     "YClass",
@@ -84,10 +84,10 @@ def _same_base(a: YClass, b: YClass) -> None:
         raise LatticeError("classes live over different base surfaces")
 
 
-def pullback(x: SurfaceGeometry, a: Union[ChowClass, NSVector, QNSVector]) -> YClass:
+def pullback(x: SurfaceGeometry, a: Union[ChowClass, NSVector]) -> YClass:
     """pi^* of a class on the base."""
-    if isinstance(a, (NSVector, QNSVector)):
-        a = ChowClass.of_divisor(qvec(a))
+    if isinstance(a, NSVector):
+        a = ChowClass.of_divisor(a)
     return YClass(a, ChowClass.zero(x.rank), x)
 
 
@@ -118,7 +118,7 @@ def y_pushforward(a: YClass) -> ChowClass:
 def spectral_divisor_class(x: SurfaceGeometry, r: int) -> YClass:
     """Class r . eta of the divisor cut out by a degree-r characteristic."""
     if r < 1:
-        raise ValueError(f"cover degree must be positive, got {r}")
+        raise ValidationError(f"cover degree must be positive, got {r}")
     return r * hyperplane_class(x)
 
 
@@ -140,7 +140,7 @@ def restrict_to_spectral(a: YClass, r: int) -> ChowClass:
     spectral surface of the pullback of b are r times the deg2 part.
     """
     if r < 1:
-        raise ValueError(f"cover degree must be positive, got {r}")
+        raise ValidationError(f"cover degree must be positive, got {r}")
     x = a.over
     c_l = ChowClass.of_divisor(x.polarization)
     return a.alpha + chow_mul(x, a.beta, c_l)

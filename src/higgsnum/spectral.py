@@ -20,9 +20,8 @@ inputs is the working check of the bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ns_lattice import NSVector, Rat, qvec, ratnorm
+from .ns_lattice import NSVector, Rat, ratio, ratnorm
 from .surface_chow import (
     ChowClass,
     SurfaceGeometry,
@@ -73,7 +72,7 @@ class SpectralClass:
     points: Rat
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", ratnorm(Fraction(self.points)))
+        object.__setattr__(self, "points", ratnorm(self.points))
 
 
 def _mul_pullback(s: SpectralCover, a: SpectralClass, c: ChowClass) -> SpectralClass:
@@ -112,7 +111,7 @@ def spectral_cotangent_ch(s: SpectralCover) -> ChowClass:
     )
 
 
-def spectral_c2_tangent(s: SpectralCover) -> Rat:
+def spectral_c2_tangent(s: SpectralCover) -> int:
     """Second Chern number coefficient r(r-1)L^2 + (r-1)K.L + c2 of the cover.
 
     This is the coefficient of the pulled-back point class; the Euler
@@ -120,10 +119,7 @@ def spectral_c2_tangent(s: SpectralCover) -> Rat:
     """
     x = s.base
     r = s.r
-    kl = x.pair(x.canonical, x.polarization)
-    return ratnorm(
-        Fraction(r * (r - 1)) * x.l_squared + (r - 1) * Fraction(kl) + x.c2_top
-    )
+    return r * (r - 1) * x.l_squared + (r - 1) * x.k_dot_l + x.c2_top
 
 
 def spectral_todd(s: SpectralCover) -> ChowClass:
@@ -134,13 +130,11 @@ def spectral_todd(s: SpectralCover) -> ChowClass:
     """
     x = s.base
     r = s.r
-    kl = x.pair(x.canonical, x.polarization)
-    deg2 = Fraction(
-        x.k_squared + (2 * r - 1) * (r - 1) * x.l_squared + 3 * (r - 1) * kl + x.c2_top,
+    deg2 = ratio(
+        x.k_squared + (2 * r - 1) * (r - 1) * x.l_squared + 3 * (r - 1) * x.k_dot_l + x.c2_top,
         12,
     )
-    k_cover = qvec(spectral_canonical(s)) * Fraction(-1, 2)
-    return ChowClass(1, k_cover, deg2)
+    return ChowClass(1, spectral_canonical(s) / -2, deg2)
 
 
 def pushforward_structure_ch(s: SpectralCover) -> ChowClass:
@@ -184,6 +178,6 @@ def chi_two_ways(s: SpectralCover, delta: NSVector, n_points: int) -> tuple[Rat,
     x = s.base
     x.lattice.check_vector(delta)
     upstairs_product = chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s))
-    chi_cover = ratnorm(s.r * Fraction(upstairs_product.deg2) - n_points)
+    chi_cover = ratnorm(s.r * upstairs_product.deg2 - n_points)
     chi_base = chi(x, grr_pushforward(s, delta, n_points))
     return chi_cover, chi_base

@@ -21,18 +21,19 @@ constructor checks the Noether constraint that K^2 + c2 is divisible by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from .ns_lattice import (
     LatticeError,
     NSLattice,
     NSVector,
-    QNSVector,
     Rat,
+    lincomb,
     pair,
+    pair_num,
     qvec,
+    ratio,
     ratnorm,
 )
 
@@ -61,9 +62,11 @@ class ValidationError(ValueError):
 class SurfaceGeometry:
     """Numerical data of a smooth projective polarized surface.
 
-    canonical and polarization are classes in the lattice; c2_top is the
-    topological Euler number.  The polarization must have positive
-    self-intersection and (K^2 + c2_top) must be divisible by 12.
+    canonical and polarization are integral classes in the lattice;
+    c2_top is the topological Euler number.  The polarization must have
+    positive self-intersection and (K^2 + c2_top) must be divisible by
+    12.  The intersection numbers K^2, L^2 and K.L are computed once, on
+    construction.
     """
 
     lattice: NSLattice
@@ -71,10 +74,15 @@ class SurfaceGeometry:
     polarization: NSVector
     c2_top: int
     name: str = ""
+    k_squared: int = field(init=False, repr=False, compare=False)
+    l_squared: int = field(init=False, repr=False, compare=False)
+    k_dot_l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lattice.check_vector(self.canonical)
         self.lattice.check_vector(self.polarization)
+        if not (qvec(self.canonical).is_integral() and qvec(self.polarization).is_integral()):
+            raise ValidationError("canonical and polarization must be integral classes")
         if not isinstance(self.c2_top, int):
             raise ValidationError(f"c2_top must be an integer, got {self.c2_top!r}")
         l2 = pair(self.lattice, self.polarization, self.polarization)
@@ -88,18 +96,13 @@ class SurfaceGeometry:
                 f"Noether integrality fails: K^2 + c2 = {k2 + self.c2_top} "
                 "is not divisible by 12"
             )
+        object.__setattr__(self, "k_squared", k2)
+        object.__setattr__(self, "l_squared", l2)
+        object.__setattr__(self, "k_dot_l", pair(self.lattice, self.canonical, self.polarization))
 
     @property
     def rank(self) -> int:
         return self.lattice.rank
-
-    @property
-    def k_squared(self) -> Rat:
-        return pair(self.lattice, self.canonical, self.canonical)
-
-    @property
-    def l_squared(self) -> Rat:
-        return pair(self.lattice, self.polarization, self.polarization)
 
     @property
     def chi_structure_sheaf(self) -> int:
@@ -119,29 +122,29 @@ class ChowClass:
     """
 
     deg0: Rat
-    deg1: QNSVector
+    deg1: NSVector
     deg2: Rat
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deg0", ratnorm(Fraction(self.deg0)))
-        object.__setattr__(self, "deg1", qvec(self.deg1))
-        object.__setattr__(self, "deg2", ratnorm(Fraction(self.deg2)))
+        object.__setattr__(self, "deg0", ratnorm(self.deg0))
+        qvec(self.deg1)  # rejects anything but a vector
+        object.__setattr__(self, "deg2", ratnorm(self.deg2))
 
     @classmethod
     def zero(cls, rank: int) -> "ChowClass":
-        return cls(0, QNSVector.zero(rank), 0)
+        return cls(0, NSVector.zero(rank), 0)
 
     @classmethod
     def unit(cls, rank: int) -> "ChowClass":
-        return cls(1, QNSVector.zero(rank), 0)
+        return cls(1, NSVector.zero(rank), 0)
 
     @classmethod
-    def of_divisor(cls, v: Union[NSVector, QNSVector]) -> "ChowClass":
-        return cls(0, qvec(v), 0)
+    def of_divisor(cls, v: NSVector) -> "ChowClass":
+        return cls(0, v, 0)
 
     @classmethod
     def of_points(cls, x: Rat, rank: int) -> "ChowClass":
-        return cls(0, QNSVector.zero(rank), x)
+        return cls(0, NSVector.zero(rank), x)
 
     @property
     def rank(self) -> int:
@@ -178,14 +181,25 @@ def _check_class(x: SurfaceGeometry, a: ChowClass) -> None:
 
 
 def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
-    """Product in the truncated intersection ring of x."""
+    """Product in the truncated intersection ring of x.
+
+    Each degree is summed over integer numerators and divided once.
+    """
     _check_class(x, a)
     _check_class(x, b)
-    return ChowClass(
-        a.deg0 * b.deg0,
-        a.deg0 * b.deg1 + b.deg0 * a.deg1,
-        a.deg0 * b.deg2 + b.deg0 * a.deg2 + pair(x.lattice, a.deg1, b.deg1),
+    a0, b0, a2, b2 = a.deg0, b.deg0, a.deg2, b.deg2
+    u, v = a.deg1, b.deg1
+    # deg2 = a0 b2 + b0 a2 + u.v over the common denominator d1 d2 d3
+    d1 = a0.denominator * b2.denominator
+    d2 = b0.denominator * a2.denominator
+    d3 = u.den * v.den
+    deg2 = ratio(
+        (a0.numerator * b2.numerator * d2 + b0.numerator * a2.numerator * d1) * d3
+        + pair_num(x.lattice, u, v) * d1 * d2,
+        d1 * d2 * d3,
     )
+    deg0 = ratio(a0.numerator * b0.numerator, a0.denominator * b0.denominator)
+    return ChowClass(deg0, lincomb(a0, v, b0, u), deg2)
 
 
 def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
@@ -199,24 +213,23 @@ def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
     return ChowClass(1 / c0, d1, d2)
 
 
-def line_bundle_ch(x: SurfaceGeometry, d: Union[NSVector, QNSVector]) -> ChowClass:
+def line_bundle_ch(x: SurfaceGeometry, d: NSVector) -> ChowClass:
     """Chern character exp(D) = (1, D, D^2/2) of a line bundle class."""
     x.lattice.check_vector(d)
-    return ChowClass(1, qvec(d), Fraction(pair(x.lattice, d, d), 2))
+    return ChowClass(1, d, ratio(pair_num(x.lattice, d, d), 2 * d.den * d.den))
 
 
 def todd_surface(x: SurfaceGeometry) -> ChowClass:
-    """Todd class (1, -K/2, (K^2 + c2)/12) of the surface."""
-    return ChowClass(
-        1,
-        qvec(x.canonical) * Fraction(-1, 2),
-        Fraction(x.k_squared + x.c2_top, 12),
-    )
+    """Todd class (1, -K/2, (K^2 + c2)/12) of the surface.
+
+    The degree-2 part is chi(O), an integer by the Noether check.
+    """
+    return ChowClass(1, x.canonical / -2, x.chi_structure_sheaf)
 
 
 def cotangent_ch(x: SurfaceGeometry) -> ChowClass:
     """Chern character (2, K, (K^2 - 2 c2)/2) of the cotangent bundle."""
-    return ChowClass(2, qvec(x.canonical), Fraction(x.k_squared - 2 * x.c2_top, 2))
+    return ChowClass(2, x.canonical, ratio(x.k_squared - 2 * x.c2_top, 2))
 
 
 def chi(x: SurfaceGeometry, ch: ChowClass) -> Rat:
@@ -260,9 +273,11 @@ class HiggsNumerics:
             raise ValidationError(f"rank must be a positive integer, got {self.r!r}")
         if not isinstance(self.c2, int):
             raise ValidationError(f"c2 must be an integer, got {self.c2!r}")
+        if not qvec(self.c1).is_integral():
+            raise ValidationError(f"c1 must be an integral class, got {self.c1!r}")
 
 
-def discriminant(h: HiggsNumerics, x: SurfaceGeometry) -> Rat:
+def discriminant(h: HiggsNumerics, x: SurfaceGeometry) -> int:
     """Bogomolov discriminant 2 r c2 - (r - 1) c1^2."""
     x.lattice.check_vector(h.c1)
-    return ratnorm(2 * h.r * h.c2 - (h.r - 1) * Fraction(x.pair(h.c1, h.c1)))
+    return 2 * h.r * h.c2 - (h.r - 1) * pair_num(x.lattice, h.c1, h.c1)

@@ -95,7 +95,7 @@ def _rand_rat(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-20, 20), rng.randint(1, 3))
 
 
-def _rand_qvec(rng: random.Random, rank: int) -> QNSVector:
+def _rand_qvec(rng: random.Random, rank: int) -> NSVector:
     return QNSVector(tuple(_rand_rat(rng) for _ in range(rank)))
 
 

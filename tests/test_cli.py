@@ -264,3 +264,13 @@ def test_load_surface_preset_roundtrip():
     assert x.name == "p2"
     with pytest.raises(CLIError):
         load_surface("/no/such/file.json")
+
+
+@pytest.mark.parametrize("rank", ["0", "-2"])
+def test_ybundle_nonpositive_rank_is_one_line_refusal(capsys, rank):
+    rc, out, err = run(capsys, "ybundle", "--surface", "p2", "-r", rank)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("validation error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
