@@ -69,9 +69,9 @@ from .hitchin_criterion import (
 from .hn_branches import (
     HNFactor,
     HNType,
-    NestedComponent,
     Rank2Report,
     RegimeError,
+    component_betas,
     discriminant_identity,
     iter_compositions,
     iter_partitions_at_most,

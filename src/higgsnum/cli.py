@@ -50,7 +50,7 @@ from .spectral import (
     spectral_todd,
 )
 from .hitchin_criterion import Regime, classify
-from .hn_branches import monopole_components, rank2_fixed_components
+from .hn_branches import component_betas, monopole_components
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
 from .ns_lattice import signature
@@ -91,7 +91,7 @@ def load_surface(spec: str) -> SurfaceGeometry:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(f"cannot read surface {spec!r}: {exc}") from None
     try:
         data = json.loads(raw)
@@ -99,6 +99,10 @@ def load_surface(spec: str) -> SurfaceGeometry:
         raise CLIError(
             f"parse error in {spec}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the decoder's recursion limit, or an integer
+        # literal longer than the interpreter's int conversion limit
+        raise CLIError(f"parse error in {spec}: {exc}") from None
     if not isinstance(data, dict):
         raise CLIError(f"parse error in {spec}: expected a JSON object")
     for key, typ in SURFACE_FIELDS.items():
@@ -246,41 +250,27 @@ def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
     c1 = _parse_vector(args.c1, x, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
-    base = {
+    w = report.witness
+    comps = monopole_components(x, h, report) if w else None
+    payload = {
         "r": h.r,
         "c1": h.c1,
         "c2": h.c2,
         "c2_gbun": report.c2gbun,
+        "regime": report.regime,
+        "n_total": w.n_points if w else None,
+        "betas": list(component_betas(x, h.r, w.delta)) if w else None,
+        "components": comps,
+        "count": len(comps) if w else 0,
     }
-    if report.witness is None:
-        base.update(
-            {
-                "regime": report.regime,
-                "n_total": None,
-                "betas": None,
-                "components": None,
-                "count": 0,
-            }
-        )
-        return {**_echo(args), "payload": base}, 0
-    comps = monopole_components(x, h, report)
-    base.update(
-        {
-            "regime": report.regime,
-            "n_total": report.witness.n_points,
-            "betas": list(comps[0].betas) if comps else [],
-            "components": [list(c.lengths) for c in comps],
+    if w and h.r == 2 and h.c1 == x.polarization:
+        # the instanton branch sits beside the monopole components here
+        payload["rank2_fixed"] = {
+            "instanton_branch": True,
+            "components": comps,
             "count": len(comps),
         }
-    )
-    if h.r == 2 and h.c1 == x.polarization:
-        r2 = rank2_fixed_components(x, h.c2, report)
-        base["rank2_fixed"] = {
-            "instanton_branch": r2.instanton_branch,
-            "components": [list(p) for p in r2.components],
-            "count": r2.count,
-        }
-    return {**_echo(args), "payload": base}, 0
+    return {**_echo(args), "payload": payload}, 0
 
 
 def _cmd_grr(args: argparse.Namespace) -> tuple[dict, int]:
@@ -337,8 +327,6 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(value, list):
-        rows.append((prefix, json.dumps(value)))
     else:
         rows.append((prefix, json.dumps(value)))
 
@@ -426,9 +414,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         partial, rc = _DISPATCH[args.command](args)
-    except (CLIError, LatticeError, ValidationError) as exc:
-        prefix = "" if str(exc).startswith("parse error") else "validation error: "
-        sys.stderr.write(f"{prefix}{exc}\n")
+    except CLIError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
+    except (LatticeError, ValidationError) as exc:
+        sys.stderr.write(f"validation error: {exc}\n")
         return 2
     payload = partial.pop("payload")
     envelope = {

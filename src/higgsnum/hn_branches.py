@@ -13,11 +13,15 @@ sum_{i<j} r_i r_j (j-i)^2 is at most r^2(r^2-1)/12, with equality only
 for the all-ones composition.  And the monopole components at the
 bottom of the Morse flow: for (r, c1, c2) in the Boundary or Generic
 regime the candidate components are indexed by partitions of
-n = c2 - c2_gbun into at most r parts, attached to the fixed line
-bundle classes beta_i = delta - (i-1) c1(L).
+n = c2 - c2_gbun into at most r parts, all attached to the same fixed
+line bundle classes beta_i = delta - (i-1) c1(L).
 
-The enumeration describes components by their numerical invariants; the
-geometric identification of each candidate is outside the scope of the
+monopole_components is the one enumeration: it returns each component
+as its partition, zero-padded to length r, and component_betas gives
+the shared classes once.  The rank-2 inventory for c1 = c1(L),
+rank2_fixed_components, is a view of that same list.  The enumeration
+describes components by their numerical invariants; the geometric
+identification of each candidate is outside the scope of the
 arithmetic done here.
 """
 
@@ -34,9 +38,9 @@ from .hitchin_criterion import Regime, RegimeReport, classify
 __all__ = [
     "HNFactor",
     "HNType",
-    "NestedComponent",
     "Rank2Report",
     "RegimeError",
+    "component_betas",
     "discriminant_identity",
     "iter_compositions",
     "iter_partitions_at_most",
@@ -234,27 +238,24 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, k, n)
 
 
-@dataclass(frozen=True)
-class NestedComponent:
-    """One candidate component: fixed line bundle classes and point counts.
+def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVector, ...]:
+    """The fixed line bundle classes beta_i = delta - (i-1) c1(L), i = 1..r.
 
-    betas are the classes delta - (i-1) c1(L); lengths is the partition
-    padded with zeros to the full rank.
+    They are shared by every monopole component of one (r, c1, c2).
     """
-
-    betas: tuple[NSVector, ...]
-    lengths: tuple[int, ...]
+    return tuple(delta - i * x.polarization for i in range(r))
 
 
 def monopole_components(
     x: SurfaceGeometry, h: HiggsNumerics, report: Optional[RegimeReport] = None
-) -> list[NestedComponent]:
+) -> list[tuple[int, ...]]:
     """Candidate fixed-locus components for (r, c1, c2), by partition.
 
     Requires the Boundary or Generic regime; the total point count is
-    n = c2 - c2_gbun and the components are the partitions of n into at
-    most r parts, in decreasing lex order.  report is classify(x, h),
-    computed here unless the caller already has it.
+    n = c2 - c2_gbun and each component is a partition of n into at most
+    r parts, padded with zeros to length r, in decreasing lex order.
+    The line bundle classes they share are component_betas.  report is
+    classify(x, h), computed here unless the caller already has it.
     """
     if report is None:
         report = classify(x, h)
@@ -263,14 +264,11 @@ def monopole_components(
             f"no components to enumerate in regime {report.regime.value}", report
         )
     assert report.witness is not None
-    delta = report.witness.delta
-    n = report.witness.n_points
-    betas = tuple(delta - i * x.polarization for i in range(h.r))
-    out = []
-    for part in iter_partitions_at_most(n, h.r):
-        lengths = part + (0,) * (h.r - len(part))
-        out.append(NestedComponent(betas, lengths))
-    return out
+    r = h.r
+    return [
+        part + (0,) * (r - len(part))
+        for part in iter_partitions_at_most(report.witness.n_points, r)
+    ]
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,7 @@ class Rank2Report:
     c2: int
     regime: Regime
     instanton_branch: bool
-    components: tuple[tuple[int, int], ...]
+    components: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
@@ -293,17 +291,17 @@ def rank2_fixed_components(
     """Type-(1,1) fixed components for rank 2, c1 = c1(L), given c2.
 
     The threshold vanishes for this c1, so the regime is Empty for
-    c2 < 0 and the components are the pairs (n1, n2) with
-    n1 >= n2 >= 0 and n1 + n2 = c2; there are floor(c2/2) + 1 of them,
+    c2 < 0; otherwise the components are the monopole components of
+    (2, c1(L), c2), the pairs (n1, n2) with n1 >= n2 >= 0 summing to c2,
     alongside the branch of sheaves with vanishing Higgs field, which is
     only marked here.  report is the classification of (2, c1(L), c2),
     computed here unless the caller already has it.
     """
     if not isinstance(c2, int):
         raise ValidationError(f"c2 must be an integer, got {c2!r}")
+    h = HiggsNumerics(2, x.polarization, c2)
     if report is None:
-        report = classify(x, HiggsNumerics(2, x.polarization, c2))
-    if c2 < 0:
+        report = classify(x, h)
+    if report.witness is None:
         return Rank2Report(c2, report.regime, False, ())
-    pairs = tuple((c2 - k, k) for k in range(c2 // 2 + 1))
-    return Rank2Report(c2, report.regime, True, pairs)
+    return Rank2Report(c2, report.regime, True, tuple(monopole_components(x, h, report)))

@@ -13,6 +13,8 @@ for d = 1, 4, 5.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .ns_lattice import NSLattice, NSVector
 from .surface_chow import SurfaceGeometry
 
@@ -22,14 +24,8 @@ PRESET_NAMES = ("p2", "hypersurface:d")
 
 
 def p2() -> SurfaceGeometry:
-    """The projective plane, polarized by a line."""
-    return SurfaceGeometry(
-        lattice=NSLattice(1, ((1,),), basis_labels=("H",)),
-        canonical=NSVector((-3,)),
-        polarization=NSVector((1,)),
-        c2_top=3,
-        name="p2",
-    )
+    """The projective plane, polarized by a line: the degree-1 hypersurface."""
+    return replace(hypersurface(1), name="p2")
 
 
 def hypersurface(d: int) -> SurfaceGeometry:

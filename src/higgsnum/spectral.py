@@ -144,10 +144,12 @@ def pushforward_structure_ch(s: SpectralCover) -> ChowClass:
     character is (r, -r(r-1)/2 L, r(r-1)(2r-1)/12 L^2).
     """
     x = s.base
-    total = ChowClass.zero(x.rank)
-    for i in range(s.r):
-        total = total + line_bundle_ch(x, (-i) * x.polarization)
-    return total
+    r = s.r
+    return ChowClass(
+        r,
+        (-(r * (r - 1) // 2)) * x.polarization,
+        ratio(r * (r - 1) * (2 * r - 1) * x.l_squared, 12),
+    )
 
 
 def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowClass:

@@ -77,6 +77,7 @@ def test_surface_file_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     rc, out, err = run(capsys, "surface", "--surface", str(missing))
     assert rc == 2 and "cannot read" in err
+    assert not err.startswith("validation error")
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -205,6 +206,17 @@ def test_branches_payload(capsys):
     assert payload["rank2_fixed"]["instanton_branch"] is True
 
 
+def test_branches_rank2_fixed_is_the_component_list(capsys):
+    for n in range(7):
+        doc = run_json(
+            capsys, "branches", "--surface", "hypersurface:5", "-r", "2", "--c1", "1",
+            "--c2", str(n),
+        )
+        payload = doc["payload"]
+        assert payload["rank2_fixed"]["components"] == payload["components"]
+        assert payload["count"] == payload["rank2_fixed"]["count"] == n // 2 + 1
+
+
 def test_branches_empty_regime_is_payload(capsys):
     doc = run_json(
         capsys, "branches", "--surface", "hypersurface:5", "-r", "2", "--c1", "1", "--c2", "-2"
@@ -272,5 +284,25 @@ def test_ybundle_nonpositive_rank_is_one_line_refusal(capsys, rank):
     assert rc == 2
     assert out == ""
     assert err.startswith("validation error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, start",
+    [
+        (b"\xff\xfe{", "cannot read surface "),
+        (b"[" * 100_000, "parse error in "),
+        (b'{"c2_top": 1' + b"0" * 5000 + b"}", "parse error in "),
+    ],
+    ids=["not-utf8", "deep-nesting", "huge-integer"],
+)
+def test_unreadable_surface_file_is_one_line_refusal(tmp_path, capsys, content, start):
+    path = tmp_path / "surface.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, "surface", "--surface", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(start)
     assert err.count("\n") == 1
     assert "Traceback" not in err

@@ -13,6 +13,8 @@ from higgsnum import (
     RegimeError,
     ValidationError,
     c2_gbun,
+    classify,
+    component_betas,
     discriminant_identity,
     iter_compositions,
     iter_partitions_at_most,
@@ -232,25 +234,29 @@ def test_partitions_against_recurrence():
 
 def test_monopole_components_example(quintic):
     h = quintic.lattice.basis(0)
-    comps = monopole_components(quintic, HiggsNumerics(2, h, 3))
-    assert [c.lengths for c in comps] == [(3, 0), (2, 1)]
-    assert comps[0].betas == (h, 0 * h)
+    numerics = HiggsNumerics(2, h, 3)
+    comps = monopole_components(quintic, numerics)
+    assert comps == [(3, 0), (2, 1)]
+    delta = classify(quintic, numerics).witness.delta
+    assert component_betas(quintic, 2, delta) == (h, 0 * h)
     assert len(comps) == 2
 
 
 def test_monopole_components_boundary(quintic):
     h = quintic.lattice.basis(0)
     comps = monopole_components(quintic, HiggsNumerics(2, h, 0))
-    assert [c.lengths for c in comps] == [(0, 0)]
+    assert comps == [(0, 0)]
 
 
 def test_monopole_components_rank_three(quintic):
     h = quintic.lattice.basis(0)
-    comps = monopole_components(quintic, HiggsNumerics(3, 0 * h, 1))
+    numerics = HiggsNumerics(3, 0 * h, 1)
+    comps = monopole_components(quintic, numerics)
     # threshold is -5, so six points split into at most three groups
     assert len(comps) == 7 == partition_count(6, 3)
-    assert comps[0].betas == (h, 0 * h, -1 * h)
-    assert [c.lengths for c in comps][:3] == [(6, 0, 0), (5, 1, 0), (4, 2, 0)]
+    delta = classify(quintic, numerics).witness.delta
+    assert component_betas(quintic, 3, delta) == (h, 0 * h, -1 * h)
+    assert comps[:3] == [(6, 0, 0), (5, 1, 0), (4, 2, 0)]
 
 
 def test_monopole_betas_step_by_polarization(blowup):
@@ -262,14 +268,17 @@ def test_monopole_betas_step_by_polarization(blowup):
         threshold, integral = c2_gbun(blowup, HiggsNumerics(r, c1, 0))
         assert integral
         n = rng.randint(0, 10)
-        comps = monopole_components(blowup, HiggsNumerics(r, c1, threshold + n))
+        numerics = HiggsNumerics(r, c1, threshold + n)
+        comps = monopole_components(blowup, numerics)
         assert len(comps) == partition_count(n, r)
+        betas = component_betas(blowup, r, classify(blowup, numerics).witness.delta)
+        assert len(betas) == r
+        assert betas[0] == delta
+        for i in range(1, r):
+            assert betas[i] == betas[i - 1] - blowup.polarization
         for comp in comps:
-            assert comp.betas[0] == delta
-            for i in range(1, r):
-                assert comp.betas[i] == comp.betas[i - 1] - blowup.polarization
-            assert sum(comp.lengths) == n
-            assert len(comp.lengths) == r
+            assert sum(comp) == n
+            assert len(comp) == r
 
 
 def test_monopole_requires_witness_regime(quintic):
@@ -313,7 +322,7 @@ def test_rank2_matches_monopole_enumeration(quintic):
         report = rank2_fixed_components(quintic, c2)
         comps = monopole_components(quintic, HiggsNumerics(2, h, c2))
         assert report.count == len(comps)
-        assert [tuple(c.lengths) for c in comps] == list(report.components)
+        assert comps == list(report.components)
 
 
 def test_hntype_validation(quintic):

@@ -129,13 +129,17 @@ def test_pushforward_structure_ch(quintic):
 
 
 def test_pushforward_structure_closed_form():
+    """The closed form against the splitting into L^(-i), i = 0..r-1."""
     for x in SURFACES():
-        for r in range(1, 9):
+        for r in range(1, 41):
             c = pushforward_structure_ch(SpectralCover(x, r))
             l = x.polarization
             assert c.deg0 == r
             assert 2 * c.deg1 == (-(r * (r - 1))) * l.as_rational()
             assert 12 * Fraction(c.deg2) == r * (r - 1) * (2 * r - 1) * Fraction(x.l_squared)
+            assert c == sum(
+                (line_bundle_ch(x, (-i) * l) for i in range(r)), ChowClass.zero(x.rank)
+            )
 
 
 def test_grr_recovers_structure_pushforward():
