@@ -8,6 +8,7 @@ the enumeration of fixed-locus component candidates.
 """
 
 from .ns_lattice import (
+    HiggsError,
     LatticeError,
     NSLattice,
     NSVector,

@@ -9,7 +9,9 @@ produce byte-identical output.
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
 fails; 2 for input errors (bad flags, unreadable or invalid surface
-data).
+data).  Every refusal is a HiggsError, caught in one place and printed
+as one stderr line: a CLIError (files, schemas, flags) as it is, any
+other with the prefix "validation error: ".
 """
 
 from __future__ import annotations
@@ -21,14 +23,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from .ns_lattice import LatticeError, NSLattice, NSVector
-from .surface_chow import (
-    ChowClass,
-    HiggsNumerics,
-    SurfaceGeometry,
-    ValidationError,
-    chi,
-)
+from .ns_lattice import HiggsError, NSLattice, NSVector, ValidationError, signature
+from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry
 from .proj_bundle import (
     YClass,
     canonical_y,
@@ -53,12 +49,11 @@ from .hitchin_criterion import Regime, classify
 from .hn_branches import component_betas, monopole_components
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
-from .ns_lattice import signature
 
 __all__ = ["CLIError", "load_surface", "main", "main_entry"]
 
 
-class CLIError(ValueError):
+class CLIError(HiggsError):
     """Input that the CLI refuses: bad files, bad schemas, bad flags."""
 
 
@@ -72,11 +67,11 @@ SURFACE_FIELDS = {
 }
 
 
-def _int_list(value: Any, what: str) -> list[int]:
+def _int_list(value: Any, what: str, spec: str) -> list[int]:
     if not isinstance(value, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in value
     ):
-        raise CLIError(f"parse error: {what} must be a list of integers")
+        raise CLIError(f"parse error in {spec}: {what} must be a list of integers")
     return value
 
 
@@ -86,12 +81,13 @@ def load_surface(spec: str) -> SurfaceGeometry:
         return presets.by_name(spec)
     except KeyError:
         pass
-    except ValueError as exc:
+    except ValidationError as exc:
         raise CLIError(f"parse error: {exc}") from None
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: bytes that are not UTF-8, or a path with a NUL byte
         raise CLIError(f"cannot read surface {spec!r}: {exc}") from None
     try:
         data = json.loads(raw)
@@ -113,7 +109,7 @@ def load_surface(spec: str) -> SurfaceGeometry:
     rank = data["ns_rank"]
     gram = data["gram"]
     for i, row in enumerate(gram):
-        row = _int_list(row, f"gram row {i}")
+        row = _int_list(row, f"gram row {i}", spec)
         if len(row) != rank:
             raise CLIError(
                 f"parse error in {spec}: gram row {i} has length {len(row)}, expected {rank}"
@@ -122,8 +118,8 @@ def load_surface(spec: str) -> SurfaceGeometry:
         raise CLIError(
             f"parse error in {spec}: gram has {len(gram)} rows, expected {rank}"
         )
-    canonical = _int_list(data["canonical"], "canonical")
-    polarization = _int_list(data["polarization"], "polarization")
+    canonical = _int_list(data["canonical"], "canonical", spec)
+    polarization = _int_list(data["polarization"], "polarization", spec)
     if len(canonical) != rank or len(polarization) != rank:
         raise CLIError(f"parse error in {spec}: class vectors must have length {rank}")
     lattice = NSLattice(rank, tuple(tuple(row) for row in gram))
@@ -277,8 +273,6 @@ def _cmd_grr(args: argparse.Namespace) -> tuple[dict, int]:
     x = load_surface(args.surface)
     s = SpectralCover(x, args.rank)
     delta = _parse_vector(args.delta, x, "--delta")
-    if args.points < 0:
-        raise CLIError(f"parse error: --points must be nonnegative, got {args.points}")
     ch = grr_pushforward(s, delta, args.points)
     chi_cover, chi_base = chi_two_ways(s, delta, args.points)
     c2_value = Fraction(x.pair(ch.deg1, ch.deg1), 2) - Fraction(ch.deg2)
@@ -414,11 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         partial, rc = _DISPATCH[args.command](args)
-    except CLIError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
-    except (LatticeError, ValidationError) as exc:
-        sys.stderr.write(f"validation error: {exc}\n")
+    except HiggsError as exc:
+        label = "" if isinstance(exc, CLIError) else "validation error: "
+        sys.stderr.write(f"{label}{exc}\n")
         return 2
     payload = partial.pop("payload")
     envelope = {

@@ -76,7 +76,6 @@ def c2_gbun(x: SurfaceGeometry, h: HiggsNumerics) -> tuple[Rat, bool]:
     assumed; it holds in practice whenever the determinant equation is
     solvable.
     """
-    x.lattice.check_vector(h.c1)
     r = h.r
     value = ratio(
         12 * (r - 1) * x.pair(h.c1, h.c1) - r * r * (r * r - 1) * x.l_squared, 24 * r
@@ -91,7 +90,6 @@ def n_points(x: SurfaceGeometry, h: HiggsNumerics) -> Rat:
     c2 - c2_gbun identically.  Nonnegative integrality is exactly the
     condition checked by classify.
     """
-    x.lattice.check_vector(h.c1)
     r = h.r
     numerator = (
         r * r * (r * r - 1) * x.l_squared

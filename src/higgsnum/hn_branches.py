@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .ns_lattice import NSVector, Rat, pair, ratnorm
-from .surface_chow import HiggsNumerics, SurfaceGeometry, ValidationError, discriminant
+from .ns_lattice import HiggsError, NSVector, Rat, ValidationError, pair, ratnorm, require_int
+from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
 from .hitchin_criterion import Regime, RegimeReport, classify
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-class RegimeError(ValueError):
+class RegimeError(HiggsError):
     """Raised when an enumeration is requested outside its regime."""
 
     def __init__(self, message: str, report: RegimeReport):
@@ -69,8 +69,7 @@ class HNFactor:
     c2: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise ValidationError(f"factor rank must be positive, got {self.rank!r}")
+        require_int(self.rank, "factor rank", 1)
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def olympic_sum(composition: Sequence[int]) -> int:
     if not parts:
         raise ValidationError("composition must be nonempty")
     for p in parts:
-        if not isinstance(p, int) or p < 1:
-            raise ValidationError(f"composition parts must be positive integers, got {p!r}")
+        require_int(p, "composition part", 1)
     total = 0
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -183,8 +181,7 @@ def olympic_verify(r_max: int) -> list[dict]:
     the all-ones composition is the unique one.  r_max is capped at 20
     to keep the 2^(r-1) enumeration honest.
     """
-    if not isinstance(r_max, int) or not 1 <= r_max <= 20:
-        raise ValidationError(f"r_max must be between 1 and 20, got {r_max!r}")
+    require_int(r_max, "r_max", 1, 20)
     out = []
     for r in range(1, r_max + 1):
         expected = r * r * (r * r - 1) // 12
@@ -214,8 +211,8 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
     Parts are emitted nonincreasing, without zero padding.
     """
-    if n < 0 or k < 0:
-        raise ValidationError("partition arguments must be nonnegative")
+    require_int(n, "partition size", 0)
+    require_int(k, "part count", 0)
     if n == 0:
         yield ()
         return
@@ -297,8 +294,6 @@ def rank2_fixed_components(
     only marked here.  report is the classification of (2, c1(L), c2),
     computed here unless the caller already has it.
     """
-    if not isinstance(c2, int):
-        raise ValidationError(f"c2 must be an integer, got {c2!r}")
     h = HiggsNumerics(2, x.polarization, c2)
     if report is None:
         report = classify(x, h)

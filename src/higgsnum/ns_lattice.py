@@ -14,6 +14,12 @@ QNSVector(coords) one from rational coordinates.  Vector sums and the
 pairing run over the integer numerators and divide once at the end.
 The signature test is fraction-free symmetric Bareiss elimination.
 
+Every refusal in the package is a HiggsError (a ValueError):
+LatticeError for lattice data, ValidationError for surface and sheaf
+data, and RegimeError (hn_branches) and CLIError (cli) downstream.
+require_int is the one rule for a rank, degree, count or c2: an int,
+never a bool, within the given bounds.
+
 Everything here is computed with integers and `fractions.Fraction`.
 There are no floating-point numbers and no tolerances anywhere in the
 package; equality always means exact equality.
@@ -28,11 +34,13 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
+    "HiggsError",
     "LatticeError",
     "NSLattice",
     "NSVector",
     "QNSVector",
     "Rat",
+    "ValidationError",
     "divide",
     "inertia",
     "lincomb",
@@ -41,14 +49,41 @@ __all__ = [
     "qvec",
     "ratio",
     "ratnorm",
+    "require_int",
     "signature",
 ]
 
 Rat = Union[int, Fraction]
 
 
-class LatticeError(ValueError):
+class HiggsError(ValueError):
+    """Input that the package refuses; every refusal derives from this."""
+
+
+class LatticeError(HiggsError):
     """Malformed lattice data, or vectors that do not fit the lattice."""
+
+
+class ValidationError(HiggsError):
+    """Surface or sheaf data violating a structural invariant."""
+
+
+_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def require_int(
+    value: object, what: str, low: Optional[int] = None, high: Optional[int] = None,
+    error: type[HiggsError] = ValidationError,
+) -> int:
+    """value itself when it is an int, not a bool, with low <= value <= high.
+
+    The one rule for ranks, degrees, counts and c2, with low None, 0 or 1;
+    anything else raises error("<what> must be <kind>, got <value>").
+    """
+    if type(value) is int and (low is None or value >= low) and (high is None or value <= high):
+        return value
+    kind = _KINDS[low] if high is None else f"an integer between {low} and {high}"
+    raise error(f"{what} must be {kind}, got {value!r}")
 
 
 def ratnorm(x: Rat) -> Rat:
@@ -218,7 +253,7 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     for row in a:
         for x in row:
             if not isinstance(x, int):
-                raise LatticeError(f"inertia needs integer entries, got {x!r}")
+                raise LatticeError(f"gram entries must be integers, got {x!r}")
     n = len(a)
     pos = neg = 0
     prev = 1
@@ -275,18 +310,13 @@ class NSLattice:
     basis_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise LatticeError(f"rank must be a positive integer, got {self.rank!r}")
+        require_int(self.rank, "rank", 1, error=LatticeError)
         gram = tuple(tuple(row) for row in self.gram)
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise LatticeError(
                 f"gram matrix must be {self.rank}x{self.rank}, got rows of lengths "
                 f"{[len(row) for row in gram]}"
             )
-        for row in gram:
-            for x in row:
-                if not isinstance(x, int):
-                    raise LatticeError(f"gram entries must be integers, got {x!r}")
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
                 if gram[i][j] != gram[j][i]:
@@ -344,8 +374,7 @@ def pair(lat: NSLattice, v: NSVector, w: NSVector) -> Rat:
 
 def divide(lat: NSLattice, v: NSVector, r: int) -> Optional[NSVector]:
     """v/r as a lattice vector, or None when v is not divisible by r."""
-    if not isinstance(r, int) or r < 1:
-        raise LatticeError(f"divisor must be a positive integer, got {r!r}")
+    require_int(r, "divisor", 1, error=LatticeError)
     lat.check_vector(v)
     return (v / r).to_integral()
 

@@ -13,9 +13,7 @@ for d = 1, 4, 5.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .ns_lattice import NSLattice, NSVector
+from .ns_lattice import NSLattice, NSVector, ValidationError, require_int
 from .surface_chow import SurfaceGeometry
 
 __all__ = ["PRESET_NAMES", "by_name", "hypersurface", "p2"]
@@ -25,19 +23,21 @@ PRESET_NAMES = ("p2", "hypersurface:d")
 
 def p2() -> SurfaceGeometry:
     """The projective plane, polarized by a line: the degree-1 hypersurface."""
-    return replace(hypersurface(1), name="p2")
+    return _hypersurface(1, "p2")
 
 
 def hypersurface(d: int) -> SurfaceGeometry:
     """Smooth degree-d surface in P^3 with its hyperplane polarization."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"hypersurface degree must be a positive integer, got {d!r}")
+    return _hypersurface(require_int(d, "hypersurface degree", 1), f"hypersurface:{d}")
+
+
+def _hypersurface(d: int, name: str) -> SurfaceGeometry:
     return SurfaceGeometry(
         lattice=NSLattice(1, ((d,),), basis_labels=("H",)),
         canonical=NSVector((d - 4,)),
         polarization=NSVector((1,)),
         c2_top=d**3 - 4 * d**2 + 6 * d,
-        name=f"hypersurface:{d}",
+        name=name,
     )
 
 
@@ -50,6 +50,6 @@ def by_name(name: str) -> SurfaceGeometry:
         try:
             d = int(tail)
         except ValueError:
-            raise ValueError(f"bad hypersurface degree {tail!r}") from None
+            raise ValidationError(f"bad hypersurface degree {tail!r}") from None
         return hypersurface(d)
     raise KeyError(name)

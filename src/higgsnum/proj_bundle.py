@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .ns_lattice import LatticeError, NSVector, Rat
-from .surface_chow import ChowClass, SurfaceGeometry, ValidationError, chow_mul
+from .ns_lattice import LatticeError, NSVector, Rat, require_int
+from .surface_chow import ChowClass, SurfaceGeometry, chow_mul
 
 __all__ = [
     "YClass",
@@ -117,9 +117,7 @@ def y_pushforward(a: YClass) -> ChowClass:
 
 def spectral_divisor_class(x: SurfaceGeometry, r: int) -> YClass:
     """Class r . eta of the divisor cut out by a degree-r characteristic."""
-    if r < 1:
-        raise ValidationError(f"cover degree must be positive, got {r}")
-    return r * hyperplane_class(x)
+    return require_int(r, "cover degree", 1) * hyperplane_class(x)
 
 
 def dinfty_class(x: SurfaceGeometry) -> YClass:
@@ -139,8 +137,7 @@ def restrict_to_spectral(a: YClass, r: int) -> ChowClass:
     b = alpha + beta . c1(L) does not depend on r; integrals over the
     spectral surface of the pullback of b are r times the deg2 part.
     """
-    if r < 1:
-        raise ValidationError(f"cover degree must be positive, got {r}")
+    require_int(r, "cover degree", 1)
     x = a.over
     c_l = ChowClass.of_divisor(x.polarization)
     return a.alpha + chow_mul(x, a.beta, c_l)

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ns_lattice import NSVector, Rat, ratio, ratnorm
+from .ns_lattice import NSVector, Rat, ratio, ratnorm, require_int
 from .surface_chow import (
     ChowClass,
     SurfaceGeometry,
-    ValidationError,
     chi,
     chow_inverse,
     chow_mul,
@@ -55,8 +54,7 @@ class SpectralCover:
     r: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValidationError(f"cover degree must be a positive integer, got {self.r!r}")
+        require_int(self.r, "cover degree", 1)
 
 
 @dataclass(frozen=True)
@@ -159,10 +157,8 @@ def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowCla
     of n_points points.  Riemann-Roch without denominators for the
     finite cover: push forward ch . Td(cover), then divide by Td(base).
     """
-    if not isinstance(n_points, int) or n_points < 0:
-        raise ValidationError(f"point count must be a nonnegative integer, got {n_points!r}")
+    require_int(n_points, "point count", 0)
     x = s.base
-    x.lattice.check_vector(delta)
     ch_upstairs = SpectralClass(line_bundle_ch(x, delta), -n_points)
     pushed = _pushforward(s, _mul_pullback(s, ch_upstairs, spectral_todd(s)))
     return chow_mul(x, pushed, chow_inverse(x, todd_surface(x)))
@@ -175,11 +171,8 @@ def chi_two_ways(s: SpectralCover, delta: NSVector, n_points: int) -> tuple[Rat,
     ch . Td, minus the point correction).  Second entry: chi on the base
     of the transported character.
     """
-    if not isinstance(n_points, int) or n_points < 0:
-        raise ValidationError(f"point count must be a nonnegative integer, got {n_points!r}")
     x = s.base
-    x.lattice.check_vector(delta)
-    upstairs_product = chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s))
-    chi_cover = ratnorm(s.r * upstairs_product.deg2 - n_points)
+    # grr_pushforward checks n_points and delta
     chi_base = chi(x, grr_pushforward(s, delta, n_points))
-    return chi_cover, chi_base
+    upstairs_product = chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s))
+    return ratnorm(s.r * upstairs_product.deg2 - n_points), chi_base

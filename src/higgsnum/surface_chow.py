@@ -29,12 +29,14 @@ from .ns_lattice import (
     NSLattice,
     NSVector,
     Rat,
+    ValidationError,
     lincomb,
     pair,
     pair_num,
     qvec,
     ratio,
     ratnorm,
+    require_int,
 )
 
 __all__ = [
@@ -52,10 +54,6 @@ __all__ = [
     "line_bundle_ch",
     "todd_surface",
 ]
-
-
-class ValidationError(ValueError):
-    """Surface or sheaf data violating a structural invariant."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,7 @@ class SurfaceGeometry:
         self.lattice.check_vector(self.polarization)
         if not (qvec(self.canonical).is_integral() and qvec(self.polarization).is_integral()):
             raise ValidationError("canonical and polarization must be integral classes")
-        if not isinstance(self.c2_top, int):
-            raise ValidationError(f"c2_top must be an integer, got {self.c2_top!r}")
+        require_int(self.c2_top, "c2_top")
         l2 = pair(self.lattice, self.polarization, self.polarization)
         if l2 <= 0:
             raise ValidationError(
@@ -215,7 +212,6 @@ def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
 
 def line_bundle_ch(x: SurfaceGeometry, d: NSVector) -> ChowClass:
     """Chern character exp(D) = (1, D, D^2/2) of a line bundle class."""
-    x.lattice.check_vector(d)
     return ChowClass(1, d, ratio(pair_num(x.lattice, d, d), 2 * d.den * d.den))
 
 
@@ -254,8 +250,7 @@ def hilbert_polynomial(x: SurfaceGeometry, ch: ChowClass, n: int) -> Rat:
 
 def ideal_twist_ch(x: SurfaceGeometry, m: NSVector, n_points: int) -> ChowClass:
     """Chern character of a line bundle twisted by the ideal of n points."""
-    if n_points < 0:
-        raise ValidationError(f"point count must be nonnegative, got {n_points}")
+    require_int(n_points, "point count", 0)
     c = line_bundle_ch(x, m)
     return ChowClass(c.deg0, c.deg1, c.deg2 - n_points)
 
@@ -269,15 +264,12 @@ class HiggsNumerics:
     c2: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValidationError(f"rank must be a positive integer, got {self.r!r}")
-        if not isinstance(self.c2, int):
-            raise ValidationError(f"c2 must be an integer, got {self.c2!r}")
+        require_int(self.r, "rank", 1)
+        require_int(self.c2, "c2")
         if not qvec(self.c1).is_integral():
             raise ValidationError(f"c1 must be an integral class, got {self.c1!r}")
 
 
 def discriminant(h: HiggsNumerics, x: SurfaceGeometry) -> int:
     """Bogomolov discriminant 2 r c2 - (r - 1) c1^2."""
-    x.lattice.check_vector(h.c1)
     return 2 * h.r * h.c2 - (h.r - 1) * pair_num(x.lattice, h.c1, h.c1)

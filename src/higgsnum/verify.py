@@ -34,7 +34,7 @@ from .proj_bundle import (
     y_pushforward,
 )
 from .spectral import SpectralCover, chi_two_ways
-from .hitchin_criterion import c2_gbun, classify, n_points, solve_delta
+from .hitchin_criterion import c2_gbun
 from .hn_branches import (
     HNFactor,
     HNType,

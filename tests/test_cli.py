@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -99,6 +98,7 @@ def test_surface_file_errors(tmp_path, capsys):
     )
     rc, out, err = run(capsys, "surface", "--surface", str(ragged))
     assert rc == 2 and "gram row 0" in err
+    assert err.startswith(f"parse error in {ragged}: ")
 
     degenerate = tmp_path / "degenerate.json"
     degenerate.write_text(
@@ -190,6 +190,8 @@ def test_grr_payload(capsys):
         capsys, "grr", "--surface", "hypersurface:5", "-r", "2", "--delta", "3", "--points", "-1"
     )
     assert rc == 2
+    assert err.startswith("validation error: ")
+    assert err.count("\n") == 1
 
 
 def test_branches_payload(capsys):

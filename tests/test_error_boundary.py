@@ -1,0 +1,216 @@
+"""The error boundary: one base class, one integer rule, one refusal line.
+
+Every rank, degree, count and c2 goes through require_int, so a bool, a
+float or a Fraction is refused exactly like an out-of-range int, with
+the error type of the module that owns the input.  The CLI catches the
+one base class, so any input yields an answer (exit 0) or a one-line
+refusal (exit 2), never a traceback.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import higgsnum
+from higgsnum import (
+    HiggsError,
+    HiggsNumerics,
+    HNFactor,
+    LatticeError,
+    NSLattice,
+    NSVector,
+    RegimeError,
+    SpectralCover,
+    SurfaceGeometry,
+    ValidationError,
+    canonical_y,
+    chi_two_ways,
+    divide,
+    grr_pushforward,
+    ideal_twist_ch,
+    iter_partitions_at_most,
+    olympic_sum,
+    olympic_verify,
+    presets,
+    rank2_fixed_components,
+    restrict_to_spectral,
+    spectral_divisor_class,
+)
+from higgsnum.cli import CLIError, main
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+DATA = Path(__file__).parent / "data"
+
+X = presets.p2()
+L = X.polarization
+
+POSITIVE = (True, 1.5, Fraction(3, 2), 0, -1)
+NONNEGATIVE = (True, 1.5, Fraction(1, 2), -1)
+INTEGER = (True, 1.5, Fraction(3, 2))
+
+PROBES = [
+    ("NSLattice-rank", lambda v: NSLattice(v, ((1,),)), POSITIVE, LatticeError),
+    ("divide", lambda v: divide(X.lattice, NSVector((2,)), v), POSITIVE, LatticeError),
+    ("HiggsNumerics-rank", lambda v: HiggsNumerics(v, L, 0), POSITIVE, ValidationError),
+    ("HiggsNumerics-c2", lambda v: HiggsNumerics(2, L, v), INTEGER, ValidationError),
+    ("SurfaceGeometry-c2_top", lambda v: SurfaceGeometry(X.lattice, X.canonical, L, v),
+     INTEGER, ValidationError),
+    ("SpectralCover", lambda v: SpectralCover(X, v), POSITIVE, ValidationError),
+    ("spectral_divisor_class", lambda v: spectral_divisor_class(X, v), POSITIVE, ValidationError),
+    ("restrict_to_spectral", lambda v: restrict_to_spectral(canonical_y(X), v), POSITIVE,
+     ValidationError),
+    ("hypersurface", lambda v: presets.hypersurface(v), POSITIVE, ValidationError),
+    ("HNFactor", lambda v: HNFactor(v, L, 0), POSITIVE, ValidationError),
+    ("olympic_sum", lambda v: olympic_sum((v, 2)), POSITIVE, ValidationError),
+    ("olympic_verify", lambda v: olympic_verify(v), POSITIVE + (21,), ValidationError),
+    ("rank2_fixed_components", lambda v: rank2_fixed_components(X, v), INTEGER, ValidationError),
+    ("ideal_twist_ch", lambda v: ideal_twist_ch(X, L, v), NONNEGATIVE, ValidationError),
+    ("grr_pushforward", lambda v: grr_pushforward(SpectralCover(X, 2), L, v), NONNEGATIVE,
+     ValidationError),
+    ("chi_two_ways", lambda v: chi_two_ways(SpectralCover(X, 2), L, v), NONNEGATIVE,
+     ValidationError),
+    ("partitions-n", lambda v: list(iter_partitions_at_most(v, 2)), NONNEGATIVE, ValidationError),
+    ("partitions-k", lambda v: list(iter_partitions_at_most(3, v)), NONNEGATIVE, ValidationError),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, error",
+    [
+        pytest.param(call, value, error, id=f"{name}-{value!r}")
+        for name, call, values, error in PROBES
+        for value in values
+    ],
+)
+def test_bad_integer_is_refused_by_the_owning_module(call, value, error):
+    with pytest.raises(HiggsError) as excinfo:
+        call(value)
+    assert type(excinfo.value) is error
+
+
+def test_one_base_class():
+    for cls in (LatticeError, ValidationError, RegimeError, CLIError):
+        assert issubclass(cls, HiggsError)
+    assert issubclass(HiggsError, ValueError)
+    assert higgsnum.HiggsError is HiggsError
+
+
+def test_refusal_messages_kept():
+    with pytest.raises(ValidationError, match="^rank must be a positive integer, got 0$"):
+        HiggsNumerics(0, L, 0)
+    with pytest.raises(ValidationError, match="^cover degree must be a positive integer, got 0$"):
+        SpectralCover(X, 0)
+    with pytest.raises(ValidationError, match="^hypersurface degree must be a positive integer"):
+        presets.hypersurface(0)
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the CLI flags and the surface loader
+
+PRESETS = ["p2", "hypersurface:1", "hypersurface:4", "hypersurface:5", "hypersurface:8"]
+BAD_SPECS = ["hypersurface:0", "hypersurface:-2", "hypersurface:x", "hypersurface:", "nope",
+             str(DATA)]
+JUNK = st.sampled_from([None, True, 1.5, "x", [], {}, [[True]], [1.5]])
+
+
+def _field(strategy):
+    return st.one_of(strategy, JUNK)
+
+
+# free-form surface records: mostly refused, by the loader or by validation
+loose_surface = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": _field(st.text(max_size=4)),
+        "ns_rank": _field(st.integers(0, 2)),
+        "gram": _field(st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2)),
+        "canonical": _field(st.lists(st.integers(-3, 3), max_size=2)),
+        "polarization": _field(st.lists(st.integers(-1, 1), max_size=2)),
+        "c2_top": _field(st.integers(-20, 40)),
+    },
+)
+
+
+@st.composite
+def diagonal_surface(draw):
+    """Rank-2 diag(a, -b) records that pass the Noether check, with L^2 <= 8."""
+    a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    k = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    return {
+        "name": "fuzz",
+        "ns_rank": 2,
+        "gram": [[a, 0], [0, -b]],
+        "canonical": k,
+        "polarization": [draw(st.sampled_from([1, 2, -1])), draw(st.integers(-1, 1))],
+        "c2_top": 12 * draw(st.integers(-1, 3)) - a * k[0] ** 2 + b * k[1] ** 2,
+    }
+
+
+surface_text = st.one_of(
+    diagonal_surface().map(json.dumps),
+    diagonal_surface().map(json.dumps),
+    loose_surface.map(json.dumps),
+    st.one_of(st.integers(), st.lists(st.integers(-1, 1), max_size=2)).map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+def vector_text(rank):
+    """Mostly rank coordinates in -2..2, which keeps branches near 10^3 components."""
+    coords = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    return st.one_of(
+        coords, coords, coords, st.lists(st.integers(-2, 2), max_size=3),
+        st.sampled_from(["", "a", "1,", " 1", "1.5", "1/2", ",", "+1"]),
+    ).map(lambda v: v if isinstance(v, str) else ",".join(map(str, v)))
+
+
+@st.composite
+def argvs(draw, path):
+    command = draw(st.sampled_from(
+        ["surface", "ybundle", "spectral", "criterion", "branches", "grr"]))
+    kind = draw(st.sampled_from(["preset", "preset", "file", "file", "bad", "text"]))
+    rank = 2 if kind == "file" else 1
+    if kind == "file":
+        path.write_text(draw(surface_text), encoding="utf-8")
+        spec = str(path)
+    else:
+        spec = draw({"preset": st.sampled_from(PRESETS), "bad": st.sampled_from(BAD_SPECS),
+                     "text": st.text(max_size=6)}[kind])
+    argv = [command, f"--surface={spec}", f"--format={draw(st.sampled_from(['json', 'table']))}"]
+    if command != "surface":
+        argv.append(f"--rank={draw(st.integers(-1, 4))}")
+    if command in ("criterion", "branches"):
+        argv += [f"--c1={draw(vector_text(rank))}", f"--c2={draw(st.integers(-10, 10))}"]
+    if command == "grr":
+        argv.append(f"--delta={draw(vector_text(rank))}")
+        if draw(st.booleans()):
+            argv.append(f"--points={draw(st.integers(-3, 10))}")
+    return argv
+
+
+def test_cli_fuzz_answers_or_refuses_in_one_line(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "surface.json"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argvs(path))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if rc == 0:
+            assert out and not err
+        else:
+            assert not out
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+
+    check()

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from higgsnum import (
     FiberWitness,
     HiggsNumerics,

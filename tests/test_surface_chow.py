@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,7 @@ def test_preset_data():
     assert x.l_squared == 5
     assert x.c2_top == 55
     assert presets.p2().canonical == NSVector((-3,))
+    assert presets.p2() == replace(presets.hypersurface(1), name="p2")
     with pytest.raises(ValueError):
         presets.hypersurface(0)
 
