@@ -6,6 +6,13 @@ verify.  Every run prints a single JSON document (or a flat table with
 and gcd(p, q) = 1, or as bare integers when q = 1; identical invocations
 produce byte-identical output.
 
+One writer, to_json, prints the JSON document in one pass over the exact
+payload: it gives the text of json.dumps(encode(payload), indent=2)
+without building the encoded tree, and writes a row of plain ints (a
+component of `branches`) as one join.  The table format flattens
+encode(envelope).  The argparse parser is built once per process; it
+depends only on constants, so main can be called any number of times.
+
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
 fails; 2 for input errors (bad flags, unreadable or invalid surface
@@ -17,6 +24,7 @@ other with the prefix "validation error: ".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -164,6 +172,57 @@ def encode(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     raise TypeError(f"cannot encode {value!r}")
+
+
+_INT_ONLY = {int}
+
+
+def _dump(value: Any, ind: str, out: list[str]) -> None:
+    """Append the text of json.dumps(encode(value), indent=2) to out.
+
+    ind is the newline and indentation of the line value starts on.  Plain
+    dicts with str keys, lists and tuples are walked here; a list or tuple
+    of plain ints is one join; anything else goes through encode first.
+    """
+    t = type(value)
+    if t is list or t is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = ind + "  "
+        if set(map(type, value)) == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + ind + "]")
+            return
+        sep = "["
+        for item in value:
+            out.append(sep + inner)
+            sep = ","
+            _dump(item, inner, out)
+        out.append(ind + "]")
+    elif t is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = ind + "  "
+        sep = "{"
+        for k, v in value.items():
+            out.append(sep + inner + json.dumps(k) + ": ")
+            sep = ","
+            _dump(v, inner, out)
+        out.append(ind + "}")
+    else:
+        value = encode(value)
+        if type(value) is dict or type(value) is list:
+            _dump(value, ind, out)
+        else:
+            out.append(json.dumps(value))
+
+
+def to_json(value: Any) -> str:
+    """json.dumps(encode(value), indent=2), written in one pass over value."""
+    out: list[str] = []
+    _dump(value, "\n", out)
+    return "".join(out)
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -327,16 +386,18 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
 
 def _print_envelope(envelope: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
+        sys.stdout.write(to_json(envelope) + "\n")
         return
     rows: list[tuple[str, str]] = []
-    _flatten("", envelope, rows)
+    _flatten("", encode(envelope), rows)
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         sys.stdout.write(f"{k.ljust(width)}  {v}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; it depends only on constants."""
     parser = argparse.ArgumentParser(
         prog="higgsnum",
         description="Exact spectral-surface and Higgs sheaf calculator.",
@@ -417,7 +478,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "command": args.command,
         "input": partial,
         "exact": True,
-        "payload": encode(payload),
+        "payload": payload,
     }
     _print_envelope(envelope, args.format)
     return rc

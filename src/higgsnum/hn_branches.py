@@ -209,7 +209,10 @@ def olympic_verify(r_max: int) -> list[dict]:
 def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n into at most k parts, in decreasing lex order.
 
-    Parts are emitted nonincreasing, without zero padding.
+    Parts are emitted nonincreasing, without zero padding.  One list is
+    stepped to its successor in place: the rightmost part that can drop
+    by one, with what it and the parts after it held refilled greedily
+    into the slots left, gives the next partition.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -218,21 +221,25 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
         return
     if k == 0:
         return
-
-    def rec(remaining: int, parts_left: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if parts_left == 0:
-            return
-        top = min(cap, remaining)
-        # smallest admissible first part still fills the remaining slots
-        low = -(-remaining // parts_left)
-        for first in range(top, low - 1, -1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(n, k, n)
+    p = [n]
+    while True:
+        yield tuple(p)
+        i = len(p)
+        rest = 0
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            rest += p[i]
+            v = p[i] - 1
+            # v must still hold rest within the k - i slots from i on
+            if v and v * (k - i) >= rest:
+                break
+        del p[i:]
+        q, rem = divmod(rest, v)
+        p += [v] * q
+        if rem:
+            p.append(rem)
 
 
 def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVector, ...]:

@@ -108,8 +108,8 @@ class NSVector:
 
     num is a tuple of integers and den a positive integer with
     gcd(den, *num) = 1, so equal vectors have equal fields; den == 1
-    exactly when the vector is integral.  NSVector(coords) takes integer
-    coordinates and QNSVector(coords) rational ones.
+    exactly when the vector is integral.  NSVector(coords) takes int
+    coordinates, never bools, and QNSVector(coords) rational ones.
     """
 
     num: tuple[int, ...]
@@ -118,7 +118,7 @@ class NSVector:
     def __init__(self, coords: Iterable[int]) -> None:
         num = tuple(coords)
         for c in num:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise LatticeError(f"integer coordinates required, got {c!r}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", 1)
@@ -247,12 +247,12 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     basis change e_i -> e_i + e_j first makes the diagonal entry 2*a_ij;
     the bordered minors are linear in row and column i, so adding row
     and column j keeps them minors.  Raises LatticeError if the form is
-    degenerate or an entry is not an integer.
+    degenerate or an entry is not an int (a bool is not one).
     """
     a = [list(row) for row in gram]
     for row in a:
         for x in row:
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise LatticeError(f"gram entries must be integers, got {x!r}")
     n = len(a)
     pos = neg = 0

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from higgsnum.cli import CLIError, encode, load_surface, main
+import higgsnum
+from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -308,3 +312,33 @@ def test_unreadable_surface_file_is_one_line_refusal(tmp_path, capsys, content, 
     assert err.startswith(start)
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+PARSER_SEQUENCE = [
+    ["criterion", "--surface", "p2", "-r", "2", "--c1", "1", "--c2", "x"],
+    ["--help"],
+    ["surface", "--surface", "p2"],
+    ["ybundle", "--surface", "hypersurface:4", "-r", "2"],
+    ["spectral", "--surface", "p2", "-r", "3", "--format", "table"],
+    ["grr", "--surface", "hypersurface:5", "-r", "2", "--delta", "1", "--points", "2"],
+    ["criterion", "--surface", "hypersurface:5", "-r", "2", "--c1", "1", "--c2", "3"],
+    ["branches", "--surface", str(DATA / "blowup_p2.json"), "-r", "2", "--c1=2,-1", "--c2=4"],
+    ["verify", "--suite", "olympic"],
+    ["branches", "--help"],
+    ["nosuchcommand"],
+]
+
+
+def test_reused_parser_answers_like_a_first_call(capsys, monkeypatch):
+    # help and usage text wrap at COLUMNS; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("HIGGS_SEED", raising=False)
+    src = str(Path(higgsnum.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    script = "import sys\nfrom higgsnum.cli import main\nsys.exit(main(sys.argv[1:]))"
+    assert build_parser() is build_parser()
+    for argv in PARSER_SEQUENCE:
+        first = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert run(capsys, *argv) == (first.returncode, first.stdout, first.stderr), argv

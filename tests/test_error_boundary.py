@@ -214,3 +214,17 @@ def test_cli_fuzz_answers_or_refuses_in_one_line(tmp_path_factory):
             assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: NSLattice(1, ((True,),)), id="NSLattice-gram-True"),
+        pytest.param(lambda: NSLattice(2, ((1, False), (False, -1))), id="NSLattice-gram-False"),
+        pytest.param(lambda: NSVector((True,)), id="NSVector-True"),
+        pytest.param(lambda: NSVector((1, False)), id="NSVector-False"),
+    ],
+)
+def test_bool_lattice_entries_are_refused(call):
+    with pytest.raises(LatticeError, match="integer"):
+        call()

@@ -332,3 +332,38 @@ def test_hntype_validation(quintic):
         HNFactor(0, quintic.lattice.basis(0), 1)
     t = HNType((HNFactor(2, quintic.lattice.basis(0), 1), HNFactor(3, quintic.lattice.basis(0), 0)))
     assert t.total_rank == 5
+
+
+def test_partitions_against_sympy():
+    sympy_iterables = pytest.importorskip("sympy.utilities.iterables")
+    for n in range(31):
+        for k in range(9):
+            got = list(iter_partitions_at_most(n, k))
+            if k == 0:
+                # sympy yields one empty partition for m = 0 whatever n is
+                expected = [()] if n == 0 else []
+            else:
+                expected = [
+                    tuple(sorted((part for part, mult in p.items() for _ in range(mult)),
+                                 reverse=True))
+                    for p in sympy_iterables.partitions(n, m=k)
+                ]
+            assert sorted(got) == sorted(expected), (n, k)
+            assert len(got) == partition_count(n, k)
+            assert all(a > b for a, b in zip(got, got[1:])), (n, k)
+            assert all(list(p) == sorted(p, reverse=True) and 0 not in p for p in got)
+
+
+def test_monopole_rows_are_padded_partitions(quintic):
+    h = quintic.lattice.basis(0)
+    n = 12
+    for r in range(1, 6):
+        # c1 = -r(r-1)/2 H makes delta = 0 solve r delta = c1 + r(r-1)/2 H
+        c1 = -(r * (r - 1) // 2) * h
+        numerics = HiggsNumerics(r, c1, c2_gbun(quintic, HiggsNumerics(r, c1, 0))[0] + n)
+        assert classify(quintic, numerics).witness.n_points == n
+        rows = monopole_components(quintic, numerics)
+        parts = list(iter_partitions_at_most(n, r))
+        assert len(rows) == len(parts) == partition_count(n, r)
+        for row, part in zip(rows, parts):
+            assert len(row) == r and row[:len(part)] == part and not any(row[len(part):])

@@ -1,0 +1,190 @@
+"""The one-pass JSON writer of the CLI.
+
+cli.to_json(v) must give the text of json.dumps(encode(v), indent=2)
+for every exact value the CLI prints, and the CLI's stdout must stay the
+bytes it was before the writer replaced that two-pass path.
+"""
+
+import hashlib
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from higgsnum import ChowClass, NSVector, QNSVector, Regime, YClass, presets
+from higgsnum.cli import encode, main, to_json
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+ROOT = Path(__file__).parent.parent
+X = presets.p2()
+
+ints = st.integers(-(10**30), 10**30)
+fractions = st.builds(Fraction, ints, st.integers(1, 10**6))
+rationals = st.one_of(ints, fractions)
+vectors = st.one_of(
+    st.lists(ints, max_size=4).map(NSVector),
+    st.lists(rationals, max_size=4).map(QNSVector),
+)
+chow = st.builds(
+    ChowClass, rationals, st.lists(rationals, min_size=1, max_size=1).map(QNSVector), rationals
+)
+ycls = st.builds(YClass, chow, chow, st.just(X))
+# quotes, backslashes, control and non-ASCII characters, surrogates included
+texts = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00é✓😀 ab', max_size=8))
+int_tuples = st.lists(ints, max_size=3).map(tuple)
+leaves = st.one_of(
+    ints, st.booleans(), st.none(), fractions, vectors, chow, ycls,
+    st.sampled_from(Regime), texts, int_tuples,
+)
+values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(texts, inner, max_size=4),
+        # encode turns keys into str(key), so 1 and "1" become one key
+        st.dictionaries(st.one_of(texts, st.integers(-3, 3), st.booleans(),
+                                  st.sampled_from(Regime)), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(values)
+@example({})
+@example([])
+@example(())
+@example((7,))
+@example([(), (0,), (3, 1), {}, [], {"": ()}])
+@example({"k": [(1, 2), (True, 2), (1, Fraction(1, 2))], "é\"\\": None})
+@example({1: "int", "1": "str", True: None, Regime.EMPTY: []})
+def test_writer_matches_encode_then_dumps(value):
+    assert to_json(value) == json.dumps(encode(value), indent=2)
+
+
+def test_writer_refuses_what_encode_refuses():
+    for bad in (1.5, {"a": [1, 2.0]}, object()):
+        with pytest.raises(TypeError):
+            to_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# CLI stdout against digests of the output before the one-pass writer
+
+SURFACES = ["p2", "hypersurface:3", "hypersurface:4", "hypersurface:5",
+            "tests/data/blowup_p2.json"]
+# per surface: c1 candidates (the polarization is always included), then the
+# four regimes come from c2 below, at and above each threshold
+C1 = {
+    "p2": ["0", "1", "2", "-3"],
+    "hypersurface:3": ["0", "1", "-1"],
+    "hypersurface:4": ["0", "1", "2"],
+    "hypersurface:5": ["0", "1", "3"],
+    "tests/data/blowup_p2.json": ["0,0", "2,-1", "0,1", "1,-1", "-3,1"],
+}
+DELTA = {name: c1s[-1] for name, c1s in C1.items()}
+
+
+def cases(surface):
+    """Subcommand -> argv lists (without --format) for one surface."""
+    out = {
+        "surface": [["surface", "--surface", surface]],
+        "ybundle": [["ybundle", "--surface", surface, "-r", str(r)] for r in (1, 2, 3)],
+        "spectral": [["spectral", "--surface", surface, "-r", str(r)] for r in (1, 2, 4)],
+        "grr": [
+            ["grr", "--surface", surface, "-r", str(r), f"--delta={DELTA[surface]}",
+             "--points", str(p)]
+            for r in (1, 2, 3) for p in (0, 3)
+        ],
+    }
+    for cmd in ("criterion", "branches"):
+        out[cmd] = [
+            [cmd, "--surface", surface, "-r", str(r), f"--c1={c1}", f"--c2={c2}"]
+            for r in (1, 2, 3) for c1 in C1[surface] for c2 in range(-4, 9, 3)
+        ]
+    return out
+
+
+GROUPS = [(s, cmd, argvs) for s in SURFACES for cmd, argvs in cases(s).items()]
+GROUPS.append(("-", "verify", [["verify"], ["verify", "--suite", "olympic"]]))
+
+
+def group_digest(argvs):
+    """SHA-256 over argv, exit code and stdout of each run, json and table."""
+    h = hashlib.sha256()
+    for argv in argvs:
+        for fmt in ("json", "table"):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main(argv + ["--format", fmt])
+            assert not err.getvalue(), (argv, err.getvalue())
+            h.update(f"{argv} {fmt} {rc}\n".encode())
+            h.update(out.getvalue().encode())
+    return h.hexdigest()
+
+
+# computed from the output of the two-pass encode + json.dumps(indent=2) path
+EXPECTED = {
+    "p2 surface": "76c73d2d35d181cd2dcd50d899912e83a950b178c3b8682e5d5a162081ff16e9",
+    "p2 ybundle": "d16e732708256f72f947862985c59a6ff25b39764859ac3a0b3678fc4c51d577",
+    "p2 spectral": "0e5bc2b9890e75a1aacf60e855a3a0bf7272cb94eab842f595dded2298400e35",
+    "p2 grr": "6e9ef439b360cda264511d7866ec8ba55469c29c0d78e235545b82da4aa5c4a4",
+    "p2 criterion": "042904a6b975c60899a5219ac5ea4e99c0f7b719c53d4ee9b57cd1c3257e14d4",
+    "p2 branches": "ee33e15824cf1c87e94b549f9af28749264fff0ba2fd55426b3a9088fb8b303a",
+    "hypersurface:3 surface": "802a5c50f1cd0b3d48855c5b0b26337a4e6eb99e0f3ef6793f599002be6183a6",
+    "hypersurface:3 ybundle": "9fb6b865f253cc1c1744d2d72968b9ad5ebdf55c839e668167b01aede705eee9",
+    "hypersurface:3 spectral": "31e028dbf8822b95d7fd500d068badb2281201a9bba05934d8476ae0c321c611",
+    "hypersurface:3 grr": "07dd01a99242eb80242ff96da86d2ece5e4e94e4ff540ada527fc5d30dd35814",
+    "hypersurface:3 criterion": "9090dc0d2a08831bf6b7a6710c7814bb17c0c169f98c4b1070c0b149476f74a1",
+    "hypersurface:3 branches": "3370cef9f90ff44c6bf639b3ff162e79469d3c2a7e690b1446b0f7bc4038ab62",
+    "hypersurface:4 surface": "314a5280d5067353255c6db6517c6522c8e39ab6a8dee46fc8b13bc12b670039",
+    "hypersurface:4 ybundle": "cdadb5b86a86dcc7ee9b1abbbb9f98c5462458d17631395fb5c9c805ea29c30d",
+    "hypersurface:4 spectral": "c5a2aef5dccb654113942455ba2967b6897780ba8a988bc3085e967f028aea9e",
+    "hypersurface:4 grr": "a84ebf87577e8ccbb7e84297c4156b590b43c4020e14c7fa395ace1800a7aa4b",
+    "hypersurface:4 criterion": "24837c5e668c3c8d0ce4c7fe2edd41662b3731c5dda4a235055274b091b66da4",
+    "hypersurface:4 branches": "b2a77ca589921d6dfb4162a733c6bca79ec6075e7c322594cc9d06eed10448d8",
+    "hypersurface:5 surface": "6f5e65ca72bc9d183822b587515569051cf2c9e1c2cc9eda31a1907f31f890cb",
+    "hypersurface:5 ybundle": "3b53b1cb2de60d88fe841d2b462defee124c7b75df6561a2441f710db3c8d8e1",
+    "hypersurface:5 spectral": "26074948e5280462093c4b8c4dddaaa0e0edb00e976140abb9e90aecc2fca39e",
+    "hypersurface:5 grr": "1713f968b717d2efe62fb2057c36a443556d3a49457452f6470325fa1d92604b",
+    "hypersurface:5 criterion": "8ff52daf7eab5605e24f947595ec0bc63f5c0f3a48b3bd7ed8bc7ee28da2b678",
+    "hypersurface:5 branches": "4e115d68c7d2a52017dbbb371465cf83ff128b24c89f409e01c377b1e0c084af",
+    "tests/data/blowup_p2.json surface": "4cee4a9274908fa9d5357fd196847403fd496e9b33f1608839b43940571ff233",
+    "tests/data/blowup_p2.json ybundle": "fc60a7357bf79caca1bcd94a8f5b746242e7fb5b2c27adbed7e1882044c08f03",
+    "tests/data/blowup_p2.json spectral": "f369818023373b7cabe106cf9bb7ee19859d54e68becc6b9a349d20d697b65bc",
+    "tests/data/blowup_p2.json grr": "bcaca1f54063389763c049fc32e9ab62cb9dd37e14f080fd40e626cb76d79066",
+    "tests/data/blowup_p2.json criterion": "6c832e9fe5a604ec3918708e5277b305ef4bb56176479b4a07600ea4f66f0305",
+    "tests/data/blowup_p2.json branches": "deeaa5a0cbab258b3b7f6ffc4b338200c09e477325aae505c3ef591f37f76b98",
+    "- verify": "6d3c977ba82e4fa017050d988e223ff25032ade75e03c41be1b6f9b45b13425e",
+}
+
+
+@pytest.mark.parametrize(
+    "surface, command, argvs", GROUPS, ids=[f"{s}-{c}" for s, c, _ in GROUPS]
+)
+def test_cli_stdout_unchanged(surface, command, argvs, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("HIGGS_SEED", raising=False)
+    assert group_digest(argvs) == EXPECTED[f"{surface} {command}"]
+
+
+def test_digest_cases_cover_every_regime_and_rank2_block(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    regimes, rank2 = set(), 0
+    for surface in SURFACES:
+        for argv in cases(surface)["branches"]:
+            out = StringIO()
+            with redirect_stdout(out):
+                assert main(argv) == 0
+            payload = json.loads(out.getvalue())["payload"]
+            regimes.add(payload["regime"])
+            rank2 += "rank2_fixed" in payload
+    assert regimes == {r.value for r in Regime}
+    assert rank2 > 0
