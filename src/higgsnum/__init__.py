@@ -48,7 +48,6 @@ from .proj_bundle import (
     y_pushforward,
 )
 from .spectral import (
-    SpectralClass,
     SpectralCover,
     chi_two_ways,
     grr_pushforward,
@@ -79,6 +78,7 @@ from .hn_branches import (
     monopole_components,
     olympic_sum,
     olympic_verify,
+    partition_count,
     rank2_fixed_components,
     slope_gaps,
 )

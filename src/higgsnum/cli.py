@@ -274,9 +274,9 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, int]:
         "canonical": spectral_canonical(s),
         "cotangent_ch": spectral_cotangent_ch(s),
         "c2_tangent": c2coeff,
-        "euler_number": s.r * c2coeff,
+        "euler_number": s.integral(c2coeff),
         "todd": todd,
-        "chi_structure_sheaf": s.r * todd.deg2,
+        "chi_structure_sheaf": s.integral(todd.deg2),
         "structure_pushforward_ch": pushforward_structure_ch(s),
     }
     return {**_echo(args), "payload": payload}, 0

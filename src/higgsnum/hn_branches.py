@@ -47,6 +47,7 @@ __all__ = [
     "monopole_components",
     "olympic_sum",
     "olympic_verify",
+    "partition_count",
     "rank2_fixed_components",
     "slope_gaps",
 ]
@@ -240,6 +241,20 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
         p += [v] * q
         if rem:
             p.append(rem)
+
+
+def partition_count(n: int, k: int) -> int:
+    """Partitions of n into at most k parts, from an O(n k) table.
+
+    After pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j).
+    """
+    require_int(n, "partition size", 0)
+    require_int(k, "part count", 0)
+    table = [1] + [0] * n
+    for j in range(1, min(k, n) + 1):
+        for m in range(j, n + 1):
+            table[m] += table[m - j]
+    return table[n]
 
 
 def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVector, ...]:

@@ -109,7 +109,7 @@ class NSVector:
     num is a tuple of integers and den a positive integer with
     gcd(den, *num) = 1, so equal vectors have equal fields; den == 1
     exactly when the vector is integral.  NSVector(coords) takes int
-    coordinates, never bools, and QNSVector(coords) rational ones.
+    coordinates and QNSVector(coords) int or Fraction ones, never bools.
     """
 
     num: tuple[int, ...]
@@ -128,8 +128,8 @@ class NSVector:
         """The vector with the given int or Fraction coordinates."""
         qs = tuple(coords)
         for c in qs:
-            if not isinstance(c, (int, Fraction)):
-                raise LatticeError(f"rational coordinates required, got {c!r}")
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise LatticeError(f"integer or Fraction coordinates required, got {c!r}")
         den = lcm(*(c.denominator for c in qs))
         # the lcm of reduced denominators leaves gcd(den, *num) = 1
         return _vec(tuple(c.numerator * (den // c.denominator) for c in qs), den)

@@ -134,8 +134,7 @@ def restrict_to_spectral(a: YClass, r: int) -> ChowClass:
     """Restriction to a degree-r spectral surface, written as a base class.
 
     The restriction of eta is the pullback of c1(L), so the answer
-    b = alpha + beta . c1(L) does not depend on r; integrals over the
-    spectral surface of the pullback of b are r times the deg2 part.
+    b = alpha + beta . c1(L) does not depend on r.
     """
     require_int(r, "cover degree", 1)
     x = a.over

@@ -1,20 +1,16 @@
 """Characteristic classes of spectral covers and transport to the base.
 
 A degree-r spectral surface X_s inside P(L^dual + O) is cut out by a
-characteristic polynomial with coefficients in powers of L.  For the
-numerical work here only r and the base geometry matter, and every class
-on X_s that occurs is a pullback plus a 0-cycle.  Pullbacks multiply
-like their base classes; the covering map pushes a pullback forward to r
-times the class downstairs and a 0-cycle to a 0-cycle of the same
-degree.  That is enough to evaluate the canonical class, the Todd class,
-the Chern character of the cotangent bundle, and the whole
-Grothendieck-Riemann-Roch transport of a line bundle twisted by an ideal
-of points, without ever touching X_s itself.
-
-The pullback description of the classes is what makes this exact; it is
-valid for the covers considered (X_s integral over a base with the cover
-class pulled back), and the chi computed two ways agreeing on random
-inputs is the working check of the bookkeeping.
+characteristic polynomial with coefficients in powers of L.  By the
+Noether-Lefschetz theorem for spectral surfaces, the Picard group of a
+very general X_s is pulled back from the base, so every class on X_s is
+a pullback pi^*c plus a 0-cycle m.pt, and one rule gives every number
+on the cover: the integral of pi^*c + m.pt over X_s is r c.deg2 + m.
+With it the canonical class, the Todd class, the Chern character of the
+cotangent bundle and the whole Grothendieck-Riemann-Roch transport of a
+line bundle twisted by an ideal of points are computed on the base,
+without ever touching X_s.  The chi computed two ways agreeing on
+random inputs is the working check of the bookkeeping.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from .surface_chow import (
 )
 
 __all__ = [
-    "SpectralClass",
     "SpectralCover",
     "chi_two_ways",
     "grr_pushforward",
@@ -48,7 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralCover:
-    """A degree-r spectral surface over a fixed base geometry."""
+    """A degree-r spectral surface X_s over a fixed base geometry.
+
+    Every class on X_s is pi^*c + m.pt (Noether-Lefschetz), so integral
+    and pushforward are the one place where the degree r is a factor.
+    """
 
     base: SurfaceGeometry
     r: int
@@ -56,32 +55,13 @@ class SpectralCover:
     def __post_init__(self) -> None:
         require_int(self.r, "cover degree", 1)
 
+    def integral(self, deg2: Rat, points: Rat = 0) -> Rat:
+        """Degree of pi^*(deg2 . pt) + points . pt on X_s: r deg2 + points."""
+        return ratnorm(self.r * deg2 + points)
 
-@dataclass(frozen=True)
-class SpectralClass:
-    """Class on a spectral surface: a pullback part plus a 0-cycle part.
-
-    Represents pi_s^*(pullback) + points . [point]; points may be any
-    exact number, and is nonnegative whenever it stands for an effective
-    cycle of points.
-    """
-
-    pullback: ChowClass
-    points: Rat
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", ratnorm(self.points))
-
-
-def _mul_pullback(s: SpectralCover, a: SpectralClass, c: ChowClass) -> SpectralClass:
-    # a 0-cycle meets only the deg0 part of a pullback
-    return SpectralClass(chow_mul(s.base, a.pullback, c), a.points * c.deg0)
-
-
-def _pushforward(s: SpectralCover, a: SpectralClass) -> ChowClass:
-    # finite degree-r cover: pullbacks gain a factor r, 0-cycles keep their degree
-    pushed = s.r * a.pullback
-    return ChowClass(pushed.deg0, pushed.deg1, pushed.deg2 + a.points)
+    def pushforward(self, c: ChowClass, points: Rat = 0) -> ChowClass:
+        """pi_*(pi^*c + points . pt) = r c + points . pt, as a base class."""
+        return ChowClass(self.r * c.deg0, self.r * c.deg1, self.integral(c.deg2, points))
 
 
 def spectral_canonical(s: SpectralCover) -> NSVector:
@@ -112,8 +92,7 @@ def spectral_cotangent_ch(s: SpectralCover) -> ChowClass:
 def spectral_c2_tangent(s: SpectralCover) -> int:
     """Second Chern number coefficient r(r-1)L^2 + (r-1)K.L + c2 of the cover.
 
-    This is the coefficient of the pulled-back point class; the Euler
-    number of the cover is r times this value.
+    This is the coefficient of the pulled-back point class.
     """
     x = s.base
     r = s.r
@@ -123,8 +102,7 @@ def spectral_c2_tangent(s: SpectralCover) -> int:
 def spectral_todd(s: SpectralCover) -> ChowClass:
     """Todd class of the cover as a base class.
 
-    (1, -(K + (r-1)L)/2, (K^2 + (2r-1)(r-1)L^2 + 3(r-1)K.L + c2)/12);
-    chi(O of the cover) is r times the deg2 part.
+    (1, -(K + (r-1)L)/2, (K^2 + (2r-1)(r-1)L^2 + 3(r-1)K.L + c2)/12).
     """
     x = s.base
     r = s.r
@@ -159,20 +137,20 @@ def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowCla
     """
     require_int(n_points, "point count", 0)
     x = s.base
-    ch_upstairs = SpectralClass(line_bundle_ch(x, delta), -n_points)
-    pushed = _pushforward(s, _mul_pullback(s, ch_upstairs, spectral_todd(s)))
+    # the 0-cycle of the ideal meets only the deg0 part 1 of Td(cover)
+    pushed = s.pushforward(chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s)), -n_points)
     return chow_mul(x, pushed, chow_inverse(x, todd_surface(x)))
 
 
 def chi_two_ways(s: SpectralCover, delta: NSVector, n_points: int) -> tuple[Rat, Rat]:
     """Euler characteristic upstairs and downstairs; the two agree.
 
-    First entry: Riemann-Roch on the cover (r times the deg2 part of
-    ch . Td, minus the point correction).  Second entry: chi on the base
-    of the transported character.
+    First entry: Riemann-Roch on the cover (the integral of ch . Td over
+    the cover, minus the point correction).  Second entry: chi on the
+    base of the transported character.
     """
     x = s.base
     # grr_pushforward checks n_points and delta
     chi_base = chi(x, grr_pushforward(s, delta, n_points))
     upstairs_product = chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s))
-    return ratnorm(s.r * upstairs_product.deg2 - n_points), chi_base
+    return s.integral(upstairs_product.deg2, -n_points), chi_base

@@ -16,13 +16,15 @@ values and the discriminant of rank/c1/c2 data.
 The geometry of the surface itself enters only through the lattice, the
 canonical class, the polarization and the topological Euler number; the
 constructor checks the Noether constraint that K^2 + c2 is divisible by
-12, so every valid instance has an integral chi(O).
+12, and Wu's formula that K is characteristic (D^2 + K.D is even for
+every D), so chi(O) and chi of every line bundle are integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .ns_lattice import (
     LatticeError,
@@ -62,9 +64,9 @@ class SurfaceGeometry:
 
     canonical and polarization are integral classes in the lattice;
     c2_top is the topological Euler number.  The polarization must have
-    positive self-intersection and (K^2 + c2_top) must be divisible by
-    12.  The intersection numbers K^2, L^2 and K.L are computed once, on
-    construction.
+    positive self-intersection, (K^2 + c2_top) must be divisible by 12,
+    and K must be characteristic.  The intersection numbers K^2, L^2 and
+    K.L are computed once, on construction.
     """
 
     lattice: NSLattice
@@ -93,6 +95,15 @@ class SurfaceGeometry:
                 f"Noether integrality fails: K^2 + c2 = {k2 + self.c2_top} "
                 "is not divisible by 12"
             )
+        # Wu: e_i^2 = K.e_i (mod 2) on the basis; D^2 + K.D is additive mod 2
+        k = self.canonical.num
+        odd = [j for j, kj in enumerate(k) if kj & 1]
+        for i, row in enumerate(self.lattice.gram):
+            if (row[i] - sum([row[j] for j in odd])) & 1:
+                raise ValidationError(
+                    f"canonical class is not characteristic: K.e_{i} = {sum(map(mul, row, k))}"
+                    f" and e_{i}^2 = {row[i]} differ mod 2"
+                )
         object.__setattr__(self, "k_squared", k2)
         object.__setattr__(self, "l_squared", l2)
         object.__setattr__(self, "k_dot_l", pair(self.lattice, self.canonical, self.polarization))

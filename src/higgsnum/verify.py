@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .ns_lattice import NSLattice, NSVector, QNSVector, pair
 from .surface_chow import (
@@ -42,6 +41,7 @@ from .hn_branches import (
     iter_partitions_at_most,
     monopole_components,
     olympic_verify,
+    partition_count,
 )
 from . import presets
 
@@ -207,24 +207,15 @@ def _suite_discriminant(rng: random.Random) -> SuiteResult:
     return res
 
 
-@lru_cache(maxsize=None)
-def partition_count(n: int, k: int) -> int:
-    """Partitions of n into at most k parts, by the standard recurrence."""
-    if n == 0:
-        return 1
-    if k == 0 or n < 0:
-        return 0
-    return partition_count(n, k - 1) + partition_count(n - k, k)
-
-
 def _suite_partition(rng: random.Random) -> SuiteResult:
     res = SuiteResult("partition")
     for n in range(41):
         for k in range(1, 7):
             enumerated = sum(1 for _ in iter_partitions_at_most(n, k))
+            count = partition_count(n, k)
             res.check(
-                enumerated == partition_count(n, k),
-                f"partition count at n={n}, k={k}: {enumerated} vs {partition_count(n, k)}",
+                enumerated == count,
+                f"partition count at n={n}, k={k}: {enumerated} vs {count}",
             )
     x = presets.hypersurface(5)
     for _ in range(50):
@@ -238,9 +229,10 @@ def _suite_partition(rng: random.Random) -> SuiteResult:
             continue
         h = HiggsNumerics(r, c1, threshold + n)
         comps = monopole_components(x, h)
+        count = partition_count(n, r)
         res.check(
-            len(comps) == partition_count(n, r),
-            f"component count r={r}, n={n}: {len(comps)} vs {partition_count(n, r)}",
+            len(comps) == count,
+            f"component count r={r}, n={n}: {len(comps)} vs {count}",
         )
     return res
 

@@ -314,6 +314,22 @@ def test_unreadable_surface_file_is_one_line_refusal(tmp_path, capsys, content, 
     assert "Traceback" not in err
 
 
+def test_non_characteristic_canonical_class_is_one_line_refusal(tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(
+        {"name": "x", "ns_rank": 1, "gram": [[1]], "canonical": [0], "polarization": [1],
+         "c2_top": 12}
+    ))
+    for argv in (["surface"], ["spectral", "-r", "2"], ["grr", "-r", "1", "--delta=1"]):
+        rc, out, err = run(capsys, *argv, "--surface", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            "validation error: canonical class is not characteristic: "
+            "K.e_0 = 0 and e_0^2 = 1 differ mod 2\n"
+        )
+
+
 PARSER_SEQUENCE = [
     ["criterion", "--surface", "p2", "-r", "2", "--c1", "1", "--c2", "x"],
     ["--help"],

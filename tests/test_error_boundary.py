@@ -23,6 +23,7 @@ from higgsnum import (
     LatticeError,
     NSLattice,
     NSVector,
+    QNSVector,
     RegimeError,
     SpectralCover,
     SurfaceGeometry,
@@ -35,6 +36,7 @@ from higgsnum import (
     iter_partitions_at_most,
     olympic_sum,
     olympic_verify,
+    partition_count,
     presets,
     rank2_fixed_components,
     restrict_to_spectral,
@@ -78,6 +80,8 @@ PROBES = [
      ValidationError),
     ("partitions-n", lambda v: list(iter_partitions_at_most(v, 2)), NONNEGATIVE, ValidationError),
     ("partitions-k", lambda v: list(iter_partitions_at_most(3, v)), NONNEGATIVE, ValidationError),
+    ("partition_count-n", lambda v: partition_count(v, 2), NONNEGATIVE, ValidationError),
+    ("partition_count-k", lambda v: partition_count(3, v), NONNEGATIVE, ValidationError),
 ]
 
 
@@ -140,9 +144,12 @@ loose_surface = st.fixed_dictionaries(
 
 @st.composite
 def diagonal_surface(draw):
-    """Rank-2 diag(a, -b) records that pass the Noether check, with L^2 <= 8."""
+    """Rank-2 diag(a, -b) records that pass the Noether and Wu checks, with L^2 <= 8.
+
+    K is characteristic: K_i is odd wherever the diagonal entry is odd.
+    """
     a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    k = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    k = [2 * draw(st.integers(-2, 1)) + 1 if d % 2 else draw(st.integers(-3, 3)) for d in (a, b)]
     return {
         "name": "fuzz",
         "ns_rank": 2,
@@ -223,6 +230,8 @@ def test_cli_fuzz_answers_or_refuses_in_one_line(tmp_path_factory):
         pytest.param(lambda: NSLattice(2, ((1, False), (False, -1))), id="NSLattice-gram-False"),
         pytest.param(lambda: NSVector((True,)), id="NSVector-True"),
         pytest.param(lambda: NSVector((1, False)), id="NSVector-False"),
+        pytest.param(lambda: QNSVector((True, False)), id="QNSVector-True"),
+        pytest.param(lambda: QNSVector((Fraction(1, 2), False)), id="QNSVector-False"),
     ],
 )
 def test_bool_lattice_entries_are_refused(call):

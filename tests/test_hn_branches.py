@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from higgsnum import hn_branches
 from higgsnum import (
     HiggsNumerics,
     HNFactor,
@@ -349,9 +350,18 @@ def test_partitions_against_sympy():
                     for p in sympy_iterables.partitions(n, m=k)
                 ]
             assert sorted(got) == sorted(expected), (n, k)
-            assert len(got) == partition_count(n, k)
+            assert len(got) == partition_count(n, k) == hn_branches.partition_count(n, k)
             assert all(a > b for a, b in zip(got, got[1:])), (n, k)
             assert all(list(p) == sorted(p, reverse=True) and 0 not in p for p in got)
+
+
+def test_partition_count_table():
+    """The iterative table at sizes the recursive oracle cannot reach."""
+    assert hn_branches.partition_count(200, 10) == 1_212_199_424
+    assert hn_branches.partition_count(1000, 4) == 7_049_112
+    assert hn_branches.partition_count(0, 0) == 1
+    assert hn_branches.partition_count(5, 0) == 0
+    assert hn_branches.partition_count(5, 40) == 7
 
 
 def test_monopole_rows_are_padded_partitions(quintic):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used: a lint guard written with ast alone."""
+"""Lint guards written with ast alone: every name a package module imports
+is used, and every name its __all__ lists is bound in it."""
 
 import ast
 from pathlib import Path
@@ -25,4 +26,28 @@ def unused_imports(path):
 def test_package_modules_have_no_unused_imports():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     found = {p.name: unused_imports(p) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def unbound_exports(path):
+    """Names in __all__ that no top-level def, class, assignment or import binds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported = set(ast.literal_eval(node.value))
+            bound |= names
+    return sorted(exported - bound)
+
+
+def test_package_modules_bind_every_exported_name():
+    found = {p.name: unbound_exports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from higgsnum import (
     ChowClass,
+    NSLattice,
     NSVector,
     SpectralCover,
+    SurfaceGeometry,
     ValidationError,
     chi,
     chi_two_ways,
@@ -14,6 +17,7 @@ from higgsnum import (
     ideal_twist_ch,
     line_bundle_ch,
     presets,
+    pair,
     pushforward_structure_ch,
     spectral_c2_tangent,
     spectral_canonical,
@@ -21,6 +25,7 @@ from higgsnum import (
     spectral_todd,
     todd_surface,
 )
+from higgsnum.cli import load_surface
 
 SURFACES = lambda: (presets.p2(), presets.hypersurface(4), presets.hypersurface(5))
 
@@ -96,6 +101,94 @@ def test_cover_noether():
             td2 = Fraction(spectral_todd(s).deg2)
             k = spectral_canonical(s)
             assert 12 * td2 == x.pair(k, k) + spectral_c2_tangent(s)
+
+
+def test_integral_and_pushforward(blowup):
+    """The one degree-r rule: pi_*(pi^*c + m pt) = r c + m pt, integral r c.deg2 + m."""
+    rng = random.Random(33)
+    for _ in range(100):
+        s = SpectralCover(blowup, rng.randint(1, 9))
+        c = ChowClass(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+            NSVector((rng.randint(-5, 5), rng.randint(-5, 5))),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        )
+        m = rng.choice((0, rng.randint(-20, 20), Fraction(rng.randint(-9, 9), 2)))
+        value = s.integral(c.deg2, m)
+        assert value == s.r * c.deg2 + m
+        assert type(value) is int or value.denominator > 1  # an int whenever integral
+        assert s.integral(c.deg2) == s.r * c.deg2
+        assert s.pushforward(c, m) == s.r * c + ChowClass.of_points(m, blowup.rank)
+        assert s.pushforward(c).deg2 == s.integral(c.deg2)
+        # pulled-back divisors pair in NS(X)(r): r times the base pairing
+        a, b = c.deg1, blowup.polarization
+        assert s.integral(blowup.pair(a, b)) == s.r * pair(blowup.lattice, a, b)
+
+
+def characteristic_surface(rng, rank):
+    """A random surface on U^T D U, D = diag(a, -b_1, ..), U unimodular.
+
+    In the basis of D the vector c with c_k = D_k mod 2 is characteristic,
+    so K = U^-1 c is; L = U^-1 e_0 has L^2 = a > 0, and c2 is chosen so
+    that 12 divides K^2 + c2.  SurfaceGeometry checks all of it again.
+    """
+    d = [rng.randint(1, 4)] + [-rng.randint(1, 4) for _ in range(rank - 1)]
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    u_inv = [row[:] for row in u]
+    for _ in range(2 * rank if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        m = rng.choice((-2, -1, 1, 2))
+        # row operation on u, the inverse column operation on u_inv
+        u[i] = [x + m * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= m * row[i]
+    gram = tuple(
+        tuple(sum(u[k][i] * d[k] * u[k][j] for k in range(rank)) for j in range(rank))
+        for i in range(rank)
+    )
+    c = [dk % 2 + 2 * rng.randint(-1, 1) for dk in d]
+    k = NSVector(tuple(sum(x * y for x, y in zip(row, c)) for row in u_inv))
+    lattice = NSLattice(rank, gram)
+    k2 = pair(lattice, k, k)
+    c2 = 12 * rng.randint(-2, 4) - k2
+    return SurfaceGeometry(lattice, k, NSVector(tuple(row[0] for row in u_inv)), c2,
+                           name=f"random-rank-{rank}")
+
+
+def cover_test_surfaces():
+    rng = random.Random(34)
+    yield presets.p2()
+    for d in range(2, 9):
+        yield presets.hypersurface(d)
+    yield load_surface(str(Path(__file__).parent / "data" / "blowup_p2.json"))
+    for rank in range(1, 9):
+        for _ in range(6):
+            yield characteristic_surface(rng, rank)
+
+
+def test_cover_noether_through_the_integral():
+    """12 chi(O) = K^2 + e on the cover, each side one integral over it.
+
+    spectral_todd, spectral_canonical and spectral_c2_tangent are three
+    independent formulas; with Wu and Noether on the base, chi(O) of the
+    cover and chi of every twisted line bundle on it are integers.
+    """
+    rng = random.Random(35)
+    cases = 0
+    for x in cover_test_surfaces():
+        for r in range(1, 13):
+            s = SpectralCover(x, r)
+            k = spectral_canonical(s)
+            chi_o = s.integral(spectral_todd(s).deg2)
+            assert type(chi_o) is int, (x.name, r)
+            assert 12 * chi_o == (
+                s.integral(x.pair(k, k)) + s.integral(spectral_c2_tangent(s))
+            ), (x.name, r)
+            delta = NSVector(tuple(rng.randint(-3, 3) for _ in range(x.rank)))
+            upstairs, downstairs = chi_two_ways(s, delta, rng.randint(0, 5))
+            assert upstairs == downstairs and type(upstairs) is int, (x.name, r, delta)
+            cases += 1
+    assert cases == 12 * 57
 
 
 def test_chi_structure_sheaf_three_routes(quintic):

@@ -21,6 +21,7 @@ from higgsnum import (
     hilbert_polynomial,
     ideal_twist_ch,
     line_bundle_ch,
+    pair,
     presets,
     todd_surface,
 )
@@ -46,6 +47,38 @@ def test_geometry_validation():
     with pytest.raises(ValidationError):
         # exceptional curve as polarization: E^2 = -1
         SurfaceGeometry(lat2, NSVector((-3, 1)), NSVector((0, 1)), 4)
+
+
+def test_wu_formula_refuses_a_non_characteristic_canonical_class():
+    """K.e_i and e_i^2 must agree mod 2 on the basis, off-diagonal terms included."""
+    with pytest.raises(ValidationError, match="^canonical class is not characteristic"):
+        SurfaceGeometry(NSLattice(1, ((1,),)), NSVector((0,)), NSVector((1,)), 12)
+    lat = NSLattice(2, ((1, 1), (1, 0)))
+    x = SurfaceGeometry(lat, NSVector((0, 1)), NSVector((1, 0)), 12)
+    assert (x.k_squared, x.chi_structure_sheaf) == (0, 1)
+    # K^2 + c2 = 1 + 11 passes Noether, but K.e_1 = 1 while e_1^2 = 0
+    with pytest.raises(ValidationError, match="K.e_1 = 1 and e_1.2 = 0 differ mod 2$"):
+        SurfaceGeometry(lat, NSVector((1, 0)), NSVector((1, 0)), 11)
+
+
+def test_wu_formula_matches_every_divisor():
+    """The basis check against D^2 + K.D even for every small D."""
+    rng = random.Random(41)
+    lat = NSLattice(3, ((1, 1, 0), (1, 0, 1), (0, 1, -2)))
+    for _ in range(60):
+        k = NSVector(tuple(rng.randint(-3, 3) for _ in range(3)))
+        k2 = pair(lat, k, k)
+        every_d = all(
+            (pair(lat, d, d) + pair(lat, k, d)) % 2 == 0
+            for d in (NSVector((a, b, c)) for a in range(2) for b in range(2) for c in range(2))
+        )
+        try:
+            SurfaceGeometry(lat, k, NSVector((1, 0, 0)), -k2 % 12)
+        except ValidationError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == every_d, k.num
 
 
 def test_preset_chi_values():
