@@ -49,6 +49,7 @@ from .proj_bundle import (
 )
 from .spectral import (
     SpectralCover,
+    chi_on_cover,
     chi_two_ways,
     grr_pushforward,
     pushforward_structure_ch,
@@ -74,6 +75,7 @@ from .hn_branches import (
     component_betas,
     discriminant_identity,
     iter_compositions,
+    iter_monopole_components,
     iter_partitions_at_most,
     monopole_components,
     olympic_sum,

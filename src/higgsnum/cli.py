@@ -6,12 +6,19 @@ verify.  Every run prints a single JSON document (or a flat table with
 and gcd(p, q) = 1, or as bare integers when q = 1; identical invocations
 produce byte-identical output.
 
-One writer, to_json, prints the JSON document in one pass over the exact
-payload: it gives the text of json.dumps(encode(payload), indent=2)
-without building the encoded tree, and writes a row of plain ints (a
-component of `branches`) as one join.  The table format flattens
-encode(envelope).  The argparse parser is built once per process; it
-depends only on constants, so main can be called any number of times.
+One writer prints the JSON document in one pass over the exact payload:
+it gives the text of json.dumps(encode(payload), indent=2) without
+building the encoded tree, and writes a list of plain ints as one join.
+The components of `branches` are a Rows view over
+hn_branches.iter_monopole_components: its length is partition_count,
+so `count` needs no enumeration, and the writer streams its rows to
+stdout in chunks of a few thousand, each checked to hold only plain
+ints and formatted by one %d template per row, so neither the list of
+components nor the text of the document is built whole.  to_json gives
+the same text as one string.  The table format flattens
+encode(envelope), which lists the view.  The argparse parser is built
+once per process; it depends only on constants, so main can be called
+any number of times.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
@@ -29,10 +36,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from itertools import chain, islice
+from typing import Any, Callable, Iterator, Optional
 
-from .ns_lattice import HiggsError, NSLattice, NSVector, ValidationError, signature
-from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry
+from .ns_lattice import HiggsError, NSLattice, NSVector, ValidationError
+from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chi
 from .proj_bundle import (
     YClass,
     canonical_y,
@@ -45,7 +53,7 @@ from .proj_bundle import (
 )
 from .spectral import (
     SpectralCover,
-    chi_two_ways,
+    chi_on_cover,
     grr_pushforward,
     pushforward_structure_ch,
     spectral_c2_tangent,
@@ -54,7 +62,7 @@ from .spectral import (
     spectral_todd,
 )
 from .hitchin_criterion import Regime, classify
-from .hn_branches import component_betas, monopole_components
+from .hn_branches import component_betas, iter_monopole_components, partition_count
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
 
@@ -153,6 +161,28 @@ def _parse_vector(text: str, x: SurfaceGeometry, what: str) -> NSVector:
     return NSVector(coords)
 
 
+class Rows:
+    """A lazy, re-iterable view of rows of ints, all of one width.
+
+    len() is the number of rows, given up front so that nothing is
+    enumerated to count them; each iteration calls make() for a fresh
+    iterator of the rows, tuples of `width` ints.
+    """
+
+    __slots__ = ("width", "count", "make")
+
+    def __init__(self, width: int, count: int, make: Callable[[], Iterator[tuple]]):
+        self.width = width
+        self.count = count
+        self.make = make
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self.make()
+
+
 def encode(value: Any) -> Any:
     """Exact data to JSON-ready data; fractions become 'p/q' strings."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -169,59 +199,95 @@ def encode(value: Any) -> Any:
         return {"alpha": encode(value.alpha), "beta": encode(value.beta)}
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Rows)):
         return [encode(v) for v in value]
     raise TypeError(f"cannot encode {value!r}")
 
 
 _INT_ONLY = {int}
+# numbers and row brackets per chunk of streamed rows: ~200 kB of text
+_CHUNK_CELLS = 1 << 14
 
 
-def _dump(value: Any, ind: str, out: list[str]) -> None:
-    """Append the text of json.dumps(encode(value), indent=2) to out.
+def _dump(value: Any, ind: str, write: Callable[[str], Any]) -> None:
+    """Write the text of json.dumps(encode(value), indent=2) piece by piece.
 
     ind is the newline and indentation of the line value starts on.  Plain
     dicts with str keys, lists and tuples are walked here; a list or tuple
-    of plain ints is one join; anything else goes through encode first.
+    of plain ints is one join; a Rows view is streamed by _dump_rows;
+    anything else goes through encode first.
     """
     t = type(value)
     if t is list or t is tuple:
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = ind + "  "
         if set(map(type, value)) == _INT_ONLY:
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + ind + "]")
+            write("[" + inner + ("," + inner).join(map(str, value)) + ind + "]")
             return
         sep = "["
         for item in value:
-            out.append(sep + inner)
+            write(sep + inner)
             sep = ","
-            _dump(item, inner, out)
-        out.append(ind + "]")
+            _dump(item, inner, write)
+        write(ind + "]")
+    elif t is Rows:
+        _dump_rows(value, ind, write)
     elif t is dict and all(type(k) is str for k in value):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = ind + "  "
         sep = "{"
         for k, v in value.items():
-            out.append(sep + inner + json.dumps(k) + ": ")
+            write(sep + inner + json.dumps(k) + ": ")
             sep = ","
-            _dump(v, inner, out)
-        out.append(ind + "}")
+            _dump(v, inner, write)
+        write(ind + "}")
     else:
         value = encode(value)
         if type(value) is dict or type(value) is list:
-            _dump(value, ind, out)
+            _dump(value, ind, write)
         else:
-            out.append(json.dumps(value))
+            write(json.dumps(value))
+
+
+def _dump_rows(rows: Rows, ind: str, write: Callable[[str], Any]) -> None:
+    """Write a Rows view as a JSON list, one chunk of rows per write.
+
+    A chunk whose entries are all plain ints (a bool must print as true,
+    not 1) is formatted by one %d template per row; any other chunk, or
+    a row that is not a tuple of the view's width, goes through _dump.
+    """
+    inner = ind + "  "
+    cell = inner + "  "
+    template = "[" + cell + ("," + cell).join(["%d"] * rows.width) + inner + "]"
+    sep = "," + inner
+    lead = "[" + inner
+    rows_iter = iter(rows)
+    size = max(1, _CHUNK_CELLS // (rows.width + 2))
+    while chunk := list(islice(rows_iter, size)):
+        try:
+            fits = set(map(type, chain.from_iterable(chunk))) == _INT_ONLY
+            text = sep.join(map(template.__mod__, chunk)) if fits else None
+        except TypeError:
+            text = None
+        if text is None:
+            pieces: list[str] = []
+            for row in chunk:
+                pieces.append(sep)
+                _dump(row, inner, pieces.append)
+            text = "".join(pieces[1:])
+        write(lead + text)
+        lead = sep
+    write(ind + "]" if lead is sep else "[]")
 
 
 def to_json(value: Any) -> str:
     """json.dumps(encode(value), indent=2), written in one pass over value."""
     out: list[str] = []
-    _dump(value, "\n", out)
+    _dump(value, "\n", out.append)
     return "".join(out)
 
 
@@ -239,7 +305,8 @@ def _cmd_surface(args: argparse.Namespace) -> tuple[dict, int]:
         "canonical": x.canonical,
         "polarization": x.polarization,
         "c2_top": x.c2_top,
-        "signature": list(signature(x.lattice)),
+        # NSLattice refuses every signature but (1, rank - 1)
+        "signature": [1, x.rank - 1],
         "k_squared": x.k_squared,
         "l_squared": x.l_squared,
         "chi_structure_sheaf": x.chi_structure_sheaf,
@@ -306,7 +373,13 @@ def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
     w = report.witness
-    comps = monopole_components(x, h, report) if w else None
+    comps = None
+    if w:
+        comps = Rows(
+            h.r,
+            partition_count(w.n_points, h.r),
+            functools.partial(iter_monopole_components, x, h, report),
+        )
     payload = {
         "r": h.r,
         "c1": h.c1,
@@ -333,7 +406,7 @@ def _cmd_grr(args: argparse.Namespace) -> tuple[dict, int]:
     s = SpectralCover(x, args.rank)
     delta = _parse_vector(args.delta, x, "--delta")
     ch = grr_pushforward(s, delta, args.points)
-    chi_cover, chi_base = chi_two_ways(s, delta, args.points)
+    chi_base = chi(x, ch)
     c2_value = Fraction(x.pair(ch.deg1, ch.deg1), 2) - Fraction(ch.deg2)
     payload = {
         "r": s.r,
@@ -341,7 +414,7 @@ def _cmd_grr(args: argparse.Namespace) -> tuple[dict, int]:
         "n_points": args.points,
         "ch": {"rank": ch.deg0, "c1": ch.deg1, "ch2": ch.deg2},
         "c2": c2_value,
-        "chi_cover": chi_cover,
+        "chi_cover": chi_on_cover(s, delta, args.points),
         "chi_base": chi_base,
         "chi_integral": isinstance(chi_base, int),
     }
@@ -386,7 +459,9 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
 
 def _print_envelope(envelope: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(to_json(envelope) + "\n")
+        write = sys.stdout.write
+        _dump(envelope, "\n", write)
+        write("\n")
         return
     rows: list[tuple[str, str]] = []
     _flatten("", encode(envelope), rows)

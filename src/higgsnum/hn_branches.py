@@ -16,10 +16,12 @@ regime the candidate components are indexed by partitions of
 n = c2 - c2_gbun into at most r parts, all attached to the same fixed
 line bundle classes beta_i = delta - (i-1) c1(L).
 
-monopole_components is the one enumeration: it returns each component
-as its partition, zero-padded to length r, and component_betas gives
-the shared classes once.  The rank-2 inventory for c1 = c1(L),
-rank2_fixed_components, is a view of that same list.  The enumeration
+iter_monopole_components is the one enumeration: it yields each
+component lazily as its partition, zero-padded to length r, and
+partition_count gives their number without enumerating them.
+monopole_components is its rows as a list, component_betas gives the
+shared classes once, and the rank-2 inventory for c1 = c1(L),
+rank2_fixed_components, holds the same rows.  The enumeration
 describes components by their numerical invariants; the geometric
 identification of each candidate is outside the scope of the
 arithmetic done here.
@@ -43,6 +45,7 @@ __all__ = [
     "component_betas",
     "discriminant_identity",
     "iter_compositions",
+    "iter_monopole_components",
     "iter_partitions_at_most",
     "monopole_components",
     "olympic_sum",
@@ -265,16 +268,18 @@ def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVect
     return tuple(delta - i * x.polarization for i in range(r))
 
 
-def monopole_components(
+def iter_monopole_components(
     x: SurfaceGeometry, h: HiggsNumerics, report: Optional[RegimeReport] = None
-) -> list[tuple[int, ...]]:
-    """Candidate fixed-locus components for (r, c1, c2), by partition.
+) -> Iterator[tuple[int, ...]]:
+    """Candidate fixed-locus components for (r, c1, c2), by partition, lazily.
 
-    Requires the Boundary or Generic regime; the total point count is
-    n = c2 - c2_gbun and each component is a partition of n into at most
-    r parts, padded with zeros to length r, in decreasing lex order.
-    The line bundle classes they share are component_betas.  report is
-    classify(x, h), computed here unless the caller already has it.
+    Requires the Boundary or Generic regime and raises RegimeError at
+    the call otherwise, before any row is asked for.  The total point
+    count is n = c2 - c2_gbun and each component is a partition of n
+    into at most r parts, padded with zeros to length r, in decreasing
+    lex order; there are partition_count(n, r) of them.  The line bundle
+    classes they share are component_betas.  report is classify(x, h),
+    computed here unless the caller already has it.
     """
     if report is None:
         report = classify(x, h)
@@ -284,10 +289,16 @@ def monopole_components(
         )
     assert report.witness is not None
     r = h.r
-    return [
-        part + (0,) * (r - len(part))
-        for part in iter_partitions_at_most(report.witness.n_points, r)
-    ]
+    pads = [(0,) * (r - i) for i in range(r + 1)]
+    parts = iter_partitions_at_most(report.witness.n_points, r)
+    return (part + pads[len(part)] for part in parts)
+
+
+def monopole_components(
+    x: SurfaceGeometry, h: HiggsNumerics, report: Optional[RegimeReport] = None
+) -> list[tuple[int, ...]]:
+    """The rows of iter_monopole_components as one list."""
+    return list(iter_monopole_components(x, h, report))
 
 
 @dataclass(frozen=True)
@@ -321,4 +332,4 @@ def rank2_fixed_components(
         report = classify(x, h)
     if report.witness is None:
         return Rank2Report(c2, report.regime, False, ())
-    return Rank2Report(c2, report.regime, True, tuple(monopole_components(x, h, report)))
+    return Rank2Report(c2, report.regime, True, tuple(iter_monopole_components(x, h, report)))

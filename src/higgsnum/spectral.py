@@ -31,6 +31,7 @@ from .surface_chow import (
 
 __all__ = [
     "SpectralCover",
+    "chi_on_cover",
     "chi_two_ways",
     "grr_pushforward",
     "pushforward_structure_ch",
@@ -142,15 +143,22 @@ def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowCla
     return chow_mul(x, pushed, chow_inverse(x, todd_surface(x)))
 
 
+def chi_on_cover(s: SpectralCover, delta: NSVector, n_points: int) -> Rat:
+    """Riemann-Roch on the cover for the twisted line bundle.
+
+    The integral of ch . Td over the cover, minus the point correction;
+    the transport to the base is not used.
+    """
+    require_int(n_points, "point count", 0)
+    x = s.base
+    upstairs_product = chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s))
+    return s.integral(upstairs_product.deg2, -n_points)
+
+
 def chi_two_ways(s: SpectralCover, delta: NSVector, n_points: int) -> tuple[Rat, Rat]:
     """Euler characteristic upstairs and downstairs; the two agree.
 
-    First entry: Riemann-Roch on the cover (the integral of ch . Td over
-    the cover, minus the point correction).  Second entry: chi on the
-    base of the transported character.
+    First entry: chi_on_cover.  Second entry: chi on the base of the
+    character transported by grr_pushforward.
     """
-    x = s.base
-    # grr_pushforward checks n_points and delta
-    chi_base = chi(x, grr_pushforward(s, delta, n_points))
-    upstairs_product = chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s))
-    return s.integral(upstairs_product.deg2, -n_points), chi_base
+    return chi_on_cover(s, delta, n_points), chi(s.base, grr_pushforward(s, delta, n_points))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import higgsnum
+from higgsnum import ns_lattice, spectral
 from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
 
 DATA = Path(__file__).parent / "data"
@@ -231,6 +232,57 @@ def test_branches_empty_regime_is_payload(capsys):
     assert payload["regime"] == "Empty"
     assert payload["components"] is None
     assert payload["count"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--surface", "hypersurface:5", "-r", "2", "--c1=1,2", "--c2=3"],
+        ["--surface", "hypersurface:5", "-r", "0", "--c1=1", "--c2=3"],
+        ["--surface", str(DATA / "no_such_surface.json"), "-r", "2", "--c1=1", "--c2=3"],
+    ],
+    ids=["c1-length", "rank-0", "missing-file"],
+)
+def test_refused_branches_query_writes_no_stdout(capsys, argv):
+    rc, out, err = run(capsys, "branches", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+
+
+def test_empty_regime_branches_writes_one_whole_document(capsys):
+    rc, out, err = run(
+        capsys, "branches", "--surface", "hypersurface:5", "-r", "2", "--c1", "1", "--c2", "-2"
+    )
+    assert rc == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def count_calls(fn, call):
+    """Calls that enter fn's code while call() runs, under whatever name it is bound."""
+    code, calls = fn.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_one_transport_per_grr_and_one_inertia_per_surface(capsys):
+    grr = ["grr", "--surface", "hypersurface:5", "-r", "3", "--delta", "1", "--points", "2"]
+    assert count_calls(spectral.grr_pushforward, lambda: main(grr)) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["chi_cover"] == payload["chi_base"] == 18
+    surface = ["surface", "--surface", str(DATA / "blowup_p2.json")]
+    assert count_calls(ns_lattice.inertia, lambda: main(surface)) == 1
+    assert json.loads(capsys.readouterr().out)["payload"]["signature"] == [1, 1]
 
 
 def test_table_format(capsys):

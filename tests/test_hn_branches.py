@@ -18,6 +18,7 @@ from higgsnum import (
     component_betas,
     discriminant_identity,
     iter_compositions,
+    iter_monopole_components,
     iter_partitions_at_most,
     monopole_components,
     olympic_sum,
@@ -377,3 +378,25 @@ def test_monopole_rows_are_padded_partitions(quintic):
         assert len(rows) == len(parts) == partition_count(n, r)
         for row, part in zip(rows, parts):
             assert len(row) == r and row[:len(part)] == part and not any(row[len(part):])
+
+
+def test_iter_monopole_components_refuses_at_the_call(quintic):
+    """The regime is checked when the iterator is made, not on its first row."""
+    h = quintic.lattice.basis(0)
+    for numerics, regime in ((HiggsNumerics(2, h, -2), Regime.EMPTY),
+                             (HiggsNumerics(2, 0 * h, 5), Regime.NO_DELTA_SOLUTION)):
+        with pytest.raises(RegimeError) as err:
+            iter_monopole_components(quintic, numerics)
+        assert err.value.report.regime is regime
+
+
+def test_iter_monopole_components_is_the_enumeration(quintic):
+    h = quintic.lattice.basis(0)
+    numerics = HiggsNumerics(3, 3 * h, 19)
+    report = classify(quintic, numerics)
+    assert report.witness.n_points == 9
+    rows = iter_monopole_components(quintic, numerics, report)
+    assert iter(rows) is rows
+    listed = list(rows)
+    assert listed == monopole_components(quintic, numerics)
+    assert len(listed) == hn_branches.partition_count(9, 3) == 12

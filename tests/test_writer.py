@@ -6,6 +6,7 @@ bytes it was before the writer replaced that two-pass path.
 """
 
 import hashlib
+import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -14,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from higgsnum import ChowClass, NSVector, QNSVector, Regime, YClass, presets
-from higgsnum.cli import encode, main, to_json
+from higgsnum import (
+    ChowClass, HiggsNumerics, NSVector, QNSVector, Regime, YClass, classify, monopole_components,
+    partition_count, presets,
+)
+from higgsnum.cli import Rows, encode, main, to_json
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -38,9 +42,27 @@ ycls = st.builds(YClass, chow, chow, st.just(X))
 # quotes, backslashes, control and non-ASCII characters, surrogates included
 texts = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00é✓😀 ab', max_size=8))
 int_tuples = st.lists(ints, max_size=3).map(tuple)
+
+
+def row_view(width, rows):
+    return Rows(width, len(rows), rows.__iter__)
+
+
+@st.composite
+def row_views(draw):
+    """A lazy row view: mostly int tuples of its width, sometimes rows that
+    hold bools or fractions, have another width or are lists."""
+    width = draw(st.integers(0, 4))
+    fitting = st.lists(ints, min_size=width, max_size=width)
+    mixed = st.lists(st.one_of(ints, st.booleans(), fractions), min_size=width, max_size=width)
+    # fitting tuples twice, so that most rows take the %d template
+    row = st.one_of(fitting.map(tuple), fitting.map(tuple), mixed.map(tuple), int_tuples, fitting)
+    return row_view(width, draw(st.lists(row, max_size=5)))
+
+
 leaves = st.one_of(
     ints, st.booleans(), st.none(), fractions, vectors, chow, ycls,
-    st.sampled_from(Regime), texts, int_tuples,
+    st.sampled_from(Regime), texts, int_tuples, row_views(),
 )
 values = st.recursive(
     leaves,
@@ -67,6 +89,27 @@ values = st.recursive(
 @example({1: "int", "1": "str", True: None, Regime.EMPTY: []})
 def test_writer_matches_encode_then_dumps(value):
     assert to_json(value) == json.dumps(encode(value), indent=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row_views())
+@example(row_view(2, []))
+@example(row_view(0, [(), ()]))
+@example(row_view(2, [(1, 2), (True, 0), (3, Fraction(1, 2))]))
+@example(row_view(1, [(1,), [2], (3, 4)]))
+def test_row_view_writes_and_encodes_as_its_rows(view):
+    rows = list(view)
+    assert encode(view) == encode(rows)
+    assert to_json(view) == json.dumps(encode(rows), indent=2)
+    assert list(view) == rows
+
+
+def test_row_view_chunks_fall_back_one_at_a_time():
+    """A bool or a row of another width deep in a long view, past the first chunk."""
+    rows = [(i, -i) for i in range(9000)]
+    rows[5000] = (True, 0)
+    rows[8500] = (1, 2, 3)
+    assert to_json({"rows": row_view(2, rows)}) == json.dumps({"rows": rows}, indent=2)
 
 
 def test_writer_refuses_what_encode_refuses():
@@ -188,3 +231,54 @@ def test_digest_cases_cover_every_regime_and_rank2_block(monkeypatch):
             rank2 += "rank2_fixed" in payload
     assert regimes == {r.value for r in Regime}
     assert rank2 > 0
+
+
+class RecordingStdout(io.TextIOBase):
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_branches_streams_its_rows():
+    """r = 4, n = 120 on p2: over 10^4 rows, written in bounded chunks."""
+    x = presets.p2()
+    c1, n = x.polarization * 2, 120
+    numerics = HiggsNumerics(4, c1, n - 1)
+    assert classify(x, numerics).witness.n_points == n
+    rows = monopole_components(x, numerics)
+    assert len(rows) == partition_count(n, 4) > 10**4
+
+    out = RecordingStdout()
+    with redirect_stdout(out):
+        rc = main(["branches", "--surface", "p2", "-r", "4", "--c1=2", f"--c2={n - 1}"])
+    assert rc == 0
+    sizes = [len(w.encode()) for w in out.writes]
+    assert max(sizes) <= 256 * 1024
+    assert sum(size > 64 * 1024 for size in sizes) >= 3
+    text = "".join(out.writes)
+    doc = json.loads(text)
+    assert text == json.dumps(encode(doc), indent=2) + "\n"
+    payload = doc["payload"]
+    assert payload["components"] == [list(row) for row in rows]
+    assert payload["count"] == len(payload["components"]) == partition_count(n, 4)
+    assert "rank2_fixed" not in payload
+
+
+def test_rank2_block_streams_the_rows_twice():
+    out = RecordingStdout()
+    with redirect_stdout(out):
+        assert main(["branches", "--surface", "p2", "-r", "2", "--c1=1", "--c2=20001"]) == 0
+    payload = json.loads("".join(out.writes))["payload"]
+    block = payload["rank2_fixed"]
+    assert block["components"] == payload["components"]
+    assert block["count"] == payload["count"] == len(payload["components"])
+    assert payload["count"] == partition_count(payload["n_total"], 2) > 10**4
