@@ -19,7 +19,6 @@ from .ns_lattice import (
     pair,
     qvec,
     ratnorm,
-    signature,
 )
 from .surface_chow import (
     ChowClass,

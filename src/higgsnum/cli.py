@@ -15,10 +15,11 @@ so `count` needs no enumeration, and the writer streams its rows to
 stdout in chunks of a few thousand, each checked to hold only plain
 ints and formatted by one %d template per row, so neither the list of
 components nor the text of the document is built whole.  to_json gives
-the same text as one string.  The table format flattens
-encode(envelope), which lists the view.  The argparse parser is built
-once per process; it depends only on constants, so main can be called
-any number of times.
+the same text as one string.  The table format flattens the envelope
+to one line per leaf and streams a Rows view the same way, in the
+one-line layout of json.dumps.  The argparse parser is built once per
+process; it depends only on constants, so main can be called any number
+of times.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
@@ -253,18 +254,23 @@ def _dump(value: Any, ind: str, write: Callable[[str], Any]) -> None:
             write(json.dumps(value))
 
 
-def _dump_rows(rows: Rows, ind: str, write: Callable[[str], Any]) -> None:
+def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
     """Write a Rows view as a JSON list, one chunk of rows per write.
 
-    A chunk whose entries are all plain ints (a bool must print as true,
+    ind None gives the one-line layout of json.dumps without indent.  A
+    chunk whose entries are all plain ints (a bool must print as true,
     not 1) is formatted by one %d template per row; any other chunk, or
-    a row that is not a tuple of the view's width, goes through _dump.
+    a row that is not a tuple of the view's width, goes through _dump
+    (or json.dumps and encode, on one line).
     """
-    inner = ind + "  "
-    cell = inner + "  "
-    template = "[" + cell + ("," + cell).join(["%d"] * rows.width) + inner + "]"
-    sep = "," + inner
-    lead = "[" + inner
+    if ind is None:
+        template = "[" + ", ".join(["%d"] * rows.width) + "]"
+        sep, lead, end = ", ", "[", "]"
+    else:
+        inner = ind + "  "
+        cell = inner + "  "
+        template = "[" + cell + ("," + cell).join(["%d"] * rows.width) + inner + "]"
+        sep, lead, end = "," + inner, "[" + inner, ind + "]"
     rows_iter = iter(rows)
     size = max(1, _CHUNK_CELLS // (rows.width + 2))
     while chunk := list(islice(rows_iter, size)):
@@ -277,11 +283,14 @@ def _dump_rows(rows: Rows, ind: str, write: Callable[[str], Any]) -> None:
             pieces: list[str] = []
             for row in chunk:
                 pieces.append(sep)
-                _dump(row, inner, pieces.append)
+                if ind is None:
+                    pieces.append(json.dumps(encode(row)))
+                else:
+                    _dump(row, inner, pieces.append)
             text = "".join(pieces[1:])
         write(lead + text)
         lead = sep
-    write(ind + "]" if lead is sep else "[]")
+    write(end if lead is sep else "[]")
 
 
 def to_json(value: Any) -> str:
@@ -296,9 +305,9 @@ def _echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _cmd_surface(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_surface(args: argparse.Namespace) -> dict:
     x = load_surface(args.surface)
-    payload = {
+    return {
         "name": x.name,
         "ns_rank": x.rank,
         "gram": [list(row) for row in x.lattice.gram],
@@ -311,16 +320,15 @@ def _cmd_surface(args: argparse.Namespace) -> tuple[dict, int]:
         "l_squared": x.l_squared,
         "chi_structure_sheaf": x.chi_structure_sheaf,
     }
-    return {**_echo(args), "payload": payload}, 0
 
 
-def _cmd_ybundle(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_ybundle(args: argparse.Namespace) -> dict:
     x = load_surface(args.surface)
     r = args.rank
     eta = hyperplane_class(x)
     eta3 = y_mul(y_mul(eta, eta), eta)
     restricted = restrict_to_spectral(canonical_y(x) + spectral_divisor_class(x, r), r)
-    payload = {
+    return {
         "r": r,
         "eta_top_integral": y_pushforward(eta3).deg2,
         "spectral_divisor": spectral_divisor_class(x, r),
@@ -328,15 +336,14 @@ def _cmd_ybundle(args: argparse.Namespace) -> tuple[dict, int]:
         "canonical": canonical_y(x),
         "restriction_adjunction": restricted.deg1,
     }
-    return {**_echo(args), "payload": payload}, 0
 
 
-def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_spectral(args: argparse.Namespace) -> dict:
     x = load_surface(args.surface)
     s = SpectralCover(x, args.rank)
     todd = spectral_todd(s)
     c2coeff = spectral_c2_tangent(s)
-    payload = {
+    return {
         "r": s.r,
         "canonical": spectral_canonical(s),
         "cotangent_ch": spectral_cotangent_ch(s),
@@ -346,15 +353,14 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, int]:
         "chi_structure_sheaf": s.integral(todd.deg2),
         "structure_pushforward_ch": pushforward_structure_ch(s),
     }
-    return {**_echo(args), "payload": payload}, 0
 
 
-def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_criterion(args: argparse.Namespace) -> dict:
     x = load_surface(args.surface)
     c1 = _parse_vector(args.c1, x, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
-    payload = {
+    return {
         "r": h.r,
         "c1": h.c1,
         "c2": h.c2,
@@ -364,10 +370,9 @@ def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, int]:
         "delta": report.witness.delta if report.witness else None,
         "n_points": report.witness.n_points if report.witness else None,
     }
-    return {**_echo(args), "payload": payload}, 0
 
 
-def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_branches(args: argparse.Namespace) -> dict:
     x = load_surface(args.surface)
     c1 = _parse_vector(args.c1, x, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
@@ -398,17 +403,17 @@ def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
             "components": comps,
             "count": len(comps),
         }
-    return {**_echo(args), "payload": payload}, 0
+    return payload
 
 
-def _cmd_grr(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_grr(args: argparse.Namespace) -> dict:
     x = load_surface(args.surface)
     s = SpectralCover(x, args.rank)
     delta = _parse_vector(args.delta, x, "--delta")
     ch = grr_pushforward(s, delta, args.points)
     chi_base = chi(x, ch)
     c2_value = Fraction(x.pair(ch.deg1, ch.deg1), 2) - Fraction(ch.deg2)
-    payload = {
+    return {
         "r": s.r,
         "delta": delta,
         "n_points": args.points,
@@ -418,10 +423,9 @@ def _cmd_grr(args: argparse.Namespace) -> tuple[dict, int]:
         "chi_base": chi_base,
         "chi_integral": isinstance(chi_base, int),
     }
-    return {**_echo(args), "payload": payload}, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_verify(args: argparse.Namespace) -> dict:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     seed_text = os.environ.get("HIGGS_SEED")
     if seed_text is not None:
@@ -432,8 +436,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         seed = DEFAULT_SEED
     results = run_suites(names, seed)
-    all_passed = all(r.passed for r in results)
-    payload = {
+    return {
         "seed": seed,
         "suites": [
             {
@@ -444,12 +447,17 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             }
             for r in results
         ],
-        "all_passed": all_passed,
+        "all_passed": all(r.passed for r in results),
     }
-    return {**_echo(args), "payload": payload}, 0 if all_passed else 1
 
 
-def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
+def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]) -> None:
+    """Table rows (dotted key, one-line JSON text or a Rows view) of encode(value)."""
+    if type(value) is Rows:
+        rows.append((prefix, value))
+        return
+    if not isinstance(value, dict):
+        value = encode(value)
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
@@ -458,16 +466,21 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
 
 
 def _print_envelope(envelope: dict, fmt: str) -> None:
+    write = sys.stdout.write
     if fmt == "json":
-        write = sys.stdout.write
         _dump(envelope, "\n", write)
         write("\n")
         return
-    rows: list[tuple[str, str]] = []
-    _flatten("", encode(envelope), rows)
+    rows: list[tuple[str, Any]] = []
+    _flatten("", envelope, rows)
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
-        sys.stdout.write(f"{k.ljust(width)}  {v}\n")
+        if type(v) is Rows:
+            write(f"{k.ljust(width)}  ")
+            _dump_rows(v, None, write)
+            write("\n")
+        else:
+            write(f"{k.ljust(width)}  {v}\n")
 
 
 @functools.cache
@@ -543,20 +556,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        partial, rc = _DISPATCH[args.command](args)
+        payload = _DISPATCH[args.command](args)
     except HiggsError as exc:
         label = "" if isinstance(exc, CLIError) else "validation error: "
         sys.stderr.write(f"{label}{exc}\n")
         return 2
-    payload = partial.pop("payload")
     envelope = {
         "command": args.command,
-        "input": partial,
+        "input": _echo(args),
         "exact": True,
         "payload": payload,
     }
     _print_envelope(envelope, args.format)
-    return rc
+    return 1 if payload.get("all_passed") is False else 0
 
 
 def main_entry() -> None:

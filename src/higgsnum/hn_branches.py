@@ -294,11 +294,9 @@ def iter_monopole_components(
     return (part + pads[len(part)] for part in parts)
 
 
-def monopole_components(
-    x: SurfaceGeometry, h: HiggsNumerics, report: Optional[RegimeReport] = None
-) -> list[tuple[int, ...]]:
+def monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> list[tuple[int, ...]]:
     """The rows of iter_monopole_components as one list."""
-    return list(iter_monopole_components(x, h, report))
+    return list(iter_monopole_components(x, h))
 
 
 @dataclass(frozen=True)
@@ -315,21 +313,17 @@ class Rank2Report:
         return len(self.components)
 
 
-def rank2_fixed_components(
-    x: SurfaceGeometry, c2: int, report: Optional[RegimeReport] = None
-) -> Rank2Report:
+def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
     """Type-(1,1) fixed components for rank 2, c1 = c1(L), given c2.
 
     The threshold vanishes for this c1, so the regime is Empty for
     c2 < 0; otherwise the components are the monopole components of
     (2, c1(L), c2), the pairs (n1, n2) with n1 >= n2 >= 0 summing to c2,
     alongside the branch of sheaves with vanishing Higgs field, which is
-    only marked here.  report is the classification of (2, c1(L), c2),
-    computed here unless the caller already has it.
+    only marked here.
     """
     h = HiggsNumerics(2, x.polarization, c2)
-    if report is None:
-        report = classify(x, h)
+    report = classify(x, h)
     if report.witness is None:
         return Rank2Report(c2, report.regime, False, ())
     return Rank2Report(c2, report.regime, True, tuple(iter_monopole_components(x, h, report)))

@@ -50,7 +50,6 @@ __all__ = [
     "ratio",
     "ratnorm",
     "require_int",
-    "signature",
 ]
 
 Rat = Union[int, Fraction]
@@ -87,11 +86,11 @@ def require_int(
 
 
 def ratnorm(x: Rat) -> Rat:
-    """An exact rational as a plain int when it is integral, else a Fraction."""
+    """An int (never a bool) or Fraction as a plain int when integral, else a Fraction."""
     if type(x) is int:
         return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    if not isinstance(x, Fraction):
+        raise ValidationError(f"an int or Fraction is required, got {x!r}")
     return int(x) if x.denominator == 1 else x
 
 
@@ -307,7 +306,6 @@ class NSLattice:
 
     rank: int
     gram: tuple[tuple[int, ...], ...]
-    basis_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         require_int(self.rank, "rank", 1, error=LatticeError)
@@ -322,11 +320,6 @@ class NSLattice:
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "gram", gram)
-        if self.basis_labels is not None:
-            labels = tuple(self.basis_labels)
-            if len(labels) != self.rank:
-                raise LatticeError("basis_labels length does not match rank")
-            object.__setattr__(self, "basis_labels", labels)
         pos, neg = inertia(gram)
         if (pos, neg) != (1, self.rank - 1):
             raise LatticeError(
@@ -377,8 +370,3 @@ def divide(lat: NSLattice, v: NSVector, r: int) -> Optional[NSVector]:
     require_int(r, "divisor", 1, error=LatticeError)
     lat.check_vector(v)
     return (v / r).to_integral()
-
-
-def signature(lat: NSLattice) -> tuple[int, int]:
-    """Counts of positive and negative squares of the intersection form."""
-    return inertia(lat.gram)

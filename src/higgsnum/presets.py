@@ -16,9 +16,7 @@ from __future__ import annotations
 from .ns_lattice import NSLattice, NSVector, ValidationError, require_int
 from .surface_chow import SurfaceGeometry
 
-__all__ = ["PRESET_NAMES", "by_name", "hypersurface", "p2"]
-
-PRESET_NAMES = ("p2", "hypersurface:d")
+__all__ = ["by_name", "hypersurface", "p2"]
 
 
 def p2() -> SurfaceGeometry:
@@ -33,7 +31,7 @@ def hypersurface(d: int) -> SurfaceGeometry:
 
 def _hypersurface(d: int, name: str) -> SurfaceGeometry:
     return SurfaceGeometry(
-        lattice=NSLattice(1, ((d,),), basis_labels=("H",)),
+        lattice=NSLattice(1, ((d,),)),
         canonical=NSVector((d - 4,)),
         polarization=NSVector((1,)),
         c2_top=d**3 - 4 * d**2 + 6 * d,

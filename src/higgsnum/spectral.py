@@ -58,7 +58,7 @@ class SpectralCover:
 
     def integral(self, deg2: Rat, points: Rat = 0) -> Rat:
         """Degree of pi^*(deg2 . pt) + points . pt on X_s: r deg2 + points."""
-        return ratnorm(self.r * deg2 + points)
+        return ratnorm(self.r * ratnorm(deg2) + ratnorm(points))
 
     def pushforward(self, c: ChowClass, points: Rat = 0) -> ChowClass:
         """pi_*(pi^*c + points . pt) = r c + points . pt, as a base class."""

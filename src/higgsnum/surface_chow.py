@@ -27,7 +27,6 @@ from fractions import Fraction
 from operator import mul
 
 from .ns_lattice import (
-    LatticeError,
     NSLattice,
     NSVector,
     Rat,
@@ -181,20 +180,11 @@ class ChowClass:
     __rmul__ = __mul__
 
 
-def _check_class(x: SurfaceGeometry, a: ChowClass) -> None:
-    if a.rank != x.lattice.rank:
-        raise LatticeError(
-            f"class over a rank-{a.rank} lattice used on a rank-{x.lattice.rank} surface"
-        )
-
-
 def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
     """Product in the truncated intersection ring of x.
 
     Each degree is summed over integer numerators and divided once.
     """
-    _check_class(x, a)
-    _check_class(x, b)
     a0, b0, a2, b2 = a.deg0, b.deg0, a.deg2, b.deg2
     u, v = a.deg1, b.deg1
     # deg2 = a0 b2 + b0 a2 + u.v over the common denominator d1 d2 d3
@@ -212,7 +202,6 @@ def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
 
 def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
     """Multiplicative inverse of a class with invertible degree-0 part."""
-    _check_class(x, a)
     if a.deg0 == 0:
         raise ValidationError("class with deg0 = 0 is not invertible")
     c0 = Fraction(a.deg0)

@@ -49,16 +49,6 @@ __all__ = ["DEFAULT_SEED", "SUITE_NAMES", "SuiteResult", "run_suites"]
 
 DEFAULT_SEED = 1729
 
-SUITE_NAMES = (
-    "ring",
-    "chi",
-    "adjunction",
-    "olympic",
-    "discriminant",
-    "partition",
-    "hodge",
-)
-
 
 @dataclass
 class SuiteResult:
@@ -79,7 +69,7 @@ class SuiteResult:
 def _blowup_plane() -> SurfaceGeometry:
     # plane blown up in a point: rank-2 lattice diag(1, -1)
     return SurfaceGeometry(
-        lattice=NSLattice(2, ((1, 0), (0, -1)), basis_labels=("H", "E")),
+        lattice=NSLattice(2, ((1, 0), (0, -1))),
         canonical=NSVector((-3, 1)),
         polarization=NSVector((2, -1)),
         c2_top=4,
@@ -265,6 +255,8 @@ _SUITES = {
     "partition": _suite_partition,
     "hodge": _suite_hodge,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names: tuple[str, ...], seed: int) -> list[SuiteResult]:

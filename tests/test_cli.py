@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import higgsnum
-from higgsnum import ns_lattice, spectral
+from higgsnum import ns_lattice, spectral, verify
 from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
 
 DATA = Path(__file__).parent / "data"
@@ -301,6 +301,34 @@ def test_verify_single_suite(capsys):
     assert payload["suites"][0]["name"] == "olympic"
     assert payload["suites"][0]["checks"] == 12
     assert payload["suites"][0]["failures"] == []
+
+
+def test_failing_suite_exits_one_with_the_whole_envelope(capsys, monkeypatch):
+    def failing(rng):
+        res = verify.SuiteResult("olympic")
+        res.check(True, "kept")
+        res.check(False, "forced failure")
+        return res
+
+    monkeypatch.setitem(verify._SUITES, "olympic", failing)
+    monkeypatch.delenv("HIGGS_SEED", raising=False)
+    rc, out, err = run(capsys, "verify", "--suite", "olympic")
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "verify",
+        "input": {"suite": "olympic"},
+        "exact": True,
+        "payload": {
+            "seed": 1729,
+            "suites": [
+                {"name": "olympic", "checks": 2, "failures": ["forced failure"], "passed": False}
+            ],
+            "all_passed": False,
+        },
+    }
+    rc, out, err = run(capsys, "verify", "--suite", "olympic", "--format", "table")
+    assert (rc, err) == (1, "")
+    assert "payload.all_passed  false\n" in out
 
 
 def test_verify_seed_override(capsys, monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 
 import higgsnum
 from higgsnum import (
+    ChowClass,
     HiggsError,
     HiggsNumerics,
     HNFactor,
@@ -97,6 +98,32 @@ def test_bad_integer_is_refused_by_the_owning_module(call, value, error):
     with pytest.raises(HiggsError) as excinfo:
         call(value)
     assert type(excinfo.value) is error
+
+
+NOT_EXACT = (0.5, True, "3/4")
+
+EXACT_PROBES = [
+    ("ChowClass-deg0", lambda v: ChowClass(v, L, 0)),
+    ("ChowClass-deg2", lambda v: ChowClass(0, L, v)),
+    ("SpectralCover.integral", lambda v: SpectralCover(X, 2).integral(v)),
+    ("SpectralCover.integral-points", lambda v: SpectralCover(X, 2).integral(0, v)),
+    ("SpectralCover.pushforward-points",
+     lambda v: SpectralCover(X, 2).pushforward(ChowClass.unit(1), v)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{name}-{value!r}")
+        for name, call in EXACT_PROBES
+        for value in NOT_EXACT
+    ],
+)
+def test_inexact_rational_is_refused(call, value):
+    """A float, a bool or a string is not an exact rational, whatever Fraction() makes of it."""
+    with pytest.raises(ValidationError, match=f"^an int or Fraction is required, got {value!r}$"):
+        call(value)
 
 
 def test_one_base_class():

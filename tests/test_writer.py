@@ -282,3 +282,37 @@ def test_rank2_block_streams_the_rows_twice():
     assert block["components"] == payload["components"]
     assert block["count"] == payload["count"] == len(payload["components"])
     assert payload["count"] == partition_count(payload["n_total"], 2) > 10**4
+
+
+def old_table(encoded):
+    """The table text as it was built whole: one json.dumps per leaf of the encoded tree."""
+    rows = []
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(f"{prefix}.{k}" if prefix else k, v)
+        else:
+            rows.append((prefix, json.dumps(value)))
+
+    walk("", encoded)
+    width = max(len(k) for k, _ in rows)
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+
+
+def test_branches_table_streams_its_rows():
+    """The rank-2 block on p2: two lines of 2 * 10^4 rows, in bounded chunks."""
+    argv = ["branches", "--surface", "p2", "-r", "2", "--c1=1", "--c2=40001"]
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    encoded = encode(json.loads(out.getvalue()))
+    assert encoded["payload"]["count"] > 2 * 10**4
+
+    out = RecordingStdout()
+    with redirect_stdout(out):
+        assert main(argv + ["--format", "table"]) == 0
+    sizes = [len(w.encode()) for w in out.writes]
+    assert max(sizes) <= 256 * 1024
+    assert sum(size > 16 * 1024 for size in sizes) >= 3
+    assert "".join(out.writes) == old_table(encoded)
