@@ -6,20 +6,13 @@ verify.  Every run prints a single JSON document (or a flat table with
 and gcd(p, q) = 1, or as bare integers when q = 1; identical invocations
 produce byte-identical output.
 
-One writer prints the JSON document in one pass over the exact payload:
-it gives the text of json.dumps(encode(payload), indent=2) without
-building the encoded tree, and writes a list of plain ints as one join.
-The components of `branches` are a Rows view over
-hn_branches.iter_monopole_components: its length is partition_count,
-so `count` needs no enumeration, and the writer streams its rows to
-stdout in chunks of a few thousand, each checked to hold only plain
-ints and formatted by one %d template per row, so neither the list of
-components nor the text of the document is built whole.  to_json gives
-the same text as one string.  The table format flattens the envelope
-to one line per leaf and streams a Rows view the same way, in the
-one-line layout of json.dumps.  The argparse parser is built once per
-process; it depends only on constants, so main can be called any number
-of times.
+The JSON document is the text of json.dumps(encode(payload), indent=2);
+the table has one line per leaf of the encoded envelope, in the
+one-line layout of json.dumps.  The components of `branches` are a
+Rows view over hn_branches.iter_monopole_components: tuples of r plain
+ints, streamed to stdout in checked chunks, so neither the list of
+components nor the text of the document is built whole.  A chunk that
+holds anything else raises TypeError before any of it is written.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
@@ -62,7 +55,7 @@ from .spectral import (
     spectral_cotangent_ch,
     spectral_todd,
 )
-from .hitchin_criterion import Regime, classify
+from .hitchin_criterion import classify
 from .hn_branches import component_betas, iter_monopole_components, partition_count
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
@@ -163,24 +156,18 @@ def _parse_vector(text: str, x: SurfaceGeometry, what: str) -> NSVector:
 
 
 class Rows:
-    """A lazy, re-iterable view of rows of ints, all of one width.
+    """A lazy, re-iterable view of rows: tuples of `width` >= 1 plain ints.
 
-    len() is the number of rows, given up front so that nothing is
-    enumerated to count them; each iteration calls make() for a fresh
-    iterator of the rows, tuples of `width` ints.
+    Each iteration calls make() for a fresh iterator of the rows.
     """
 
-    __slots__ = ("width", "count", "make")
+    __slots__ = ("width", "make")
 
-    def __init__(self, width: int, count: int, make: Callable[[], Iterator[tuple]]):
+    def __init__(self, width: int, make: Callable[[], Iterator[tuple[int, ...]]]):
         self.width = width
-        self.count = count
         self.make = make
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         return self.make()
 
 
@@ -190,8 +177,6 @@ def encode(value: Any) -> Any:
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, Regime):
-        return value.value
     if isinstance(value, NSVector):
         return [encode(c) for c in value.coords]
     if isinstance(value, ChowClass):
@@ -210,42 +195,54 @@ _INT_ONLY = {int}
 _CHUNK_CELLS = 1 << 14
 
 
-def _dump(value: Any, ind: str, write: Callable[[str], Any]) -> None:
+def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
+    """(inner ind, text after "[", between items, text before "]") for ind.
+
+    ind None is the one-line layout of json.dumps without indent.
+    """
+    if ind is None:
+        return None, "", ", ", ""
+    inner = ind + "  "
+    return inner, inner, "," + inner, ind
+
+
+def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
     """Write the text of json.dumps(encode(value), indent=2) piece by piece.
 
-    ind is the newline and indentation of the line value starts on.  Plain
-    dicts with str keys, lists and tuples are walked here; a list or tuple
-    of plain ints is one join; a Rows view is streamed by _dump_rows;
-    anything else goes through encode first.
+    ind is the newline and indentation of the line value starts on, or
+    None for the text of json.dumps(encode(value)).  Plain dicts with str
+    keys, lists and tuples are walked here; a list or tuple of plain ints
+    is one join; a Rows view is streamed by _dump_rows; anything else
+    goes through encode first.
     """
     t = type(value)
     if t is list or t is tuple:
         if not value:
             write("[]")
             return
-        inner = ind + "  "
+        inner, first, comma, last = _pads(ind)
         if set(map(type, value)) == _INT_ONLY:
-            write("[" + inner + ("," + inner).join(map(str, value)) + ind + "]")
+            write("[" + first + comma.join(map(str, value)) + last + "]")
             return
-        sep = "["
+        sep = "[" + first
         for item in value:
-            write(sep + inner)
-            sep = ","
+            write(sep)
+            sep = comma
             _dump(item, inner, write)
-        write(ind + "]")
+        write(last + "]")
     elif t is Rows:
         _dump_rows(value, ind, write)
     elif t is dict and all(type(k) is str for k in value):
         if not value:
             write("{}")
             return
-        inner = ind + "  "
-        sep = "{"
+        inner, first, comma, last = _pads(ind)
+        sep = "{" + first
         for k, v in value.items():
-            write(sep + inner + json.dumps(k) + ": ")
-            sep = ","
+            write(sep + json.dumps(k) + ": ")
+            sep = comma
             _dump(v, inner, write)
-        write(ind + "}")
+        write(last + "}")
     else:
         value = encode(value)
         if type(value) is dict or type(value) is list:
@@ -257,40 +254,24 @@ def _dump(value: Any, ind: str, write: Callable[[str], Any]) -> None:
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
     """Write a Rows view as a JSON list, one chunk of rows per write.
 
-    ind None gives the one-line layout of json.dumps without indent.  A
-    chunk whose entries are all plain ints (a bool must print as true,
-    not 1) is formatted by one %d template per row; any other chunk, or
-    a row that is not a tuple of the view's width, goes through _dump
-    (or json.dumps and encode, on one line).
+    Each chunk is checked to hold only plain ints (a bool must print as
+    true, never 1) and formatted by one %d template per row; a chunk that
+    breaks the view's contract raises TypeError before any of it is
+    written.
     """
-    if ind is None:
-        template = "[" + ", ".join(["%d"] * rows.width) + "]"
-        sep, lead, end = ", ", "[", "]"
-    else:
-        inner = ind + "  "
-        cell = inner + "  "
-        template = "[" + cell + ("," + cell).join(["%d"] * rows.width) + inner + "]"
-        sep, lead, end = "," + inner, "[" + inner, ind + "]"
+    inner, first, comma, last = _pads(ind)
+    _, cell_first, cell_comma, cell_last = _pads(inner)
+    template = "[" + cell_first + cell_comma.join(["%d"] * rows.width) + cell_last + "]"
     rows_iter = iter(rows)
     size = max(1, _CHUNK_CELLS // (rows.width + 2))
+    sep = "[" + first
     while chunk := list(islice(rows_iter, size)):
-        try:
-            fits = set(map(type, chain.from_iterable(chunk))) == _INT_ONLY
-            text = sep.join(map(template.__mod__, chunk)) if fits else None
-        except TypeError:
-            text = None
-        if text is None:
-            pieces: list[str] = []
-            for row in chunk:
-                pieces.append(sep)
-                if ind is None:
-                    pieces.append(json.dumps(encode(row)))
-                else:
-                    _dump(row, inner, pieces.append)
-            text = "".join(pieces[1:])
-        write(lead + text)
-        lead = sep
-    write(end if lead is sep else "[]")
+        if set(map(type, chain.from_iterable(chunk))) != _INT_ONLY:
+            raise TypeError(f"rows must be tuples of {rows.width} plain ints")
+        # a row of another width, or a list, fails the % formatting
+        write(sep + comma.join(map(template.__mod__, chunk)))
+        sep = comma
+    write(last + "]" if sep is comma else "[]")
 
 
 def to_json(value: Any) -> str:
@@ -378,13 +359,10 @@ def _cmd_branches(args: argparse.Namespace) -> dict:
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
     w = report.witness
-    comps = None
+    comps, count = None, 0
     if w:
-        comps = Rows(
-            h.r,
-            partition_count(w.n_points, h.r),
-            functools.partial(iter_monopole_components, x, h, report),
-        )
+        comps = Rows(h.r, functools.partial(iter_monopole_components, x, h, report))
+        count = partition_count(w.n_points, h.r)
     payload = {
         "r": h.r,
         "c1": h.c1,
@@ -394,14 +372,14 @@ def _cmd_branches(args: argparse.Namespace) -> dict:
         "n_total": w.n_points if w else None,
         "betas": list(component_betas(x, h.r, w.delta)) if w else None,
         "components": comps,
-        "count": len(comps) if w else 0,
+        "count": count,
     }
     if w and h.r == 2 and h.c1 == x.polarization:
         # the instanton branch sits beside the monopole components here
         payload["rank2_fixed"] = {
             "instanton_branch": True,
             "components": comps,
-            "count": len(comps),
+            "count": count,
         }
     return payload
 
@@ -452,17 +430,14 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]) -> None:
-    """Table rows (dotted key, one-line JSON text or a Rows view) of encode(value)."""
-    if type(value) is Rows:
-        rows.append((prefix, value))
-        return
-    if not isinstance(value, dict):
+    """Table rows (dotted key, leaf) of value; a leaf is a Rows view or encoded."""
+    if type(value) is not Rows and not isinstance(value, dict):
         value = encode(value)
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
     else:
-        rows.append((prefix, json.dumps(value)))
+        rows.append((prefix, value))
 
 
 def _print_envelope(envelope: dict, fmt: str) -> None:
@@ -475,12 +450,9 @@ def _print_envelope(envelope: dict, fmt: str) -> None:
     _flatten("", envelope, rows)
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
-        if type(v) is Rows:
-            write(f"{k.ljust(width)}  ")
-            _dump_rows(v, None, write)
-            write("\n")
-        else:
-            write(f"{k.ljust(width)}  {v}\n")
+        write(f"{k.ljust(width)}  ")
+        _dump(v, None, write)
+        write("\n")
 
 
 @functools.cache

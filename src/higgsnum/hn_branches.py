@@ -265,6 +265,7 @@ def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVect
 
     They are shared by every monopole component of one (r, c1, c2).
     """
+    require_int(r, "rank", 1)
     return tuple(delta - i * x.polarization for i in range(r))
 
 

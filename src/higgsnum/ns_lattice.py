@@ -161,7 +161,7 @@ class NSVector:
         return _vec(tuple(-a for a in self.num), self.den)
 
     def __mul__(self, k: Rat) -> "NSVector":
-        if not isinstance(k, (int, Fraction)):
+        if type(k) is not int and not isinstance(k, Fraction):
             return NotImplemented
         p = k.numerator
         return _reduced(tuple(p * a for a in self.num), k.denominator * self.den)
@@ -169,7 +169,7 @@ class NSVector:
     __rmul__ = __mul__
 
     def __truediv__(self, k: Rat) -> "NSVector":
-        if not isinstance(k, (int, Fraction)):
+        if type(k) is not int and not isinstance(k, Fraction):
             return NotImplemented
         if k == 0:
             raise ZeroDivisionError("vector divided by zero")

@@ -51,8 +51,9 @@ class YClass:
     over: SurfaceGeometry
 
     def __post_init__(self) -> None:
-        if self.alpha.rank != self.over.rank or self.beta.rank != self.over.rank:
-            raise LatticeError("class components do not fit the base lattice")
+        for part in (self.alpha, self.beta):
+            if not isinstance(part, ChowClass) or part.rank != self.over.rank:
+                raise LatticeError("class components do not fit the base lattice")
 
     def __add__(self, other: "YClass") -> "YClass":
         if not isinstance(other, YClass):
@@ -72,7 +73,7 @@ class YClass:
     def __mul__(self, other: Union["YClass", Rat]) -> "YClass":
         if isinstance(other, YClass):
             return y_mul(self, other)
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return YClass(other * self.alpha, other * self.beta, self.over)
         return NotImplemented
 

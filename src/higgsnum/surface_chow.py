@@ -78,9 +78,9 @@ class SurfaceGeometry:
     k_dot_l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.lattice.check_vector(self.canonical)
-        self.lattice.check_vector(self.polarization)
-        if not (qvec(self.canonical).is_integral() and qvec(self.polarization).is_integral()):
+        for v in (self.canonical, self.polarization):
+            self.lattice.check_vector(qvec(v))
+        if not (self.canonical.is_integral() and self.polarization.is_integral()):
             raise ValidationError("canonical and polarization must be integral classes")
         require_int(self.c2_top, "c2_top")
         l2 = pair(self.lattice, self.polarization, self.polarization)
@@ -173,7 +173,7 @@ class ChowClass:
         return ChowClass(-self.deg0, -self.deg1, -self.deg2)
 
     def __mul__(self, k: Rat) -> "ChowClass":
-        if isinstance(k, (int, Fraction)):
+        if type(k) is int or isinstance(k, Fraction):
             return ChowClass(k * self.deg0, k * self.deg1, k * self.deg2)
         return NotImplemented
 
@@ -244,6 +244,7 @@ def hilbert_polynomial(x: SurfaceGeometry, ch: ChowClass, n: int) -> Rat:
     As a function of n this is the quadratic
     (r L^2 / 2) n^2 + (ch1 - (r/2) K).L n + chi(ch).
     """
+    require_int(n, "twist")
     twist = line_bundle_ch(x, n * x.polarization)
     return chi(x, chow_mul(x, ch, twist))
 

@@ -410,6 +410,27 @@ def test_non_characteristic_canonical_class_is_one_line_refusal(tmp_path, capsys
         )
 
 
+BLOWUP = json.loads((DATA / "blowup_p2.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gram", [[1, True], [0, -1]], "gram row 0 must be a list of integers"),
+        ("canonical", [-3, 1.0], "canonical must be a list of integers"),
+        ("gram", [[1, 0]], "gram has 1 rows, expected 2"),
+        ("canonical", [-3], "class vectors must have length 2"),
+    ],
+    ids=["bool-gram-entry", "float-canonical", "one-gram-row", "short-canonical"],
+)
+def test_malformed_rank2_file_is_one_line_refusal(tmp_path, capsys, field, value, message):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({**BLOWUP, field: value}))
+    rc, out, err = run(capsys, "surface", "--surface", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"parse error in {path}: {message}\n"
+
+
 PARSER_SEQUENCE = [
     ["criterion", "--surface", "p2", "-r", "2", "--c1", "1", "--c2", "x"],
     ["--help"],

@@ -29,16 +29,21 @@ from higgsnum import (
     SpectralCover,
     SurfaceGeometry,
     ValidationError,
+    YClass,
     canonical_y,
     chi_two_ways,
+    component_betas,
     divide,
     grr_pushforward,
+    hilbert_polynomial,
+    hyperplane_class,
     ideal_twist_ch,
     iter_partitions_at_most,
     olympic_sum,
     olympic_verify,
     partition_count,
     presets,
+    pullback,
     rank2_fixed_components,
     restrict_to_spectral,
     spectral_divisor_class,
@@ -83,6 +88,9 @@ PROBES = [
     ("partitions-k", lambda v: list(iter_partitions_at_most(3, v)), NONNEGATIVE, ValidationError),
     ("partition_count-n", lambda v: partition_count(v, 2), NONNEGATIVE, ValidationError),
     ("partition_count-k", lambda v: partition_count(3, v), NONNEGATIVE, ValidationError),
+    ("component_betas", lambda v: component_betas(X, v, L), POSITIVE, ValidationError),
+    ("hilbert_polynomial", lambda v: hilbert_polynomial(X, ChowClass.unit(1), v), INTEGER,
+     ValidationError),
 ]
 
 
@@ -124,6 +132,37 @@ def test_inexact_rational_is_refused(call, value):
     """A float, a bool or a string is not an exact rational, whatever Fraction() makes of it."""
     with pytest.raises(ValidationError, match=f"^an int or Fraction is required, got {value!r}$"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: NSVector((2,)) * True, id="NSVector-mul"),
+        pytest.param(lambda: True * NSVector((2,)), id="NSVector-rmul"),
+        pytest.param(lambda: NSVector((2,)) / True, id="NSVector-truediv"),
+        pytest.param(lambda: ChowClass(1, NSVector((2,)), 3) * True, id="ChowClass-mul"),
+        pytest.param(lambda: hyperplane_class(X) * True, id="YClass-mul"),
+    ],
+)
+def test_bool_scalar_is_refused(call):
+    """A bool is no scalar, as it is no coordinate or degree."""
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: SurfaceGeometry(X.lattice, 5, L, 12), id="SurfaceGeometry-canonical"),
+        pytest.param(lambda: SurfaceGeometry(X.lattice, X.canonical, 5, 3),
+                     id="SurfaceGeometry-polarization"),
+        pytest.param(lambda: pullback(X, 5), id="pullback"),
+        pytest.param(lambda: YClass(ChowClass.unit(1), L, X), id="YClass-beta"),
+    ],
+)
+def test_non_vector_or_non_class_is_refused(call):
+    with pytest.raises(LatticeError):
+        call()
 
 
 def test_one_base_class():

@@ -1,6 +1,6 @@
 """Lint guards written with ast alone: every name a package or test module
-imports is used, and every name a package module's __all__ lists is bound
-in it."""
+imports is used, every name a package module's __all__ lists is bound in
+it, and no package module computes with floats."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,40 @@ def test_test_modules_have_no_unused_imports():
     modules = [p for p in sorted(TESTS.glob("*.py")) if p.name not in FIXED]
     found = {p.name: unused_imports(p) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# verify's coin picks inputs and does no arithmetic on them
+FLOAT_ALLOWED = {("verify.py", "rng.random() < 0.5")}
+
+
+def float_uses(path):
+    """Float and complex literals, the name float, and math imports other
+    than gcd and lcm, each as "<file>:<line>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = {
+        id(c) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and (path.name, ast.unparse(node)) in FLOAT_ALLOWED for c in node.comparators
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            bad = type(node.value) in (float, complex) and id(node) not in allowed
+        elif isinstance(node, ast.Name):
+            bad = node.id == "float"
+        elif isinstance(node, ast.Import):
+            bad = any(a.name.split(".")[0] == "math" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.module == "math" and any(a.name not in ("gcd", "lcm") for a in node.names)
+        else:
+            bad = False
+        if bad:
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_package_modules_compute_without_floats():
+    found = [use for p in sorted(PACKAGE.glob("*.py")) for use in float_uses(p)]
+    assert found == []
 
 
 def unbound_exports(path):
