@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Any, Callable, Iterator, Optional
 
-from .ns_lattice import HiggsError, NSLattice, NSVector, ValidationError
+from .ns_lattice import HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chi
 from .proj_bundle import (
     YClass,
@@ -390,7 +390,9 @@ def _cmd_grr(args: argparse.Namespace) -> dict:
     delta = _parse_vector(args.delta, x, "--delta")
     ch = grr_pushforward(s, delta, args.points)
     chi_base = chi(x, ch)
-    c2_value = Fraction(x.pair(ch.deg1, ch.deg1), 2) - Fraction(ch.deg2)
+    # c2 = ch1^2/2 - ch2 over the one denominator 2 e^2 q, with ch1 = v/e and ch2 = p/q
+    e2, p, q = ch.deg1.den ** 2, ch.deg2.numerator, ch.deg2.denominator
+    c2_value = ratio(pair_num(x.lattice, ch.deg1, ch.deg1) * q - 2 * e2 * p, 2 * e2 * q)
     return {
         "r": s.r,
         "delta": delta,

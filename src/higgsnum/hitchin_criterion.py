@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .ns_lattice import NSVector, Rat, divide, ratio
+from .ns_lattice import NSVector, Rat, ValidationError, divide, ratio
 from .surface_chow import HiggsNumerics, SurfaceGeometry
 
 __all__ = [
@@ -106,6 +106,8 @@ def classify(x: SurfaceGeometry, h: HiggsNumerics) -> RegimeReport:
     solution; otherwise Empty, Boundary or Generic by comparing c2 with
     the threshold.  Boundary and Generic carry a witness.
     """
+    if not isinstance(h, HiggsNumerics):
+        raise ValidationError(f"not rank, c1 and c2 data: {h!r}")
     threshold, _ = c2_gbun(x, h)
     delta = solve_delta(x, h)
     if delta is None:

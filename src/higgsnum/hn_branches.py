@@ -33,7 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .ns_lattice import HiggsError, NSVector, Rat, ValidationError, pair, ratnorm, require_int
+from .ns_lattice import (
+    HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm, require_int,
+)
 from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
 from .hitchin_criterion import Regime, RegimeReport, classify
 
@@ -74,6 +76,9 @@ class HNFactor:
 
     def __post_init__(self) -> None:
         require_int(self.rank, "factor rank", 1)
+        require_int(self.c2, "c2")
+        if not qvec(self.c1).is_integral():
+            raise ValidationError(f"c1 must be an integral class, got {self.c1!r}")
 
 
 @dataclass(frozen=True)
@@ -115,24 +120,29 @@ def discriminant_identity(x: SurfaceGeometry, t: HNType) -> tuple[Rat, Rat]:
     """Both sides of the filtration discriminant identity, independently.
 
     Left: Delta(E)/r from the totals of the factors.  Right: the sum of
-    Delta(E_i)/r_i minus the weighted squares of slope-vector
-    differences.  Exact equality of the two is the content of the
-    identity.
+    Delta(E_i)/r_i minus the cross terms (r_j c1_i - r_i c1_j)^2 / (r r_i r_j),
+    the weighted squares of slope-vector differences, summed in integers
+    over the one denominator D = r prod r_i and divided once.  Exact
+    equality of the two is the content of the identity.
     """
     total = _total_numerics(x, t)
-    lhs = Fraction(discriminant(total, x), total.r)
+    r = total.r
+    lhs = ratio(discriminant(total, x), r)
 
-    rhs = Fraction(0)
-    for f in t.factors:
-        rhs += Fraction(discriminant(HiggsNumerics(f.rank, f.c1, f.c2), x), f.rank)
     fs = t.factors
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            diff = fs[i].c1 / fs[i].rank - fs[j].c1 / fs[j].rank
-            rhs -= Fraction(fs[i].rank * fs[j].rank, total.r) * pair(
-                x.lattice, diff, diff
-            )
-    return ratnorm(lhs), ratnorm(rhs)
+    p = 1
+    for f in fs:
+        p *= f.rank
+    num = 0
+    for i, f in enumerate(fs):
+        ri, ci = f.rank, f.c1
+        # Delta(E_i) = 2 r_i c2_i - (r_i - 1) c1_i^2
+        num += r * (p // ri) * (2 * ri * f.c2 - (ri - 1) * pair_num(x.lattice, ci, ci))
+        for g in fs[i + 1:]:
+            rj = g.rank
+            d = lincomb(rj, ci, -ri, g.c1)
+            num -= (p // (ri * rj)) * pair_num(x.lattice, d, d)
+    return lhs, ratio(num, r * p)
 
 
 def slope_gaps(x: SurfaceGeometry, t: HNType) -> tuple[tuple[Rat, ...], bool]:
@@ -154,27 +164,38 @@ def slope_gaps(x: SurfaceGeometry, t: HNType) -> tuple[tuple[Rat, ...], bool]:
 
 
 def olympic_sum(composition: Sequence[int]) -> int:
-    """sum over i < j of r_i r_j (j - i)^2 for an ordered composition."""
+    """sum over i < j of r_i r_j (j - i)^2 for an ordered composition.
+
+    One pass: part j adds r_j (j^2 S_0 - 2 j S_1 + S_2), S_k = sum_{i<j} i^k r_i.
+    """
     parts = tuple(composition)
     if not parts:
         raise ValidationError("composition must be nonempty")
-    for p in parts:
+    total = s0 = s1 = s2 = 0
+    for j, p in enumerate(parts):
         require_int(p, "composition part", 1)
-    total = 0
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            total += parts[i] * parts[j] * (j - i) ** 2
+        total += p * (j * j * s0 - 2 * j * s1 + s2)
+        s0, s1, s2 = s0 + p, s1 + j * p, s2 + j * j * p
     return total
 
 
 def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
-    """All 2^(r-1) ordered compositions of r, first part descending."""
-    if r == 0:
-        yield ()
-        return
-    for first in range(r, 0, -1):
-        for rest in iter_compositions(r - first):
-            yield (first,) + rest
+    """All 2^(r-1) ordered compositions of r, first part descending.
+
+    Decreasing lex order, one list stepped in place: the rightmost part
+    above 1 drops by one and the 1s after it merge into one last part.
+    """
+    require_int(r, "composition size", 0)
+    c = [r] if r else []
+    while True:
+        yield tuple(c)
+        k = len(c) - 1
+        while k >= 0 and c[k] == 1:
+            k -= 1
+        if k < 0:
+            return
+        c[k] -= 1
+        c[k + 1:] = [len(c) - k]
 
 
 def olympic_verify(r_max: int) -> list[dict]:
@@ -266,6 +287,7 @@ def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVect
     They are shared by every monopole component of one (r, c1, c2).
     """
     require_int(r, "rank", 1)
+    x.lattice.check_vector(qvec(delta))
     return tuple(delta - i * x.polarization for i in range(r))
 
 

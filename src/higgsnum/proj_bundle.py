@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .ns_lattice import LatticeError, NSVector, Rat, require_int
+from .ns_lattice import LatticeError, NSVector, Rat, ValidationError, require_int
 from .surface_chow import ChowClass, SurfaceGeometry, chow_mul
 
 __all__ = [
@@ -51,6 +51,8 @@ class YClass:
     over: SurfaceGeometry
 
     def __post_init__(self) -> None:
+        if not isinstance(self.over, SurfaceGeometry):
+            raise ValidationError(f"not a surface: {self.over!r}")
         for part in (self.alpha, self.beta):
             if not isinstance(part, ChowClass) or part.rank != self.over.rank:
                 raise LatticeError("class components do not fit the base lattice")

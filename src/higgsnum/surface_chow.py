@@ -27,6 +27,7 @@ from fractions import Fraction
 from operator import mul
 
 from .ns_lattice import (
+    LatticeError,
     NSLattice,
     NSVector,
     Rat,
@@ -78,6 +79,8 @@ class SurfaceGeometry:
     k_dot_l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.lattice, NSLattice):
+            raise LatticeError(f"not a lattice: {self.lattice!r}")
         for v in (self.canonical, self.polarization):
             self.lattice.check_vector(qvec(v))
         if not (self.canonical.is_integral() and self.polarization.is_integral()):
@@ -185,8 +188,11 @@ def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
 
     Each degree is summed over integer numerators and divided once.
     """
-    a0, b0, a2, b2 = a.deg0, b.deg0, a.deg2, b.deg2
-    u, v = a.deg1, b.deg1
+    try:
+        a0, b0, a2, b2 = a.deg0, b.deg0, a.deg2, b.deg2
+        u, v = a.deg1, b.deg1
+    except AttributeError:
+        raise ValidationError(f"not a pair of Chow classes: {a!r}, {b!r}") from None
     # deg2 = a0 b2 + b0 a2 + u.v over the common denominator d1 d2 d3
     d1 = a0.denominator * b2.denominator
     d2 = b0.denominator * a2.denominator
@@ -201,13 +207,19 @@ def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
 
 
 def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
-    """Multiplicative inverse of a class with invertible degree-0 part."""
-    if a.deg0 == 0:
+    """Multiplicative inverse of a class with invertible degree-0 part.
+
+    With a0 = n/d, n > 0: (d/n, -d^2/n^2 a1, d^3/n^3 a1^2 - d^2/n^2 a2), each divided once.
+    """
+    n, d = a.deg0.numerator, a.deg0.denominator
+    if n == 0:
         raise ValidationError("class with deg0 = 0 is not invertible")
-    c0 = Fraction(a.deg0)
-    d1 = -a.deg1 / (c0 * c0)
-    d2 = pair(x.lattice, a.deg1, a.deg1) / c0**3 - Fraction(a.deg2) / (c0 * c0)
-    return ChowClass(1 / c0, d1, d2)
+    if n < 0:
+        n, d = -n, -d
+    u, s, t = a.deg1, a.deg2.numerator, a.deg2.denominator
+    e2 = u.den * u.den
+    deg2 = ratio(d * d * (pair_num(x.lattice, u, u) * d * t - s * n * e2), n * n * n * e2 * t)
+    return ChowClass(ratio(d, n), u * ratio(-d * d, n * n), deg2)
 
 
 def line_bundle_ch(x: SurfaceGeometry, d: NSVector) -> ChowClass:

@@ -1,6 +1,6 @@
 import pytest
 
-from higgsnum import NSLattice, NSVector, SurfaceGeometry, presets
+from higgsnum import NSLattice, NSVector, SurfaceGeometry, pair, presets
 
 
 @pytest.fixture
@@ -29,3 +29,33 @@ def blowup():
         c2_top=4,
         name="blowup-p2",
     )
+
+
+def characteristic_surface(rng, rank):
+    """A random surface on U^T D U, D = diag(a, -b_1, ..), U unimodular.
+
+    In the basis of D the vector c with c_k = D_k mod 2 is characteristic,
+    so K = U^-1 c is; L = U^-1 e_0 has L^2 = a > 0, and c2 is chosen so
+    that 12 divides K^2 + c2.  SurfaceGeometry checks all of it again.
+    """
+    d = [rng.randint(1, 4)] + [-rng.randint(1, 4) for _ in range(rank - 1)]
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    u_inv = [row[:] for row in u]
+    for _ in range(2 * rank if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        m = rng.choice((-2, -1, 1, 2))
+        # row operation on u, the inverse column operation on u_inv
+        u[i] = [x + m * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= m * row[i]
+    gram = tuple(
+        tuple(sum(u[k][i] * d[k] * u[k][j] for k in range(rank)) for j in range(rank))
+        for i in range(rank)
+    )
+    c = [dk % 2 + 2 * rng.randint(-1, 1) for dk in d]
+    k = NSVector(tuple(sum(x * y for x, y in zip(row, c)) for row in u_inv))
+    lattice = NSLattice(rank, gram)
+    k2 = pair(lattice, k, k)
+    c2 = 12 * rng.randint(-2, 4) - k2
+    return SurfaceGeometry(lattice, k, NSVector(tuple(row[0] for row in u_inv)), c2,
+                           name=f"random-rank-{rank}")

@@ -32,12 +32,15 @@ from higgsnum import (
     YClass,
     canonical_y,
     chi_two_ways,
+    chow_mul,
+    classify,
     component_betas,
     divide,
     grr_pushforward,
     hilbert_polynomial,
     hyperplane_class,
     ideal_twist_ch,
+    iter_compositions,
     iter_partitions_at_most,
     olympic_sum,
     olympic_verify,
@@ -91,6 +94,22 @@ PROBES = [
     ("component_betas", lambda v: component_betas(X, v, L), POSITIVE, ValidationError),
     ("hilbert_polynomial", lambda v: hilbert_polynomial(X, ChowClass.unit(1), v), INTEGER,
      ValidationError),
+    ("iter_compositions", lambda v: list(iter_compositions(v)), NONNEGATIVE, ValidationError),
+    ("HNFactor-c2", lambda v: HNFactor(1, L, v), INTEGER, ValidationError),
+    # arguments of the wrong type are refused where they enter, as bad integers are
+    ("HNFactor-c1", lambda v: HNFactor(1, v, 0), (5, None), LatticeError),
+    ("HNFactor-c1-rational", lambda v: HNFactor(1, QNSVector((v,)), 0), (Fraction(1, 2),),
+     ValidationError),
+    ("SurfaceGeometry-lattice", lambda v: SurfaceGeometry(v, X.canonical, L, 12),
+     (5, None, ((1,),)), LatticeError),
+    ("chow_mul", lambda v: chow_mul(X, v, v), (1, None, L), ValidationError),
+    ("hilbert_polynomial-class", lambda v: hilbert_polynomial(X, v, 1), (5, L), ValidationError),
+    ("classify", lambda v: classify(X, v), (5, None, L), ValidationError),
+    ("component_betas-delta", lambda v: component_betas(X, 2, v), (5, None, NSVector((1, 2))),
+     LatticeError),
+    ("SpectralCover-base", lambda v: SpectralCover(v, 2), (5, None, X.lattice), ValidationError),
+    ("YClass-over", lambda v: YClass(ChowClass.unit(1), ChowClass.unit(1), v), (5, None),
+     ValidationError),
 ]
 
 
@@ -106,6 +125,7 @@ def test_bad_integer_is_refused_by_the_owning_module(call, value, error):
     with pytest.raises(HiggsError) as excinfo:
         call(value)
     assert type(excinfo.value) is error
+    assert "\n" not in str(excinfo.value)
 
 
 NOT_EXACT = (0.5, True, "3/4")

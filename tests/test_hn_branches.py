@@ -24,10 +24,17 @@ from higgsnum import (
     olympic_sum,
     olympic_verify,
     pair,
+    presets,
     qvec,
     rank2_fixed_components,
     slope_gaps,
 )
+
+from conftest import characteristic_surface
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 
 def partition_count(n, k, _memo={}):
@@ -115,6 +122,64 @@ def test_discriminant_identity_order_free(blowup):
         )
 
 
+def gram_pair(x, v, w):
+    """v.w for coordinate sequences, as a double sum of Fractions over the gram matrix."""
+    return sum(Fraction(a) * g * b for a, row in zip(v, x.lattice.gram) for g, b in zip(row, w))
+
+
+def fraction_discriminant_identity(x, t):
+    """Both sides with a Fraction at every step, as the identity is written."""
+    fs = t.factors
+    cs = [f.c1.coords for f in fs]
+    r = sum(f.rank for f in fs)
+    c1 = [sum(c[k] for c in cs) for k in range(x.rank)]
+    c2 = sum(f.c2 for f in fs) + sum(
+        gram_pair(x, cs[i], cs[j]) for i in range(len(fs)) for j in range(i + 1, len(fs))
+    )
+    lhs = Fraction(2 * r * c2 - (r - 1) * gram_pair(x, c1, c1), r)
+    rhs = sum(
+        Fraction(2 * f.rank * f.c2 - (f.rank - 1) * gram_pair(x, c, c), f.rank)
+        for f, c in zip(fs, cs)
+    )
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            diff = [Fraction(a, fs[i].rank) - Fraction(b, fs[j].rank) for a, b in zip(cs[i], cs[j])]
+            rhs -= Fraction(fs[i].rank * fs[j].rank, r) * gram_pair(x, diff, diff)
+    return tuple(int(v) if v.denominator == 1 else v for v in (lhs, rhs))
+
+
+PRESETS = (presets.p2(), presets.hypersurface(4), presets.hypersurface(5), presets.hypersurface(7))
+
+
+@st.composite
+def surface_and_type(draw):
+    """A preset or a random characteristic surface of rank up to 8, with 1 to 6 factors."""
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(PRESETS))
+    else:
+        x = characteristic_surface(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(1, 8)))
+    factor = st.builds(
+        HNFactor,
+        st.integers(1, 6),
+        st.lists(st.integers(-9, 9), min_size=x.rank, max_size=x.rank).map(
+            lambda c: NSVector(tuple(c))),
+        st.integers(-20, 20),
+    )
+    return x, HNType(tuple(draw(st.lists(factor, min_size=1, max_size=6))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(surface_and_type())
+def test_discriminant_identity_matches_fraction_formula(data):
+    """The one-denominator integer sums give the Fraction formula's values and types."""
+    x, t = data
+    got = discriminant_identity(x, t)
+    expected = fraction_discriminant_identity(x, t)
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+    assert got[0] == got[1]
+
+
 def test_slope_gaps(quintic):
     h = quintic.lattice.basis(0)
     delta = 3 * h
@@ -184,6 +249,35 @@ def test_olympic_sum_validation():
         olympic_sum((1, 0, 2))
     with pytest.raises(ValidationError):
         olympic_sum((1, -1))
+
+
+def naive_olympic_sum(parts):
+    return sum(
+        parts[i] * parts[j] * (j - i) ** 2
+        for i in range(len(parts))
+        for j in range(i + 1, len(parts))
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=24))
+def test_olympic_sum_matches_double_sum(parts):
+    assert olympic_sum(parts) == naive_olympic_sum(parts)
+
+
+def recursive_compositions(r):
+    """Compositions of r with the first part descending, by recursion on the rest."""
+    if r == 0:
+        yield ()
+        return
+    for first in range(r, 0, -1):
+        for rest in recursive_compositions(r - first):
+            yield (first,) + rest
+
+
+def test_iter_compositions_in_recursive_order():
+    for r in range(13):
+        assert list(iter_compositions(r)) == list(recursive_compositions(r)), r
 
 
 def test_iter_compositions():

@@ -6,10 +6,8 @@ import pytest
 
 from higgsnum import (
     ChowClass,
-    NSLattice,
     NSVector,
     SpectralCover,
-    SurfaceGeometry,
     ValidationError,
     chi,
     chi_two_ways,
@@ -26,6 +24,8 @@ from higgsnum import (
     todd_surface,
 )
 from higgsnum.cli import load_surface
+
+from conftest import characteristic_surface
 
 SURFACES = lambda: (presets.p2(), presets.hypersurface(4), presets.hypersurface(5))
 
@@ -123,36 +123,6 @@ def test_integral_and_pushforward(blowup):
         # pulled-back divisors pair in NS(X)(r): r times the base pairing
         a, b = c.deg1, blowup.polarization
         assert s.integral(blowup.pair(a, b)) == s.r * pair(blowup.lattice, a, b)
-
-
-def characteristic_surface(rng, rank):
-    """A random surface on U^T D U, D = diag(a, -b_1, ..), U unimodular.
-
-    In the basis of D the vector c with c_k = D_k mod 2 is characteristic,
-    so K = U^-1 c is; L = U^-1 e_0 has L^2 = a > 0, and c2 is chosen so
-    that 12 divides K^2 + c2.  SurfaceGeometry checks all of it again.
-    """
-    d = [rng.randint(1, 4)] + [-rng.randint(1, 4) for _ in range(rank - 1)]
-    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    u_inv = [row[:] for row in u]
-    for _ in range(2 * rank if rank > 1 else 0):
-        i, j = rng.sample(range(rank), 2)
-        m = rng.choice((-2, -1, 1, 2))
-        # row operation on u, the inverse column operation on u_inv
-        u[i] = [x + m * y for x, y in zip(u[i], u[j])]
-        for row in u_inv:
-            row[j] -= m * row[i]
-    gram = tuple(
-        tuple(sum(u[k][i] * d[k] * u[k][j] for k in range(rank)) for j in range(rank))
-        for i in range(rank)
-    )
-    c = [dk % 2 + 2 * rng.randint(-1, 1) for dk in d]
-    k = NSVector(tuple(sum(x * y for x, y in zip(row, c)) for row in u_inv))
-    lattice = NSLattice(rank, gram)
-    k2 = pair(lattice, k, k)
-    c2 = 12 * rng.randint(-2, 4) - k2
-    return SurfaceGeometry(lattice, k, NSVector(tuple(row[0] for row in u_inv)), c2,
-                           name=f"random-rank-{rank}")
 
 
 def cover_test_surfaces():

@@ -26,6 +26,12 @@ from higgsnum import (
     todd_surface,
 )
 
+from conftest import characteristic_surface
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 
 def rand_chow(rng, rank):
     return ChowClass(
@@ -164,6 +170,29 @@ def test_chow_inverse(blowup):
         assert chow_mul(blowup, a, chow_inverse(blowup, a)) == unit
     with pytest.raises(ValidationError):
         chow_inverse(blowup, ChowClass.of_points(1, 2))
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def surface_and_invertible_class(draw):
+    """A random characteristic surface of rank up to 8 and a class with rational deg0 != 0."""
+    x = characteristic_surface(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(1, 8)))
+    deg0 = draw(rationals.filter(lambda q: q != 0))
+    deg1 = QNSVector(tuple(draw(st.lists(rationals, min_size=x.rank, max_size=x.rank))))
+    return x, ChowClass(deg0, deg1, draw(rationals))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(surface_and_invertible_class())
+def test_chow_inverse_is_the_ring_inverse(data):
+    x, a = data
+    unit = ChowClass.unit(x.rank)
+    inverse = chow_inverse(x, a)
+    assert chow_mul(x, a, inverse) == unit
+    assert chow_mul(x, inverse, a) == unit
+    assert inverse.deg0 == 1 / Fraction(a.deg0)
 
 
 def test_chi(quintic, plane):
