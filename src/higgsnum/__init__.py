@@ -78,7 +78,6 @@ from .hn_branches import (
     iter_partitions_at_most,
     monopole_components,
     olympic_sum,
-    olympic_verify,
     partition_count,
     rank2_fixed_components,
     slope_gaps,

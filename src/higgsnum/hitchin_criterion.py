@@ -62,8 +62,18 @@ class RegimeReport:
     witness: Optional[FiberWitness]
 
 
+def check_input(x: SurfaceGeometry, *numerics: HiggsNumerics) -> None:
+    """Refuse an x that is not a surface, then any numerics that are not (r, c1, c2)."""
+    if not isinstance(x, SurfaceGeometry):
+        raise ValidationError(f"not a surface: {x!r}")
+    for h in numerics:
+        if not isinstance(h, HiggsNumerics):
+            raise ValidationError(f"not rank, c1 and c2 data: {h!r}")
+
+
 def solve_delta(x: SurfaceGeometry, h: HiggsNumerics) -> Optional[NSVector]:
     """Lattice solution of r delta = c1 + r(r-1)/2 L, or None."""
+    check_input(x, h)
     x.lattice.check_vector(h.c1)
     shift = (h.r * (h.r - 1) // 2) * x.polarization
     return divide(x.lattice, h.c1 + shift, h.r)
@@ -72,10 +82,11 @@ def solve_delta(x: SurfaceGeometry, h: HiggsNumerics) -> Optional[NSVector]:
 def c2_gbun(x: SurfaceGeometry, h: HiggsNumerics) -> tuple[Rat, bool]:
     """Threshold value of c2 and whether it is an integer.
 
-    (r-1)/(2r) c1^2 - r(r^2-1)/24 L^2.  Integrality is reported, not
-    assumed; it holds in practice whenever the determinant equation is
-    solvable.
+    (r-1)/(2r) c1^2 - r(r^2-1)/24 L^2.  Whenever r delta = c1 + r(r-1)/2 L
+    is solvable this is C(r,2) delta^2 - r(r-1)^2/2 delta.L
+    + r(r-1)(r-2)(3r-1)/24 L^2, whose three coefficients are integers.
     """
+    check_input(x, h)
     r = h.r
     value = ratio(
         12 * (r - 1) * x.pair(h.c1, h.c1) - r * r * (r * r - 1) * x.l_squared, 24 * r
@@ -90,6 +101,7 @@ def n_points(x: SurfaceGeometry, h: HiggsNumerics) -> Rat:
     c2 - c2_gbun identically.  Nonnegative integrality is exactly the
     condition checked by classify.
     """
+    check_input(x, h)
     r = h.r
     numerator = (
         r * r * (r * r - 1) * x.l_squared
@@ -106,21 +118,13 @@ def classify(x: SurfaceGeometry, h: HiggsNumerics) -> RegimeReport:
     solution; otherwise Empty, Boundary or Generic by comparing c2 with
     the threshold.  Boundary and Generic carry a witness.
     """
-    if not isinstance(h, HiggsNumerics):
-        raise ValidationError(f"not rank, c1 and c2 data: {h!r}")
     threshold, _ = c2_gbun(x, h)
     delta = solve_delta(x, h)
     if delta is None:
         return RegimeReport(Regime.NO_DELTA_SOLUTION, threshold, None)
     if h.c2 < threshold:
         return RegimeReport(Regime.EMPTY, threshold, None)
+    # a solvable determinant equation makes the threshold, and so n, an integer
     n = h.c2 - threshold
-    if not isinstance(n, int):
-        # solvable determinant equation forces an integral threshold;
-        # reaching this means the input violated that arithmetic fact
-        raise ArithmeticError(
-            f"threshold {threshold} is non-integral although delta = {delta} exists"
-        )
-    if n == 0:
-        return RegimeReport(Regime.BOUNDARY, threshold, FiberWitness(delta, 0))
-    return RegimeReport(Regime.GENERIC, threshold, FiberWitness(delta, n))
+    regime = Regime.BOUNDARY if n == 0 else Regime.GENERIC
+    return RegimeReport(regime, threshold, FiberWitness(delta, n))

@@ -16,15 +16,15 @@ regime the candidate components are indexed by partitions of
 n = c2 - c2_gbun into at most r parts, all attached to the same fixed
 line bundle classes beta_i = delta - (i-1) c1(L).
 
-iter_monopole_components is the one enumeration: it yields each
-component lazily as its partition, zero-padded to length r, and
-partition_count gives their number without enumerating them.
-monopole_components is its rows as a list, component_betas gives the
-shared classes once, and the rank-2 inventory for c1 = c1(L),
-rank2_fixed_components, holds the same rows.  The enumeration
-describes components by their numerical invariants; the geometric
-identification of each candidate is outside the scope of the
-arithmetic done here.
+A factor is a HiggsNumerics, named HNFactor here.  The one enumeration,
+iter_monopole_components, yields each component lazily as its
+partition, zero-padded to length r, and partition_count gives their
+number without enumerating them.  monopole_components is its rows as a
+list, component_betas gives the shared classes once, and the rank-2
+inventory for c1 = c1(L), rank2_fixed_components, counts the rows with
+partition_count.  The enumeration describes components by their
+numerical invariants; the geometric identification of each candidate is
+outside the scope of the arithmetic done here.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .ns_lattice import (
     HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm, require_int,
 )
 from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
-from .hitchin_criterion import Regime, RegimeReport, classify
+from .hitchin_criterion import Regime, RegimeReport, check_input, classify
 
 __all__ = [
     "HNFactor",
@@ -51,7 +51,6 @@ __all__ = [
     "iter_partitions_at_most",
     "monopole_components",
     "olympic_sum",
-    "olympic_verify",
     "partition_count",
     "rank2_fixed_components",
     "slope_gaps",
@@ -66,19 +65,8 @@ class RegimeError(HiggsError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class HNFactor:
-    """Numerical invariants (rank, c1, c2) of one graded piece."""
-
-    rank: int
-    c1: NSVector
-    c2: int
-
-    def __post_init__(self) -> None:
-        require_int(self.rank, "factor rank", 1)
-        require_int(self.c2, "c2")
-        if not qvec(self.c1).is_integral():
-            raise ValidationError(f"c1 must be an integral class, got {self.c1!r}")
+# the numerical invariants (rank, c1, c2) of one graded piece
+HNFactor = HiggsNumerics
 
 
 @dataclass(frozen=True)
@@ -96,23 +84,22 @@ class HNType:
         factors = tuple(self.factors)
         if not factors:
             raise ValidationError("a filtration needs at least one factor")
+        for f in factors:
+            if not isinstance(f, HiggsNumerics):
+                raise ValidationError(f"not rank, c1 and c2 data: {f!r}")
         object.__setattr__(self, "factors", factors)
 
     @property
     def total_rank(self) -> int:
-        return sum(f.rank for f in self.factors)
+        return sum(f.r for f in self.factors)
 
 
 def _total_numerics(x: SurfaceGeometry, t: HNType) -> HiggsNumerics:
-    c1 = NSVector.zero(x.rank)
-    c2 = 0
+    # c2 = sum_i c2_i + sum_{i<j} c1_i.c1_j, each c1_j paired once with the sum before it
+    c1, c2 = NSVector.zero(x.rank), 0
     for f in t.factors:
+        c2 += f.c2 + x.pair(c1, f.c1)
         c1 = c1 + f.c1
-        c2 += f.c2
-    fs = t.factors
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            c2 += x.pair(fs[i].c1, fs[j].c1)
     return HiggsNumerics(t.total_rank, c1, c2)
 
 
@@ -132,14 +119,13 @@ def discriminant_identity(x: SurfaceGeometry, t: HNType) -> tuple[Rat, Rat]:
     fs = t.factors
     p = 1
     for f in fs:
-        p *= f.rank
+        p *= f.r
     num = 0
     for i, f in enumerate(fs):
-        ri, ci = f.rank, f.c1
-        # Delta(E_i) = 2 r_i c2_i - (r_i - 1) c1_i^2
-        num += r * (p // ri) * (2 * ri * f.c2 - (ri - 1) * pair_num(x.lattice, ci, ci))
+        ri, ci = f.r, f.c1
+        num += r * (p // ri) * discriminant(f, x)
         for g in fs[i + 1:]:
-            rj = g.rank
+            rj = g.r
             d = lincomb(rj, ci, -ri, g.c1)
             num -= (p // (ri * rj)) * pair_num(x.lattice, d, d)
     return lhs, ratio(num, r * p)
@@ -153,7 +139,7 @@ def slope_gaps(x: SurfaceGeometry, t: HNType) -> tuple[tuple[Rat, ...], bool]:
     (0, L^2]; returns the gaps plus whether all of them do.
     """
     slopes = [
-        Fraction(x.pair(f.c1, x.polarization), f.rank) for f in t.factors
+        Fraction(x.pair(f.c1, x.polarization), f.r) for f in t.factors
     ]
     gaps = tuple(
         ratnorm(slopes[i] - slopes[i + 1]) for i in range(len(slopes) - 1)
@@ -196,39 +182,6 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
             return
         c[k] -= 1
         c[k + 1:] = [len(c) - k]
-
-
-def olympic_verify(r_max: int) -> list[dict]:
-    """Exhaustive check of the composition bound for every r up to r_max.
-
-    For each r, maximizes the olympic sum over all ordered compositions
-    and compares with r^2(r^2-1)/12; records the maximizers and whether
-    the all-ones composition is the unique one.  r_max is capped at 20
-    to keep the 2^(r-1) enumeration honest.
-    """
-    require_int(r_max, "r_max", 1, 20)
-    out = []
-    for r in range(1, r_max + 1):
-        expected = r * r * (r * r - 1) // 12
-        best = -1
-        argmax: list[tuple[int, ...]] = []
-        for comp in iter_compositions(r):
-            s = olympic_sum(comp)
-            if s > best:
-                best, argmax = s, [comp]
-            elif s == best:
-                argmax.append(comp)
-        ones = tuple([1] * r)
-        out.append(
-            {
-                "r": r,
-                "max": best,
-                "expected": expected,
-                "maximizers": argmax,
-                "ok": best == expected and argmax == [ones],
-            }
-        )
-    return out
 
 
 def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -329,11 +282,7 @@ class Rank2Report:
     c2: int
     regime: Regime
     instanton_branch: bool
-    components: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
+    count: int
 
 
 def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
@@ -343,10 +292,10 @@ def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
     c2 < 0; otherwise the components are the monopole components of
     (2, c1(L), c2), the pairs (n1, n2) with n1 >= n2 >= 0 summing to c2,
     alongside the branch of sheaves with vanishing Higgs field, which is
-    only marked here.
+    only marked here.  The components are counted, never enumerated.
     """
-    h = HiggsNumerics(2, x.polarization, c2)
-    report = classify(x, h)
+    check_input(x)
+    report = classify(x, HiggsNumerics(2, x.polarization, c2))
     if report.witness is None:
-        return Rank2Report(c2, report.regime, False, ())
-    return Rank2Report(c2, report.regime, True, tuple(iter_monopole_components(x, h, report)))
+        return Rank2Report(c2, report.regime, False, 0)
+    return Rank2Report(c2, report.regime, True, partition_count(report.witness.n_points, 2))

@@ -2,7 +2,8 @@
 
 Two families cover the worked cases: the projective plane, and smooth
 degree-d hypersurfaces in projective 3-space polarized by the hyperplane
-class.  For the hypersurface of degree d the numerical data is
+class.  blowup_p2, the plane blown up in a point, is the one rank-2
+lattice.  For the hypersurface of degree d the numerical data is
 
     K = (d - 4) H,   H^2 = d,   c2 = d^3 - 4 d^2 + 6 d,
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 from .ns_lattice import NSLattice, NSVector, ValidationError, require_int
 from .surface_chow import SurfaceGeometry
 
-__all__ = ["by_name", "hypersurface", "p2"]
+__all__ = ["blowup_p2", "by_name", "hypersurface", "p2"]
 
 
 def p2() -> SurfaceGeometry:
@@ -27,6 +28,17 @@ def p2() -> SurfaceGeometry:
 def hypersurface(d: int) -> SurfaceGeometry:
     """Smooth degree-d surface in P^3 with its hyperplane polarization."""
     return _hypersurface(require_int(d, "hypersurface degree", 1), f"hypersurface:{d}")
+
+
+def blowup_p2() -> SurfaceGeometry:
+    """The plane blown up in a point: diag(1, -1), K = (-3, 1), L = (2, -1), c2 = 4."""
+    return SurfaceGeometry(
+        lattice=NSLattice(2, ((1, 0), (0, -1))),
+        canonical=NSVector((-3, 1)),
+        polarization=NSVector((2, -1)),
+        c2_top=4,
+        name="blowup-p2",
+    )
 
 
 def _hypersurface(d: int, name: str) -> SurfaceGeometry:

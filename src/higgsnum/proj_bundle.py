@@ -101,6 +101,9 @@ def hyperplane_class(x: SurfaceGeometry) -> YClass:
 
 def y_mul(a: YClass, b: YClass) -> YClass:
     """Ring product, rewriting eta^2 as pi^* c1(L) . eta."""
+    for c in (a, b):
+        if not isinstance(c, YClass):
+            raise ValidationError(f"not a class on the threefold: {c!r}")
     _same_base(a, b)
     x = a.over
     c_l = ChowClass.of_divisor(x.polarization)

@@ -211,12 +211,15 @@ def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
 
     With a0 = n/d, n > 0: (d/n, -d^2/n^2 a1, d^3/n^3 a1^2 - d^2/n^2 a2), each divided once.
     """
-    n, d = a.deg0.numerator, a.deg0.denominator
+    try:
+        n, d = a.deg0.numerator, a.deg0.denominator
+        u, s, t = a.deg1, a.deg2.numerator, a.deg2.denominator
+    except AttributeError:
+        raise ValidationError(f"not a Chow class: {a!r}") from None
     if n == 0:
         raise ValidationError("class with deg0 = 0 is not invertible")
     if n < 0:
         n, d = -n, -d
-    u, s, t = a.deg1, a.deg2.numerator, a.deg2.denominator
     e2 = u.den * u.den
     deg2 = ratio(d * d * (pair_num(x.lattice, u, u) * d * t - s * n * e2), n * n * n * e2 * t)
     return ChowClass(ratio(d, n), u * ratio(-d * d, n * n), deg2)
@@ -232,6 +235,8 @@ def todd_surface(x: SurfaceGeometry) -> ChowClass:
 
     The degree-2 part is chi(O), an integer by the Noether check.
     """
+    if not isinstance(x, SurfaceGeometry):
+        raise ValidationError(f"not a surface: {x!r}")
     return ChowClass(1, x.canonical / -2, x.chi_structure_sheaf)
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ns_lattice import NSLattice, NSVector, QNSVector, pair
+from .ns_lattice import NSVector, QNSVector, pair
 from .surface_chow import (
     ChowClass,
     HiggsNumerics,
@@ -38,9 +38,10 @@ from .hn_branches import (
     HNFactor,
     HNType,
     discriminant_identity,
+    iter_compositions,
     iter_partitions_at_most,
     monopole_components,
-    olympic_verify,
+    olympic_sum,
     partition_count,
 )
 from . import presets
@@ -66,19 +67,8 @@ class SuiteResult:
             self.failures.append(detail)
 
 
-def _blowup_plane() -> SurfaceGeometry:
-    # plane blown up in a point: rank-2 lattice diag(1, -1)
-    return SurfaceGeometry(
-        lattice=NSLattice(2, ((1, 0), (0, -1))),
-        canonical=NSVector((-3, 1)),
-        polarization=NSVector((2, -1)),
-        c2_top=4,
-        name="blowup-p2",
-    )
-
-
 def _surfaces() -> list[SurfaceGeometry]:
-    return [presets.p2(), presets.hypersurface(4), presets.hypersurface(5), _blowup_plane()]
+    return [presets.p2(), presets.hypersurface(4), presets.hypersurface(5), presets.blowup_p2()]
 
 
 def _rand_rat(rng: random.Random) -> Fraction:
@@ -175,8 +165,16 @@ def _suite_adjunction(rng: random.Random) -> SuiteResult:
 
 def _suite_olympic(rng: random.Random) -> SuiteResult:
     res = SuiteResult("olympic")
-    for row in olympic_verify(12):
-        res.check(row["ok"], f"composition bound at r={row['r']}: {row}")
+    # every ordered composition of r <= 12: the max is r^2(r^2-1)/12, at all ones only
+    for r in range(1, 13):
+        expected = r * r * (r * r - 1) // 12
+        sums = [(olympic_sum(comp), comp) for comp in iter_compositions(r)]
+        best = max(s for s, _ in sums)
+        argmax = [comp for s, comp in sums if s == best]
+        res.check(
+            best == expected and argmax == [(1,) * r],
+            f"composition bound at r={r}: max {best} at {argmax}, expected {expected}",
+        )
     return res
 
 
@@ -213,11 +211,7 @@ def _suite_partition(rng: random.Random) -> SuiteResult:
         delta = _rand_vec(rng, 1, -4, 4)
         c1 = r * delta - (r * (r - 1) // 2) * x.polarization
         n = rng.randint(0, 12)
-        threshold, integral = c2_gbun(x, HiggsNumerics(r, c1, 0))
-        if not integral:
-            res.check(False, f"non-integral threshold with solvable delta, r={r}")
-            continue
-        h = HiggsNumerics(r, c1, threshold + n)
+        h = HiggsNumerics(r, c1, c2_gbun(x, HiggsNumerics(r, c1, 0))[0] + n)
         comps = monopole_components(x, h)
         count = partition_count(n, r)
         res.check(

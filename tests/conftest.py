@@ -20,15 +20,7 @@ def quintic():
 
 @pytest.fixture
 def blowup():
-    # plane blown up in a point, the smallest lattice where the index
-    # inequality and the signature reduction are not degenerate
-    return SurfaceGeometry(
-        lattice=NSLattice(2, ((1, 0), (0, -1))),
-        canonical=NSVector((-3, 1)),
-        polarization=NSVector((2, -1)),
-        c2_top=4,
-        name="blowup-p2",
-    )
+    return presets.blowup_p2()
 
 
 def characteristic_surface(rng, rank):

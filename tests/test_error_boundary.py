@@ -21,6 +21,7 @@ from higgsnum import (
     HiggsError,
     HiggsNumerics,
     HNFactor,
+    HNType,
     LatticeError,
     NSLattice,
     NSVector,
@@ -30,8 +31,10 @@ from higgsnum import (
     SurfaceGeometry,
     ValidationError,
     YClass,
+    c2_gbun,
     canonical_y,
     chi_two_ways,
+    chow_inverse,
     chow_mul,
     classify,
     component_betas,
@@ -42,14 +45,17 @@ from higgsnum import (
     ideal_twist_ch,
     iter_compositions,
     iter_partitions_at_most,
+    n_points,
     olympic_sum,
-    olympic_verify,
     partition_count,
     presets,
     pullback,
     rank2_fixed_components,
     restrict_to_spectral,
+    solve_delta,
     spectral_divisor_class,
+    todd_surface,
+    y_mul,
 )
 from higgsnum.cli import CLIError, main
 
@@ -80,7 +86,6 @@ PROBES = [
     ("hypersurface", lambda v: presets.hypersurface(v), POSITIVE, ValidationError),
     ("HNFactor", lambda v: HNFactor(v, L, 0), POSITIVE, ValidationError),
     ("olympic_sum", lambda v: olympic_sum((v, 2)), POSITIVE, ValidationError),
-    ("olympic_verify", lambda v: olympic_verify(v), POSITIVE + (21,), ValidationError),
     ("rank2_fixed_components", lambda v: rank2_fixed_components(X, v), INTEGER, ValidationError),
     ("ideal_twist_ch", lambda v: ideal_twist_ch(X, L, v), NONNEGATIVE, ValidationError),
     ("grr_pushforward", lambda v: grr_pushforward(SpectralCover(X, 2), L, v), NONNEGATIVE,
@@ -110,6 +115,15 @@ PROBES = [
     ("SpectralCover-base", lambda v: SpectralCover(v, 2), (5, None, X.lattice), ValidationError),
     ("YClass-over", lambda v: YClass(ChowClass.unit(1), ChowClass.unit(1), v), (5, None),
      ValidationError),
+    ("c2_gbun", lambda v: c2_gbun(X, v), (5, None, X), ValidationError),
+    ("n_points", lambda v: n_points(X, v), (5, None, X), ValidationError),
+    ("solve_delta", lambda v: solve_delta(X, v), (5, None, X), ValidationError),
+    ("chow_inverse", lambda v: chow_inverse(X, v), (5, None, L), ValidationError),
+    ("todd_surface", lambda v: todd_surface(v), (5, None, X.lattice), ValidationError),
+    ("rank2_fixed_components-surface", lambda v: rank2_fixed_components(v, 3), (5, None),
+     ValidationError),
+    ("y_mul", lambda v: y_mul(v, v), (5, None, ChowClass.unit(1)), ValidationError),
+    ("HNType", lambda v: HNType((v,)), (5, None, L), ValidationError),
 ]
 
 

@@ -13,6 +13,8 @@ from higgsnum import (
     solve_delta,
 )
 
+from conftest import characteristic_surface
+
 
 def test_solve_delta_examples(quintic):
     h = quintic.lattice.basis(0)
@@ -60,6 +62,29 @@ def test_c2_gbun_integral_when_delta_exists(blowup, quintic):
             if solve_delta(x, h) is not None:
                 value, integral = c2_gbun(x, h)
                 assert integral, (x.name, r, c1, value)
+
+
+def test_c2_gbun_closed_form_when_delta_exists():
+    """With r delta = c1 + C(r,2) L the threshold is the integer
+    C(r,2) delta^2 - r(r-1)^2/2 delta.L + r(r-1)(r-2)(3r-1)/24 L^2."""
+    rng = random.Random(46)
+    for _ in range(400):
+        x = characteristic_surface(rng, rng.randint(1, 8))
+        gram = x.lattice.gram
+
+        def dot(v, w):
+            return sum(a * g * b for a, row in zip(v, gram) for g, b in zip(row, w))
+
+        r = rng.randint(1, 9)
+        delta = NSVector(tuple(rng.randint(-6, 6) for _ in range(x.rank)))
+        c1 = r * delta - (r * (r - 1) // 2) * x.polarization
+        d, pol = delta.coords, x.polarization.coords
+        expected = (
+            r * (r - 1) // 2 * dot(d, d)
+            - r * (r - 1) ** 2 // 2 * dot(d, pol)
+            + r * (r - 1) * (r - 2) * (3 * r - 1) // 24 * dot(pol, pol)
+        )
+        assert c2_gbun(x, HiggsNumerics(r, c1, 0)) == (expected, True), (x, r, delta)
 
 
 def test_n_points_examples(quintic):

@@ -22,7 +22,6 @@ from higgsnum import (
     iter_partitions_at_most,
     monopole_components,
     olympic_sum,
-    olympic_verify,
     pair,
     presets,
     qvec,
@@ -131,20 +130,20 @@ def fraction_discriminant_identity(x, t):
     """Both sides with a Fraction at every step, as the identity is written."""
     fs = t.factors
     cs = [f.c1.coords for f in fs]
-    r = sum(f.rank for f in fs)
+    r = sum(f.r for f in fs)
     c1 = [sum(c[k] for c in cs) for k in range(x.rank)]
     c2 = sum(f.c2 for f in fs) + sum(
         gram_pair(x, cs[i], cs[j]) for i in range(len(fs)) for j in range(i + 1, len(fs))
     )
     lhs = Fraction(2 * r * c2 - (r - 1) * gram_pair(x, c1, c1), r)
     rhs = sum(
-        Fraction(2 * f.rank * f.c2 - (f.rank - 1) * gram_pair(x, c, c), f.rank)
+        Fraction(2 * f.r * f.c2 - (f.r - 1) * gram_pair(x, c, c), f.r)
         for f, c in zip(fs, cs)
     )
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
-            diff = [Fraction(a, fs[i].rank) - Fraction(b, fs[j].rank) for a, b in zip(cs[i], cs[j])]
-            rhs -= Fraction(fs[i].rank * fs[j].rank, r) * gram_pair(x, diff, diff)
+            diff = [Fraction(a, fs[i].r) - Fraction(b, fs[j].r) for a, b in zip(cs[i], cs[j])]
+            rhs -= Fraction(fs[i].r * fs[j].r, r) * gram_pair(x, diff, diff)
     return tuple(int(v) if v.denominator == 1 else v for v in (lhs, rhs))
 
 
@@ -225,10 +224,10 @@ def test_hodge_step_and_gap_step(quintic):
         gaps, valid = slope_gaps(quintic, t)
         assert valid, (t, gaps)
         fs = t.factors
-        slopes = [Fraction(quintic.pair(f.c1, quintic.polarization), f.rank) for f in fs]
+        slopes = [Fraction(quintic.pair(f.c1, quintic.polarization), f.r) for f in fs]
         for i in range(len(fs)):
             for j in range(i + 1, len(fs)):
-                diff = qvec(fs[i].c1) / fs[i].rank - qvec(fs[j].c1) / fs[j].rank
+                diff = qvec(fs[i].c1) / fs[i].r - qvec(fs[j].c1) / fs[j].r
                 mu_diff = slopes[i] - slopes[j]
                 assert pair(lat, diff, diff) * l2 <= mu_diff * mu_diff
                 assert mu_diff <= (j - i) * l2
@@ -288,19 +287,6 @@ def test_iter_compositions():
         assert len(comps) == 2 ** (r - 1)
         assert len(set(comps)) == len(comps)
         assert all(sum(c) == r for c in comps)
-
-
-def test_olympic_verify():
-    rows = olympic_verify(8)
-    assert len(rows) == 8
-    assert all(row["ok"] for row in rows)
-    assert rows[3]["r"] == 4 and rows[3]["max"] == 20
-    assert rows[3]["maximizers"] == [(1, 1, 1, 1)]
-    assert rows[0]["max"] == 0
-    with pytest.raises(ValidationError):
-        olympic_verify(21)
-    with pytest.raises(ValidationError):
-        olympic_verify(0)
 
 
 def test_partitions_exact_list():
@@ -391,41 +377,50 @@ def test_rank2_fixed_components(quintic):
     report = rank2_fixed_components(quintic, 3)
     assert report.regime is Regime.GENERIC
     assert report.instanton_branch
-    assert report.components == ((3, 0), (2, 1))
     assert report.count == 2
 
     report0 = rank2_fixed_components(quintic, 0)
     assert report0.regime is Regime.BOUNDARY
-    assert report0.components == ((0, 0),)
+    assert report0.count == 1
 
     empty = rank2_fixed_components(quintic, -1)
     assert empty.regime is Regime.EMPTY
-    assert empty.components == ()
+    assert empty.count == 0
     assert not empty.instanton_branch
 
 
 def test_rank2_count_formula(quintic):
+    h = quintic.lattice.basis(0)
     for c2 in range(31):
-        report = rank2_fixed_components(quintic, c2)
-        assert report.count == c2 // 2 + 1
-        assert all(a >= b >= 0 and a + b == c2 for a, b in report.components)
-        assert list(report.components) == sorted(report.components, reverse=True)
+        assert rank2_fixed_components(quintic, c2).count == c2 // 2 + 1
+        comps = monopole_components(quintic, HiggsNumerics(2, h, c2))
+        assert all(a >= b >= 0 and a + b == c2 for a, b in comps)
+        assert comps == sorted(comps, reverse=True)
 
 
 def test_rank2_matches_monopole_enumeration(quintic):
     h = quintic.lattice.basis(0)
     for c2 in range(25):
         report = rank2_fixed_components(quintic, c2)
-        comps = monopole_components(quintic, HiggsNumerics(2, h, c2))
-        assert report.count == len(comps)
-        assert comps == list(report.components)
+        assert report.count == len(monopole_components(quintic, HiggsNumerics(2, h, c2)))
+
+
+def test_rank2_counts_without_enumerating(quintic, monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("rank2_fixed_components enumerated its components")
+
+    monkeypatch.setattr(hn_branches, "iter_partitions_at_most", refuse)
+    for c2 in range(31):
+        assert rank2_fixed_components(quintic, c2).count == c2 // 2 + 1
+    assert rank2_fixed_components(quintic, 10**6).count == 500_001
 
 
 def test_hntype_validation(quintic):
     with pytest.raises(ValidationError):
         HNType(())
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^rank must be a positive integer, got 0$"):
         HNFactor(0, quintic.lattice.basis(0), 1)
+    assert HNFactor is HiggsNumerics
     t = HNType((HNFactor(2, quintic.lattice.basis(0), 1), HNFactor(3, quintic.lattice.basis(0), 0)))
     assert t.total_rank == 5
 

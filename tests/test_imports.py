@@ -1,6 +1,7 @@
 """Lint guards written with ast alone: every name a package or test module
 imports is used, every name a package module's __all__ lists is bound in
-it, and no package module computes with floats."""
+it, no package module computes with floats, and only presets and cli
+build a SurfaceGeometry."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,23 @@ def unbound_exports(path):
 def test_package_modules_bind_every_exported_name():
     found = {p.name: unbound_exports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# the one place each surface is built: presets, and cli for surface files
+SURFACE_BUILDERS = {"cli.py", "presets.py"}
+
+
+def surface_constructions(path):
+    """Calls SurfaceGeometry(...) in a module, as "<file>:<line>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SurfaceGeometry"
+    ]
+
+
+def test_only_presets_and_cli_build_surfaces():
+    found = [use for p in sorted(PACKAGE.glob("*.py")) if p.name not in SURFACE_BUILDERS
+             for use in surface_constructions(p)]
+    assert found == []
