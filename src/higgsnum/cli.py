@@ -6,8 +6,11 @@ verify.  Every run prints a single JSON document (or a flat table with
 and gcd(p, q) = 1, or as bare integers when q = 1; identical invocations
 produce byte-identical output.
 
-The JSON document is the text of json.dumps(encode(payload), indent=2);
-the table has one line per leaf of the encoded envelope, in the
+The JSON document is the text json.dumps(..., indent=2) gives for the
+envelope with each exact leaf (a Fraction, vector, Chow or Y class)
+replaced by its encode; a payload key that is no str raises TypeError.
+_dump is the one walk from payload to text.  The table has one line per
+leaf of the same tree, a Chow or Y class split into dotted keys, in the
 one-line layout of json.dumps.  The components of `branches` are a
 Rows view over hn_branches.iter_monopole_components: tuples of r plain
 ints, streamed to stdout in checked chunks, so neither the list of
@@ -172,21 +175,16 @@ class Rows:
 
 
 def encode(value: Any) -> Any:
-    """Exact data to JSON-ready data; fractions become 'p/q' strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+    """One exact leaf, one level deep: a Fraction as an int or 'p/q', a
+    vector as its coords, a Chow or Y class as a dict of its raw fields."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
     if isinstance(value, NSVector):
-        return [encode(c) for c in value.coords]
+        return value.coords
     if isinstance(value, ChowClass):
-        return {"deg0": encode(value.deg0), "deg1": encode(value.deg1), "deg2": encode(value.deg2)}
+        return {"deg0": value.deg0, "deg1": value.deg1, "deg2": value.deg2}
     if isinstance(value, YClass):
-        return {"alpha": encode(value.alpha), "beta": encode(value.beta)}
-    if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, Rows)):
-        return [encode(v) for v in value]
+        return {"alpha": value.alpha, "beta": value.beta}
     raise TypeError(f"cannot encode {value!r}")
 
 
@@ -207,13 +205,13 @@ def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
 
 
 def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
-    """Write the text of json.dumps(encode(value), indent=2) piece by piece.
+    """Write the JSON text of value piece by piece: the module's one walk.
 
     ind is the newline and indentation of the line value starts on, or
-    None for the text of json.dumps(encode(value)).  Plain dicts with str
-    keys, lists and tuples are walked here; a list or tuple of plain ints
-    is one join; a Rows view is streamed by _dump_rows; anything else
-    goes through encode first.
+    None for the one-line layout of json.dumps.  Dicts with str keys,
+    lists and tuples are walked here; a list or tuple of plain ints is
+    one join; a Rows view is streamed by _dump_rows; str, int, bool and
+    None go through json.dumps; any other leaf is encoded and walked.
     """
     t = type(value)
     if t is list or t is tuple:
@@ -230,25 +228,25 @@ def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
             sep = comma
             _dump(item, inner, write)
         write(last + "]")
-    elif t is Rows:
-        _dump_rows(value, ind, write)
-    elif t is dict and all(type(k) is str for k in value):
+    elif t is dict:
         if not value:
             write("{}")
             return
         inner, first, comma, last = _pads(ind)
         sep = "{" + first
         for k, v in value.items():
+            if type(k) is not str:
+                raise TypeError(f"payload keys must be str, got {k!r}")
             write(sep + json.dumps(k) + ": ")
             sep = comma
             _dump(v, inner, write)
         write(last + "}")
+    elif t is Rows:
+        _dump_rows(value, ind, write)
+    elif value is None or isinstance(value, (str, int)):
+        write(json.dumps(value))
     else:
-        value = encode(value)
-        if type(value) is dict or type(value) is list:
-            _dump(value, ind, write)
-        else:
-            write(json.dumps(value))
+        _dump(encode(value), ind, write)
 
 
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
@@ -274,15 +272,8 @@ def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> N
     write(last + "]" if sep is comma else "[]")
 
 
-def to_json(value: Any) -> str:
-    """json.dumps(encode(value), indent=2), written in one pass over value."""
-    out: list[str] = []
-    _dump(value, "\n", out.append)
-    return "".join(out)
-
-
 def _echo(args: argparse.Namespace) -> dict:
-    skip = {"command", "format"}
+    skip = {"command", "format", "run"}
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
@@ -361,7 +352,7 @@ def _cmd_branches(args: argparse.Namespace) -> dict:
     w = report.witness
     comps, count = None, 0
     if w:
-        comps = Rows(h.r, functools.partial(iter_monopole_components, x, h, report))
+        comps = Rows(h.r, functools.partial(iter_monopole_components, x, h))
         count = partition_count(w.n_points, h.r)
     payload = {
         "r": h.r,
@@ -432,12 +423,14 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]) -> None:
-    """Table rows (dotted key, leaf) of value; a leaf is a Rows view or encoded."""
-    if type(value) is not Rows and not isinstance(value, dict):
+    """Table rows (dotted key, leaf) of value: a dict, or the dict of a Chow
+    or Y class, splits into dotted keys (a key that is no str raises
+    TypeError); any other value is a leaf."""
+    if isinstance(value, (ChowClass, YClass)):
         value = encode(value)
-    if isinstance(value, dict):
+    if type(value) is dict:
         for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
+            _flatten(prefix + "." + k if prefix else k, v, rows)
     else:
         rows.append((prefix, value))
 
@@ -466,60 +459,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, surface: bool = True) -> None:
-        if surface:
-            p.add_argument(
-                "--surface",
-                required=True,
-                help="preset name (p2, hypersurface:<d>) or path to a surface JSON file",
-            )
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--surface",
+            required=True,
+            help="preset name (p2, hypersurface:<d>) or path to a surface JSON file",
+        )
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("surface", help="validate and report a surface")
+    p.set_defaults(run=_cmd_surface)
     common(p)
 
     p = sub.add_parser("ybundle", help="intersection data of the compactified total space")
+    p.set_defaults(run=_cmd_ybundle)
     common(p)
     p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
 
     p = sub.add_parser("spectral", help="characteristic classes of a spectral cover")
+    p.set_defaults(run=_cmd_spectral)
     common(p)
     p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
 
     p = sub.add_parser("criterion", help="classify (r, c1, c2) by fiber regime")
+    p.set_defaults(run=_cmd_criterion)
     common(p)
     p.add_argument("-r", "--rank", type=int, required=True)
     p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
     p.add_argument("--c2", type=int, required=True)
 
     p = sub.add_parser("branches", help="enumerate fixed-locus component candidates")
+    p.set_defaults(run=_cmd_branches)
     common(p)
     p.add_argument("-r", "--rank", type=int, required=True)
     p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
     p.add_argument("--c2", type=int, required=True)
 
     p = sub.add_parser("grr", help="push a twisted line bundle character to the base")
+    p.set_defaults(run=_cmd_grr)
     common(p)
     p.add_argument("-r", "--rank", type=int, required=True)
     p.add_argument("--delta", required=True, help="comma-separated lattice coordinates")
     p.add_argument("--points", type=int, default=0, help="ideal point count (default 0)")
 
     p = sub.add_parser("verify", help="run the oracle suites")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--format", choices=("json", "table"), default="json")
 
     return parser
-
-
-_DISPATCH = {
-    "surface": _cmd_surface,
-    "ybundle": _cmd_ybundle,
-    "spectral": _cmd_spectral,
-    "criterion": _cmd_criterion,
-    "branches": _cmd_branches,
-    "grr": _cmd_grr,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -530,7 +518,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        payload = _DISPATCH[args.command](args)
+        payload = args.run(args)
     except HiggsError as exc:
         label = "" if isinstance(exc, CLIError) else "validation error: "
         sys.stderr.write(f"{label}{exc}\n")

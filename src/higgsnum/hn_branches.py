@@ -21,8 +21,8 @@ iter_monopole_components, yields each component lazily as its
 partition, zero-padded to length r, and partition_count gives their
 number without enumerating them.  monopole_components is its rows as a
 list, component_betas gives the shared classes once, and the rank-2
-inventory for c1 = c1(L), rank2_fixed_components, counts the rows with
-partition_count.  The enumeration describes components by their
+inventory for c1 = c1(L), rank2_fixed_components, counts its rows as
+n // 2 + 1.  The enumeration describes components by their
 numerical invariants; the geometric identification of each candidate is
 outside the scope of the arithmetic done here.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .ns_lattice import (
     HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm, require_int,
@@ -244,21 +244,17 @@ def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVect
     return tuple(delta - i * x.polarization for i in range(r))
 
 
-def iter_monopole_components(
-    x: SurfaceGeometry, h: HiggsNumerics, report: Optional[RegimeReport] = None
-) -> Iterator[tuple[int, ...]]:
+def iter_monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> Iterator[tuple[int, ...]]:
     """Candidate fixed-locus components for (r, c1, c2), by partition, lazily.
 
-    Requires the Boundary or Generic regime and raises RegimeError at
-    the call otherwise, before any row is asked for.  The total point
-    count is n = c2 - c2_gbun and each component is a partition of n
-    into at most r parts, padded with zeros to length r, in decreasing
-    lex order; there are partition_count(n, r) of them.  The line bundle
-    classes they share are component_betas.  report is classify(x, h),
-    computed here unless the caller already has it.
+    Classifies (x, h) itself and raises RegimeError at the call, before
+    any row is asked for, unless the regime is Boundary or Generic.  The
+    total point count is n = c2 - c2_gbun and each component is a
+    partition of n into at most r parts, padded with zeros to length r,
+    in decreasing lex order; there are partition_count(n, r) of them.
+    The line bundle classes they share are component_betas.
     """
-    if report is None:
-        report = classify(x, h)
+    report = classify(x, h)
     if report.regime not in (Regime.BOUNDARY, Regime.GENERIC):
         raise RegimeError(
             f"no components to enumerate in regime {report.regime.value}", report
@@ -292,10 +288,10 @@ def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
     c2 < 0; otherwise the components are the monopole components of
     (2, c1(L), c2), the pairs (n1, n2) with n1 >= n2 >= 0 summing to c2,
     alongside the branch of sheaves with vanishing Higgs field, which is
-    only marked here.  The components are counted, never enumerated.
+    only marked here.  The n // 2 + 1 pairs are counted, never enumerated.
     """
     check_input(x)
     report = classify(x, HiggsNumerics(2, x.polarization, c2))
     if report.witness is None:
         return Rank2Report(c2, report.regime, False, 0)
-    return Rank2Report(c2, report.regime, True, partition_count(report.witness.n_points, 2))
+    return Rank2Report(c2, report.regime, True, report.witness.n_points // 2 + 1)

@@ -410,9 +410,12 @@ def test_rank2_counts_without_enumerating(quintic, monkeypatch):
         raise AssertionError("rank2_fixed_components enumerated its components")
 
     monkeypatch.setattr(hn_branches, "iter_partitions_at_most", refuse)
-    for c2 in range(31):
-        assert rank2_fixed_components(quintic, c2).count == c2 // 2 + 1
+    for c2 in range(400):
+        count = rank2_fixed_components(quintic, c2).count
+        assert count == c2 // 2 + 1 == hn_branches.partition_count(c2, 2)
     assert rank2_fixed_components(quintic, 10**6).count == 500_001
+    # no O(c2) table either: this one would need 10^12 entries
+    assert rank2_fixed_components(quintic, 10**12).count == 5 * 10**11 + 1
 
 
 def test_hntype_validation(quintic):
@@ -484,7 +487,7 @@ def test_iter_monopole_components_is_the_enumeration(quintic):
     numerics = HiggsNumerics(3, 3 * h, 19)
     report = classify(quintic, numerics)
     assert report.witness.n_points == 9
-    rows = iter_monopole_components(quintic, numerics, report)
+    rows = iter_monopole_components(quintic, numerics)
     assert iter(rows) is rows
     listed = list(rows)
     assert listed == monopole_components(quintic, numerics)

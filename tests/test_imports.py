@@ -1,7 +1,8 @@
 """Lint guards written with ast alone: every name a package or test module
 imports is used, every name a package module's __all__ lists is bound in
-it, no package module computes with floats, and only presets and cli
-build a SurfaceGeometry."""
+it, every top-level def or class of a package module is exported or read
+by package code, no package module computes with floats, and only
+presets and cli build a SurfaceGeometry."""
 
 import ast
 from pathlib import Path
@@ -96,6 +97,35 @@ def unbound_exports(path):
 def test_package_modules_bind_every_exported_name():
     found = {p.name: unbound_exports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_definitions(paths):
+    """Top-level defs and classes that their module's __all__ does not list
+    and no module of paths reads by name or attribute, as "<file>: <name>"."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+                exported = set(ast.literal_eval(node.value))
+        found += [
+            f"{name}: {node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in exported | read
+        ]
+    return found
+
+
+def test_package_definitions_are_exported_or_read():
+    assert unread_definitions(sorted(PACKAGE.glob("*.py"))) == []
 
 
 # the one place each surface is built: presets, and cli for surface files
