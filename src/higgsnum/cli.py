@@ -81,9 +81,7 @@ SURFACE_FIELDS = {
 
 
 def _int_list(value: Any, what: str, spec: str) -> list[int]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    if type(value) is not list or not {int}.issuperset(map(type, value)):
         raise CLIError(f"parse error in {spec}: {what} must be a list of integers")
     return value
 

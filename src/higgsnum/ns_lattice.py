@@ -12,7 +12,8 @@ positive, gcd-reduced common denominator, which is 1 exactly when the
 vector is integral.  NSVector(coords) builds an integral vector and
 QNSVector(coords) one from rational coordinates.  Vector sums and the
 pairing run over the integer numerators and divide once at the end.
-The signature test is fraction-free symmetric Bareiss elimination.
+The signature test is fraction-free symmetric Bareiss elimination on
+the packed upper triangle, with one exactness check per step.
 
 Every refusal in the package is a HiggsError (a ValueError):
 LatticeError for lattice data, ValidationError for surface and sheaf
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -234,65 +236,75 @@ def qvec(v: NSVector) -> NSVector:
     return v
 
 
+_INT = frozenset((int,))
+
+
+def _pivot_first(t: list[int], m: int) -> None:
+    """Make t[0] nonzero in the packed m x m block t, in place, by e_0 -> e_0 + c*e_k.
+
+    k is the first index with a_0k != 0 (there is none when e_0 spans a
+    kernel) and c in (1, 2) makes the new a_00 = c*(2*a_0k + c*a_kk)
+    nonzero.  Row 0 gains c times row k: a_jk read down column k for
+    j < k, then the packed row k from a_kk at index kk.
+    """
+    k = 1
+    while k < m and not t[k]:
+        k += 1
+    if k == m:
+        raise LatticeError("gram matrix is degenerate (nonzero kernel)")
+    kk = k * (2 * m - k - 1) // 2 + k
+    c = 1 if 2 * t[k] + t[kk] else 2
+    t[0] = c * (2 * t[k] + c * t[kk])
+    for j in range(1, m):
+        t[j] += c * t[j * (2 * m - j - 1) // 2 + k if j < k else kk + j - k]
+
+
 def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Exact inertia (positive count, negative count) of a symmetric integer matrix.
 
-    Fraction-free symmetric Bareiss elimination with diagonal pivots,
-    swapped in symmetrically.  After step k each trailing entry a[i][j]
-    is the leading (k+1)-minor bordered by row i and column j, so every
-    division by the previous pivot is exact and the k-th pivot of the
-    rational reduction, d_k / d_(k-1), has sign sign(d_k) * sign(d_(k-1)).
-    When the remaining diagonal vanishes but some a_ij does not, the
-    basis change e_i -> e_i + e_j first makes the diagonal entry 2*a_ij;
-    the bordered minors are linear in row and column i, so adding row
-    and column j keeps them minors.  Raises LatticeError if the form is
-    degenerate or an entry is not an int (a bool is not one).
+    Fraction-free symmetric Bareiss elimination with diagonal pivots, on
+    a trailing block held as its upper triangle packed row by row.  After
+    step k each entry a_ij of the block is the leading (k+1)-minor
+    bordered by row i and column j, so every division by the previous
+    pivot is exact and the k-th pivot of the rational reduction,
+    d_k / d_(k-1), has sign sign(d_k) * sign(d_(k-1)).  With p = a_00 and
+    r = (a_01, ...), a step maps a_ij to (p*a_ij - r_i*r_j) // prev for
+    i <= j in one pass and checks the pass once, by linearity: the
+    numerators sum to p*sum(a_ij) - sum(r_i*r_j), and floor remainders
+    share the sign of prev, so they all vanish iff their sum does.  A
+    zero pivot goes to _pivot_first; the bordered minors are linear in
+    row and column 0, so e_0 -> e_0 + c*e_k keeps them minors.  Raises
+    LatticeError if the matrix is not square and symmetric, an entry is
+    not an int (a bool is not one), or the form is degenerate.
     """
-    a = [list(row) for row in gram]
-    for row in a:
-        for x in row:
-            if type(x) is not int:
-                raise LatticeError(f"gram entries must be integers, got {x!r}")
-    n = len(a)
-    pos = neg = 0
+    rows = [*map(tuple, gram)]
+    n = len(rows)
+    if rows != [*zip(*rows)]:
+        if any(len(row) != n for row in rows):
+            raise LatticeError(f"gram matrix is not square: rows of lengths {[*map(len, rows)]}")
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
+        raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
+    if not _INT.issuperset(map(type, chain(*rows))):
+        x = next(x for x in chain(*rows) if type(x) is not int)
+        raise LatticeError(f"gram entries must be integers, got {x!r}")
+    t = [x for i, row in enumerate(rows) for x in row[i:]]
+    neg = 0
     prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                None,
-            )
-            if off is None:
-                raise LatticeError("gram matrix is degenerate (nonzero kernel)")
-            i, j = off
-            ri, rj = a[i], a[j]
-            for t in range(k, n):
-                ri[t] += rj[t]
-            for t in range(k, n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[piv], a[k] = a[k], a[piv]
-            for row in a[k:]:
-                row[piv], row[k] = row[k], row[piv]
-        rk = a[k]
-        p = rk[k]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        tail = rk[k + 1:]
-        for i in range(k + 1, n):
-            ri = a[i]
-            aik = ri[k]
-            nums = [p * x - aik * y for x, y in zip(ri[k + 1:], tail)]
-            quots = [x // prev for x in nums]
-            # floor remainders share the sign of prev, so they vanish iff their sum does
-            assert sum(nums) == prev * sum(quots), "inexact Bareiss division"
-            ri[k + 1:] = quots
+    for m in range(n, 0, -1):
+        if t[0] == 0:
+            _pivot_first(t, m)
+        p = t[0]
+        neg += (p > 0) != (prev > 0)
+        if m == 1:
+            break
+        r = t[1:m]
+        old = t[m:]
+        # the products r_i*r_j over i <= j, in packed order
+        rr = [*starmap(mul, combinations_with_replacement(r, 2))]
+        t = [(p * x - y) // prev for x, y in zip(old, rr)]
+        assert p * sum(old) - sum(rr) == prev * sum(t), "inexact Bareiss division"
         prev = p
-    return pos, neg
+    return n - neg, neg
 
 
 @dataclass(frozen=True)
@@ -315,10 +327,6 @@ class NSLattice:
                 f"gram matrix must be {self.rank}x{self.rank}, got rows of lengths "
                 f"{[len(row) for row in gram]}"
             )
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "gram", gram)
         pos, neg = inertia(gram)
         if (pos, neg) != (1, self.rank - 1):

@@ -417,11 +417,15 @@ BLOWUP = json.loads((DATA / "blowup_p2.json").read_text())
     "field, value, message",
     [
         ("gram", [[1, True], [0, -1]], "gram row 0 must be a list of integers"),
+        *(("gram", [[1, 0], [0, entry]], "gram row 1 must be a list of integers")
+          for entry in (True, 1.5, None, "1", [1])),
         ("canonical", [-3, 1.0], "canonical must be a list of integers"),
         ("gram", [[1, 0]], "gram has 1 rows, expected 2"),
         ("canonical", [-3], "class vectors must have length 2"),
     ],
-    ids=["bool-gram-entry", "float-canonical", "one-gram-row", "short-canonical"],
+    ids=["bool-gram-entry", "last-row-true", "last-row-float", "last-row-null",
+         "last-row-string", "last-row-list", "float-canonical", "one-gram-row",
+         "short-canonical"],
 )
 def test_malformed_rank2_file_is_one_line_refusal(tmp_path, capsys, field, value, message):
     path = tmp_path / "surface.json"

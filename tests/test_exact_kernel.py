@@ -2,7 +2,9 @@
 
 inertia is checked against the characteristic polynomial computed by
 sympy: a real symmetric matrix has only real eigenvalues, so Descartes'
-rule of signs counts its positive and negative ones exactly.  pair is
+rule of signs counts its positive and negative ones exactly.  At the
+benchmark's ranks it is checked against Sylvester's law of inertia on
+grams built with known signs.  pair is
 checked against a plain double sum over Fraction coordinates, and the
 vector type against coordinatewise Fraction arithmetic.
 """
@@ -13,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from higgsnum import LatticeError, NSLattice, NSVector, QNSVector, inertia, pair, qvec
+from higgsnum import LatticeError, NSLattice, NSVector, QNSVector, inertia, ns_lattice, pair, qvec
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -124,6 +126,28 @@ def test_inertia_on_hyperbolic_lattices():
         assert charpoly_inertia(gram) == (1, n - 1, 0)
         assert inertia(gram) == (1, n - 1)
         assert NSLattice(n, tuple(map(tuple, gram))).rank == n
+
+
+def test_inertia_obeys_sylvester_at_benchmark_ranks(monkeypatch):
+    # Sylvester's law of inertia: U^T D U has the sign counts of D, and a
+    # hyperbolic plane adds one of each; no charpoly needed at rank 32
+    pivots = []
+    first = ns_lattice._pivot_first
+    monkeypatch.setattr(ns_lattice, "_pivot_first", lambda t, m: pivots.append(m) or first(t, m))
+    rng = random.Random(20241018)
+    for n in range(9, 33):
+        diag = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+        gram = congruent(rng, diag)
+        assert inertia(gram) == (sum(d > 0 for d in diag), sum(d < 0 for d in diag)), gram
+    mid = 0
+    for planes in range(1, 17):
+        extra = [rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(0, 8))]
+        gram = hyperbolic_sum(rng, planes, extra)
+        pivots.clear()
+        expected = (planes + sum(d > 0 for d in extra), planes + sum(d < 0 for d in extra))
+        assert inertia(gram) == expected, gram
+        mid += any(m < len(gram) for m in pivots)
+    assert mid >= 8
 
 
 def test_inertia_leaves_input_alone_and_rejects_non_integers():

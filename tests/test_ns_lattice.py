@@ -125,6 +125,43 @@ def test_lattice_validation():
         NSLattice(0, ())
 
 
+@pytest.mark.parametrize(
+    "gram, at",
+    [
+        ([[1, 2], [3, 4]], (0, 1)),
+        ([[1, 2, 0], [0, 1, 0], [0, 0, -1]], (0, 1)),
+        ([[1, 0, 0], [0, -1, 2], [0, 3, -1]], (1, 2)),
+        ([[1, 0, 5], [0, -1, 0], [4, 0, -1]], (0, 2)),
+    ],
+)
+def test_asymmetric_gram_refused_at_first_entry(gram, at):
+    # the kernel reads only the upper triangle, so asymmetry is refused before it runs
+    for build in (inertia, lambda g: NSLattice(len(g), tuple(map(tuple, g)))):
+        with pytest.raises(LatticeError) as exc:
+            build(gram)
+        assert str(exc.value) == f"gram matrix not symmetric at ({at[0]},{at[1]})"
+
+
+def test_inertia_refuses_a_non_square_matrix():
+    with pytest.raises(LatticeError, match="not square: rows of lengths \\[2, 1\\]"):
+        inertia([[1, 0], [0]])
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(1), 1.0], ids=["bool", "Fraction", "float"])
+@pytest.mark.parametrize("col", [0, 2], ids=["below-diagonal", "diagonal"])
+def test_non_integer_entry_in_last_row_is_named(bad, col):
+    # the entry is equal to its int mirror, so only its type is wrong
+    gram = [[1, 0, 1], [0, -1, 0], [1, 0, 1]]
+    gram[2][col] = bad
+    message = f"gram entries must be integers, got {bad!r}"
+    with pytest.raises(LatticeError) as exc:
+        inertia(gram)
+    assert str(exc.value) == message
+    with pytest.raises(LatticeError) as exc:
+        NSLattice(3, tuple(map(tuple, gram)))
+    assert str(exc.value) == message
+
+
 def test_signature_random_diagonal_lattices():
     # diag(d, -a_2, ..., -a_k) always has signature (1, k-1)
     rng = random.Random(303)
