@@ -133,7 +133,7 @@ def load_surface(spec: str) -> SurfaceGeometry:
     polarization = _int_list(data["polarization"], "polarization", spec)
     if len(canonical) != rank or len(polarization) != rank:
         raise CLIError(f"parse error in {spec}: class vectors must have length {rank}")
-    lattice = NSLattice(rank, tuple(tuple(row) for row in gram))
+    lattice = NSLattice(rank, gram)
     return SurfaceGeometry(
         lattice=lattice,
         canonical=NSVector(tuple(canonical)),

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .ns_lattice import NSVector, Rat, ValidationError, divide, ratio
+from .ns_lattice import NSVector, Rat, divide, ratio, require_type
 from .surface_chow import HiggsNumerics, SurfaceGeometry
 
 __all__ = [
@@ -64,11 +64,9 @@ class RegimeReport:
 
 def check_input(x: SurfaceGeometry, *numerics: HiggsNumerics) -> None:
     """Refuse an x that is not a surface, then any numerics that are not (r, c1, c2)."""
-    if not isinstance(x, SurfaceGeometry):
-        raise ValidationError(f"not a surface: {x!r}")
+    require_type(x, SurfaceGeometry, "a surface")
     for h in numerics:
-        if not isinstance(h, HiggsNumerics):
-            raise ValidationError(f"not rank, c1 and c2 data: {h!r}")
+        require_type(h, HiggsNumerics, "rank, c1 and c2 data")
 
 
 def solve_delta(x: SurfaceGeometry, h: HiggsNumerics) -> Optional[NSVector]:

@@ -34,7 +34,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .ns_lattice import (
-    HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm, require_int,
+    HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm,
+    require_int, require_type,
 )
 from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
 from .hitchin_criterion import Regime, RegimeReport, check_input, classify
@@ -85,8 +86,7 @@ class HNType:
         if not factors:
             raise ValidationError("a filtration needs at least one factor")
         for f in factors:
-            if not isinstance(f, HiggsNumerics):
-                raise ValidationError(f"not rank, c1 and c2 data: {f!r}")
+            require_type(f, HiggsNumerics, "rank, c1 and c2 data")
         object.__setattr__(self, "factors", factors)
 
     @property

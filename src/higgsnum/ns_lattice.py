@@ -19,7 +19,8 @@ Every refusal in the package is a HiggsError (a ValueError):
 LatticeError for lattice data, ValidationError for surface and sheaf
 data, and RegimeError (hn_branches) and CLIError (cli) downstream.
 require_int is the one rule for a rank, degree, count or c2: an int,
-never a bool, within the given bounds.
+never a bool, within the given bound; require_type is the one rule for
+an argument of the wrong type.
 
 Everything here is computed with integers and `fractions.Fraction`.
 There are no floating-point numbers and no tolerances anywhere in the
@@ -33,7 +34,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, TypeVar, Union
 
 __all__ = [
     "HiggsError",
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 Rat = Union[int, Fraction]
+_T = TypeVar("_T")
 
 
 class HiggsError(ValueError):
@@ -73,18 +75,27 @@ _KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer
 
 
 def require_int(
-    value: object, what: str, low: Optional[int] = None, high: Optional[int] = None,
-    error: type[HiggsError] = ValidationError,
+    value: object, what: str, low: Optional[int] = None, error: type[HiggsError] = ValidationError,
 ) -> int:
-    """value itself when it is an int, not a bool, with low <= value <= high.
+    """value itself when it is an int, not a bool, and at least low unless low is None.
 
     The one rule for ranks, degrees, counts and c2, with low None, 0 or 1;
     anything else raises error("<what> must be <kind>, got <value>").
     """
-    if type(value) is int and (low is None or value >= low) and (high is None or value <= high):
+    if type(value) is int and (low is None or value >= low):
         return value
-    kind = _KINDS[low] if high is None else f"an integer between {low} and {high}"
-    raise error(f"{what} must be {kind}, got {value!r}")
+    raise error(f"{what} must be {_KINDS[low]}, got {value!r}")
+
+
+def require_type(value: _T, cls: type, what: str, error: type[HiggsError] = ValidationError) -> _T:
+    """value itself when it is an instance of cls; else error("not <what>: <value>").
+
+    The one rule for an argument of the wrong type: a lattice, a vector, a
+    surface, a class or (rank, c1, c2) data.
+    """
+    if isinstance(value, cls):
+        return value
+    raise error(f"not {what}: {value!r}")
 
 
 def ratnorm(x: Rat) -> Rat:
@@ -231,9 +242,7 @@ QNSVector = NSVector.rational
 
 def qvec(v: NSVector) -> NSVector:
     """The vector itself, after checking that it is one."""
-    if not isinstance(v, NSVector):
-        raise LatticeError(f"not a lattice vector: {v!r}")
-    return v
+    return require_type(v, NSVector, "a lattice vector", LatticeError)
 
 
 _INT = frozenset((int,))
@@ -259,6 +268,14 @@ def _pivot_first(t: list[int], m: int) -> None:
         t[j] += c * t[j * (2 * m - j - 1) // 2 + k if j < k else kk + j - k]
 
 
+def _rows(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of gram as tuples; a gram that is not a sequence of rows raises LatticeError."""
+    try:
+        return tuple(map(tuple, gram))
+    except TypeError:
+        raise LatticeError(f"gram matrix must be a sequence of rows, got {gram!r}") from None
+
+
 def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Exact inertia (positive count, negative count) of a symmetric integer matrix.
 
@@ -274,12 +291,13 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     share the sign of prev, so they all vanish iff their sum does.  A
     zero pivot goes to _pivot_first; the bordered minors are linear in
     row and column 0, so e_0 -> e_0 + c*e_k keeps them minors.  Raises
-    LatticeError if the matrix is not square and symmetric, an entry is
-    not an int (a bool is not one), or the form is degenerate.
+    LatticeError if gram is not a sequence of rows, the matrix is not
+    square and symmetric, an entry is not an int (a bool is not one), or
+    the form is degenerate.
     """
-    rows = [*map(tuple, gram)]
+    rows = _rows(gram)
     n = len(rows)
-    if rows != [*zip(*rows)]:
+    if rows != (*zip(*rows),):
         if any(len(row) != n for row in rows):
             raise LatticeError(f"gram matrix is not square: rows of lengths {[*map(len, rows)]}")
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
@@ -321,7 +339,7 @@ class NSLattice:
 
     def __post_init__(self) -> None:
         require_int(self.rank, "rank", 1, error=LatticeError)
-        gram = tuple(tuple(row) for row in self.gram)
+        gram = _rows(self.gram)
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise LatticeError(
                 f"gram matrix must be {self.rank}x{self.rank}, got rows of lengths "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .ns_lattice import LatticeError, NSVector, Rat, ValidationError, require_int
+from .ns_lattice import LatticeError, NSVector, Rat, require_int, require_type
 from .surface_chow import ChowClass, SurfaceGeometry, chow_mul
 
 __all__ = [
@@ -51,8 +51,7 @@ class YClass:
     over: SurfaceGeometry
 
     def __post_init__(self) -> None:
-        if not isinstance(self.over, SurfaceGeometry):
-            raise ValidationError(f"not a surface: {self.over!r}")
+        require_type(self.over, SurfaceGeometry, "a surface")
         for part in (self.alpha, self.beta):
             if not isinstance(part, ChowClass) or part.rank != self.over.rank:
                 raise LatticeError("class components do not fit the base lattice")
@@ -102,8 +101,7 @@ def hyperplane_class(x: SurfaceGeometry) -> YClass:
 def y_mul(a: YClass, b: YClass) -> YClass:
     """Ring product, rewriting eta^2 as pi^* c1(L) . eta."""
     for c in (a, b):
-        if not isinstance(c, YClass):
-            raise ValidationError(f"not a class on the threefold: {c!r}")
+        require_type(c, YClass, "a class on the threefold")
     _same_base(a, b)
     x = a.over
     c_l = ChowClass.of_divisor(x.polarization)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ns_lattice import NSVector, Rat, ValidationError, ratio, ratnorm, require_int
+from .ns_lattice import NSVector, Rat, ratio, ratnorm, require_int, require_type
 from .surface_chow import (
     ChowClass,
     SurfaceGeometry,
@@ -54,8 +54,7 @@ class SpectralCover:
     r: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, SurfaceGeometry):
-            raise ValidationError(f"not a surface: {self.base!r}")
+        require_type(self.base, SurfaceGeometry, "a surface")
         require_int(self.r, "cover degree", 1)
 
     def integral(self, deg2: Rat, points: Rat = 0) -> Rat:

@@ -39,13 +39,13 @@ from .ns_lattice import (
     ratio,
     ratnorm,
     require_int,
+    require_type,
 )
 
 __all__ = [
     "ChowClass",
     "HiggsNumerics",
     "SurfaceGeometry",
-    "ValidationError",
     "chi",
     "chow_inverse",
     "chow_mul",
@@ -79,8 +79,7 @@ class SurfaceGeometry:
     k_dot_l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lattice, NSLattice):
-            raise LatticeError(f"not a lattice: {self.lattice!r}")
+        require_type(self.lattice, NSLattice, "a lattice", LatticeError)
         for v in (self.canonical, self.polarization):
             self.lattice.check_vector(qvec(v))
         if not (self.canonical.is_integral() and self.polarization.is_integral()):
@@ -235,8 +234,7 @@ def todd_surface(x: SurfaceGeometry) -> ChowClass:
 
     The degree-2 part is chi(O), an integer by the Noether check.
     """
-    if not isinstance(x, SurfaceGeometry):
-        raise ValidationError(f"not a surface: {x!r}")
+    require_type(x, SurfaceGeometry, "a surface")
     return ChowClass(1, x.canonical / -2, x.chi_structure_sheaf)
 
 

@@ -1,8 +1,9 @@
-"""The error boundary: one base class, one integer rule, one refusal line.
+"""The error boundary: one base class, one integer rule, one type rule, one refusal line.
 
 Every rank, degree, count and c2 goes through require_int, so a bool, a
 float or a Fraction is refused exactly like an out-of-range int, with
-the error type of the module that owns the input.  The CLI catches the
+the error type of the module that owns the input; an argument of the
+wrong type goes through require_type the same way.  The CLI catches the
 one base class, so any input yields an answer (exit 0) or a one-line
 refusal (exit 2), never a traceback.
 """
@@ -40,6 +41,9 @@ from higgsnum import (
     component_betas,
     divide,
     grr_pushforward,
+    inertia,
+    lincomb,
+    pair_num,
     hilbert_polynomial,
     hyperplane_class,
     ideal_twist_ch,
@@ -124,6 +128,14 @@ PROBES = [
      ValidationError),
     ("y_mul", lambda v: y_mul(v, v), (5, None, ChowClass.unit(1)), ValidationError),
     ("HNType", lambda v: HNType((v,)), (5, None, L), ValidationError),
+    ("SurfaceGeometry-rational", lambda v: SurfaceGeometry(X.lattice, v, L, 12),
+     (QNSVector((Fraction(-3, 2),)),), ValidationError),
+    ("lincomb", lambda v: lincomb(1, L, 1, v), (NSVector((1, 2)),), LatticeError),
+    ("pair_num", lambda v: pair_num(X.lattice, v, L), (5, None), LatticeError),
+    ("pair_num-second", lambda v: pair_num(X.lattice, L, v), (NSVector((1, 2)),), LatticeError),
+    # a gram whose rows are not sequences
+    ("NSLattice-gram", lambda v: NSLattice(2, v), ((1, 2), 5), LatticeError),
+    ("inertia", inertia, (5, [5]), LatticeError),
 ]
 
 

@@ -1,11 +1,20 @@
-"""Lint guards written with ast alone: every name a package or test module
-imports is used, every name a package module's __all__ lists is bound in
-it, every top-level def or class of a package module is exported or read
-by package code, no package module computes with floats, and only
-presets and cli build a SurfaceGeometry."""
+"""Lint guards, all but the last two written with ast alone: every name
+a package or test module imports is used, every name a package module's
+__all__ lists is defined in it (so each public name has one owning
+module), every top-level def or class of a package module is exported or
+read by package code, no package module computes with floats, only
+presets and cli build a SurfaceGeometry, the package namespace is the
+modules' __all__ lists, and pyproject.toml takes the version from
+higgsnum.__version__."""
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import higgsnum
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "higgsnum"
@@ -76,15 +85,16 @@ def test_package_modules_compute_without_floats():
 
 
 def unbound_exports(path):
-    """Names in __all__ that no top-level def, class, assignment or import binds."""
+    """Names in __all__ that no top-level def, class or assignment binds.
+
+    A name bound by an import is a re-export, owned by another module.
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound = set()
     exported = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = {t.id for t in targets if isinstance(t, ast.Name)}
@@ -146,3 +156,30 @@ def test_only_presets_and_cli_build_surfaces():
     found = [use for p in sorted(PACKAGE.glob("*.py")) if p.name not in SURFACE_BUILDERS
              for use in surface_constructions(p)]
     assert found == []
+
+
+# the math modules whose __all__ the package re-exports
+REEXPORTED = ("ns_lattice", "surface_chow", "proj_bundle", "spectral", "hitchin_criterion",
+              "hn_branches")
+
+
+def test_package_namespace_is_the_modules_all():
+    """higgsnum's public names other than its submodules are the re-exported
+    __all__ lists, each the owning module's object, and no name has two owners."""
+    modules = [importlib.import_module(f"higgsnum.{name}") for name in REEXPORTED]
+    exported = [name for m in modules for name in m.__all__]
+    assert len(exported) == len(set(exported))
+    public = {name for name, value in vars(higgsnum).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(exported)
+    for m in modules:
+        assert all(getattr(higgsnum, name) is getattr(m, name) for name in m.__all__)
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(TESTS.parent / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "higgsnum.__version__"}

@@ -103,6 +103,8 @@ def test_y_ring_axioms(blowup):
         assert y_mul(a, b) == y_mul(b, a)
         assert y_mul(y_mul(a, b), c) == y_mul(a, y_mul(b, c))
         assert y_mul(a, b + c) == y_mul(a, b) + y_mul(a, c)
+        assert a * b == y_mul(a, b)
+        assert -a == (-1) * a and a + -a == pullback(blowup, ChowClass.zero(2))
 
 
 def test_canonical_y(quintic):
