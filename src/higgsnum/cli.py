@@ -404,20 +404,8 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
             raise CLIError(f"parse error: HIGGS_SEED must be an integer, got {seed_text!r}") from None
     else:
         seed = DEFAULT_SEED
-    results = run_suites(names, seed)
-    return {
-        "seed": seed,
-        "suites": [
-            {
-                "name": r.name,
-                "checks": r.checks,
-                "failures": r.failures,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
+    suites = run_suites(names, seed)
+    return {"seed": seed, "suites": suites, "all_passed": all(s["passed"] for s in suites)}
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]) -> None:

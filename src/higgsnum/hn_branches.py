@@ -260,9 +260,10 @@ def iter_monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> Iterator[t
             f"no components to enumerate in regime {report.regime.value}", report
         )
     assert report.witness is not None
-    r = h.r
-    pads = [(0,) * (r - i) for i in range(r + 1)]
-    parts = iter_partitions_at_most(report.witness.n_points, r)
+    r, n = h.r, report.witness.n_points
+    # a partition of n has at most min(n, r) parts
+    pads = [(0,) * (r - i) for i in range(min(n, r) + 1)]
+    parts = iter_partitions_at_most(n, r)
     return (part + pads[len(part)] for part in parts)
 
 

@@ -305,10 +305,8 @@ def test_verify_single_suite(capsys):
 
 def test_failing_suite_exits_one_with_the_whole_envelope(capsys, monkeypatch):
     def failing(rng):
-        res = verify.SuiteResult("olympic")
-        res.check(True, "kept")
-        res.check(False, "forced failure")
-        return res
+        yield True, "kept"
+        yield False, "forced failure"
 
     monkeypatch.setitem(verify._SUITES, "olympic", failing)
     monkeypatch.delenv("HIGGS_SEED", raising=False)
@@ -321,7 +319,14 @@ def test_failing_suite_exits_one_with_the_whole_envelope(capsys, monkeypatch):
         "payload": {
             "seed": 1729,
             "suites": [
-                {"name": "olympic", "checks": 2, "failures": ["forced failure"], "passed": False}
+                {
+                    "name": "olympic",
+                    "checks": 2,
+                    "failures": [
+                        "forced failure; reproduce: HIGGS_SEED=1729 higgsnum verify --suite olympic"
+                    ],
+                    "passed": False,
+                }
             ],
             "all_passed": False,
         },
@@ -329,6 +334,28 @@ def test_failing_suite_exits_one_with_the_whole_envelope(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "--suite", "olympic", "--format", "table")
     assert (rc, err) == (1, "")
     assert "payload.all_passed  false\n" in out
+
+
+def test_failure_detail_reproduces_with_its_command(capsys, monkeypatch):
+    """The printed command redraws the failing suite's inputs: same detail."""
+    def failing(rng):
+        yield True, "kept"
+        yield False, f"drew {rng.getrandbits(64)}"
+
+    monkeypatch.setitem(verify._SUITES, "hodge", failing)
+    monkeypatch.setenv("HIGGS_SEED", "-31")
+    rc, out, err = run(capsys, "verify")
+    assert (rc, err) == (1, "")
+    rows = json.loads(out)["payload"]["suites"]
+    assert [s["name"] for s in rows if not s["passed"]] == ["hodge"]
+    (detail,) = rows[-1]["failures"]
+    command = detail.rpartition("; reproduce: ")[2]
+    env, prog, *argv = command.split()
+    assert (env, prog, argv) == ("HIGGS_SEED=-31", "higgsnum", ["verify", "--suite", "hodge"])
+    monkeypatch.setenv(*env.split("="))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["payload"]["suites"][0]["failures"] == [detail]
 
 
 def test_verify_seed_override(capsys, monkeypatch):
@@ -339,6 +366,15 @@ def test_verify_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("HIGGS_SEED", "not-a-number")
     rc, out, err = run(capsys, "verify", "--suite", "partition")
     assert rc == 2
+
+
+def test_every_suite_passes_at_other_seeds():
+    """The suites hold on any stream, with the check counts of the default seed."""
+    counts = {row["name"]: row["checks"] for row in verify.run_suites(verify.SUITE_NAMES, 1729)}
+    for seed in (0, 131, -7, 2**70):
+        rows = verify.run_suites(verify.SUITE_NAMES, seed)
+        assert [row["failures"] for row in rows] == [[]] * len(rows)
+        assert {row["name"]: row["checks"] for row in rows} == counts
 
 
 def test_verify_deterministic(capsys):

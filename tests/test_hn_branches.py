@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -492,3 +493,19 @@ def test_iter_monopole_components_is_the_enumeration(quintic):
     listed = list(rows)
     assert listed == monopole_components(quintic, numerics)
     assert len(listed) == hn_branches.partition_count(9, 3) == 12
+
+
+def test_monopole_pads_are_no_larger_than_the_partitions():
+    """At n = 0 the one row is r zeros: no O(r^2) table of pads before it."""
+    x = presets.p2()
+    r = 5000
+    c1 = -(r * (r - 1) // 2) * x.polarization
+    numerics = HiggsNumerics(r, c1, c2_gbun(x, HiggsNumerics(r, c1, 0))[0])
+    tracemalloc.start()
+    try:
+        rows = list(iter_monopole_components(x, numerics))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [(0,) * r]
+    assert peak < 2**20

@@ -50,22 +50,14 @@ def test_test_modules_have_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-# verify's coin picks inputs and does no arithmetic on them
-FLOAT_ALLOWED = {("verify.py", "rng.random() < 0.5")}
-
-
 def float_uses(path):
     """Float and complex literals, the name float, and math imports other
     than gcd and lcm, each as "<file>:<line>: <source>"."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    allowed = {
-        id(c) for node in ast.walk(tree) if isinstance(node, ast.Compare)
-        and (path.name, ast.unparse(node)) in FLOAT_ALLOWED for c in node.comparators
-    }
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant):
-            bad = type(node.value) in (float, complex) and id(node) not in allowed
+            bad = type(node.value) in (float, complex)
         elif isinstance(node, ast.Name):
             bad = node.id == "float"
         elif isinstance(node, ast.Import):
