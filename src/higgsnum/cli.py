@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Any, Callable, Iterator, Optional
 
-from .ns_lattice import HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio
+from .ns_lattice import Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chi
 from .proj_bundle import (
     YClass,
@@ -156,17 +156,13 @@ def _parse_vector(text: str, x: SurfaceGeometry, what: str) -> NSVector:
     return NSVector(coords)
 
 
-class Rows:
+class Rows(Frozen):
     """A lazy, re-iterable view of rows: tuples of `width` >= 1 plain ints.
 
     Each iteration calls make() for a fresh iterator of the rows.
     """
 
     __slots__ = ("width", "make")
-
-    def __init__(self, width: int, make: Callable[[], Iterator[tuple[int, ...]]]):
-        self.width = width
-        self.make = make
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return self.make()

@@ -21,10 +21,9 @@ of c2 against the threshold once delta exists.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
-from .ns_lattice import NSVector, Rat, divide, ratio, require_type
+from .ns_lattice import Frozen, NSVector, Rat, divide, ratio, require_type
 from .surface_chow import HiggsNumerics, SurfaceGeometry
 
 __all__ = [
@@ -47,19 +46,16 @@ class Regime(str, enum.Enum):
     GENERIC = "Generic"
 
 
-@dataclass(frozen=True)
-class FiberWitness:
-    """Spectral data of a fiber point: a line bundle class and a point count."""
+class FiberWitness(Frozen):
+    """Spectral data of a fiber point: a line bundle class delta and a point count."""
 
-    delta: NSVector
-    n_points: int
+    __slots__ = ("delta", "n_points")
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    regime: Regime
-    c2gbun: Rat
-    witness: Optional[FiberWitness]
+class RegimeReport(Frozen):
+    """The regime, the threshold c2gbun and, for Boundary and Generic, a witness."""
+
+    __slots__ = ("regime", "c2gbun", "witness")
 
 
 def check_input(x: SurfaceGeometry, *numerics: HiggsNumerics) -> None:

@@ -21,20 +21,19 @@ iter_monopole_components, yields each component lazily as its
 partition, zero-padded to length r, and partition_count gives their
 number without enumerating them.  monopole_components is its rows as a
 list, component_betas gives the shared classes once, and the rank-2
-inventory for c1 = c1(L), rank2_fixed_components, counts its rows as
-n // 2 + 1.  The enumeration describes components by their
+inventory for c1 = c1(L), rank2_fixed_components, counts its rows with
+partition_count.  The enumeration describes components by their
 numerical invariants; the geometric identification of each candidate is
 outside the scope of the arithmetic done here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .ns_lattice import (
-    HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm,
+    Frozen, HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm,
     require_int, require_type,
 )
 from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
@@ -70,8 +69,7 @@ class RegimeError(HiggsError):
 HNFactor = HiggsNumerics
 
 
-@dataclass(frozen=True)
-class HNType:
+class HNType(Frozen):
     """Ordered sequence of graded-piece invariants of a filtration.
 
     Slope ordering is a property of the pair (type, surface) and is
@@ -79,15 +77,15 @@ class HNType:
     identity below holds for arbitrary orderings.
     """
 
-    factors: tuple[HNFactor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        factors = tuple(self.factors)
+    def __init__(self, factors: Sequence[HNFactor]) -> None:
+        factors = tuple(factors)
         if not factors:
             raise ValidationError("a filtration needs at least one factor")
         for f in factors:
             require_type(f, HiggsNumerics, "rank, c1 and c2 data")
-        object.__setattr__(self, "factors", factors)
+        Frozen.__init__(self, factors)
 
     @property
     def total_rank(self) -> int:
@@ -221,12 +219,15 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def partition_count(n: int, k: int) -> int:
-    """Partitions of n into at most k parts, from an O(n k) table.
+    """Partitions of n into at most k parts: int(n == 0), 1 and n // 2 + 1 for
+    k = 0, 1 and 2, else from an O(n k) table.
 
     After pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j).
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
+    if k <= 2:
+        return (int(n == 0), 1, n // 2 + 1)[k]
     table = [1] + [0] * n
     for j in range(1, min(k, n) + 1):
         for m in range(j, n + 1):
@@ -272,14 +273,10 @@ def monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> list[tuple[int,
     return list(iter_monopole_components(x, h))
 
 
-@dataclass(frozen=True)
-class Rank2Report:
+class Rank2Report(Frozen):
     """Fixed-locus inventory for rank 2 with c1 the polarization class."""
 
-    c2: int
-    regime: Regime
-    instanton_branch: bool
-    count: int
+    __slots__ = ("c2", "regime", "instanton_branch", "count")
 
 
 def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
@@ -289,10 +286,10 @@ def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
     c2 < 0; otherwise the components are the monopole components of
     (2, c1(L), c2), the pairs (n1, n2) with n1 >= n2 >= 0 summing to c2,
     alongside the branch of sheaves with vanishing Higgs field, which is
-    only marked here.  The n // 2 + 1 pairs are counted, never enumerated.
+    only marked here.  partition_count counts the pairs, never enumerating them.
     """
     check_input(x)
     report = classify(x, HiggsNumerics(2, x.polarization, c2))
     if report.witness is None:
         return Rank2Report(c2, report.regime, False, 0)
-    return Rank2Report(c2, report.regime, True, report.witness.n_points // 2 + 1)
+    return Rank2Report(c2, report.regime, True, partition_count(report.witness.n_points, 2))

@@ -29,11 +29,10 @@ package; equality always means exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, TypeVar, Union
 
 __all__ = [
@@ -114,8 +113,52 @@ def ratio(n: int, d: int) -> Rat:
     return Fraction(n, d)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class NSVector:
+_new = object.__new__
+_set = object.__setattr__
+
+
+class Frozen:
+    """An immutable value whose fields are its __slots__, in order.
+
+    Equal to a value of its own type with equal fields and hashed by them;
+    repr is Name(field=value, ...).  Assigning or deleting a field raises
+    AttributeError; copy and pickle refill the slots through __setstate__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields: object) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, fields):
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class NSVector(Frozen):
     """Rational coordinate vector num/den in a fixed basis of the lattice.
 
     num is a tuple of integers and den a positive integer with
@@ -124,16 +167,15 @@ class NSVector:
     coordinates and QNSVector(coords) int or Fraction ones, never bools.
     """
 
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("num", "den")
 
     def __init__(self, coords: Iterable[int]) -> None:
         num = tuple(coords)
         for c in num:
             if type(c) is not int:
                 raise LatticeError(f"integer coordinates required, got {c!r}")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", 1)
+        _set(self, "num", num)
+        _set(self, "den", 1)
 
     @classmethod
     def rational(cls, coords: Iterable[Rat]) -> "NSVector":
@@ -199,10 +241,6 @@ class NSVector:
     def to_integral(self) -> Optional["NSVector"]:
         """The vector itself when integral, or None if any coordinate is fractional."""
         return self if self.den == 1 else None
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _vec(num: tuple[int, ...], den: int) -> NSVector:
@@ -325,8 +363,7 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     return n - neg, neg
 
 
-@dataclass(frozen=True)
-class NSLattice:
+class NSLattice(Frozen):
     """Free lattice with an integral intersection form of signature (1, rank-1).
 
     The gram matrix is the intersection pairing in a fixed basis.  It is
@@ -334,23 +371,18 @@ class NSLattice:
     integer entries, nondegenerate and of hyperbolic-type signature.
     """
 
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("rank", "gram")
 
-    def __post_init__(self) -> None:
-        require_int(self.rank, "rank", 1, error=LatticeError)
-        gram = _rows(self.gram)
-        if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
-            raise LatticeError(
-                f"gram matrix must be {self.rank}x{self.rank}, got rows of lengths "
-                f"{[len(row) for row in gram]}"
-            )
-        object.__setattr__(self, "gram", gram)
+    def __init__(self, rank: int, gram: Sequence[Sequence[int]]) -> None:
+        require_int(rank, "rank", 1, error=LatticeError)
+        gram = _rows(gram)
+        if len(gram) != rank or any(len(row) != rank for row in gram):
+            raise LatticeError(f"gram matrix must be {rank}x{rank}, got rows of lengths "
+                               f"{[len(row) for row in gram]}")
         pos, neg = inertia(gram)
-        if (pos, neg) != (1, self.rank - 1):
-            raise LatticeError(
-                f"signature must be (1, {self.rank - 1}), got ({pos}, {neg})"
-            )
+        if (pos, neg) != (1, rank - 1):
+            raise LatticeError(f"signature must be (1, {rank - 1}), got ({pos}, {neg})")
+        Frozen.__init__(self, rank, gram)
 
     def check_vector(self, v: NSVector) -> None:
         if len(v) != self.rank:

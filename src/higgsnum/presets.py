@@ -9,7 +9,10 @@ lattice.  For the hypersurface of degree d the numerical data is
 
 so d = 1 recovers the plane, d = 4 a K3 and d = 5 a quintic of general
 type.  The Noether check in SurfaceGeometry reconfirms chi(O) = 1, 2, 5
-for d = 1, 4, 5.
+for d = 1, 4, 5.  The rank-1 lattice Z.H is the whole Neron-Severi
+lattice only for d = 1 and, by Noether-Lefschetz, for a very general
+surface of degree d >= 4; the quadric (d = 2) and the cubic (d = 3)
+have Picard rank 2 and 7.
 """
 
 from __future__ import annotations

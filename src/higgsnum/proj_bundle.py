@@ -22,11 +22,10 @@ cut by eta is a point of Y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .ns_lattice import LatticeError, NSVector, Rat, require_int, require_type
+from .ns_lattice import Frozen, LatticeError, NSVector, Rat, require_int, require_type
 from .surface_chow import ChowClass, SurfaceGeometry, chow_mul
 
 __all__ = [
@@ -42,19 +41,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class YClass:
+class YClass(Frozen):
     """Class pi^* alpha + pi^* beta . eta on the threefold over a surface."""
 
-    alpha: ChowClass
-    beta: ChowClass
-    over: SurfaceGeometry
+    __slots__ = ("alpha", "beta", "over")
 
-    def __post_init__(self) -> None:
-        require_type(self.over, SurfaceGeometry, "a surface")
-        for part in (self.alpha, self.beta):
-            if not isinstance(part, ChowClass) or part.rank != self.over.rank:
+    def __init__(self, alpha: ChowClass, beta: ChowClass, over: SurfaceGeometry) -> None:
+        require_type(over, SurfaceGeometry, "a surface")
+        for part in (alpha, beta):
+            if not isinstance(part, ChowClass) or part.rank != over.rank:
                 raise LatticeError("class components do not fit the base lattice")
+        Frozen.__init__(self, alpha, beta, over)
 
     def __add__(self, other: "YClass") -> "YClass":
         if not isinstance(other, YClass):

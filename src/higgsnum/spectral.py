@@ -1,11 +1,14 @@
 """Characteristic classes of spectral covers and transport to the base.
 
 A degree-r spectral surface X_s inside P(L^dual + O) is cut out by a
-characteristic polynomial with coefficients in powers of L.  By the
-Noether-Lefschetz theorem for spectral surfaces, the Picard group of a
-very general X_s is pulled back from the base, so every class on X_s is
-a pullback pi^*c plus a 0-cycle m.pt, and one rule gives every number
-on the cover: the integral of pi^*c + m.pt over X_s is r c.deg2 + m.
+characteristic polynomial with coefficients in powers of L.  This module
+assumes that Pic(X_s) is pulled back from the base, as the
+Noether-Lefschetz theorem for spectral surfaces gives for a very general
+X_s under its hypotheses.  The assumption can fail: over P^2 with
+L = O(1) and r = 2 the smooth cover is a quadric surface, of Picard rank
+2 against rank 1 for P^2.  Under it every class on X_s is a pullback
+pi^*c plus a 0-cycle m.pt, and one rule gives every number on the
+cover: the integral of pi^*c + m.pt over X_s is r c.deg2 + m.
 With it the canonical class, the Todd class, the Chern character of the
 cotangent bundle and the whole Grothendieck-Riemann-Roch transport of a
 line bundle twisted by an ideal of points are computed on the base,
@@ -15,9 +18,7 @@ random inputs is the working check of the bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ns_lattice import NSVector, Rat, ratio, ratnorm, require_int, require_type
+from .ns_lattice import Frozen, NSVector, Rat, ratio, ratnorm, require_int, require_type
 from .surface_chow import (
     ChowClass,
     SurfaceGeometry,
@@ -42,20 +43,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralCover:
+class SpectralCover(Frozen):
     """A degree-r spectral surface X_s over a fixed base geometry.
 
-    Every class on X_s is pi^*c + m.pt (Noether-Lefschetz), so integral
-    and pushforward are the one place where the degree r is a factor.
+    Every class on X_s is taken to be pi^*c + m.pt.  That is an
+    assumption, not a theorem for every cover: over P^2 with r = 2 the
+    smooth cover is a quadric of Picard rank 2, while P^2 has rank 1.
+    Under it, integral and pushforward are the one place where the degree
+    r is a factor.
     """
 
-    base: SurfaceGeometry
-    r: int
+    __slots__ = ("base", "r")
 
-    def __post_init__(self) -> None:
-        require_type(self.base, SurfaceGeometry, "a surface")
-        require_int(self.r, "cover degree", 1)
+    def __init__(self, base: SurfaceGeometry, r: int) -> None:
+        Frozen.__init__(self, require_type(base, SurfaceGeometry, "a surface"),
+                        require_int(r, "cover degree", 1))
 
     def integral(self, deg2: Rat, points: Rat = 0) -> Rat:
         """Degree of pi^*(deg2 . pt) + points . pt on X_s: r deg2 + points."""

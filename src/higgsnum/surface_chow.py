@@ -22,11 +22,11 @@ every D), so chi(O) and chi of every line bundle are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
 from .ns_lattice import (
+    Frozen,
     LatticeError,
     NSLattice,
     NSVector,
@@ -40,6 +40,7 @@ from .ns_lattice import (
     ratnorm,
     require_int,
     require_type,
+    _set,
 )
 
 __all__ = [
@@ -58,56 +59,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceGeometry:
+class SurfaceGeometry(Frozen):
     """Numerical data of a smooth projective polarized surface.
 
     canonical and polarization are integral classes in the lattice;
     c2_top is the topological Euler number.  The polarization must have
     positive self-intersection, (K^2 + c2_top) must be divisible by 12,
     and K must be characteristic.  The intersection numbers K^2, L^2 and
-    K.L are computed once, on construction.
+    K.L are computed once, on construction, and are the last three fields.
     """
 
-    lattice: NSLattice
-    canonical: NSVector
-    polarization: NSVector
-    c2_top: int
-    name: str = ""
-    k_squared: int = field(init=False, repr=False, compare=False)
-    l_squared: int = field(init=False, repr=False, compare=False)
-    k_dot_l: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("lattice", "canonical", "polarization", "c2_top", "name",
+                 "k_squared", "l_squared", "k_dot_l")
 
-    def __post_init__(self) -> None:
-        require_type(self.lattice, NSLattice, "a lattice", LatticeError)
-        for v in (self.canonical, self.polarization):
-            self.lattice.check_vector(qvec(v))
-        if not (self.canonical.is_integral() and self.polarization.is_integral()):
+    def __init__(self, lattice: NSLattice, canonical: NSVector, polarization: NSVector,
+                 c2_top: int, name: str = "") -> None:
+        require_type(lattice, NSLattice, "a lattice", LatticeError)
+        for v in (canonical, polarization):
+            lattice.check_vector(qvec(v))
+        if not (canonical.is_integral() and polarization.is_integral()):
             raise ValidationError("canonical and polarization must be integral classes")
-        require_int(self.c2_top, "c2_top")
-        l2 = pair(self.lattice, self.polarization, self.polarization)
+        require_int(c2_top, "c2_top")
+        l2 = pair(lattice, polarization, polarization)
         if l2 <= 0:
+            raise ValidationError(f"polarization must have positive self-intersection, got {l2}")
+        k2 = pair(lattice, canonical, canonical)
+        if (k2 + c2_top) % 12 != 0:
             raise ValidationError(
-                f"polarization must have positive self-intersection, got {l2}"
-            )
-        k2 = pair(self.lattice, self.canonical, self.canonical)
-        if (k2 + self.c2_top) % 12 != 0:
-            raise ValidationError(
-                f"Noether integrality fails: K^2 + c2 = {k2 + self.c2_top} "
-                "is not divisible by 12"
+                f"Noether integrality fails: K^2 + c2 = {k2 + c2_top} is not divisible by 12"
             )
         # Wu: e_i^2 = K.e_i (mod 2) on the basis; D^2 + K.D is additive mod 2
-        k = self.canonical.num
+        k = canonical.num
         odd = [j for j, kj in enumerate(k) if kj & 1]
-        for i, row in enumerate(self.lattice.gram):
+        for i, row in enumerate(lattice.gram):
             if (row[i] - sum([row[j] for j in odd])) & 1:
                 raise ValidationError(
                     f"canonical class is not characteristic: K.e_{i} = {sum(map(mul, row, k))}"
                     f" and e_{i}^2 = {row[i]} differ mod 2"
                 )
-        object.__setattr__(self, "k_squared", k2)
-        object.__setattr__(self, "l_squared", l2)
-        object.__setattr__(self, "k_dot_l", pair(self.lattice, self.canonical, self.polarization))
+        Frozen.__init__(self, lattice, canonical, polarization, c2_top, name,
+                        k2, l2, pair(lattice, canonical, polarization))
 
     @property
     def rank(self) -> int:
@@ -121,8 +112,7 @@ class SurfaceGeometry:
         return pair(self.lattice, v, w)
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Frozen):
     """Element of the truncated intersection ring of a surface.
 
     deg0 and deg2 are exact rationals, deg1 a rational divisor class.
@@ -130,14 +120,12 @@ class ChowClass:
     product needs the pairing and lives in chow_mul.
     """
 
-    deg0: Rat
-    deg1: NSVector
-    deg2: Rat
+    __slots__ = ("deg0", "deg1", "deg2")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deg0", ratnorm(self.deg0))
-        qvec(self.deg1)  # rejects anything but a vector
-        object.__setattr__(self, "deg2", ratnorm(self.deg2))
+    def __init__(self, deg0: Rat, deg1: NSVector, deg2: Rat) -> None:
+        _set(self, "deg0", ratnorm(deg0))
+        _set(self, "deg1", qvec(deg1))
+        _set(self, "deg2", ratnorm(deg2))
 
     @classmethod
     def zero(cls, rank: int) -> "ChowClass":
@@ -271,19 +259,17 @@ def ideal_twist_ch(x: SurfaceGeometry, m: NSVector, n_points: int) -> ChowClass:
     return ChowClass(c.deg0, c.deg1, c.deg2 - n_points)
 
 
-@dataclass(frozen=True)
-class HiggsNumerics:
+class HiggsNumerics(Frozen):
     """Rank, first and second Chern class of a torsion-free sheaf."""
 
-    r: int
-    c1: NSVector
-    c2: int
+    __slots__ = ("r", "c1", "c2")
 
-    def __post_init__(self) -> None:
-        require_int(self.r, "rank", 1)
-        require_int(self.c2, "c2")
-        if not qvec(self.c1).is_integral():
-            raise ValidationError(f"c1 must be an integral class, got {self.c1!r}")
+    def __init__(self, r: int, c1: NSVector, c2: int) -> None:
+        _set(self, "r", require_int(r, "rank", 1))
+        _set(self, "c2", require_int(c2, "c2"))
+        if not qvec(c1).is_integral():
+            raise ValidationError(f"c1 must be an integral class, got {c1!r}")
+        _set(self, "c1", c1)
 
 
 def discriminant(h: HiggsNumerics, x: SurfaceGeometry) -> int:

@@ -458,6 +458,25 @@ def test_partition_count_table():
     assert hn_branches.partition_count(5, 40) == 7
 
 
+def test_partition_count_closed_form_below_three_parts():
+    """k = 0, 1, 2 are answered without an O(n) table, and agree with it."""
+    tracemalloc.start()
+    try:
+        counts = [hn_branches.partition_count(10**7, k) for k in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [0, 1, 5_000_001]
+    assert peak < 2**20
+    table = [1] + [0] * 60
+    assert [hn_branches.partition_count(n, 0) for n in range(61)] == table
+    for k in (1, 2):
+        # pass k leaves p(m, k) in entry m
+        for m in range(k, 61):
+            table[m] += table[m - k]
+        assert [hn_branches.partition_count(n, k) for n in range(61)] == table
+
+
 def test_monopole_rows_are_padded_partitions(quintic):
     h = quintic.lattice.basis(0)
     n = 12

@@ -1,13 +1,16 @@
-"""Lint guards, all but the last two written with ast alone: every name
+"""Lint guards, all but the last three written with ast alone: every name
 a package or test module imports is used, every name a package module's
 __all__ lists is defined in it (so each public name has one owning
 module), every top-level def or class of a package module is exported or
 read by package code, no package module computes with floats, only
-presets and cli build a SurfaceGeometry, the package namespace is the
-modules' __all__ lists, and pyproject.toml takes the version from
+presets and cli build a SurfaceGeometry, no package module imports
+dataclasses or calls object.__setattr__, the package namespace is the
+modules' __all__ lists, every public class other than an exception or
+an enum is a Frozen value, and pyproject.toml takes the version from
 higgsnum.__version__."""
 
 import ast
+import enum
 import importlib
 from pathlib import Path
 from types import ModuleType
@@ -15,6 +18,7 @@ from types import ModuleType
 import pytest
 
 import higgsnum
+from higgsnum.ns_lattice import Frozen
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "higgsnum"
@@ -150,6 +154,29 @@ def test_only_presets_and_cli_build_surfaces():
     assert found == []
 
 
+def frozen_workarounds(path):
+    """Imports of dataclasses and calls of object.__setattr__, as "<file>:<line>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad = any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.module == "dataclasses"
+        elif isinstance(node, ast.Call):
+            bad = ast.unparse(node.func) == "object.__setattr__"
+        else:
+            bad = False
+        if bad:
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_package_modules_have_one_frozen_value_type():
+    found = [use for p in sorted(PACKAGE.glob("*.py")) for use in frozen_workarounds(p)]
+    assert found == []
+
+
 # the math modules whose __all__ the package re-exports
 REEXPORTED = ("ns_lattice", "surface_chow", "proj_bundle", "spectral", "hitchin_criterion",
               "hn_branches")
@@ -166,6 +193,18 @@ def test_package_namespace_is_the_modules_all():
     assert public == set(exported)
     for m in modules:
         assert all(getattr(higgsnum, name) is getattr(m, name) for name in m.__all__)
+
+
+def test_public_classes_are_frozen_values():
+    """Each class a package module's __all__ lists is an exception, an enum or a Frozen."""
+    modules = [importlib.import_module(f"higgsnum.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))
+               if p.stem not in ("__init__", "__main__")]
+    public = {f"{m.__name__}.{name}": getattr(m, name) for m in modules for name in m.__all__}
+    classes = {name: cls for name, cls in public.items() if isinstance(cls, type)}
+    assert len(classes) > 12
+    found = [name for name, cls in classes.items()
+             if not issubclass(cls, (BaseException, enum.Enum, Frozen))]
+    assert found == []
 
 
 def test_pyproject_takes_the_version_from_the_package():

@@ -1,19 +1,33 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from higgsnum import (
+    ChowClass,
+    FiberWitness,
+    HiggsNumerics,
+    HNType,
     LatticeError,
     NSLattice,
     NSVector,
     QNSVector,
+    Rank2Report,
+    Regime,
+    RegimeReport,
+    SpectralCover,
     divide,
+    hyperplane_class,
     inertia,
     pair,
+    presets,
     qvec,
     ratnorm,
 )
+from higgsnum.cli import Rows
+from higgsnum.ns_lattice import Frozen
 
 
 def rand_vec(rng, rank, lo=-50, hi=50):
@@ -230,3 +244,54 @@ def test_ratnorm():
     assert isinstance(ratnorm(Fraction(6, 2)), int)
     assert ratnorm(Fraction(1, 2)) == Fraction(1, 2)
     assert ratnorm(7) == 7
+
+
+# The reprs are the text the dataclasses printed, with two differences: a
+# surface also shows its last three fields, K^2, L^2 and K.L, and Rows, which
+# had the default object repr, shows its fields.
+P2 = ("SurfaceGeometry(lattice=NSLattice(rank=1, gram=((1,),)), canonical=NSVector(num=(-3,), "
+      "den=1), polarization=NSVector(num=(1,), den=1), c2_top=3, name='p2', k_squared=9, "
+      "l_squared=1, k_dot_l=-3)")
+H = "HiggsNumerics(r=2, c1=NSVector(num=(1,), den=1), c2=3)"
+W = "FiberWitness(delta=NSVector(num=(1,), den=1), n_points=2)"
+VALUES = [
+    (lambda: QNSVector((Fraction(1, 2), 3)), "NSVector(num=(1, 6), den=2)"),
+    (lambda: NSLattice(2, ((1, 0), (0, -1))), "NSLattice(rank=2, gram=((1, 0), (0, -1)))"),
+    (presets.p2, P2),
+    (lambda: ChowClass(1, NSVector((1,)), Fraction(1, 2)),
+     "ChowClass(deg0=1, deg1=NSVector(num=(1,), den=1), deg2=Fraction(1, 2))"),
+    (lambda: hyperplane_class(presets.p2()),
+     "YClass(alpha=ChowClass(deg0=0, deg1=NSVector(num=(0,), den=1), deg2=0), "
+     f"beta=ChowClass(deg0=1, deg1=NSVector(num=(0,), den=1), deg2=0), over={P2})"),
+    (lambda: SpectralCover(presets.p2(), 2), f"SpectralCover(base={P2}, r=2)"),
+    (lambda: HiggsNumerics(2, NSVector((1,)), 3), H),
+    (lambda: HNType((HiggsNumerics(2, NSVector((1,)), 3), HiggsNumerics(1, NSVector((0,)), 0))),
+     f"HNType(factors=({H}, HiggsNumerics(r=1, c1=NSVector(num=(0,), den=1), c2=0)))"),
+    (lambda: FiberWitness(NSVector((1,)), 2), W),
+    (lambda: RegimeReport(Regime.GENERIC, 1, FiberWitness(NSVector((1,)), 2)),
+     f"RegimeReport(regime=<Regime.GENERIC: 'Generic'>, c2gbun=1, witness={W})"),
+    (lambda: Rank2Report(3, Regime.GENERIC, True, 2),
+     "Rank2Report(c2=3, regime=<Regime.GENERIC: 'Generic'>, instanton_branch=True, count=2)"),
+    (lambda: Rows(2, zip), "Rows(width=2, make=<class 'zip'>)"),
+]
+
+
+@pytest.mark.parametrize("make, text", VALUES, ids=[text.split("(")[0] for _, text in VALUES])
+def test_frozen_value_contract(make, text):
+    """Every value type: equality and hash by type and fields, no writes, no
+    __dict__, copies and pickles that compare equal, and a fixed repr."""
+    v, w = make(), make()
+    assert isinstance(v, Frozen) and v is not w
+    assert v == w and hash(v) == hash(w)
+    names = type(v).__slots__
+    fields = [getattr(v, name) for name in names]
+    other = type("Other", (Frozen,), {"__slots__": names})(*fields)
+    assert v != other and other != v
+    with pytest.raises(AttributeError):
+        setattr(v, names[0], fields[0])
+    with pytest.raises(AttributeError):
+        delattr(v, names[0])
+    assert not hasattr(v, "__dict__")
+    for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(c) is type(v) and c == v
+    assert repr(v) == text

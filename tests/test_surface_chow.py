@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -101,7 +100,8 @@ def test_preset_data():
     assert x.l_squared == 5
     assert x.c2_top == 55
     assert presets.p2().canonical == NSVector((-3,))
-    assert presets.p2() == replace(presets.hypersurface(1), name="p2")
+    h1 = presets.hypersurface(1)
+    assert presets.p2() == SurfaceGeometry(h1.lattice, h1.canonical, h1.polarization, h1.c2_top, "p2")
     with pytest.raises(ValueError):
         presets.hypersurface(0)
 
