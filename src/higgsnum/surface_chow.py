@@ -40,7 +40,6 @@ from .ns_lattice import (
     ratnorm,
     require_int,
     require_type,
-    _set,
 )
 
 __all__ = [
@@ -123,9 +122,7 @@ class ChowClass(Frozen):
     __slots__ = ("deg0", "deg1", "deg2")
 
     def __init__(self, deg0: Rat, deg1: NSVector, deg2: Rat) -> None:
-        _set(self, "deg0", ratnorm(deg0))
-        _set(self, "deg1", qvec(deg1))
-        _set(self, "deg2", ratnorm(deg2))
+        Frozen.__init__(self, ratnorm(deg0), qvec(deg1), ratnorm(deg2))
 
     @classmethod
     def zero(cls, rank: int) -> "ChowClass":
@@ -265,11 +262,11 @@ class HiggsNumerics(Frozen):
     __slots__ = ("r", "c1", "c2")
 
     def __init__(self, r: int, c1: NSVector, c2: int) -> None:
-        _set(self, "r", require_int(r, "rank", 1))
-        _set(self, "c2", require_int(c2, "c2"))
+        require_int(r, "rank", 1)
+        require_int(c2, "c2")
         if not qvec(c1).is_integral():
             raise ValidationError(f"c1 must be an integral class, got {c1!r}")
-        _set(self, "c1", c1)
+        Frozen.__init__(self, r, c1, c2)
 
 
 def discriminant(h: HiggsNumerics, x: SurfaceGeometry) -> int:
