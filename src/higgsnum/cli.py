@@ -118,6 +118,8 @@ def load_surface(spec: str) -> SurfaceGeometry:
         if not isinstance(data[key], typ) or isinstance(data[key], bool):
             raise CLIError(f"parse error in {spec}: field {key!r} must be {typ.__name__}")
     rank = data["ns_rank"]
+    if rank < 1:
+        raise CLIError(f"parse error in {spec}: field 'ns_rank' must be a positive integer")
     gram = data["gram"]
     for i, row in enumerate(gram):
         row = _int_list(row, f"gram row {i}", spec)
@@ -271,8 +273,7 @@ def _echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _cmd_surface(args: argparse.Namespace) -> dict:
-    x = load_surface(args.surface)
+def _cmd_surface(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     return {
         "name": x.name,
         "ns_rank": x.rank,
@@ -288,8 +289,7 @@ def _cmd_surface(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_ybundle(args: argparse.Namespace) -> dict:
-    x = load_surface(args.surface)
+def _cmd_ybundle(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     r = args.rank
     eta = hyperplane_class(x)
     eta3 = y_mul(y_mul(eta, eta), eta)
@@ -304,8 +304,7 @@ def _cmd_ybundle(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_spectral(args: argparse.Namespace) -> dict:
-    x = load_surface(args.surface)
+def _cmd_spectral(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     s = SpectralCover(x, args.rank)
     todd = spectral_todd(s)
     c2coeff = spectral_c2_tangent(s)
@@ -321,8 +320,7 @@ def _cmd_spectral(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_criterion(args: argparse.Namespace) -> dict:
-    x = load_surface(args.surface)
+def _cmd_criterion(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     c1 = _parse_vector(args.c1, x, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
@@ -338,8 +336,7 @@ def _cmd_criterion(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_branches(args: argparse.Namespace) -> dict:
-    x = load_surface(args.surface)
+def _cmd_branches(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     c1 = _parse_vector(args.c1, x, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
@@ -369,8 +366,7 @@ def _cmd_branches(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_grr(args: argparse.Namespace) -> dict:
-    x = load_surface(args.surface)
+def _cmd_grr(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     s = SpectralCover(x, args.rank)
     delta = _parse_vector(args.delta, x, "--delta")
     ch = grr_pushforward(s, delta, args.points)
@@ -390,7 +386,7 @@ def _cmd_grr(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_verify(args: argparse.Namespace) -> dict:
+def _cmd_verify(x: None, args: argparse.Namespace) -> dict:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     seed_text = os.environ.get("HIGGS_SEED")
     if seed_text is not None:
@@ -485,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=0, help="ideal point count (default 0)")
 
     p = sub.add_parser("verify", help="run the oracle suites")
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, surface=None)
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -497,10 +493,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0
+        return exc.code if isinstance(exc.code, int) else 0
     try:
-        payload = args.run(args)
+        x = None if args.surface is None else load_surface(args.surface)
+        payload = args.run(x, args)
     except HiggsError as exc:
         label = "" if isinstance(exc, CLIError) else "validation error: "
         sys.stderr.write(f"{label}{exc}\n")

@@ -37,7 +37,7 @@ from .ns_lattice import (
     require_int, require_type,
 )
 from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
-from .hitchin_criterion import Regime, RegimeReport, check_input, classify
+from .hitchin_criterion import RegimeReport, check_input, classify
 
 __all__ = [
     "HNFactor",
@@ -248,19 +248,16 @@ def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVect
 def iter_monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> Iterator[tuple[int, ...]]:
     """Candidate fixed-locus components for (r, c1, c2), by partition, lazily.
 
-    Classifies (x, h) itself and raises RegimeError at the call, before
-    any row is asked for, unless the regime is Boundary or Generic.  The
-    total point count is n = c2 - c2_gbun and each component is a
-    partition of n into at most r parts, padded with zeros to length r,
-    in decreasing lex order; there are partition_count(n, r) of them.
-    The line bundle classes they share are component_betas.
+    Raises RegimeError at the call, before any row is asked for, unless
+    classify(x, h) has a witness, which it has exactly in the Boundary
+    and Generic regimes.  Each component is a partition of the n =
+    c2 - c2_gbun points into at most r parts, padded with zeros to
+    length r, in decreasing lex order; there are partition_count(n, r)
+    of them.  The line bundle classes they share are component_betas.
     """
     report = classify(x, h)
-    if report.regime not in (Regime.BOUNDARY, Regime.GENERIC):
-        raise RegimeError(
-            f"no components to enumerate in regime {report.regime.value}", report
-        )
-    assert report.witness is not None
+    if report.witness is None:
+        raise RegimeError(f"no components to enumerate in regime {report.regime.value}", report)
     r, n = h.r, report.witness.n_points
     # a partition of n has at most min(n, r) parts
     pads = [(0,) * (r - i) for i in range(min(n, r) + 1)]

@@ -367,8 +367,8 @@ class NSLattice(Frozen):
     """Free lattice with an integral intersection form of signature (1, rank-1).
 
     The gram matrix is the intersection pairing in a fixed basis.  It is
-    validated on construction: square of the stated rank, symmetric,
-    integer entries, nondegenerate and of hyperbolic-type signature.
+    validated on construction: rank rows here; square, symmetric, integer
+    and nondegenerate by inertia; and of hyperbolic-type signature.
     """
 
     __slots__ = ("rank", "gram")
@@ -376,7 +376,7 @@ class NSLattice(Frozen):
     def __init__(self, rank: int, gram: Sequence[Sequence[int]]) -> None:
         require_int(rank, "rank", 1, error=LatticeError)
         gram = _rows(gram)
-        if len(gram) != rank or any(len(row) != rank for row in gram):
+        if len(gram) != rank:
             raise LatticeError(f"gram matrix must be {rank}x{rank}, got rows of lengths "
                                f"{[len(row) for row in gram]}")
         pos, neg = inertia(gram)

@@ -458,10 +458,12 @@ BLOWUP = json.loads((DATA / "blowup_p2.json").read_text())
         ("canonical", [-3, 1.0], "canonical must be a list of integers"),
         ("gram", [[1, 0]], "gram has 1 rows, expected 2"),
         ("canonical", [-3], "class vectors must have length 2"),
+        ("ns_rank", 0, "field 'ns_rank' must be a positive integer"),
+        ("ns_rank", -1, "field 'ns_rank' must be a positive integer"),
     ],
     ids=["bool-gram-entry", "last-row-true", "last-row-float", "last-row-null",
          "last-row-string", "last-row-list", "float-canonical", "one-gram-row",
-         "short-canonical"],
+         "short-canonical", "zero-rank", "negative-rank"],
 )
 def test_malformed_rank2_file_is_one_line_refusal(tmp_path, capsys, field, value, message):
     path = tmp_path / "surface.json"
@@ -499,3 +501,14 @@ def test_reused_parser_answers_like_a_first_call(capsys, monkeypatch):
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
         )
         assert run(capsys, *argv) == (first.returncode, first.stdout, first.stderr), argv
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["p2", "missing-file"])
+def test_python_m_answers_like_main(tmp_path, capsys, missing):
+    """`python -m higgsnum` goes through __main__.py and main_entry to the same bytes and exit."""
+    argv = ["surface", "--surface", str(tmp_path / "missing.json") if missing else "p2"]
+    src = str(Path(higgsnum.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "higgsnum", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == (2 if missing else 0)
+    assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)

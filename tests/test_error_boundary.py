@@ -62,6 +62,7 @@ from higgsnum import (
     y_mul,
 )
 from higgsnum.cli import CLIError, main
+from higgsnum.ns_lattice import Frozen
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -139,10 +140,16 @@ PROBES = [
 ]
 
 
+def probe_id(name: str, value: object) -> str:
+    """The probe name and the value: a package value by its type name, whose
+    repr changes with the package, and any other value by its repr."""
+    return f"{name}-{type(value).__name__ if isinstance(value, Frozen) else repr(value)}"
+
+
 @pytest.mark.parametrize(
     "call, value, error",
     [
-        pytest.param(call, value, error, id=f"{name}-{value!r}")
+        pytest.param(call, value, error, id=probe_id(name, value))
         for name, call, values, error in PROBES
         for value in values
     ],
@@ -188,10 +195,17 @@ def test_inexact_rational_is_refused(call, value):
         pytest.param(lambda: NSVector((2,)) / True, id="NSVector-truediv"),
         pytest.param(lambda: ChowClass(1, NSVector((2,)), 3) * True, id="ChowClass-mul"),
         pytest.param(lambda: hyperplane_class(X) * True, id="YClass-mul"),
+        pytest.param(lambda: NSVector((2,)) + 5, id="NSVector-add"),
+        pytest.param(lambda: NSVector((2,)) - 5, id="NSVector-sub"),
+        pytest.param(lambda: ChowClass.unit(1) + 5, id="ChowClass-add"),
+        pytest.param(lambda: ChowClass.unit(1) - 5, id="ChowClass-sub"),
+        pytest.param(lambda: hyperplane_class(X) + 5, id="YClass-add"),
+        pytest.param(lambda: hyperplane_class(X) - 5, id="YClass-sub"),
     ],
 )
 def test_bool_scalar_is_refused(call):
-    """A bool is no scalar, as it is no coordinate or degree."""
+    """A bool is no scalar, as it is no coordinate or degree; nor is an int a
+    vector or class to add or subtract.  The operator returns NotImplemented."""
     with pytest.raises(TypeError):
         call()
 

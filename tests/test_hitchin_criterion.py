@@ -107,6 +107,32 @@ def test_n_points_is_c2_minus_threshold(blowup, quintic, plane):
         assert n_points(x, h) == c2 - Fraction(c2_gbun(x, h)[0])
 
 
+def test_n_points_closed_form():
+    """n = (r^2(r^2-1) L^2 - 12(r-1) c1^2 + 24 r c2) / (24 r), summed here in
+    Fractions from the gram and the coordinates: an int exactly when integral."""
+    rng = random.Random(45)
+    surfaces = [presets.p2(), presets.blowup_p2(), *map(presets.hypersurface, range(1, 9))]
+    surfaces += [characteristic_surface(rng, rank) for rank in range(1, 9)]
+    for x in surfaces:
+        gram, pol = x.lattice.gram, x.polarization.coords
+
+        def dot(v, w):
+            return Fraction(sum(a * g * b for a, row in zip(v, gram) for g, b in zip(row, w)))
+
+        for r in range(1, 7):
+            for _ in range(20):
+                c1 = tuple(rng.randint(-6, 6) for _ in range(x.rank))
+                if rng.randrange(2):
+                    # a c1 with a delta, where n is an integer
+                    c1 = tuple(r * c - r * (r - 1) // 2 * p for c, p in zip(c1, pol))
+                c2 = rng.randint(-20, 20)
+                expected = (r * r * (r * r - 1) * dot(pol, pol) - 12 * (r - 1) * dot(c1, c1)
+                            + 24 * r * c2) / (24 * r)
+                value = n_points(x, HiggsNumerics(r, NSVector(c1), c2))
+                assert value == expected, (x.name, r, c1, c2)
+                assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
 def test_classify_examples(quintic):
     h = quintic.lattice.basis(0)
     report = classify(quintic, HiggsNumerics(2, h, 3))

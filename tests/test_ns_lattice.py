@@ -157,8 +157,13 @@ def test_asymmetric_gram_refused_at_first_entry(gram, at):
 
 
 def test_inertia_refuses_a_non_square_matrix():
-    with pytest.raises(LatticeError, match="not square: rows of lengths \\[2, 1\\]"):
-        inertia([[1, 0], [0]])
+    # NSLattice checks the row count only and leaves the rows' lengths to inertia
+    for build in (inertia, lambda g: NSLattice(2, g)):
+        with pytest.raises(LatticeError, match="^gram matrix is not square: rows of lengths \\[2, 1\\]$"):
+            build([[1, 0], [0]])
+    for gram in ([[1, 0]], [[1, 0], [0, -1], [0, 0]]):
+        with pytest.raises(LatticeError, match="^gram matrix must be 2x2, got rows of lengths \\[2"):
+            NSLattice(2, gram)
 
 
 @pytest.mark.parametrize("bad", [True, Fraction(1), 1.0], ids=["bool", "Fraction", "float"])
@@ -278,8 +283,9 @@ VALUES = [
 
 @pytest.mark.parametrize("make, text", VALUES, ids=[text.split("(")[0] for _, text in VALUES])
 def test_frozen_value_contract(make, text):
-    """Every value type: equality and hash by type and fields, no writes, no
-    __dict__, copies and pickles that compare equal, and a fixed repr."""
+    """Every value type: equality and hash by type and fields, a build from
+    too few fields refused, no writes, no __dict__, copies and pickles that
+    compare equal, and a fixed repr."""
     v, w = make(), make()
     assert isinstance(v, Frozen) and v is not w
     assert v == w and hash(v) == hash(w)
@@ -287,6 +293,8 @@ def test_frozen_value_contract(make, text):
     fields = [getattr(v, name) for name in names]
     other = type("Other", (Frozen,), {"__slots__": names})(*fields)
     assert v != other and other != v
+    with pytest.raises(TypeError, match=f"^Other takes {len(names)} fields$"):
+        type(other)(*fields[1:])
     with pytest.raises(AttributeError):
         setattr(v, names[0], fields[0])
     with pytest.raises(AttributeError):
