@@ -12,10 +12,13 @@ replaced by its encode; a payload key that is no str raises TypeError.
 _dump is the one walk from payload to text.  The table has one line per
 leaf of the same tree, a Chow or Y class split into dotted keys, in the
 one-line layout of json.dumps.  The components of `branches` are a
-Rows view over hn_branches.iter_monopole_components: tuples of r plain
-ints, streamed to stdout in checked chunks, so neither the list of
-components nor the text of the document is built whole.  A chunk that
-holds anything else raises TypeError before any of it is written.
+Rows view (r, n): the partitions of n into at most r parts, padded with
+zeros to r columns.  _dump_rows writes their text from
+hn_branches.iter_partition_blocks, streamed to stdout in chunks, so
+neither the list of components nor the text of the document is built
+whole.  Rows takes r and n as plain ints, and every number a row prints
+is the str of an int from a range, so no bool, Fraction or list can
+reach the text.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
@@ -33,10 +36,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
-from .ns_lattice import Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio
+from .ns_lattice import (
+    Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio, require_int,
+)
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chi
 from .proj_bundle import (
     YClass,
@@ -59,7 +63,7 @@ from .spectral import (
     spectral_todd,
 )
 from .hitchin_criterion import classify
-from .hn_branches import component_betas, iter_monopole_components, partition_count
+from .hn_branches import component_betas, iter_partition_blocks, partition_count
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
 
@@ -159,15 +163,17 @@ def _parse_vector(text: str, x: SurfaceGeometry, what: str) -> NSVector:
 
 
 class Rows(Frozen):
-    """A lazy, re-iterable view of rows: tuples of `width` >= 1 plain ints.
+    """The components of one branches query: the partitions of n into at most
+    r parts, each a row of r ints padded with zeros, written by _dump_rows.
 
-    Each iteration calls make() for a fresh iterator of the rows.
+    r and n are plain ints, r >= 1 and n >= 0, so every number a row prints
+    is the str of an int from a range.
     """
 
-    __slots__ = ("width", "make")
+    __slots__ = ("r", "n")
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return self.make()
+    def __init__(self, r: int, n: int) -> None:
+        Frozen.__init__(self, require_int(r, "rank", 1), require_int(n, "point count", 0))
 
 
 def encode(value: Any) -> Any:
@@ -185,7 +191,7 @@ def encode(value: Any) -> Any:
 
 
 _INT_ONLY = {int}
-# numbers and row brackets per chunk of streamed rows: ~200 kB of text
+# numbers and row brackets per write of streamed rows: ~200 kB of text
 _CHUNK_CELLS = 1 << 14
 
 
@@ -246,26 +252,29 @@ def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
 
 
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
-    """Write a Rows view as a JSON list, one chunk of rows per write.
+    """Write a Rows view as a JSON list, about _CHUNK_CELLS cells per write.
 
-    Each chunk is checked to hold only plain ints (a bool must print as
-    true, never 1) and formatted by one %d template per row; a chunk that
-    breaks the view's contract raises TypeError before any of it is
-    written.
+    The row text comes from iter_partition_blocks with text cells: a cell
+    is the JSON separator and str(v), and the first cell of a row has the
+    row opener in place of the separator.
     """
     inner, first, comma, last = _pads(ind)
     _, cell_first, cell_comma, cell_last = _pads(inner)
-    template = "[" + cell_first + cell_comma.join(["%d"] * rows.width) + cell_last + "]"
-    rows_iter = iter(rows)
-    size = max(1, _CHUNK_CELLS // (rows.width + 2))
-    sep = "[" + first
-    while chunk := list(islice(rows_iter, size)):
-        if set(map(type, chain.from_iterable(chunk))) != _INT_ONLY:
-            raise TypeError(f"rows must be tuples of {rows.width} plain ints")
-        # a row of another width, or a list, fails the % formatting
-        write(sep + comma.join(map(template.__mod__, chunk)))
-        sep = comma
-    write(last + "]" if sep is comma else "[]")
+    opener = "[" + cell_first
+    blocks = iter_partition_blocks(
+        rows.n, rows.r, lambda v: opener + str(v), lambda v: cell_comma + str(v), cell_last + "]",
+    )
+    size = max(1, _CHUNK_CELLS // (rows.r + 2))
+    sep, chunk = "[" + first, []
+    for block in blocks:
+        chunk += block
+        while len(chunk) >= size:
+            write(sep + comma.join(chunk[:size]))
+            sep = comma
+            del chunk[:size]
+    if chunk:
+        write(sep + comma.join(chunk))
+    write(last + "]")
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -343,7 +352,7 @@ def _cmd_branches(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     w = report.witness
     comps, count = None, 0
     if w:
-        comps = Rows(h.r, functools.partial(iter_monopole_components, x, h))
+        comps = Rows(h.r, w.n_points)
         count = partition_count(w.n_points, h.r)
     payload = {
         "r": h.r,

@@ -16,12 +16,17 @@ regime the candidate components are indexed by partitions of
 n = c2 - c2_gbun into at most r parts, all attached to the same fixed
 line bundle classes beta_i = delta - (i-1) c1(L).
 
-A factor is a HiggsNumerics, named HNFactor here.  The one enumeration,
-iter_monopole_components, yields each component lazily as its
-partition, zero-padded to length r, and partition_count gives their
-number without enumerating them.  monopole_components is its rows as a
-list, component_betas gives the shared classes once, and the rank-2
-inventory for c1 = c1(L), rank2_fixed_components, counts its rows with
+A factor is a HiggsNumerics, named HNFactor here.  The partitions are
+enumerated two ways, which share no code.  iter_partitions_at_most
+steps one list in place; iter_monopole_components yields its rows
+lazily, zero-padded to length r, and monopole_components lists them.
+This stepper gives the library its tuple rows and is the reference the
+other way is tested against.  iter_partition_blocks yields the same rows in
+lists, each row built from memoized tails of a shared prefix, with
+cells the caller chooses: the CLI writes the rows as text this way.
+partition_count gives their number without enumerating them,
+component_betas gives the shared classes once, and the rank-2 inventory
+for c1 = c1(L), rank2_fixed_components, counts its rows with
 partition_count.  The enumeration describes components by their
 numerical invariants; the geometric identification of each candidate is
 outside the scope of the arithmetic done here.
@@ -30,7 +35,7 @@ outside the scope of the arithmetic done here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .ns_lattice import (
     Frozen, HiggsError, NSVector, Rat, ValidationError, lincomb, pair_num, qvec, ratio, ratnorm,
@@ -48,6 +53,7 @@ __all__ = [
     "discriminant_identity",
     "iter_compositions",
     "iter_monopole_components",
+    "iter_partition_blocks",
     "iter_partitions_at_most",
     "monopole_components",
     "olympic_sum",
@@ -55,6 +61,9 @@ __all__ = [
     "rank2_fixed_components",
     "slope_gaps",
 ]
+
+
+_Row = TypeVar("_Row", str, tuple)
 
 
 class RegimeError(HiggsError):
@@ -110,6 +119,7 @@ def discriminant_identity(x: SurfaceGeometry, t: HNType) -> tuple[Rat, Rat]:
     over the one denominator D = r prod r_i and divided once.  Exact
     equality of the two is the content of the identity.
     """
+    check_input(x)
     total = _total_numerics(x, t)
     r = total.r
     lhs = ratio(discriminant(total, x), r)
@@ -136,6 +146,7 @@ def slope_gaps(x: SurfaceGeometry, t: HNType) -> tuple[tuple[Rat, ...], bool]:
     destabilizing filtration induced by a Higgs field lie in the window
     (0, L^2]; returns the gaps plus whether all of them do.
     """
+    check_input(x)
     slopes = [
         Fraction(x.pair(f.c1, x.polarization), f.r) for f in t.factors
     ]
@@ -218,16 +229,107 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
             p.append(rem)
 
 
+# iter_partition_blocks memoizes the row tails for m in s slots when
+# comb(m + s, s) <= 4096, and always for m <= 1; a call drops its memo
+# once it holds more than _MEMO_CELLS cells.
+_MEMO_CELLS = 1 << 16
+
+
+def _box_limits(size: int) -> tuple[int, ...]:
+    """For s = 1, 2, ... while it is at least 2: the largest m with
+    comb(m + s, s) <= size, at index s."""
+    limits = [0, size - 1]
+    while True:
+        s, m, c = len(limits), 0, 1
+        # c = comb(m + s, s); the next is c (m + s + 1) / (m + 1)
+        while c * (m + s + 1) <= size * (m + 1):
+            c, m = c * (m + s + 1) // (m + 1), m + 1
+        if m < 2:
+            return tuple(limits)
+        limits.append(m)
+
+
+_BOX = _box_limits(4096)
+
+
+def iter_partition_blocks(
+    n: int, k: int, head: Callable[[int], _Row], cell: Callable[[int], _Row], tail: _Row,
+) -> Iterator[list[_Row]]:
+    """The partitions of n into at most k parts as rows, in lists of rows.
+
+    Row v_1 >= ... >= v_k >= 0 is head(v_1) + cell(v_2) + ... + cell(v_k)
+    + tail, so with head = cell = lambda v: (v,) it is the partition padded
+    with zeros to length k, and with cell(0) = () the partition itself.
+    Rows come in decreasing lex order, the order of iter_partitions_at_most,
+    which is the reference they are tested against.  The walk extends a
+    prefix one part at a time, formatting each cell as it goes, until the
+    parts left fit a small box; the rows of a box are memoized tails,
+    each added to the prefix in one concatenation.  A list holds the rows
+    of the boxes below one prefix, at most a few thousand.
+    """
+    require_int(n, "partition size", 0)
+    require_int(k, "part count", 0)
+    if k == 0:
+        if n == 0:
+            yield [tail]
+        return
+    zero, memo, held = cell(0), {}, 0
+
+    def tails(m: int, s: int) -> tuple[list[_Row], list[int]]:
+        # every row tail for m in s slots, and at index m - p where the tails
+        # with first part at most p begin, for each p from m down to ceil(m/s)
+        nonlocal held
+        got = memo.get((m, s))
+        if got is None:
+            if m == 0:
+                got = [zero * s + tail], [0]
+            else:
+                rows, starts = [], []
+                for v in range(m, -(-m // s) - 1, -1):
+                    starts.append(len(rows))
+                    sub, at = tails(m - v, s - 1)
+                    i, c = m - 2 * v, cell(v)
+                    rows += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
+                got = rows, starts
+            held += len(got[0]) * s
+            if held > _MEMO_CELLS:
+                memo.clear()
+                held = len(got[0]) * s
+            memo[m, s] = got
+        return got
+
+    # a frame walks the part v after prefix pre from its cap down to
+    # ceil(m / s), the least largest part of m in s slots
+    stack = [(None, n, k, iter(range(n, -(-n // k) - 1, -1)))]
+    while stack:
+        pre, m, s, vs = stack[-1]
+        block = []
+        for v in vs:
+            c = head(v) if pre is None else pre + cell(v)
+            m2, s2 = m - v, s - 1
+            if m2 <= 1 or (s2 < len(_BOX) and m2 <= _BOX[s2]):
+                sub, at = memo.get((m2, s2)) or tails(m2, s2)
+                i = m2 - v
+                block += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
+            else:
+                stack.append((c, m2, s2, iter(range(min(v, m2), -(-m2 // s2) - 1, -1))))
+                break
+        else:
+            stack.pop()
+        if block:
+            yield block
+
+
 def partition_count(n: int, k: int) -> int:
-    """Partitions of n into at most k parts: int(n == 0), 1 and n // 2 + 1 for
-    k = 0, 1 and 2, else from an O(n k) table.
+    """Partitions of n into at most k parts: int(n == 0), 1, n // 2 + 1 and
+    ((n + 3)^2 + 6) // 12 for k = 0, 1, 2 and 3, else from an O(n k) table.
 
     After pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j).
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
-    if k <= 2:
-        return (int(n == 0), 1, n // 2 + 1)[k]
+    if k <= 3:
+        return (int(n == 0), 1, n // 2 + 1, ((n + 3) ** 2 + 6) // 12)[k]
     table = [1] + [0] * n
     for j in range(1, min(k, n) + 1):
         for m in range(j, n + 1):
@@ -240,6 +342,7 @@ def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVect
 
     They are shared by every monopole component of one (r, c1, c2).
     """
+    check_input(x)
     require_int(r, "rank", 1)
     x.lattice.check_vector(qvec(delta))
     return tuple(delta - i * x.polarization for i in range(r))

@@ -39,6 +39,7 @@ from higgsnum import (
     chow_mul,
     classify,
     component_betas,
+    discriminant_identity,
     divide,
     grr_pushforward,
     inertia,
@@ -56,6 +57,7 @@ from higgsnum import (
     pullback,
     rank2_fixed_components,
     restrict_to_spectral,
+    slope_gaps,
     solve_delta,
     spectral_divisor_class,
     todd_surface,
@@ -72,6 +74,7 @@ DATA = Path(__file__).parent / "data"
 
 X = presets.p2()
 L = X.polarization
+T = HNType((HNFactor(1, L, 0), HNFactor(1, 0 * L, 0)))
 
 POSITIVE = (True, 1.5, Fraction(3, 2), 0, -1)
 NONNEGATIVE = (True, 1.5, Fraction(1, 2), -1)
@@ -137,6 +140,11 @@ PROBES = [
     # a gram whose rows are not sequences
     ("NSLattice-gram", lambda v: NSLattice(2, v), ((1, 2), 5), LatticeError),
     ("inertia", inertia, (5, [5]), LatticeError),
+    ("component_betas-surface", lambda v: component_betas(v, 2, L), (5, None, X.lattice),
+     ValidationError),
+    ("slope_gaps", lambda v: slope_gaps(v, T), (5, None, X.lattice), ValidationError),
+    ("discriminant_identity", lambda v: discriminant_identity(v, T), (5, None, X.lattice),
+     ValidationError),
 ]
 
 

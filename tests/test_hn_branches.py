@@ -20,6 +20,7 @@ from higgsnum import (
     discriminant_identity,
     iter_compositions,
     iter_monopole_components,
+    iter_partition_blocks,
     iter_partitions_at_most,
     monopole_components,
     olympic_sum,
@@ -459,22 +460,48 @@ def test_partition_count_table():
 
 
 def test_partition_count_closed_form_below_three_parts():
-    """k = 0, 1, 2 are answered without an O(n) table, and agree with it."""
+    """k = 0, 1, 2 and 3 are answered without an O(n) table, and agree with it."""
     tracemalloc.start()
     try:
-        counts = [hn_branches.partition_count(10**7, k) for k in range(3)]
+        counts = [hn_branches.partition_count(10**7, k) for k in range(4)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts == [0, 1, 5_000_001]
+    assert counts == [0, 1, 5_000_001, 8_333_338_333_334]
     assert peak < 2**20
     table = [1] + [0] * 60
     assert [hn_branches.partition_count(n, 0) for n in range(61)] == table
-    for k in (1, 2):
+    for k in (1, 2, 3):
         # pass k leaves p(m, k) in entry m
         for m in range(k, 61):
             table[m] += table[m - k]
         assert [hn_branches.partition_count(n, k) for n in range(61)] == table
+
+
+def blocks_as_rows(n, k, cell):
+    blocks = list(iter_partition_blocks(n, k, cell, cell, ()))
+    assert all(type(b) is list and b for b in blocks)
+    return [row for block in blocks for row in block]
+
+
+def test_partition_blocks_are_the_stepper_rows():
+    """With tuple cells the blocks hold the partitions, padded or not, in the
+    stepper's order, k = 0 and k > n included."""
+    for n in range(41):
+        for k in range(9):
+            parts = list(iter_partitions_at_most(n, k))
+            assert blocks_as_rows(n, k, lambda v: (v,) if v else ()) == parts
+            assert blocks_as_rows(n, k, lambda v: (v,)) == [p + (0,) * (k - len(p)) for p in parts]
+
+
+@pytest.mark.parametrize("n, k", [(12, 6), (9, 200), (3, 5000)])
+def test_partition_blocks_survive_a_dropped_memo(monkeypatch, n, k):
+    """Dropping the memo at every insert leaves the rows as they were; wide
+    rows (more slots than any memoized box) take the same walk."""
+    parts = [p + (0,) * (k - len(p)) for p in iter_partitions_at_most(n, k)]
+    assert blocks_as_rows(n, k, lambda v: (v,)) == parts
+    monkeypatch.setattr(hn_branches, "_MEMO_CELLS", 0)
+    assert blocks_as_rows(n, k, lambda v: (v,)) == parts
 
 
 def test_monopole_rows_are_padded_partitions(quintic):

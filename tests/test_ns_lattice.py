@@ -277,7 +277,7 @@ VALUES = [
      f"RegimeReport(regime=<Regime.GENERIC: 'Generic'>, c2gbun=1, witness={W})"),
     (lambda: Rank2Report(3, Regime.GENERIC, True, 2),
      "Rank2Report(c2=3, regime=<Regime.GENERIC: 'Generic'>, instanton_branch=True, count=2)"),
-    (lambda: Rows(2, zip), "Rows(width=2, make=<class 'zip'>)"),
+    (lambda: Rows(2, 3), "Rows(r=2, n=3)"),
 ]
 
 

@@ -9,18 +9,20 @@ must stay the bytes it was before the writer replaced that two-pass path.
 import hashlib
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from higgsnum import (
-    ChowClass, HiggsNumerics, NSVector, QNSVector, Regime, YClass, classify, monopole_components,
-    partition_count, presets,
+    ChowClass, HiggsNumerics, NSVector, QNSVector, Regime, ValidationError, YClass, c2_gbun,
+    classify, iter_partitions_at_most, monopole_components, partition_count, presets,
 )
-from higgsnum.cli import _CHUNK_CELLS, Rows, _dump, encode, main
+from higgsnum.cli import Rows, _dump, encode, main
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -45,9 +47,16 @@ def encode_tree(value):
         return {"alpha": encode_tree(value.alpha), "beta": encode_tree(value.beta)}
     if isinstance(value, dict):
         return {str(k): encode_tree(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, Rows)):
+    if isinstance(value, Rows):
+        return [encode_tree(v) for v in padded_partitions(value.n, value.r)]
+    if isinstance(value, (list, tuple)):
         return [encode_tree(v) for v in value]
     raise TypeError(f"cannot encode {value!r}")
+
+
+def padded_partitions(n, r):
+    """The rows of Rows(r, n) from the stepper: partitions padded to length r."""
+    return [p + (0,) * (r - len(p)) for p in iter_partitions_at_most(n, r)]
 
 
 def to_json(value):
@@ -73,21 +82,13 @@ texts = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00é✓😀 ab', max_si
 int_tuples = st.lists(ints, max_size=3).map(tuple)
 
 
-def row_view(width, rows):
-    return Rows(width, rows.__iter__)
-
-
-@st.composite
-def row_views(draw):
-    """A lazy row view: tuples of plain ints, all of its width, 1 to 4."""
-    width = draw(st.integers(1, 4))
-    row = st.lists(ints, min_size=width, max_size=width).map(tuple)
-    return row_view(width, draw(st.lists(row, max_size=5)))
+# a Rows view: at most 4 columns and 15 rows
+row_views = st.builds(Rows, st.integers(1, 4), st.integers(0, 8))
 
 
 leaves = st.one_of(
     ints, st.booleans(), st.none(), fractions, vectors, chow, ycls,
-    st.sampled_from(Regime), texts, int_tuples, row_views(),
+    st.sampled_from(Regime), texts, int_tuples, row_views,
 )
 values = st.recursive(
     leaves,
@@ -114,34 +115,58 @@ def test_writer_matches_encode_then_dumps(value):
     assert to_json(value) == json.dumps(encode_tree(value), indent=2)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(row_views())
-@example(row_view(2, []))
+def monopole_rows(x, r, n):
+    """The monopole_components rows of (r, c1, c2) on x with n points to place."""
+    # c1 = -r(r-1)/2 L makes delta = 0 solve r delta = c1 + r(r-1)/2 L
+    c1 = -(r * (r - 1) // 2) * x.polarization
+    numerics = HiggsNumerics(r, c1, c2_gbun(x, HiggsNumerics(r, c1, 0))[0] + n)
+    assert classify(x, numerics).witness.n_points == n
+    return monopole_components(x, numerics)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(row_views)
 def test_row_view_writes_and_encodes_as_its_rows(view):
-    rows = list(view)
-    assert encode_tree(view) == encode_tree(rows)
+    rows = padded_partitions(view.n, view.r)
+    assert len(rows) == partition_count(view.n, view.r)
     assert to_json(view) == json.dumps(encode_tree(rows), indent=2)
-    assert list(view) == rows
+    assert to_json({"a": [view, view]}) == json.dumps({"a": [encode_tree(rows)] * 2}, indent=2)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_row_view_writes_the_monopole_rows(r):
+    """Both layouts of Rows(r, n) are json.dumps of the enumerated rows."""
+    for n in range(41):
+        rows = [list(row) for row in monopole_rows(X, r, n)]
+        view = Rows(r, n)
+        assert to_json(view) == json.dumps(rows, indent=2)
+        out = []
+        _dump({"rows": view}, None, out.append)
+        assert "".join(out) == json.dumps({"rows": rows})
+
+
+def test_wide_row_view_of_no_points_is_one_row_of_zeros():
+    """r = 5000, n = 0: one row of r zeros, with nothing before it that grows like r^2."""
+    out = []
+    tracemalloc.start()
+    try:
+        _dump(Rows(5000, 0), "\n", out.append)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "".join(out) == json.dumps([[0] * 5000], indent=2)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [(True, 0), (1, Fraction(1, 2)), (1,), (1, 2, 3), [1, 2]],
-    ids=["bool", "fraction", "short", "long", "list"],
+    "r, n", [(True, 3), (2, Fraction(3)), (0, 3), (2, -1), (2, 3.0), ([2], 3)],
+    ids=["bool", "fraction", "rank-0", "negative", "float", "list"],
 )
-def test_row_outside_the_contract_raises_before_its_chunk_is_written(bad):
-    """A bad row past the first chunk of a long view: the chunks before it
-    are written whole, nothing of the chunk that holds it is."""
-    rows = [(i, -i) for i in range(9000)]
-    size = _CHUNK_CELLS // 4  # rows of width 2 per chunk
-    before = 5000 // size * size
-    assert before > 0
-    head = json.dumps({"rows": rows[:before]}, indent=2)
-    rows[5000] = bad
-    out = []
-    with pytest.raises(TypeError):
-        _dump({"rows": row_view(2, rows)}, "\n", out.append)
-    assert "".join(out) == head[: -len("\n  ]\n}")]
+def test_row_view_refuses_all_but_plain_ints(r, n):
+    """Every number a row prints is the str of an int from a range, because
+    Rows takes r >= 1 and n >= 0 as plain ints only."""
+    with pytest.raises(ValidationError, match="^(rank|point count) must be a"):
+        Rows(r, n)
 
 
 def test_writer_refuses_what_encode_refuses():
@@ -156,7 +181,7 @@ def test_encode_is_one_level_on_exact_leaves():
     assert encode(NSVector((1, -2))) == (1, -2)
     assert encode(c) == {"deg0": Fraction(1, 2), "deg1": NSVector((3,)), "deg2": 4}
     assert encode(YClass(c, c, X)) == {"alpha": c, "beta": c}
-    for bad in (1, "s", None, True, [1], (1,), {"a": 1}, row_view(1, [(1,)])):
+    for bad in (1, "s", None, True, [1], (1,), {"a": 1}, Rows(1, 1)):
         with pytest.raises(TypeError):
             encode(bad)
 
@@ -314,6 +339,53 @@ def test_branches_streams_its_rows():
     assert payload["components"] == [list(row) for row in rows]
     assert payload["count"] == len(payload["components"]) == partition_count(n, 4)
     assert "rank2_fixed" not in payload
+
+
+class Enough(Exception):
+    """Raised by FirstBytes once it has taken its share of a document."""
+
+
+class FirstBytes(io.TextIOBase):
+    """A stdout that keeps the first 64 KiB and stops the run past `limit` bytes."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit, self.size, self.head = limit, 0, ""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        if len(self.head) < 1 << 16:
+            self.head += text[: (1 << 16) - len(self.head)]
+        self.size += len(text)
+        if self.size > self.limit:
+            raise Enough
+        return len(text)
+
+
+@pytest.mark.parametrize("r, c1", [(10, -45), (3, -3)], ids=["r10-n200", "r3-n1e6"])
+def test_branches_streams_in_fixed_memory(r, c1):
+    """r = 10 with n = 200 (1,212,199,424 rows) and r = 3 with n = 10^6: the first
+    2 MB of the document, in the stepper's row order, within a few MiB."""
+    x = presets.p2()
+    n = 200 if r == 10 else 10**6
+    c2 = c2_gbun(x, HiggsNumerics(r, c1 * x.polarization, 0))[0] + n
+    out = FirstBytes(2 * 10**6)
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out), pytest.raises(Enough):
+            main(["branches", "--surface", "p2", "-r", str(r), f"--c1={c1}", f"--c2={c2}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    head = out.head[out.head.index('"components": ['):]
+    first = [p + (0,) * (r - len(p)) for p in islice(iter_partitions_at_most(n, r), 3000)]
+    expected = json.dumps({"payload": {"components": first}}, indent=2)
+    expected = expected[expected.index('"components": ['):]
+    assert len(expected) > len(head) > 10**4
+    assert head == expected[: len(head)]
 
 
 def test_rank2_block_streams_the_rows_twice():
