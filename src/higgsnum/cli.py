@@ -1,10 +1,20 @@
 """Command line interface.
 
 Subcommands: surface, ybundle, spectral, criterion, branches, grr,
-verify.  Every run prints a single JSON document (or a flat table with
---format table).  Exact rationals serialize as "p/q" strings with q > 0
-and gcd(p, q) = 1, or as bare integers when q = 1; identical invocations
-produce byte-identical output.
+verify, and batch, which answers one JSON argv list per stdin line with
+one line each.  Every query prints a single JSON document (or a flat
+table with --format table).  main and batch share _query, the one path
+from argv to an exit code and an envelope or a one-line refusal.
+
+A surface is validated once per process and content: presets are
+memoized by name, and a surface file, read on every query, is parsed and
+validated once per (path, text), so an edited file is never served
+stale.  Both memos are bounded least-recently-used caches, refusals are
+not memoized, and the Frozen surfaces are shared by every query.
+
+Exact rationals serialize as "p/q" strings with q > 0 and gcd(p, q) = 1,
+or as bare integers when q = 1; identical invocations produce
+byte-identical output.
 
 The JSON document is the text json.dumps(..., indent=2) gives for the
 envelope with each exact leaf (a Fraction, vector, Chow or Y class)
@@ -24,19 +34,21 @@ Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
 fails; 2 for input errors (bad flags, unreadable or invalid surface
 data).  Every refusal is a HiggsError, caught in one place and printed
-as one stderr line: a CLIError (files, schemas, flags) as it is, any
-other with the prefix "validation error: ".
+as one stderr line (in batch, as the line's error): a CLIError (files,
+schemas, flags) as it is, any other with the prefix "validation error: ".
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
 from .ns_lattice import (
     Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio, require_int,
@@ -67,7 +79,7 @@ from .hn_branches import component_betas, iter_partition_blocks, partition_count
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
 
-__all__ = ["CLIError", "load_surface", "main", "main_entry"]
+__all__ = ["CLIError", "batch", "load_surface", "main", "main_entry"]
 
 
 class CLIError(HiggsError):
@@ -90,10 +102,19 @@ def _int_list(value: Any, what: str, spec: str) -> list[int]:
     return value
 
 
+# presets by name; the values are Frozen, so every query can share them
+_preset = functools.lru_cache(maxsize=64)(presets.by_name)
+
+
 def load_surface(spec: str) -> SurfaceGeometry:
-    """Resolve a preset name or read a surface description file."""
+    """Resolve a preset name or read a surface description file.
+
+    A file is read on every call and validated once per text: the memo
+    _parse_surface is keyed on the path and the file's whole text, so an
+    edited file is parsed anew.  Refusals are never memoized.
+    """
     try:
-        return presets.by_name(spec)
+        return _preset(spec)
     except KeyError:
         pass
     except ValidationError as exc:
@@ -104,6 +125,12 @@ def load_surface(spec: str) -> SurfaceGeometry:
     except (OSError, ValueError) as exc:
         # ValueError: bytes that are not UTF-8, or a path with a NUL byte
         raise CLIError(f"cannot read surface {spec!r}: {exc}") from None
+    return _parse_surface(spec, raw)
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_surface(spec: str, raw: str) -> SurfaceGeometry:
+    """The surface that the text raw of the file spec describes, validated."""
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -191,6 +218,9 @@ def encode(value: Any) -> Any:
 
 
 _INT_ONLY = {int}
+# the text json.dumps gives a str and an int; a bool, None or str enum goes through json.dumps
+_quote = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
 # numbers and row brackets per write of streamed rows: ~200 kB of text
 _CHUNK_CELLS = 1 << 14
 
@@ -212,11 +242,16 @@ def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
     ind is the newline and indentation of the line value starts on, or
     None for the one-line layout of json.dumps.  Dicts with str keys,
     lists and tuples are walked here; a list or tuple of plain ints is
-    one join; a Rows view is streamed by _dump_rows; str, int, bool and
-    None go through json.dumps; any other leaf is encoded and walked.
+    one join; a Rows view is streamed by _dump_rows; a plain str or int
+    is written as json.dumps writes it, and any other str, int, bool or
+    None goes through json.dumps; any other leaf is encoded and walked.
     """
     t = type(value)
-    if t is list or t is tuple:
+    if t is str:
+        write(_quote(value))
+    elif t is int:
+        write(_int_text(value))
+    elif t is list or t is tuple:
         if not value:
             write("[]")
             return
@@ -239,7 +274,7 @@ def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
         for k, v in value.items():
             if type(k) is not str:
                 raise TypeError(f"payload keys must be str, got {k!r}")
-            write(sep + json.dumps(k) + ": ")
+            write(sep + _quote(k) + ": ")
             sep = comma
             _dump(v, inner, write)
         write(last + "}")
@@ -450,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--surface",
             required=True,
-            help="preset name (p2, hypersurface:<d>) or path to a surface JSON file",
+            help="preset name (p2, p1xp1, hypersurface:<d>, blowup:<k>) or path to a "
+                 "surface JSON file",
         )
         p.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -489,6 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, help="comma-separated lattice coordinates")
     p.add_argument("--points", type=int, default=0, help="ideal point count (default 0)")
 
+    p = sub.add_parser("batch", help="answer one JSON argv list per stdin line, one line each")
+    p.set_defaults(run=None, surface=None)
+
     p = sub.add_parser("verify", help="run the oracle suites")
     p.set_defaults(run=_cmd_verify, surface=None)
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
@@ -497,27 +536,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+def _query(argv: list[str]) -> tuple[int, Any, str]:
+    """The one query path: argv to (exit code, answer, format).
+
+    The answer is the envelope (exit 0, or 1 when verify finds a failing
+    check), the one-line refusal of a HiggsError (exit 2), or None when
+    argparse has exited, having written its help, usage or error itself.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
+        return (exc.code if isinstance(exc.code, int) else 0), None, ""
+    if args.run is None:
+        return 2, "parse error: batch reads its queries from stdin, not from a batch line", ""
     try:
         x = None if args.surface is None else load_surface(args.surface)
         payload = args.run(x, args)
     except HiggsError as exc:
         label = "" if isinstance(exc, CLIError) else "validation error: "
-        sys.stderr.write(f"{label}{exc}\n")
-        return 2
+        return 2, f"{label}{exc}", args.format
     envelope = {
         "command": args.command,
         "input": _echo(args),
         "exact": True,
         "payload": payload,
     }
-    _print_envelope(envelope, args.format)
-    return 1 if payload.get("all_passed") is False else 0
+    return (1 if payload.get("all_passed") is False else 0), envelope, args.format
+
+
+def batch(lines: Iterable[Union[str, bytes]], out: TextIO) -> int:
+    """Answer each line, one JSON argv list, with one line on out: the
+    envelope in the one-line layout, or {"error": <one line>, "exit": 2}.
+
+    Every line goes through _query, whatever its --format, and out is
+    flushed after each answer.  A line that is no JSON list of strings, or
+    that argparse refuses or answers with help, is refused with the line
+    argparse would end its error with, and the batch carries on.  The
+    result is the largest exit code of the lines, 0 for none.
+    """
+    worst = 0
+    for number, line in enumerate(lines, 1):
+        try:
+            argv = json.loads(line)
+            if type(argv) is not list or not all(type(a) is str for a in argv):
+                raise ValueError("expected a JSON list of strings")
+        except (RecursionError, ValueError) as exc:
+            # ValueError: bad JSON, bytes that are not UTF-8, or no list of strings
+            code, answer = 2, f"parse error in line {number}: {exc}"
+        else:
+            said = io.StringIO()
+            with contextlib.redirect_stdout(said), contextlib.redirect_stderr(said):
+                code, answer, _ = _query(argv)
+            if answer is None:
+                # argparse wrote help (exit 0), or a usage and a one-line error
+                last = said.getvalue().rstrip().rpartition("\n")[2]
+                code, answer = 2, last if code else "parse error: help is not a query"
+        if type(answer) is str:
+            answer = {"error": answer, "exit": code}
+        _dump(answer, None, out.write)
+        out.write("\n")
+        out.flush()
+        worst = max(worst, code)
+    return worst
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["batch"]:
+        # a closed stdin (None) is a batch of no lines
+        return batch(sys.stdin.buffer if sys.stdin is not None else (), sys.stdout)
+    code, answer, fmt = _query(argv)
+    if type(answer) is dict:
+        _print_envelope(answer, fmt)
+    elif answer is not None:
+        sys.stderr.write(answer + "\n")
+    return code
 
 
 def main_entry() -> None:

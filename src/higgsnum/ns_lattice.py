@@ -425,6 +425,7 @@ def pair(lat: NSLattice, v: NSVector, w: NSVector) -> Rat:
 
 def divide(lat: NSLattice, v: NSVector, r: int) -> Optional[NSVector]:
     """v/r as a lattice vector, or None when v is not divisible by r."""
+    require_type(lat, NSLattice, "a lattice", LatticeError)
     require_int(r, "divisor", 1, error=LatticeError)
-    lat.check_vector(v)
+    lat.check_vector(qvec(v))
     return (v / r).to_integral()

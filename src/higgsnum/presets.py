@@ -1,9 +1,9 @@
 """Built-in surface geometries.
 
-Two families cover the worked cases: the projective plane, and smooth
+Three families cover the worked cases: the projective plane, smooth
 degree-d hypersurfaces in projective 3-space polarized by the hyperplane
-class.  blowup_p2, the plane blown up in a point, is the one rank-2
-lattice.  For the hypersurface of degree d the numerical data is
+class, and the plane blown up in k points.  For the hypersurface of
+degree d the numerical data is
 
     K = (d - 4) H,   H^2 = d,   c2 = d^3 - 4 d^2 + 6 d,
 
@@ -13,6 +13,12 @@ for d = 1, 4, 5.  The rank-1 lattice Z.H is the whole Neron-Severi
 lattice only for d = 1 and, by Noether-Lefschetz, for a very general
 surface of degree d >= 4; the quadric (d = 2) and the cubic (d = 3)
 have Picard rank 2 and 7.
+
+The quadric's true lattice is p1xp1, the hyperbolic plane U with
+K = (-2, -2).  The plane blown up in k points has the lattice
+diag(1, -1^k) in the basis H, E_1, ..., E_k, with K = -3H + sum E_i,
+c2 = 3 + k and the polarization aH - sum E_i for the least a with
+a^2 > k; blowup_p2 is k = 1, whose polarization is 2H - E.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ from __future__ import annotations
 from .ns_lattice import NSLattice, NSVector, ValidationError, require_int
 from .surface_chow import SurfaceGeometry
 
-__all__ = ["blowup_p2", "by_name", "hypersurface", "p2"]
+__all__ = ["blowup", "blowup_p2", "by_name", "hypersurface", "p1xp1", "p2"]
+
+# the most points blowup(k) blows up, so a preset name cannot ask for a huge lattice
+MAX_BLOWUP = 64
 
 
 def p2() -> SurfaceGeometry:
@@ -33,15 +42,28 @@ def hypersurface(d: int) -> SurfaceGeometry:
     return _hypersurface(require_int(d, "hypersurface degree", 1), f"hypersurface:{d}")
 
 
+def p1xp1() -> SurfaceGeometry:
+    """P^1 x P^1: gram [[0, 1], [1, 0]], K = (-2, -2), L = (1, 1), c2 = 4."""
+    return SurfaceGeometry(
+        lattice=NSLattice(2, ((0, 1), (1, 0))),
+        canonical=NSVector((-2, -2)),
+        polarization=NSVector((1, 1)),
+        c2_top=4,
+        name="p1xp1",
+    )
+
+
+def blowup(k: int) -> SurfaceGeometry:
+    """The plane blown up in k points, 0 <= k <= MAX_BLOWUP."""
+    require_int(k, "blowup point count", 0)
+    if k > MAX_BLOWUP:
+        raise ValidationError(f"blowup point count must be at most {MAX_BLOWUP}, got {k}")
+    return _blowup(k, f"blowup:{k}")
+
+
 def blowup_p2() -> SurfaceGeometry:
     """The plane blown up in a point: diag(1, -1), K = (-3, 1), L = (2, -1), c2 = 4."""
-    return SurfaceGeometry(
-        lattice=NSLattice(2, ((1, 0), (0, -1))),
-        canonical=NSVector((-3, 1)),
-        polarization=NSVector((2, -1)),
-        c2_top=4,
-        name="blowup-p2",
-    )
+    return _blowup(1, "blowup-p2")
 
 
 def _hypersurface(d: int, name: str) -> SurfaceGeometry:
@@ -54,15 +76,38 @@ def _hypersurface(d: int, name: str) -> SurfaceGeometry:
     )
 
 
+def _blowup(k: int, name: str) -> SurfaceGeometry:
+    a = 1
+    while a * a <= k:
+        a += 1
+    diagonal = (1,) + (-1,) * k
+    return SurfaceGeometry(
+        lattice=NSLattice(k + 1, [[d if i == j else 0 for j in range(k + 1)]
+                                  for i, d in enumerate(diagonal)]),
+        canonical=NSVector((-3,) + (1,) * k),
+        polarization=NSVector((a,) + (-1,) * k),
+        c2_top=3 + k,
+        name=name,
+    )
+
+
+# the presets with a number after the colon: builder and what the number is
+_FAMILIES = {"hypersurface": (hypersurface, "hypersurface degree"),
+             "blowup": (blowup, "blowup point count")}
+
+
 def by_name(name: str) -> SurfaceGeometry:
-    """Resolve a preset name: "p2" or "hypersurface:<d>"."""
+    """Resolve a preset name: "p2", "p1xp1", "hypersurface:<d>" or "blowup:<k>"."""
     if name == "p2":
         return p2()
-    if name.startswith("hypersurface:"):
-        tail = name.split(":", 1)[1]
+    if name == "p1xp1":
+        return p1xp1()
+    family, colon, tail = name.partition(":")
+    if colon and family in _FAMILIES:
+        build, what = _FAMILIES[family]
         try:
-            d = int(tail)
+            n = int(tail)
         except ValueError:
-            raise ValidationError(f"bad hypersurface degree {tail!r}") from None
-        return hypersurface(d)
+            raise ValidationError(f"bad {what} {tail!r}") from None
+        return build(n)
     raise KeyError(name)

@@ -211,6 +211,7 @@ def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
 
 def line_bundle_ch(x: SurfaceGeometry, d: NSVector) -> ChowClass:
     """Chern character exp(D) = (1, D, D^2/2) of a line bundle class."""
+    require_type(x, SurfaceGeometry, "a surface")
     return ChowClass(1, d, ratio(pair_num(x.lattice, d, d), 2 * d.den * d.den))
 
 
@@ -225,6 +226,7 @@ def todd_surface(x: SurfaceGeometry) -> ChowClass:
 
 def cotangent_ch(x: SurfaceGeometry) -> ChowClass:
     """Chern character (2, K, (K^2 - 2 c2)/2) of the cotangent bundle."""
+    require_type(x, SurfaceGeometry, "a surface")
     return ChowClass(2, x.canonical, ratio(x.k_squared - 2 * x.c2_top, 2))
 
 
@@ -244,6 +246,7 @@ def hilbert_polynomial(x: SurfaceGeometry, ch: ChowClass, n: int) -> Rat:
     As a function of n this is the quadratic
     (r L^2 / 2) n^2 + (ch1 - (r/2) K).L n + chi(ch).
     """
+    require_type(x, SurfaceGeometry, "a surface")
     require_int(n, "twist")
     twist = line_bundle_ch(x, n * x.polarization)
     return chi(x, chow_mul(x, ch, twist))

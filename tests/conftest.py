@@ -1,6 +1,6 @@
 import pytest
 
-from higgsnum import NSLattice, NSVector, SurfaceGeometry, pair, presets
+from higgsnum import NSLattice, NSVector, SurfaceGeometry, cli, pair, presets
 
 
 @pytest.fixture
@@ -21,6 +21,12 @@ def quintic():
 @pytest.fixture
 def blowup():
     return presets.blowup_p2()
+
+
+def clear_memos():
+    """Empty the CLI's surface memos, so the next load validates again."""
+    cli._preset.cache_clear()
+    cli._parse_surface.cache_clear()
 
 
 def characteristic_surface(rng, rank):

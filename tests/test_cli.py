@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import higgsnum
-from higgsnum import ns_lattice, spectral, verify
+from higgsnum import cli, ns_lattice, spectral, verify
 from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
+
+from conftest import clear_memos
 
 DATA = Path(__file__).parent / "data"
 
@@ -275,14 +278,57 @@ def count_calls(fn, call):
     return calls
 
 
-def test_one_transport_per_grr_and_one_inertia_per_surface(capsys):
+def test_one_transport_per_grr_and_one_inertia_per_surface(tmp_path, capsys):
+    """inertia runs once for a file's text on a cold memo, not at all on a warm
+    one, and once again after the file is edited."""
     grr = ["grr", "--surface", "hypersurface:5", "-r", "3", "--delta", "1", "--points", "2"]
     assert count_calls(spectral.grr_pushforward, lambda: main(grr)) == 1
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["chi_cover"] == payload["chi_base"] == 18
-    surface = ["surface", "--surface", str(DATA / "blowup_p2.json")]
-    assert count_calls(ns_lattice.inertia, lambda: main(surface)) == 1
-    assert json.loads(capsys.readouterr().out)["payload"]["signature"] == [1, 1]
+    path = tmp_path / "blowup.json"
+    path.write_text((DATA / "blowup_p2.json").read_text())
+    surface = ["surface", "--surface", str(path)]
+    clear_memos()
+    for calls, name in [(1, "blowup-p2"), (0, "blowup-p2"), (1, "edited"), (0, "edited")]:
+        if name == "edited":
+            path.write_text(json.dumps({**BLOWUP, "name": name}))
+        assert count_calls(ns_lattice.inertia, lambda: main(surface)) == calls
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert (payload["name"], payload["signature"]) == (name, [1, 1])
+    clear_memos()
+    assert count_calls(ns_lattice.inertia, lambda: main(["surface", "--surface", "p1xp1"])) == 1
+    assert count_calls(ns_lattice.inertia, lambda: main(["surface", "--surface", "p1xp1"])) == 0
+
+
+def test_edited_surface_file_gives_the_new_answer(tmp_path, capsys):
+    """The memo is keyed on the file's text: same path, same size, new lattice."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(BLOWUP))
+    argv = ("criterion", "--surface", str(path), "-r", "2", "--c1=0,1", "--c2=3")
+    before = run_json(capsys, *argv)["payload"]
+    # the plane blown up in a point again, its basis permuted: E before H
+    path.write_text(json.dumps({**BLOWUP, "gram": [[-1, 0], [0, 1]], "canonical": [1, -3],
+                                "polarization": [-1, 2]}))
+    assert len(path.read_text()) == len(json.dumps(BLOWUP))
+    after = run_json(capsys, *argv)["payload"]
+    assert (before["regime"], before["delta"]) == ("Generic", [1, 0])
+    assert (after["regime"], after["delta"]) == ("NoDeltaSolution", None)
+    assert run_json(capsys, "surface", "--surface", str(path))["payload"]["gram"] == [
+        [-1, 0], [0, 1]]
+
+
+def test_refused_file_is_refused_on_every_call(tmp_path, capsys):
+    """Refusals are not memoized: each call validates again, with the same line."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({**BLOWUP, "gram": [[1, 0], [0, 1]]}))
+    clear_memos()
+    answers = []
+    for _ in range(3):
+        calls = count_calls(ns_lattice.inertia, lambda: answers.append(
+            run(capsys, "surface", "--surface", str(path))))
+        assert calls == 1
+    assert answers == [(2, "", "validation error: signature must be (1, 1), got (2, 0)\n")] * 3
+    assert cli._parse_surface.cache_info().currsize == 0
 
 
 def test_table_format(capsys):
@@ -512,3 +558,116 @@ def test_python_m_answers_like_main(tmp_path, capsys, missing):
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == (2 if missing else 0)
     assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+def run_batch(lines):
+    """batch over lines: (exit code, the answer of each line as JSON)."""
+    out = io.StringIO()
+    code = cli.batch(lines, out)
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def test_batch_line_edited_between_lines_gives_the_new_answer(tmp_path):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(BLOWUP))
+    line = json.dumps(["surface", "--surface", str(path)])
+
+    def lines():
+        yield line
+        path.write_text(json.dumps({**BLOWUP, "name": "edited"}))
+        yield line
+        path.write_text(json.dumps({**BLOWUP, "gram": [[1, 0], [0, 1]]}))
+        yield line
+
+    code, answers = run_batch(lines())
+    assert code == 2
+    assert [a["payload"]["name"] for a in answers[:2]] == ["blowup-p2", "edited"]
+    assert answers[2] == {"error": "validation error: signature must be (1, 1), got (2, 0)",
+                          "exit": 2}
+
+
+def test_batch_failing_verify_line_exits_one(monkeypatch):
+    def failing(rng):
+        yield False, "forced failure"
+
+    monkeypatch.setitem(verify._SUITES, "olympic", failing)
+    monkeypatch.delenv("HIGGS_SEED", raising=False)
+    lines = ['["verify", "--suite", "olympic"]', '["surface", "--surface", "p2"]']
+    code, answers = run_batch(lines)
+    assert code == 1
+    assert answers[0]["payload"]["all_passed"] is False
+    assert answers[1]["payload"]["name"] == "p2"
+
+
+BAD_LINES = [
+    ("not-json", "{", "parse error in line 1: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("blank", "\n", "parse error in line 1: Expecting value: line 2 column 1 (char 1)"),
+    ("not-utf8", b"\xff\n", "parse error in line 1: 'utf-8' codec can't decode byte 0xff in "
+     "position 0: invalid start byte"),
+    ("not-a-list", '{"surface": "p2"}', "parse error in line 1: expected a JSON list of strings"),
+    ("not-strings", '["surface", "--surface", 2]',
+     "parse error in line 1: expected a JSON list of strings"),
+    ("bad-flag", '["criterion", "--surface", "p2", "-r", "2", "--c1", "1", "--c2", "x"]',
+     "higgsnum criterion: error: argument --c2: invalid int value: 'x'"),
+    ("no-command", "[]", "higgsnum: error: the following arguments are required: command"),
+    ("help", '["surface", "--help"]', "parse error: help is not a query"),
+    ("nested", '["batch"]',
+     "parse error: batch reads its queries from stdin, not from a batch line"),
+    ("refusal", '["surface", "--surface", "blowup:65"]',
+     "parse error: blowup point count must be at most 64, got 65"),
+]
+
+
+@pytest.mark.parametrize("line, error", [b[1:] for b in BAD_LINES], ids=[b[0] for b in BAD_LINES])
+def test_batch_refuses_a_bad_line_and_carries_on(capsys, line, error):
+    code, answers = run_batch([line, '["surface", "--surface", "p2"]'])
+    assert code == 2
+    assert answers[0] == {"error": error, "exit": 2}
+    assert answers[1]["payload"]["name"] == "p2"
+    assert capsys.readouterr() == ("", "")
+
+
+def test_batch_runs_inertia_once_per_distinct_surface_text(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps(BLOWUP))
+    second.write_text(json.dumps({**BLOWUP, "name": "other"}))
+    commands = (["surface"], ["spectral", "-r", "2"],
+                ["criterion", "-r", "2", "--c1=0,1", "--c2=3"])
+    lines = [json.dumps(argv + ["--surface", str(path)])
+             for path in (first, second, first) for argv in commands]
+    lines += ['["surface", "--surface", "p1xp1"]'] * 3
+    clear_memos()
+    answers = []
+    assert count_calls(ns_lattice.inertia, lambda: answers.append(run_batch(lines))) == 3
+    code, docs = answers[0]
+    assert code == 0 and len(docs) == 12
+    assert [doc["command"] for doc in docs[:3]] == ["surface", "spectral", "criterion"]
+
+
+def test_batch_from_a_shell():
+    """`python -m higgsnum batch`: one line per line, and the largest exit code."""
+    src = str(Path(higgsnum.__file__).parent.parent)
+    lines = ['["surface", "--surface", "p2"]', "oops", '["surface", "--surface", "p1xp1"]']
+    proc = subprocess.run([sys.executable, "-m", "higgsnum", "batch"], input="\n".join(lines),
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    answers = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [a.get("exit", 0) for a in answers] == [0, 2, 0]
+    assert answers[2]["payload"]["gram"] == [[0, 1], [1, 0]]
+    for stdin in (subprocess.DEVNULL, None):
+        # an empty stdin, and a closed one, which Python reads as sys.stdin None
+        proc = subprocess.run(
+            [sys.executable, "-m", "higgsnum", "batch"], stdin=stdin, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=None if stdin is not None else lambda: os.close(0))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("name, rank, k2, l2", [("p1xp1", 2, 8, 2), ("blowup:0", 1, 9, 1),
+                                                ("blowup:1", 2, 8, 3), ("blowup:8", 9, 1, 1)])
+def test_new_presets_answer(capsys, name, rank, k2, l2):
+    payload = run_json(capsys, "surface", "--surface", name)["payload"]
+    assert (payload["name"], payload["ns_rank"], payload["k_squared"], payload["l_squared"]) == (
+        name, rank, k2, l2)
+    assert payload["signature"] == [1, rank - 1]

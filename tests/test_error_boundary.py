@@ -39,6 +39,7 @@ from higgsnum import (
     chow_mul,
     classify,
     component_betas,
+    cotangent_ch,
     discriminant_identity,
     divide,
     grr_pushforward,
@@ -50,6 +51,7 @@ from higgsnum import (
     ideal_twist_ch,
     iter_compositions,
     iter_partitions_at_most,
+    line_bundle_ch,
     n_points,
     olympic_sum,
     partition_count,
@@ -144,6 +146,14 @@ PROBES = [
      ValidationError),
     ("slope_gaps", lambda v: slope_gaps(v, T), (5, None, X.lattice), ValidationError),
     ("discriminant_identity", lambda v: discriminant_identity(v, T), (5, None, X.lattice),
+     ValidationError),
+    ("divide-lattice", lambda v: divide(v, NSVector((2,)), 2), (5, None, X), LatticeError),
+    ("divide-vector", lambda v: divide(X.lattice, v, 2), (5, None), LatticeError),
+    ("line_bundle_ch", lambda v: line_bundle_ch(v, L), (5, None, X.lattice), ValidationError),
+    ("cotangent_ch", cotangent_ch, (5, None, X.lattice), ValidationError),
+    ("hilbert_polynomial-surface", lambda v: hilbert_polynomial(v, ChowClass.unit(1), 1),
+     (5, None, X.lattice), ValidationError),
+    ("ideal_twist_ch-surface", lambda v: ideal_twist_ch(v, L, 1), (5, None, X.lattice),
      ValidationError),
 ]
 

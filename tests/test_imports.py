@@ -5,6 +5,7 @@ module), every top-level def or class of a package module is exported or
 read by package code, no package module computes with floats, only
 presets and cli build a SurfaceGeometry, no package module imports
 dataclasses and only ns_lattice's alias _set names object.__setattr__,
+every functools cache is bounded,
 the package namespace is the
 modules' __all__ lists, every public class other than an exception or
 an enum is a Frozen value, and pyproject.toml takes the version from
@@ -181,6 +182,69 @@ def test_package_modules_have_one_frozen_value_type():
     assert found == ["ns_lattice.py: object.__setattr__"]
     tree = ast.parse((PACKAGE / "ns_lattice.py").read_text(encoding="utf-8"))
     assert "_set = object.__setattr__" in [ast.unparse(n) for n in tree.body]
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def unbounded_caches(path):
+    """Uses of functools.cache or lru_cache that may grow without bound, as
+    "<file>:<line>: <source>": all but a decorator on a function with no
+    parameters and an lru_cache(maxsize=<int literal>), as a decorator or a call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(a.asname or a.name for a in node.names if a.name in CACHES)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if not (args.posonlyargs or args.args or args.vararg or args.kwonlyargs
+                    or args.kwarg):
+                allowed.update(id(d) for d in node.decorator_list)
+        elif isinstance(node, ast.Call) and [k.arg for k in node.keywords] == ["maxsize"]:
+            size = node.keywords[0].value
+            if not node.args and isinstance(size, ast.Constant) and type(size.value) is int:
+                allowed.add(id(node.func))
+    return [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in CACHES
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+            or isinstance(node, ast.Name) and node.id in names)
+        and id(node) not in allowed
+    ]
+
+
+def test_package_caches_are_bounded():
+    """No cache that can grow without bound: a cached function takes no
+    arguments, or its lru_cache has an integer maxsize."""
+    found = [use for p in sorted(PACKAGE.glob("*.py")) for use in unbounded_caches(p)]
+    assert found == []
+
+
+def test_cache_lint_catches_unbounded_caches(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import lru_cache as lc\n"
+        "@functools.cache\ndef a(x): pass\n"
+        "@functools.lru_cache\ndef b(x): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef c(x): pass\n"
+        "@ft.lru_cache(None)\ndef d(x): pass\n"
+        "e = functools.cache(len)\n"
+        "f = lc(maxsize=SIZE)(len)\n"
+        "@lc\ndef g(*x): pass\n"
+        "@functools.cache\ndef ok1(): pass\n"
+        "@lc(maxsize=8)\ndef ok2(x): pass\n"
+        "ok3 = ft.lru_cache(maxsize=8)(len)\n"
+        "cache = {}\n"
+    )
+    assert sorted(int(use.split(":")[1]) for use in unbounded_caches(path)) == [
+        4, 6, 8, 10, 12, 13, 14]
 
 
 # the math modules whose __all__ the package re-exports

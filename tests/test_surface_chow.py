@@ -106,6 +106,60 @@ def test_preset_data():
         presets.hypersurface(0)
 
 
+@pytest.mark.parametrize("name", ["p1xp1"] + [f"blowup:{k}" for k in range(9)])
+def test_new_presets_pass_noether_and_wu(name):
+    """Recomputed from the gram rows, apart from the constructor's checks:
+    12 divides K^2 + c2, e_i^2 = K.e_i (mod 2), L^2 > 0 and chi(O) = 1."""
+    x = presets.by_name(name)
+    gram, k, l = x.lattice.gram, x.canonical.num, x.polarization.num
+    form = lambda v, w: sum(v[i] * gram[i][j] * w[j] for i in range(x.rank) for j in range(x.rank))
+    assert (form(k, k) + x.c2_top) % 12 == 0
+    assert all((gram[i][i] - sum(map(int.__mul__, gram[i], k))) % 2 == 0 for i in range(x.rank))
+    assert form(l, l) > 0
+    assert (form(k, k) + x.c2_top) // 12 == x.chi_structure_sheaf == 1
+    assert x.name == name
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_blowup_data(k):
+    x = presets.blowup(k)
+    a = x.polarization.num[0]
+    assert (x.rank, x.k_squared, x.c2_top) == (k + 1, 9 - k, 3 + k)
+    assert (a - 1) ** 2 <= k < a * a and x.l_squared == a * a - k
+    assert x.lattice.gram == tuple(
+        tuple((1 if i == 0 else -1) if i == j else 0 for j in range(k + 1)) for i in range(k + 1))
+    assert x.canonical.num == (-3,) + (1,) * k and x.polarization.num == (a,) + (-1,) * k
+
+
+def test_blowup_one_is_blowup_p2_and_p1xp1_is_the_quadric():
+    b, one = presets.blowup_p2(), presets.blowup(1)
+    assert (b.name, one.name) == ("blowup-p2", "blowup:1")
+    assert b == SurfaceGeometry(one.lattice, one.canonical, one.polarization, one.c2_top,
+                                "blowup-p2")
+    q, quadric = presets.p1xp1(), presets.hypersurface(2)
+    assert (q.k_squared, q.l_squared, q.c2_top) == (
+        quadric.k_squared, quadric.l_squared, quadric.c2_top) == (8, 2, 4)
+    assert q.lattice.gram == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("k, message", [
+    (65, "blowup point count must be at most 64, got 65"),
+    (-1, "blowup point count must be a nonnegative integer, got -1"),
+    (True, "blowup point count must be a nonnegative integer, got True"),
+    ("3", "blowup point count must be a nonnegative integer, got '3'"),
+])
+def test_blowup_refuses_counts_outside_its_range(k, message):
+    with pytest.raises(ValidationError) as excinfo:
+        presets.blowup(k)
+    assert str(excinfo.value) == message
+    if type(k) is int:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            presets.by_name(f"blowup:{k}")
+    with pytest.raises(ValidationError, match="^bad blowup point count 'x'$"):
+        presets.by_name("blowup:x")
+    assert presets.blowup(64).rank == 65
+
+
 def test_todd(quintic, plane):
     td = todd_surface(quintic)
     assert td.deg0 == 1

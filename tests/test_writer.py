@@ -22,7 +22,10 @@ from higgsnum import (
     ChowClass, HiggsNumerics, NSVector, QNSVector, Regime, ValidationError, YClass, c2_gbun,
     classify, iter_partitions_at_most, monopole_components, partition_count, presets,
 )
+from higgsnum import cli
 from higgsnum.cli import Rows, _dump, encode, main
+
+from conftest import clear_memos
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -227,11 +230,13 @@ GROUPS = [(s, cmd, argvs) for s in SURFACES for cmd, argvs in cases(s).items()]
 GROUPS.append(("-", "verify", [["verify"], ["verify", "--suite", "olympic"]]))
 
 
-def group_digest(argvs):
-    """SHA-256 over argv, exit code and stdout of each run, json and table."""
+def group_digest(argvs, before=lambda: None):
+    """SHA-256 over argv, exit code and stdout of each run, json and table;
+    before() runs before each run."""
     h = hashlib.sha256()
     for argv in argvs:
         for fmt in ("json", "table"):
+            before()
             out, err = StringIO(), StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 rc = main(argv + ["--format", fmt])
@@ -284,6 +289,34 @@ def test_cli_stdout_unchanged(surface, command, argvs, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("HIGGS_SEED", raising=False)
     assert group_digest(argvs) == EXPECTED[f"{surface} {command}"]
+
+
+@pytest.mark.parametrize(
+    "surface, command, argvs", GROUPS, ids=[f"{s}-{c}" for s, c, _ in GROUPS]
+)
+def test_cold_and_warm_surface_memo_give_the_same_stdout(surface, command, argvs, monkeypatch):
+    """Each run on a cold memo, then each on the memo the first pass warmed."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("HIGGS_SEED", raising=False)
+    cold = group_digest(argvs, before=clear_memos)
+    assert group_digest(argvs) == cold == EXPECTED[f"{surface} {command}"]
+
+
+def test_batch_lines_parse_as_the_single_query_stdout(monkeypatch):
+    """One batch over every GROUPS argv: each line is the JSON the query prints alone."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("HIGGS_SEED", raising=False)
+    argvs = [argv for _, _, group in GROUPS for argv in group]
+    out = StringIO()
+    assert cli.batch(map(json.dumps, argvs), out) == 0
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == "" and len(lines) == len(argvs)
+    for argv, line in zip(argvs, lines):
+        single = StringIO()
+        with redirect_stdout(single):
+            assert main(argv) == 0
+        assert json.loads(line) == json.loads(single.getvalue()), argv
+        assert line == json.dumps(json.loads(line)), argv
 
 
 def test_digest_cases_cover_every_regime_and_rank2_block(monkeypatch):
