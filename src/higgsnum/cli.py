@@ -337,13 +337,14 @@ def _cmd_ybundle(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     r = args.rank
     eta = hyperplane_class(x)
     eta3 = y_mul(y_mul(eta, eta), eta)
-    restricted = restrict_to_spectral(canonical_y(x) + spectral_divisor_class(x, r), r)
+    spectral_divisor, canonical = spectral_divisor_class(x, r), canonical_y(x)
+    restricted = restrict_to_spectral(canonical + spectral_divisor, r)
     return {
         "r": r,
         "eta_top_integral": y_pushforward(eta3).deg2,
-        "spectral_divisor": spectral_divisor_class(x, r),
+        "spectral_divisor": spectral_divisor,
         "dinfty": dinfty_class(x),
-        "canonical": canonical_y(x),
+        "canonical": canonical,
         "restriction_adjunction": restricted.deg1,
     }
 

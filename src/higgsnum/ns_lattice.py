@@ -15,6 +15,11 @@ pairing run over the integer numerators and divide once at the end.
 The signature test is fraction-free symmetric Bareiss elimination on
 the packed upper triangle, with one exactness check per step.
 
+Every value is a Frozen.  Public constructors check every field and
+bring it to normal form, so outside input is checked where it enters;
+kernel results are built unchecked from checked parts by Cls._of(*fields).
+Both write the slots through _set, the one route around Frozen.__setattr__.
+
 Every refusal in the package is a HiggsError (a ValueError):
 LatticeError for lattice data, ValidationError for surface and sheaf
 data, and RegimeError (hn_branches) and CLIError (cli) downstream.
@@ -33,7 +38,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 __all__ = [
     "HiggsError",
@@ -117,18 +122,52 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _unchecked(cls: type) -> Callable[..., "Frozen"]:
+    """cls._of: the value of cls with the given fields, written as they are.
+
+    The writes are unrolled for two and three fields, the values the kernel
+    builds: a loop over the slots would cost most of what skipping the checks saves.
+    """
+    names = cls.__slots__
+    if len(names) == 2:
+        n0, n1 = names
+
+        def of(f0: object, f1: object) -> Frozen:
+            v = _new(cls)
+            _set(v, n0, f0)
+            _set(v, n1, f1)
+            return v
+    elif len(names) == 3:
+        n0, n1, n2 = names
+
+        def of(f0: object, f1: object, f2: object) -> Frozen:
+            v = _new(cls)
+            _set(v, n0, f0)
+            _set(v, n1, f1)
+            _set(v, n2, f2)
+            return v
+    else:
+        def of(*fields: object) -> Frozen:
+            v = _new(cls)
+            Frozen.__init__(v, *fields)
+            return v
+    return of
+
+
 class Frozen:
     """An immutable value whose fields are its __slots__, in order.
 
     Equal to a value of its own type with equal fields and hashed by them;
     repr is Name(field=value, ...).  Assigning or deleting a field raises
     AttributeError; copy and pickle refill the slots through __setstate__.
+    Cls._of(*fields) builds a value unchecked, from checked normal fields.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)
+        cls._of = staticmethod(_unchecked(cls))
 
     def __init__(self, *fields: object) -> None:
         if len(fields) != len(self.__slots__):
@@ -186,11 +225,11 @@ class NSVector(Frozen):
                 raise LatticeError(f"integer or Fraction coordinates required, got {c!r}")
         den = lcm(*(c.denominator for c in qs))
         # the lcm of reduced denominators leaves gcd(den, *num) = 1
-        return _vec(tuple(c.numerator * (den // c.denominator) for c in qs), den)
+        return cls._of(tuple(c.numerator * (den // c.denominator) for c in qs), den)
 
     @classmethod
     def zero(cls, rank: int) -> "NSVector":
-        return _vec((0,) * rank, 1)
+        return cls._of((0,) * require_int(rank, "rank", 1, error=LatticeError), 1)
 
     @property
     def coords(self) -> tuple[Rat, ...]:
@@ -213,7 +252,7 @@ class NSVector(Frozen):
         return lincomb(1, self, -1, other)
 
     def __neg__(self) -> "NSVector":
-        return _vec(tuple(-a for a in self.num), self.den)
+        return NSVector._of(tuple(-a for a in self.num), self.den)
 
     def __mul__(self, k: Rat) -> "NSVector":
         if type(k) is not int and not isinstance(k, Fraction):
@@ -243,14 +282,6 @@ class NSVector(Frozen):
         return self if self.den == 1 else None
 
 
-def _vec(num: tuple[int, ...], den: int) -> NSVector:
-    """An NSVector from fields already in reduced form."""
-    v = _new(NSVector)
-    _set(v, "num", num)
-    _set(v, "den", den)
-    return v
-
-
 def _reduced(num: tuple[int, ...], den: int) -> NSVector:
     """An NSVector from integer numerators over a positive denominator."""
     if den != 1:
@@ -258,7 +289,7 @@ def _reduced(num: tuple[int, ...], den: int) -> NSVector:
         if g != 1:
             num = tuple(a // g for a in num)
             den //= g
-    return _vec(num, den)
+    return NSVector._of(num, den)
 
 
 def lincomb(s: Rat, v: NSVector, t: Rat, w: NSVector) -> NSVector:
@@ -270,7 +301,7 @@ def lincomb(s: Rat, v: NSVector, t: Rat, w: NSVector) -> NSVector:
     a = s.numerator * td * w.den
     b = t.numerator * sd * v.den
     return _reduced(
-        tuple(a * x + b * y for x, y in zip(v.num, w.num)), sd * td * v.den * w.den
+        tuple(map(lambda x, y: a * x + b * y, v.num, w.num)), sd * td * v.den * w.den
     )
 
 

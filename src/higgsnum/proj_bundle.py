@@ -57,22 +57,22 @@ class YClass(Frozen):
         if not isinstance(other, YClass):
             return NotImplemented
         _same_base(self, other)
-        return YClass(self.alpha + other.alpha, self.beta + other.beta, self.over)
+        return YClass._of(self.alpha + other.alpha, self.beta + other.beta, self.over)
 
     def __sub__(self, other: "YClass") -> "YClass":
         if not isinstance(other, YClass):
             return NotImplemented
         _same_base(self, other)
-        return YClass(self.alpha - other.alpha, self.beta - other.beta, self.over)
+        return YClass._of(self.alpha - other.alpha, self.beta - other.beta, self.over)
 
     def __neg__(self) -> "YClass":
-        return YClass(-self.alpha, -self.beta, self.over)
+        return YClass._of(-self.alpha, -self.beta, self.over)
 
     def __mul__(self, other: Union["YClass", Rat]) -> "YClass":
         if isinstance(other, YClass):
             return y_mul(self, other)
         if type(other) is int or isinstance(other, Fraction):
-            return YClass(other * self.alpha, other * self.beta, self.over)
+            return YClass._of(other * self.alpha, other * self.beta, self.over)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -108,7 +108,7 @@ def y_mul(a: YClass, b: YClass) -> YClass:
         + chow_mul(x, a.beta, b.alpha)
         + chow_mul(x, chow_mul(x, a.beta, b.beta), c_l)
     )
-    return YClass(alpha, beta, x)
+    return YClass._of(alpha, beta, x)
 
 
 def y_pushforward(a: YClass) -> ChowClass:

@@ -65,7 +65,9 @@ class SpectralCover(Frozen):
 
     def pushforward(self, c: ChowClass, points: Rat = 0) -> ChowClass:
         """pi_*(pi^*c + points . pt) = r c + points . pt, as a base class."""
-        return ChowClass(self.r * c.deg0, self.r * c.deg1, self.integral(c.deg2, points))
+        require_type(c, ChowClass, "a Chow class")
+        return ChowClass._of(ratnorm(self.r * c.deg0), self.r * c.deg1,
+                             self.integral(c.deg2, points))
 
 
 def spectral_canonical(s: SpectralCover) -> NSVector:

@@ -18,6 +18,11 @@ canonical class, the polarization and the topological Euler number; the
 constructor checks the Noether constraint that K^2 + c2 is divisible by
 12, and Wu's formula that K is characteristic (D^2 + K.D is even for
 every D), so chi(O) and chi of every line bundle are integers.
+
+The public constructors check: ChowClass(deg0, deg1, deg2) brings deg0
+and deg2 to normal form.  Kernel results are built unchecked from checked
+parts with ChowClass._of (+, -, negation, scalar *, chow_mul, chow_inverse,
+zero, unit); a sum or product that may be an integral Fraction is ratnorm'd.
 """
 
 from __future__ import annotations
@@ -126,11 +131,11 @@ class ChowClass(Frozen):
 
     @classmethod
     def zero(cls, rank: int) -> "ChowClass":
-        return cls(0, NSVector.zero(rank), 0)
+        return cls._of(0, NSVector.zero(rank), 0)
 
     @classmethod
     def unit(cls, rank: int) -> "ChowClass":
-        return cls(1, NSVector.zero(rank), 0)
+        return cls._of(1, NSVector.zero(rank), 0)
 
     @classmethod
     def of_divisor(cls, v: NSVector) -> "ChowClass":
@@ -147,21 +152,21 @@ class ChowClass(Frozen):
     def __add__(self, other: "ChowClass") -> "ChowClass":
         if not isinstance(other, ChowClass):
             return NotImplemented
-        return ChowClass(self.deg0 + other.deg0, self.deg1 + other.deg1,
-                         self.deg2 + other.deg2)
+        return ChowClass._of(ratnorm(self.deg0 + other.deg0), self.deg1 + other.deg1,
+                             ratnorm(self.deg2 + other.deg2))
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         if not isinstance(other, ChowClass):
             return NotImplemented
-        return ChowClass(self.deg0 - other.deg0, self.deg1 - other.deg1,
-                         self.deg2 - other.deg2)
+        return ChowClass._of(ratnorm(self.deg0 - other.deg0), self.deg1 - other.deg1,
+                             ratnorm(self.deg2 - other.deg2))
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(-self.deg0, -self.deg1, -self.deg2)
+        return ChowClass._of(-self.deg0, -self.deg1, -self.deg2)
 
     def __mul__(self, k: Rat) -> "ChowClass":
         if type(k) is int or isinstance(k, Fraction):
-            return ChowClass(k * self.deg0, k * self.deg1, k * self.deg2)
+            return ChowClass._of(ratnorm(k * self.deg0), k * self.deg1, ratnorm(k * self.deg2))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -187,7 +192,7 @@ def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
         d1 * d2 * d3,
     )
     deg0 = ratio(a0.numerator * b0.numerator, a0.denominator * b0.denominator)
-    return ChowClass(deg0, lincomb(a0, v, b0, u), deg2)
+    return ChowClass._of(deg0, lincomb(a0, v, b0, u), deg2)
 
 
 def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
@@ -206,7 +211,7 @@ def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
         n, d = -n, -d
     e2 = u.den * u.den
     deg2 = ratio(d * d * (pair_num(x.lattice, u, u) * d * t - s * n * e2), n * n * n * e2 * t)
-    return ChowClass(ratio(d, n), u * ratio(-d * d, n * n), deg2)
+    return ChowClass._of(ratio(d, n), u * ratio(-d * d, n * n), deg2)
 
 
 def line_bundle_ch(x: SurfaceGeometry, d: NSVector) -> ChowClass:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import higgsnum
-from higgsnum import cli, ns_lattice, spectral, verify
+from higgsnum import ChowClass, YClass, cli, ns_lattice, spectral, verify
 from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
 
 from conftest import clear_memos
@@ -298,6 +298,20 @@ def test_one_transport_per_grr_and_one_inertia_per_surface(tmp_path, capsys):
     clear_memos()
     assert count_calls(ns_lattice.inertia, lambda: main(["surface", "--surface", "p1xp1"])) == 1
     assert count_calls(ns_lattice.inertia, lambda: main(["surface", "--surface", "p1xp1"])) == 0
+
+
+def test_ybundle_checks_only_the_classes_built_from_the_surface(capsys):
+    """The public constructors run for the classes built from surface data:
+    ChowClass for L three times (y_mul twice, restrict_to_spectral once) and
+    for the pullbacks of L and K + L; YClass for eta in hyperplane_class
+    four times and the two pullbacks.  Every ring result is built unchecked."""
+    argv = ["ybundle", "--surface", "p2", "-r", "3"]
+    main(argv)
+    first = capsys.readouterr().out
+    assert count_calls(ChowClass.__init__, lambda: main(argv)) == 5
+    assert count_calls(YClass.__init__, lambda: main(argv)) == 6
+    assert capsys.readouterr().out == first * 2
+    assert json.loads(first)["payload"]["eta_top_integral"] == 1
 
 
 def test_edited_surface_file_gives_the_new_answer(tmp_path, capsys):

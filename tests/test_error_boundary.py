@@ -84,6 +84,10 @@ INTEGER = (True, 1.5, Fraction(3, 2))
 
 PROBES = [
     ("NSLattice-rank", lambda v: NSLattice(v, ((1,),)), POSITIVE, LatticeError),
+    ("NSVector.zero", NSVector.zero, POSITIVE, LatticeError),
+    ("ChowClass.zero", ChowClass.zero, POSITIVE, LatticeError),
+    ("ChowClass.unit", ChowClass.unit, POSITIVE, LatticeError),
+    ("ChowClass.of_points", lambda v: ChowClass.of_points(1, v), POSITIVE, LatticeError),
     ("divide", lambda v: divide(X.lattice, NSVector((2,)), v), POSITIVE, LatticeError),
     ("HiggsNumerics-rank", lambda v: HiggsNumerics(v, L, 0), POSITIVE, ValidationError),
     ("HiggsNumerics-c2", lambda v: HiggsNumerics(2, L, v), INTEGER, ValidationError),
@@ -129,6 +133,8 @@ PROBES = [
     ("n_points", lambda v: n_points(X, v), (5, None, X), ValidationError),
     ("solve_delta", lambda v: solve_delta(X, v), (5, None, X), ValidationError),
     ("chow_inverse", lambda v: chow_inverse(X, v), (5, None, L), ValidationError),
+    ("SpectralCover.pushforward", lambda v: SpectralCover(X, 2).pushforward(v), (5, None, L),
+     ValidationError),
     ("todd_surface", lambda v: todd_surface(v), (5, None, X.lattice), ValidationError),
     ("rank2_fixed_components-surface", lambda v: rank2_fixed_components(v, 3), (5, None),
      ValidationError),
@@ -257,6 +263,19 @@ def test_refusal_messages_kept():
         SpectralCover(X, 0)
     with pytest.raises(ValidationError, match="^hypersurface degree must be a positive integer"):
         presets.hypersurface(0)
+
+
+@pytest.mark.parametrize("call, value", [
+    (ChowClass.unit, -2),
+    (ChowClass.zero, True),
+    (ChowClass.zero, 2.0),
+    (NSVector.zero, 0),
+])
+def test_zero_and_unit_refuse_a_rank_that_is_no_positive_int(call, value):
+    """A negative rank, a bool and a float are refused with one line, as 0 is."""
+    with pytest.raises(LatticeError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"rank must be a positive integer, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ __all__ lists is defined in it (so each public name has one owning
 module), every top-level def or class of a package module is exported or
 read by package code, no package module computes with floats, only
 presets and cli build a SurfaceGeometry, no package module imports
-dataclasses and only ns_lattice's alias _set names object.__setattr__,
+dataclasses, only ns_lattice's aliases _set and _new name
+object.__setattr__ and a __new__ and no module reads a slot's __set__,
+only the kernel modules call the unchecked constructor _of,
 every functools cache is bounded,
 the package namespace is the
 modules' __all__ lists, every public class other than an exception or
@@ -156,18 +158,25 @@ def test_only_presets_and_cli_build_surfaces():
     assert found == []
 
 
+# ns_lattice's aliases of object.__setattr__ and object.__new__
+ALIASES = {"_set", "_new"}
+
+
 def frozen_workarounds(path):
-    """Imports of dataclasses, mentions of object.__setattr__, and imports or
-    attribute reads of ns_lattice's alias _set of it, as "<file>: <source>"."""
+    """Imports of dataclasses, mentions of object.__setattr__, reads of any
+    __new__ (object.__new__ among them) and of a slot descriptor's __set__,
+    and imports or attribute reads of ns_lattice's aliases _set and _new,
+    as "<file>: <source>"."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bad = any(a.name.split(".")[0] == "dataclasses" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            bad = node.module == "dataclasses" or any(a.name == "_set" for a in node.names)
+            bad = node.module == "dataclasses" or any(a.name in ALIASES for a in node.names)
         elif isinstance(node, ast.Attribute):
-            bad = ast.unparse(node) == "object.__setattr__" or node.attr == "_set"
+            bad = (ast.unparse(node) == "object.__setattr__"
+                   or node.attr in ALIASES | {"__new__", "__set__"})
         else:
             bad = False
         if bad:
@@ -177,11 +186,52 @@ def frozen_workarounds(path):
 
 def test_package_modules_have_one_frozen_value_type():
     """The one way past Frozen.__setattr__ is the top-level alias
-    _set = object.__setattr__ of ns_lattice, which no other module reaches."""
+    _set = object.__setattr__ of ns_lattice, with _new = object.__new__ for
+    the unchecked constructor; no other module reaches either."""
     found = [use for p in sorted(PACKAGE.glob("*.py")) for use in frozen_workarounds(p)]
-    assert found == ["ns_lattice.py: object.__setattr__"]
+    assert found == ["ns_lattice.py: object.__new__", "ns_lattice.py: object.__setattr__"]
     tree = ast.parse((PACKAGE / "ns_lattice.py").read_text(encoding="utf-8"))
-    assert "_set = object.__setattr__" in [ast.unparse(n) for n in tree.body]
+    body = [ast.unparse(n) for n in tree.body]
+    assert "_set = object.__setattr__" in body and "_new = object.__new__" in body
+
+
+def test_frozen_lint_catches_workarounds(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import dataclasses\n"
+        "from .ns_lattice import _set, _new\n"
+        "object.__setattr__(v, 'deg0', 1)\n"
+        "v = object.__new__(ChowClass)\n"
+        "ChowClass.deg0.__set__(v, 1)\n"
+        "put = vars(ChowClass)['deg2'].__set__\n"
+        "ns_lattice._set(v, 'deg0', 1)\n"
+        "ns_lattice._new(ChowClass)\n"
+        "v = ChowClass.__new__(ChowClass)\n"
+    )
+    assert sorted(use.split(": ")[1] for use in frozen_workarounds(path)) == sorted([
+        "import dataclasses", "from .ns_lattice import _set, _new", "object.__setattr__",
+        "object.__new__", "ChowClass.deg0.__set__", "vars(ChowClass)['deg2'].__set__",
+        "ns_lattice._set", "ns_lattice._new", "ChowClass.__new__"])
+
+
+# the kernel modules, which build results from checked parts; outside
+# input arrives in cli, presets, verify, hitchin_criterion and hn_branches
+KERNEL_MODULES = {"ns_lattice.py", "surface_chow.py", "proj_bundle.py", "spectral.py"}
+
+
+def unchecked_constructions(path):
+    """Reads of a class's unchecked constructor _of, as "<file>:<line>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_of"]
+
+
+def test_only_the_kernel_builds_values_unchecked():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [use for p in modules if p.name not in KERNEL_MODULES
+             for use in unchecked_constructions(p)]
+    assert found == []
+    assert {p.name for p in modules if unchecked_constructions(p)} == KERNEL_MODULES
 
 
 CACHES = {"cache", "lru_cache"}
