@@ -33,9 +33,11 @@ reach the text.
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
 fails; 2 for input errors (bad flags, unreadable or invalid surface
-data).  Every refusal is a HiggsError, caught in one place and printed
-as one stderr line (in batch, as the line's error): a CLIError (files,
-schemas, flags) as it is, any other with the prefix "validation error: ".
+data); EXIT_NO_STDOUT, 141, when stdout is closed or its reader has
+gone, as in `higgsnum branches ... | head`.  Every refusal is a
+HiggsError, caught in one place and printed as one stderr line (in
+batch, as the line's error): a CLIError (files, schemas, flags) as it
+is, any other with the prefix "validation error: ".
 """
 
 from __future__ import annotations
@@ -79,7 +81,10 @@ from .hn_branches import component_betas, iter_partition_blocks, partition_count
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
 
-__all__ = ["CLIError", "batch", "load_surface", "main", "main_entry"]
+__all__ = ["CLIError", "EXIT_NO_STDOUT", "batch", "load_surface", "main", "main_entry"]
+
+# the exit code when stdout is closed or its reader has gone: 128 + SIGPIPE
+EXIT_NO_STDOUT = 141
 
 
 class CLIError(HiggsError):
@@ -615,7 +620,18 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """main as a program: a closed stdout, or one whose reader has gone,
+    exits with EXIT_NO_STDOUT and no traceback."""
+    if sys.stdout is None:
+        sys.exit(EXIT_NO_STDOUT)
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_NO_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,13 +17,12 @@ n = c2 - c2_gbun into at most r parts, all attached to the same fixed
 line bundle classes beta_i = delta - (i-1) c1(L).
 
 A factor is a HiggsNumerics, named HNFactor here.  The partitions are
-enumerated two ways, which share no code.  iter_partitions_at_most
-steps one list in place; iter_monopole_components yields its rows
-lazily, zero-padded to length r, and monopole_components lists them.
-This stepper gives the library its tuple rows and is the reference the
-other way is tested against.  iter_partition_blocks yields the same rows in
-lists, each row built from memoized tails of a shared prefix, with
-cells the caller chooses: the CLI writes the rows as text this way.
+enumerated one way: iter_partition_blocks yields them in lists of rows,
+each row built from memoized tails of a shared prefix, with cells the
+caller chooses.  The CLI writes the rows as text this way, and the
+library's tuple rows are views of the same walk: iter_partitions_at_most
+gives the parts, iter_monopole_components the parts zero-padded to
+length r, lazily, and monopole_components lists those.
 partition_count gives their number without enumerating them,
 component_betas gives the shared classes once, and the rank-2 inventory
 for c1 = c1(L), rank2_fixed_components, counts its rows with
@@ -35,6 +34,7 @@ outside the scope of the arithmetic done here.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .ns_lattice import (
@@ -193,42 +193,6 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
         c[k + 1:] = [len(c) - k]
 
 
-def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most k parts, in decreasing lex order.
-
-    Parts are emitted nonincreasing, without zero padding.  One list is
-    stepped to its successor in place: the rightmost part that can drop
-    by one, with what it and the parts after it held refilled greedily
-    into the slots left, gives the next partition.
-    """
-    require_int(n, "partition size", 0)
-    require_int(k, "part count", 0)
-    if n == 0:
-        yield ()
-        return
-    if k == 0:
-        return
-    p = [n]
-    while True:
-        yield tuple(p)
-        i = len(p)
-        rest = 0
-        while True:
-            i -= 1
-            if i < 0:
-                return
-            rest += p[i]
-            v = p[i] - 1
-            # v must still hold rest within the k - i slots from i on
-            if v and v * (k - i) >= rest:
-                break
-        del p[i:]
-        q, rem = divmod(rest, v)
-        p += [v] * q
-        if rem:
-            p.append(rem)
-
-
 # iter_partition_blocks memoizes the row tails for m in s slots when
 # comb(m + s, s) <= 4096, and always for m <= 1; a call drops its memo
 # once it holds more than _MEMO_CELLS cells.
@@ -260,12 +224,13 @@ def iter_partition_blocks(
     Row v_1 >= ... >= v_k >= 0 is head(v_1) + cell(v_2) + ... + cell(v_k)
     + tail, so with head = cell = lambda v: (v,) it is the partition padded
     with zeros to length k, and with cell(0) = () the partition itself.
-    Rows come in decreasing lex order, the order of iter_partitions_at_most,
-    which is the reference they are tested against.  The walk extends a
-    prefix one part at a time, formatting each cell as it goes, until the
-    parts left fit a small box; the rows of a box are memoized tails,
-    each added to the prefix in one concatenation.  A list holds the rows
-    of the boxes below one prefix, at most a few thousand.
+    Rows come in decreasing lex order.  This is the one enumeration of
+    partitions in the package: the CLI's text rows and the library's
+    tuple rows are both made by it.  The walk extends a prefix one part
+    at a time, formatting each cell as it goes, until the parts left fit
+    a small box; the rows of a box are memoized tails, each added to the
+    prefix in one concatenation.  A list holds the rows of the boxes
+    below one prefix, at most a few thousand.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -320,6 +285,23 @@ def iter_partition_blocks(
             yield block
 
 
+def _part(v: int) -> tuple[int, ...]:
+    return (v,) if v else ()
+
+
+def _padded(v: int) -> tuple[int, ...]:
+    return (v,)
+
+
+def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into at most k parts, in decreasing lex order.
+
+    Parts are emitted nonincreasing, without zero padding: the rows of
+    iter_partition_blocks with a cell for each nonzero part, one by one.
+    """
+    return chain.from_iterable(iter_partition_blocks(n, k, _part, _part, ()))
+
+
 def partition_count(n: int, k: int) -> int:
     """Partitions of n into at most k parts: int(n == 0), 1, n // 2 + 1 and
     ((n + 3)^2 + 6) // 12 for k = 0, 1, 2 and 3, else from an O(n k) table.
@@ -361,11 +343,8 @@ def iter_monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> Iterator[t
     report = classify(x, h)
     if report.witness is None:
         raise RegimeError(f"no components to enumerate in regime {report.regime.value}", report)
-    r, n = h.r, report.witness.n_points
-    # a partition of n has at most min(n, r) parts
-    pads = [(0,) * (r - i) for i in range(min(n, r) + 1)]
-    parts = iter_partitions_at_most(n, r)
-    return (part + pads[len(part)] for part in parts)
+    blocks = iter_partition_blocks(report.witness.n_points, h.r, _padded, _padded, ())
+    return chain.from_iterable(blocks)
 
 
 def monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> list[tuple[int, ...]]:

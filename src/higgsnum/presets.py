@@ -18,7 +18,7 @@ The quadric's true lattice is p1xp1, the hyperbolic plane U with
 K = (-2, -2).  The plane blown up in k points has the lattice
 diag(1, -1^k) in the basis H, E_1, ..., E_k, with K = -3H + sum E_i,
 c2 = 3 + k and the polarization aH - sum E_i for the least a with
-a^2 > k; blowup_p2 is k = 1, whose polarization is 2H - E.
+a^2 > k, so blowup(1) is polarized by 2H - E.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from .ns_lattice import NSLattice, NSVector, ValidationError, require_int
 from .surface_chow import SurfaceGeometry
 
-__all__ = ["blowup", "blowup_p2", "by_name", "hypersurface", "p1xp1", "p2"]
+__all__ = ["blowup", "by_name", "hypersurface", "p1xp1", "p2"]
 
 # the most points blowup(k) blows up, so a preset name cannot ask for a huge lattice
 MAX_BLOWUP = 64
@@ -58,25 +58,6 @@ def blowup(k: int) -> SurfaceGeometry:
     require_int(k, "blowup point count", 0)
     if k > MAX_BLOWUP:
         raise ValidationError(f"blowup point count must be at most {MAX_BLOWUP}, got {k}")
-    return _blowup(k, f"blowup:{k}")
-
-
-def blowup_p2() -> SurfaceGeometry:
-    """The plane blown up in a point: diag(1, -1), K = (-3, 1), L = (2, -1), c2 = 4."""
-    return _blowup(1, "blowup-p2")
-
-
-def _hypersurface(d: int, name: str) -> SurfaceGeometry:
-    return SurfaceGeometry(
-        lattice=NSLattice(1, ((d,),)),
-        canonical=NSVector((d - 4,)),
-        polarization=NSVector((1,)),
-        c2_top=d**3 - 4 * d**2 + 6 * d,
-        name=name,
-    )
-
-
-def _blowup(k: int, name: str) -> SurfaceGeometry:
     a = 1
     while a * a <= k:
         a += 1
@@ -87,6 +68,16 @@ def _blowup(k: int, name: str) -> SurfaceGeometry:
         canonical=NSVector((-3,) + (1,) * k),
         polarization=NSVector((a,) + (-1,) * k),
         c2_top=3 + k,
+        name=f"blowup:{k}",
+    )
+
+
+def _hypersurface(d: int, name: str) -> SurfaceGeometry:
+    return SurfaceGeometry(
+        lattice=NSLattice(1, ((d,),)),
+        canonical=NSVector((d - 4,)),
+        polarization=NSVector((1,)),
+        c2_top=d**3 - 4 * d**2 + 6 * d,
         name=name,
     )
 

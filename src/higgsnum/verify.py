@@ -56,7 +56,7 @@ _Checks = Iterator[tuple[bool, str]]
 
 
 def _surfaces() -> list[SurfaceGeometry]:
-    return [presets.p2(), presets.hypersurface(4), presets.hypersurface(5), presets.blowup_p2()]
+    return [presets.p2(), presets.hypersurface(4), presets.hypersurface(5), presets.blowup(1)]
 
 
 def _rand_rat(rng: random.Random) -> Fraction:

@@ -20,13 +20,27 @@ def quintic():
 
 @pytest.fixture
 def blowup():
-    return presets.blowup_p2()
+    return presets.blowup(1)
 
 
 def clear_memos():
     """Empty the CLI's surface memos, so the next load validates again."""
     cli._preset.cache_clear()
     cli._parse_surface.cache_clear()
+
+
+def partitions_at_most(n, k, cap=None):
+    """Partitions of n into at most k parts, no part above cap, lazily and in
+    decreasing lex order: each first part v from the largest down, while
+    k parts of size v can still hold n, then the rest recursively."""
+    if n == 0:
+        yield ()
+        return
+    for v in range(n if cap is None else min(n, cap), 0, -1):
+        if v * k < n:
+            return
+        for rest in partitions_at_most(n - v, k - 1, v):
+            yield (v,) + rest
 
 
 def characteristic_surface(rng, rank):

@@ -574,6 +574,30 @@ def test_python_m_answers_like_main(tmp_path, capsys, missing):
     assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
 
 
+def test_gone_reader_ends_the_run_quietly():
+    """`higgsnum branches ... | head -c 10`: the first bytes, then EXIT_NO_STDOUT
+    and an empty stderr, not a BrokenPipeError traceback."""
+    src = str(Path(higgsnum.__file__).parent.parent)
+    # 50,688 components in about 3.2 MB, far more than a pipe buffers
+    argv = ["branches", "--surface", "p2", "-r", "4", "--c1=-6", "--c2=200"]
+    proc = subprocess.Popen([sys.executable, "-m", "higgsnum", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (head, proc.wait(timeout=60), err) == (b'{\n  "comma', cli.EXIT_NO_STDOUT, b"")
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    """`higgsnum surface --surface p2 >&-`: EXIT_NO_STDOUT and an empty stderr."""
+    src = str(Path(higgsnum.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "higgsnum", "surface", "--surface", "p2"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_NO_STDOUT, b"", b"")
+
+
 def run_batch(lines):
     """batch over lines: (exit code, the answer of each line as JSON)."""
     out = io.StringIO()

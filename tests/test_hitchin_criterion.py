@@ -111,7 +111,7 @@ def test_n_points_closed_form():
     """n = (r^2(r^2-1) L^2 - 12(r-1) c1^2 + 24 r c2) / (24 r), summed here in
     Fractions from the gram and the coordinates: an int exactly when integral."""
     rng = random.Random(45)
-    surfaces = [presets.p2(), presets.blowup_p2(), *map(presets.hypersurface, range(1, 9))]
+    surfaces = [presets.p2(), presets.blowup(1), *map(presets.hypersurface, range(1, 9))]
     surfaces += [characteristic_surface(rng, rank) for rank in range(1, 9)]
     for x in surfaces:
         gram, pol = x.lattice.gram, x.polarization.coords

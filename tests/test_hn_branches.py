@@ -31,7 +31,7 @@ from higgsnum import (
     slope_gaps,
 )
 
-from conftest import characteristic_surface
+from conftest import characteristic_surface, partitions_at_most
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -408,10 +408,10 @@ def test_rank2_matches_monopole_enumeration(quintic):
 
 
 def test_rank2_counts_without_enumerating(quintic, monkeypatch):
-    def refuse(n, k):
+    def refuse(*args):
         raise AssertionError("rank2_fixed_components enumerated its components")
 
-    monkeypatch.setattr(hn_branches, "iter_partitions_at_most", refuse)
+    monkeypatch.setattr(hn_branches, "iter_partition_blocks", refuse)
     for c2 in range(400):
         count = rank2_fixed_components(quintic, c2).count
         assert count == c2 // 2 + 1 == hn_branches.partition_count(c2, 2)
@@ -484,21 +484,23 @@ def blocks_as_rows(n, k, cell):
     return [row for block in blocks for row in block]
 
 
-def test_partition_blocks_are_the_stepper_rows():
+def test_partition_blocks_are_the_reference_rows():
     """With tuple cells the blocks hold the partitions, padded or not, in the
-    stepper's order, k = 0 and k > n included."""
+    order of the test's own recursive enumeration, k = 0 and k > n included;
+    iter_partitions_at_most gives the unpadded rows one by one."""
     for n in range(41):
         for k in range(9):
-            parts = list(iter_partitions_at_most(n, k))
+            parts = list(partitions_at_most(n, k))
             assert blocks_as_rows(n, k, lambda v: (v,) if v else ()) == parts
             assert blocks_as_rows(n, k, lambda v: (v,)) == [p + (0,) * (k - len(p)) for p in parts]
+            assert list(iter_partitions_at_most(n, k)) == parts
 
 
 @pytest.mark.parametrize("n, k", [(12, 6), (9, 200), (3, 5000)])
 def test_partition_blocks_survive_a_dropped_memo(monkeypatch, n, k):
     """Dropping the memo at every insert leaves the rows as they were; wide
     rows (more slots than any memoized box) take the same walk."""
-    parts = [p + (0,) * (k - len(p)) for p in iter_partitions_at_most(n, k)]
+    parts = [p + (0,) * (k - len(p)) for p in partitions_at_most(n, k)]
     assert blocks_as_rows(n, k, lambda v: (v,)) == parts
     monkeypatch.setattr(hn_branches, "_MEMO_CELLS", 0)
     assert blocks_as_rows(n, k, lambda v: (v,)) == parts
@@ -513,10 +515,28 @@ def test_monopole_rows_are_padded_partitions(quintic):
         numerics = HiggsNumerics(r, c1, c2_gbun(quintic, HiggsNumerics(r, c1, 0))[0] + n)
         assert classify(quintic, numerics).witness.n_points == n
         rows = monopole_components(quintic, numerics)
-        parts = list(iter_partitions_at_most(n, r))
+        parts = list(partitions_at_most(n, r))
         assert len(rows) == len(parts) == partition_count(n, r)
-        for row, part in zip(rows, parts):
-            assert len(row) == r and row[:len(part)] == part and not any(row[len(part):])
+        assert rows == [p + (0,) * (r - len(p)) for p in parts]
+
+
+def test_both_enumerations_are_views_of_the_one_walk(quintic, monkeypatch):
+    """With iter_partition_blocks refusing, iter_partitions_at_most and
+    iter_monopole_components refuse as soon as a row is asked for."""
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(hn_branches, "iter_partition_blocks", walk)
+    numerics = HiggsNumerics(2, quintic.lattice.basis(0), 3)
+    with pytest.raises(Walked):
+        next(iter_partitions_at_most(6, 3))
+    with pytest.raises(Walked):
+        next(iter_monopole_components(quintic, numerics))
+    with pytest.raises(Walked):
+        monopole_components(quintic, numerics)
 
 
 def test_iter_monopole_components_refuses_at_the_call(quintic):

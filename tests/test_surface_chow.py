@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from higgsnum import (
     presets,
     todd_surface,
 )
+from higgsnum.cli import load_surface
 
 from conftest import characteristic_surface
 
@@ -132,7 +134,9 @@ def test_blowup_data(k):
 
 
 def test_blowup_one_is_blowup_p2_and_p1xp1_is_the_quadric():
-    b, one = presets.blowup_p2(), presets.blowup(1)
+    """blowup:1 is the surface of tests/data/blowup_p2.json under another name."""
+    b = load_surface(str(Path(__file__).parent / "data" / "blowup_p2.json"))
+    one = presets.blowup(1)
     assert (b.name, one.name) == ("blowup-p2", "blowup:1")
     assert b == SurfaceGeometry(one.lattice, one.canonical, one.polarization, one.c2_top,
                                 "blowup-p2")

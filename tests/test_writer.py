@@ -20,12 +20,12 @@ import pytest
 
 from higgsnum import (
     ChowClass, HiggsNumerics, NSVector, QNSVector, Regime, ValidationError, YClass, c2_gbun,
-    classify, iter_partitions_at_most, monopole_components, partition_count, presets,
+    classify, monopole_components, partition_count, presets,
 )
 from higgsnum import cli
 from higgsnum.cli import Rows, _dump, encode, main
 
-from conftest import clear_memos
+from conftest import clear_memos, partitions_at_most
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -58,8 +58,9 @@ def encode_tree(value):
 
 
 def padded_partitions(n, r):
-    """The rows of Rows(r, n) from the stepper: partitions padded to length r."""
-    return [p + (0,) * (r - len(p)) for p in iter_partitions_at_most(n, r)]
+    """The rows of Rows(r, n) from the test's own recursive enumeration:
+    partitions padded to length r."""
+    return [p + (0,) * (r - len(p)) for p in partitions_at_most(n, r)]
 
 
 def to_json(value):
@@ -138,9 +139,11 @@ def test_row_view_writes_and_encodes_as_its_rows(view):
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_row_view_writes_the_monopole_rows(r):
-    """Both layouts of Rows(r, n) are json.dumps of the enumerated rows."""
+    """Both layouts of Rows(r, n) are json.dumps of the enumerated rows, and
+    those are the padded partitions of the test's own enumeration."""
     for n in range(41):
         rows = [list(row) for row in monopole_rows(X, r, n)]
+        assert rows == [list(row) for row in padded_partitions(n, r)]
         view = Rows(r, n)
         assert to_json(view) == json.dumps(rows, indent=2)
         out = []
@@ -400,7 +403,7 @@ class FirstBytes(io.TextIOBase):
 @pytest.mark.parametrize("r, c1", [(10, -45), (3, -3)], ids=["r10-n200", "r3-n1e6"])
 def test_branches_streams_in_fixed_memory(r, c1):
     """r = 10 with n = 200 (1,212,199,424 rows) and r = 3 with n = 10^6: the first
-    2 MB of the document, in the stepper's row order, within a few MiB."""
+    2 MB of the document, in decreasing lex row order, within a few MiB."""
     x = presets.p2()
     n = 200 if r == 10 else 10**6
     c2 = c2_gbun(x, HiggsNumerics(r, c1 * x.polarization, 0))[0] + n
@@ -414,7 +417,7 @@ def test_branches_streams_in_fixed_memory(r, c1):
         tracemalloc.stop()
     assert peak < 4 * 2**20
     head = out.head[out.head.index('"components": ['):]
-    first = [p + (0,) * (r - len(p)) for p in islice(iter_partitions_at_most(n, r), 3000)]
+    first = [p + (0,) * (r - len(p)) for p in islice(partitions_at_most(n, r), 3000)]
     expected = json.dumps({"payload": {"components": first}}, indent=2)
     expected = expected[expected.index('"components": ['):]
     assert len(expected) > len(head) > 10**4
