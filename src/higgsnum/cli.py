@@ -37,7 +37,9 @@ data); EXIT_NO_STDOUT, 141, when stdout is closed or its reader has
 gone, as in `higgsnum branches ... | head`.  Every refusal is a
 HiggsError, caught in one place and printed as one stderr line (in
 batch, as the line's error): a CLIError (files, schemas, flags) as it
-is, any other with the prefix "validation error: ".
+is, any other with the prefix "validation error: ".  The CLI owns only
+the surface file's schema and a flag's integer syntax; every rule about
+the values (a rank, the gram, a vector's length) is the library's.
 """
 
 from __future__ import annotations
@@ -101,12 +103,6 @@ SURFACE_FIELDS = {
 }
 
 
-def _int_list(value: Any, what: str, spec: str) -> list[int]:
-    if type(value) is not list or not {int}.issuperset(map(type, value)):
-        raise CLIError(f"parse error in {spec}: {what} must be a list of integers")
-    return value
-
-
 # presets by name; the values are Frozen, so every query can share them
 _preset = functools.lru_cache(maxsize=64)(presets.by_name)
 
@@ -135,7 +131,9 @@ def load_surface(spec: str) -> SurfaceGeometry:
 
 @functools.lru_cache(maxsize=64)
 def _parse_surface(spec: str, raw: str) -> SurfaceGeometry:
-    """The surface that the text raw of the file spec describes, validated."""
+    """The surface that the text raw of the file spec describes: a CLIError
+    unless it is a JSON object with the SURFACE_FIELDS of their JSON types,
+    whose values go to the constructors as they are."""
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -153,44 +151,19 @@ def _parse_surface(spec: str, raw: str) -> SurfaceGeometry:
             raise CLIError(f"parse error in {spec}: missing field {key!r}")
         if not isinstance(data[key], typ) or isinstance(data[key], bool):
             raise CLIError(f"parse error in {spec}: field {key!r} must be {typ.__name__}")
-    rank = data["ns_rank"]
-    if rank < 1:
-        raise CLIError(f"parse error in {spec}: field 'ns_rank' must be a positive integer")
-    gram = data["gram"]
-    for i, row in enumerate(gram):
-        row = _int_list(row, f"gram row {i}", spec)
-        if len(row) != rank:
-            raise CLIError(
-                f"parse error in {spec}: gram row {i} has length {len(row)}, expected {rank}"
-            )
-    if len(gram) != rank:
-        raise CLIError(
-            f"parse error in {spec}: gram has {len(gram)} rows, expected {rank}"
-        )
-    canonical = _int_list(data["canonical"], "canonical", spec)
-    polarization = _int_list(data["polarization"], "polarization", spec)
-    if len(canonical) != rank or len(polarization) != rank:
-        raise CLIError(f"parse error in {spec}: class vectors must have length {rank}")
-    lattice = NSLattice(rank, gram)
     return SurfaceGeometry(
-        lattice=lattice,
-        canonical=NSVector(tuple(canonical)),
-        polarization=NSVector(tuple(polarization)),
-        c2_top=data["c2_top"],
-        name=data["name"],
+        NSLattice(data["ns_rank"], data["gram"]), NSVector(data["canonical"]),
+        NSVector(data["polarization"]), data["c2_top"], data["name"],
     )
 
 
-def _parse_vector(text: str, x: SurfaceGeometry, what: str) -> NSVector:
-    parts = text.split(",")
+def _parse_vector(text: str, what: str) -> NSVector:
+    """The vector of the comma-separated integers text; its length is for
+    the computation that uses it to judge."""
     try:
-        coords = tuple(int(p.strip()) for p in parts)
+        coords = tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
         raise CLIError(f"parse error: {what} must be comma-separated integers, got {text!r}") from None
-    if len(coords) != x.rank:
-        raise CLIError(
-            f"parse error: {what} has {len(coords)} coordinates, lattice rank is {x.rank}"
-        )
     return NSVector(coords)
 
 
@@ -371,7 +344,7 @@ def _cmd_spectral(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
 
 
 def _cmd_criterion(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
-    c1 = _parse_vector(args.c1, x, "--c1")
+    c1 = _parse_vector(args.c1, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
     return {
@@ -387,7 +360,7 @@ def _cmd_criterion(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
 
 
 def _cmd_branches(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
-    c1 = _parse_vector(args.c1, x, "--c1")
+    c1 = _parse_vector(args.c1, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
     report = classify(x, h)
     w = report.witness
@@ -418,7 +391,7 @@ def _cmd_branches(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
 
 def _cmd_grr(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     s = SpectralCover(x, args.rank)
-    delta = _parse_vector(args.delta, x, "--delta")
+    delta = _parse_vector(args.delta, "--delta")
     ch = grr_pushforward(s, delta, args.points)
     chi_base = chi(x, ch)
     # c2 = ch1^2/2 - ch2 over the one denominator 2 e^2 q, with ch1 = v/e and ch2 = p/q
@@ -614,7 +587,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     code, answer, fmt = _query(argv)
     if type(answer) is dict:
         _print_envelope(answer, fmt)
-    elif answer is not None:
+    elif answer is not None and sys.stderr is not None:
+        # a closed stderr (None) loses the refusal's line, not its exit code
         sys.stderr.write(answer + "\n")
     return code
 

@@ -38,6 +38,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, lcm
 from operator import attrgetter, mul
+from reprlib import repr as brief  # bounded, for refusals that echo outside input
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 __all__ = [
@@ -212,7 +213,7 @@ class NSVector(Frozen):
         num = tuple(coords)
         for c in num:
             if type(c) is not int:
-                raise LatticeError(f"integer coordinates required, got {c!r}")
+                raise LatticeError(f"integer coordinates required, got {brief(c)}")
         _set(self, "num", num)
         _set(self, "den", 1)
 
@@ -342,7 +343,7 @@ def _rows(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     try:
         return tuple(map(tuple, gram))
     except TypeError:
-        raise LatticeError(f"gram matrix must be a sequence of rows, got {gram!r}") from None
+        raise LatticeError(f"gram matrix must be a sequence of rows, got {brief(gram)}") from None
 
 
 def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -360,20 +361,20 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     share the sign of prev, so they all vanish iff their sum does.  A
     zero pivot goes to _pivot_first; the bordered minors are linear in
     row and column 0, so e_0 -> e_0 + c*e_k keeps them minors.  Raises
-    LatticeError if gram is not a sequence of rows, the matrix is not
-    square and symmetric, an entry is not an int (a bool is not one), or
-    the form is degenerate.
+    LatticeError, checking in this order, if gram is not a sequence of
+    rows, an entry is not an int (a bool is not one), the matrix is not
+    square, it is not symmetric, or the form is degenerate.
     """
     rows = _rows(gram)
     n = len(rows)
+    if not _INT.issuperset(map(type, chain(*rows))):
+        x = next(x for x in chain(*rows) if type(x) is not int)
+        raise LatticeError(f"gram entries must be integers, got {brief(x)}")
     if rows != (*zip(*rows),):
         if any(len(row) != n for row in rows):
             raise LatticeError(f"gram matrix is not square: rows of lengths {[*map(len, rows)]}")
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
         raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
-    if not _INT.issuperset(map(type, chain(*rows))):
-        x = next(x for x in chain(*rows) if type(x) is not int)
-        raise LatticeError(f"gram entries must be integers, got {x!r}")
     t = [x for i, row in enumerate(rows) for x in row[i:]]
     neg = 0
     prev = 1

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import higgsnum
-from higgsnum import ChowClass, YClass, cli, ns_lattice, spectral, verify
+from higgsnum import (
+    ChowClass, HiggsError, HiggsNumerics, NSLattice, NSVector, SpectralCover, SurfaceGeometry,
+    YClass, classify, cli, grr_pushforward, ns_lattice, presets, spectral, verify,
+)
 from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
 
 from conftest import clear_memos
@@ -105,8 +108,8 @@ def test_surface_file_errors(tmp_path, capsys):
         )
     )
     rc, out, err = run(capsys, "surface", "--surface", str(ragged))
-    assert rc == 2 and "gram row 0" in err
-    assert err.startswith(f"parse error in {ragged}: ")
+    assert rc == 2
+    assert err == "validation error: gram matrix is not square: rows of lengths [1, 2]\n"
 
     degenerate = tmp_path / "degenerate.json"
     degenerate.write_text(
@@ -141,7 +144,8 @@ def test_bad_vector_input(capsys):
     rc, out, err = run(
         capsys, "criterion", "--surface", "hypersurface:5", "-r", "2", "--c1", "1,2", "--c2", "0"
     )
-    assert rc == 2 and "lattice rank" in err
+    assert rc == 2
+    assert err == "validation error: vector of length 2 does not fit lattice of rank 1\n"
     rc, out, err = run(
         capsys, "criterion", "--surface", "hypersurface:5", "-r", "2", "--c1", "a", "--c2", "0"
     )
@@ -509,28 +513,88 @@ def test_non_characteristic_canonical_class_is_one_line_refusal(tmp_path, capsys
 BLOWUP = json.loads((DATA / "blowup_p2.json").read_text())
 
 
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("gram", [[1, True], [0, -1]], "gram row 0 must be a list of integers"),
-        *(("gram", [[1, 0], [0, entry]], "gram row 1 must be a list of integers")
-          for entry in (True, 1.5, None, "1", [1])),
-        ("canonical", [-3, 1.0], "canonical must be a list of integers"),
-        ("gram", [[1, 0]], "gram has 1 rows, expected 2"),
-        ("canonical", [-3], "class vectors must have length 2"),
-        ("ns_rank", 0, "field 'ns_rank' must be a positive integer"),
-        ("ns_rank", -1, "field 'ns_rank' must be a positive integer"),
-    ],
-    ids=["bool-gram-entry", "last-row-true", "last-row-float", "last-row-null",
-         "last-row-string", "last-row-list", "float-canonical", "one-gram-row",
-         "short-canonical", "zero-rank", "negative-rank"],
-)
+# a surface file's fields replaced by values of the right JSON shape that
+# no valid surface has, and the library's refusal of them
+MALFORMED_RANK2 = {
+    "bool-gram-entry": ("gram", [[1, True], [0, -1]], "gram entries must be integers, got True"),
+    **{f"last-row-{name}": ("gram", [[1, 0], [0, entry]],
+                            f"gram entries must be integers, got {entry!r}")
+       for name, entry in zip(["true", "float", "null", "string", "list"],
+                              [True, 1.5, None, "1", [1]])},
+    "float-canonical": ("canonical", [-3, 1.0], "integer coordinates required, got 1.0"),
+    "one-gram-row": ("gram", [[1, 0]], "gram matrix must be 2x2, got rows of lengths [2]"),
+    "short-canonical": ("canonical", [-3], "vector of length 1 does not fit lattice of rank 2"),
+    "zero-rank": ("ns_rank", 0, "rank must be a positive integer, got 0"),
+    "negative-rank": ("ns_rank", -1, "rank must be a positive integer, got -1"),
+}
+
+
+@pytest.mark.parametrize("field, value, message", MALFORMED_RANK2.values(),
+                         ids=MALFORMED_RANK2.keys())
 def test_malformed_rank2_file_is_one_line_refusal(tmp_path, capsys, field, value, message):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps({**BLOWUP, field: value}))
     rc, out, err = run(capsys, "surface", "--surface", str(path))
     assert (rc, out) == (2, "")
-    assert err == f"parse error in {path}: {message}\n"
+    assert err == f"validation error: {message}\n"
+
+
+WRONG_VALUES = {
+    **{key: {field: value} for key, (field, value, _) in MALFORMED_RANK2.items()},
+    "ragged-gram": {"gram": [[1], [0, -1]]},
+    "string-rows": {"gram": ["10", "0-"]},
+    "dict-rows": {"gram": [{"a": 1}, {"b": -1}]},
+    "int-rows": {"gram": [1, -1]},
+    "no-rows": {"gram": []},
+    "long-polarization": {"polarization": [2, -1, 0]},
+    "rank-above-rows": {"ns_rank": 3},
+    "long-int-rows": {"gram": [1] * 10**5},
+    "long-list-entry": {"gram": [[1, [0] * 10**5], [0, -1]]},
+    "long-list-coordinate": {"canonical": [[0] * 10**5, 1]},
+}
+
+
+def library_refusal(build):
+    """The text of the HiggsError that build(), a call of library constructors, raises."""
+    with pytest.raises(HiggsError) as info:
+        build()
+    assert not isinstance(info.value, CLIError)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fields", WRONG_VALUES.values(), ids=WRONG_VALUES.keys())
+def test_wrong_surface_values_are_refused_by_the_library(tmp_path, capsys, fields):
+    """A file the CLI parses is judged by the constructors alone, word for word,
+    in one short line however long the value it refuses."""
+    data = {**BLOWUP, **fields}
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    message = library_refusal(lambda: SurfaceGeometry(
+        NSLattice(data["ns_rank"], data["gram"]), NSVector(data["canonical"]),
+        NSVector(data["polarization"]), data["c2_top"], data["name"]))
+    assert len(message) < 100
+    assert run(capsys, "surface", "--surface", str(path)) == (
+        2, "", f"validation error: {message}\n")
+
+
+WRONG_LENGTHS = [
+    ("criterion", "p2", 2, (1, 2), lambda x, r, v: classify(x, HiggsNumerics(r, v, 0))),
+    ("branches", "p1xp1", 2, (1,), lambda x, r, v: classify(x, HiggsNumerics(r, v, 0))),
+    ("grr", "p1xp1", 2, (1,), lambda x, r, v: grr_pushforward(SpectralCover(x, r), v, 0)),
+    ("grr", "blowup:2", 3, (1, 2), lambda x, r, v: grr_pushforward(SpectralCover(x, r), v, 0)),
+]
+
+
+@pytest.mark.parametrize("command, surface, r, coords, compute", WRONG_LENGTHS,
+                         ids=[f"{c[0]}-{c[1]}" for c in WRONG_LENGTHS])
+def test_wrong_length_vector_is_refused_by_the_library(capsys, command, surface, r, coords,
+                                                       compute):
+    flag = "--delta" if command == "grr" else "--c1"
+    argv = [command, "--surface", surface, "-r", str(r), f"{flag}={','.join(map(str, coords))}"]
+    if command != "grr":
+        argv.append("--c2=0")
+    message = library_refusal(lambda: compute(presets.by_name(surface), r, NSVector(coords)))
+    assert run(capsys, *argv) == (2, "", f"validation error: {message}\n")
 
 
 PARSER_SEQUENCE = [
@@ -596,6 +660,15 @@ def test_closed_stdout_ends_the_run_quietly():
                           capture_output=True, env={**os.environ, "PYTHONPATH": src},
                           preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_NO_STDOUT, b"", b"")
+
+
+def test_closed_stderr_keeps_the_exit_code():
+    """`higgsnum surface --surface nope 2>&-`: exit 2 and no output, not exit 1."""
+    src = str(Path(higgsnum.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "higgsnum", "surface", "--surface", "nope"],
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 def run_batch(lines):

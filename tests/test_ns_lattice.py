@@ -166,6 +166,21 @@ def test_inertia_refuses_a_non_square_matrix():
             NSLattice(2, gram)
 
 
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        ([[1, True], [0, -1]], "gram entries must be integers, got True"),
+        ([[1, "0"], [0]], "gram entries must be integers, got '0'"),
+        ([[1, 2], [3]], "gram matrix is not square: rows of lengths [2, 1]"),
+    ],
+    ids=["entry-before-symmetric", "entry-before-square", "square-before-symmetric"],
+)
+def test_inertia_checks_entries_then_square_then_symmetric(gram, message):
+    with pytest.raises(LatticeError) as exc:
+        inertia(gram)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("bad", [True, Fraction(1), 1.0], ids=["bool", "Fraction", "float"])
 @pytest.mark.parametrize("col", [0, 2], ids=["below-diagonal", "diagonal"])
 def test_non_integer_entry_in_last_row_is_named(bad, col):
