@@ -21,25 +21,28 @@ envelope with each exact leaf (a Fraction, vector, Chow or Y class)
 replaced by its encode; a payload key that is no str raises TypeError.
 _dump is the one walk from payload to text.  The table has one line per
 leaf of the same tree, a Chow or Y class split into dotted keys, in the
-one-line layout of json.dumps.  The components of `branches` are a
-Rows view (r, n): the partitions of n into at most r parts, padded with
-zeros to r columns.  _dump_rows writes their text from
-hn_branches.iter_partition_blocks, streamed to stdout in chunks, so
-neither the list of components nor the text of the document is built
-whole.  Rows takes r and n as plain ints, and every number a row prints
-is the str of an int from a range, so no bool, Fraction or list can
-reach the text.
+one-line layout of json.dumps.  _render makes the whole text before the
+first write, so an answer holding a number too long for int-to-text
+conversion is refused, not cut short.  The components of `branches` are
+a Rows view (r, n): the partitions of n into at most r parts, padded
+with zeros to r columns.  _dump_rows writes their text from
+hn_branches.iter_partition_blocks, one write per block of rows the walk
+yields, so neither the list of components nor the text of the document
+is built whole.  Rows takes r and n as plain ints, and every number a
+row prints is the str of an int from a range no longer than n, so no
+bool, Fraction or list can reach the text, and every cell converts.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
 fails; 2 for input errors (bad flags, unreadable or invalid surface
-data); EXIT_NO_STDOUT, 141, when stdout is closed or its reader has
-gone, as in `higgsnum branches ... | head`.  Every refusal is a
-HiggsError, caught in one place and printed as one stderr line (in
-batch, as the line's error): a CLIError (files, schemas, flags) as it
-is, any other with the prefix "validation error: ".  The CLI owns only
-the surface file's schema and a flag's integer syntax; every rule about
-the values (a rank, the gram, a vector's length) is the library's.
+data, an answer too large to write); EXIT_NO_STDOUT, 141, when stdout is
+closed or its reader has gone, as in `higgsnum branches ... | head`.
+Every refusal is a HiggsError, caught in one place and printed as one
+stderr line (in batch, as the line's error): a CLIError (files, schemas,
+flags, which argparse refuses through _Parser.error) as it is, any other
+with the prefix "validation error: ".  The CLI owns only the surface
+file's schema and a flag's integer syntax; every rule about the values
+(a rank, the gram, a vector's length) is the library's.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, TextIO, Union
+from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO, Union
 
 from .ns_lattice import (
     Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio, require_int,
@@ -199,8 +202,6 @@ _INT_ONLY = {int}
 # the text json.dumps gives a str and an int; a bool, None or str enum goes through json.dumps
 _quote = json.encoder.encode_basestring_ascii
 _int_text = int.__repr__
-# numbers and row brackets per write of streamed rows: ~200 kB of text
-_CHUNK_CELLS = 1 << 14
 
 
 def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
@@ -214,15 +215,38 @@ def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
     return inner, inner, "," + inner, ind
 
 
-def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
+def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
+    """Write a Rows view as a JSON list, one write per block of rows that
+    iter_partition_blocks yields (at most a few thousand rows each).
+
+    The row text comes from the walk with text cells: a cell is the JSON
+    separator and str(v), and the first cell of a row has the row opener
+    in place of the separator.
+    """
+    inner, first, comma, last = _pads(ind)
+    _, cell_first, cell_comma, cell_last = _pads(inner)
+    opener = "[" + cell_first
+    sep = "[" + first
+    for block in iter_partition_blocks(
+        rows.n, rows.r, lambda v: opener + str(v), lambda v: cell_comma + str(v), cell_last + "]",
+    ):
+        write(sep + comma.join(block))
+        sep = comma
+    write(last + "]")
+
+
+def _dump(
+    value: Any, ind: Optional[str], write: Callable[[str], Any], dump_rows: Callable = _dump_rows,
+) -> None:
     """Write the JSON text of value piece by piece: the module's one walk.
 
     ind is the newline and indentation of the line value starts on, or
     None for the one-line layout of json.dumps.  Dicts with str keys,
     lists and tuples are walked here; a list or tuple of plain ints is
-    one join; a Rows view is streamed by _dump_rows; a plain str or int
-    is written as json.dumps writes it, and any other str, int, bool or
-    None goes through json.dumps; any other leaf is encoded and walked.
+    one join; a Rows view goes to dump_rows(view, ind, write), which
+    streams it; a plain str or int is written as json.dumps writes it,
+    and any other str, int, bool or None goes through json.dumps; any
+    other leaf is encoded and walked.
     """
     t = type(value)
     if t is str:
@@ -241,7 +265,7 @@ def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
         for item in value:
             write(sep)
             sep = comma
-            _dump(item, inner, write)
+            _dump(item, inner, write, dump_rows)
         write(last + "]")
     elif t is dict:
         if not value:
@@ -254,40 +278,14 @@ def _dump(value: Any, ind: Optional[str], write: Callable[[str], Any]) -> None:
                 raise TypeError(f"payload keys must be str, got {k!r}")
             write(sep + _quote(k) + ": ")
             sep = comma
-            _dump(v, inner, write)
+            _dump(v, inner, write, dump_rows)
         write(last + "}")
     elif t is Rows:
-        _dump_rows(value, ind, write)
+        dump_rows(value, ind, write)
     elif value is None or isinstance(value, (str, int)):
         write(json.dumps(value))
     else:
-        _dump(encode(value), ind, write)
-
-
-def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
-    """Write a Rows view as a JSON list, about _CHUNK_CELLS cells per write.
-
-    The row text comes from iter_partition_blocks with text cells: a cell
-    is the JSON separator and str(v), and the first cell of a row has the
-    row opener in place of the separator.
-    """
-    inner, first, comma, last = _pads(ind)
-    _, cell_first, cell_comma, cell_last = _pads(inner)
-    opener = "[" + cell_first
-    blocks = iter_partition_blocks(
-        rows.n, rows.r, lambda v: opener + str(v), lambda v: cell_comma + str(v), cell_last + "]",
-    )
-    size = max(1, _CHUNK_CELLS // (rows.r + 2))
-    sep, chunk = "[" + first, []
-    for block in blocks:
-        chunk += block
-        while len(chunk) >= size:
-            write(sep + comma.join(chunk[:size]))
-            sep = comma
-            del chunk[:size]
-    if chunk:
-        write(sep + comma.join(chunk))
-    write(last + "]")
+        _dump(encode(value), ind, write, dump_rows)
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -436,25 +434,64 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]) -> None:
         rows.append((prefix, value))
 
 
-def _print_envelope(envelope: dict, fmt: str) -> None:
-    write = sys.stdout.write
-    if fmt == "json":
-        _dump(envelope, "\n", write)
-        write("\n")
-        return
-    rows: list[tuple[str, Any]] = []
-    _flatten("", envelope, rows)
-    width = max(len(k) for k, _ in rows)
-    for k, v in rows:
-        write(f"{k.ljust(width)}  ")
-        _dump(v, None, write)
-        write("\n")
+def _render(envelope: dict, fmt: Optional[str]) -> list:
+    """The text of envelope in fmt, "json", "table" or None for the one-line
+    layout, as the pieces _print_envelope writes: str, and a (view, ind)
+    pair where a Rows view is to be streamed.
+
+    Every number but a row's cells is made text here, before any write;
+    one past the interpreter's int-to-text limit refuses the whole answer
+    with a CLIError.  A cell is at most the view's n, which is in the
+    text as n_total, so the streamed rows always convert.
+    """
+    pieces: list = []
+    write = pieces.append
+    try:
+        if fmt == "table":
+            rows: list[tuple[str, Any]] = []
+            _flatten("", envelope, rows)
+            width = max(len(k) for k, _ in rows)
+            for k, v in rows:
+                write(f"{k.ljust(width)}  ")
+                _dump(v, None, write, _defer_rows)
+                write("\n")
+        else:
+            _dump(envelope, "\n" if fmt == "json" else None, write, _defer_rows)
+            write("\n")
+    except ValueError:
+        # int-to-text conversion refuses more digits than this limit
+        raise CLIError(f"result too large: a number in the answer has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
+    return pieces
+
+
+def _defer_rows(rows: Rows, ind: Optional[str], write: Callable[[Any], Any]) -> None:
+    """_render's dump_rows: the view and its ind, to stream once the text is made."""
+    write((rows, ind))
+
+
+def _print_envelope(pieces: list, write: Callable[[str], Any]) -> None:
+    """Write what _render made, each Rows view streamed by _dump_rows."""
+    for piece in pieces:
+        if type(piece) is str:
+            write(piece)
+        else:
+            _dump_rows(*piece, write)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses bad flags with a CLIError of argparse's own last
+    line, so _query refuses them as it refuses every other input.  Its
+    subparsers are of its type, so one override covers them all."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CLIError(f"{self.prog}: error: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; it depends only on constants."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="higgsnum",
         description="Exact spectral-surface and Higgs sheaf calculator.",
     )
@@ -515,43 +552,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _query(argv: list[str]) -> tuple[int, Any, str]:
-    """The one query path: argv to (exit code, answer, format).
+def _query(argv: list[str], one_line: bool = False) -> tuple[int, Union[list, str, None]]:
+    """The one query path: argv to (exit code, answer).
 
-    The answer is the envelope (exit 0, or 1 when verify finds a failing
-    check), the one-line refusal of a HiggsError (exit 2), or None when
-    argparse has exited, having written its help, usage or error itself.
+    The answer is the envelope as _render's pieces, in the one-line layout
+    if one_line, else in the query's --format (exit 0, or 1 when verify
+    finds a failing check); the one-line refusal of a HiggsError (exit 2),
+    which a bad flag is too; or None when argparse has written help.
     """
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return (exc.code if isinstance(exc.code, int) else 0), None, ""
-    if args.run is None:
-        return 2, "parse error: batch reads its queries from stdin, not from a batch line", ""
-    try:
+        if args.run is None:
+            raise CLIError("parse error: batch reads its queries from stdin, not from a batch line")
         x = None if args.surface is None else load_surface(args.surface)
         payload = args.run(x, args)
+        envelope = {
+            "command": args.command,
+            "input": _echo(args),
+            "exact": True,
+            "payload": payload,
+        }
+        answer = _render(envelope, None if one_line else args.format)
+    except SystemExit:
+        # the one exit argparse still takes: after writing help
+        return 0, None
     except HiggsError as exc:
         label = "" if isinstance(exc, CLIError) else "validation error: "
-        return 2, f"{label}{exc}", args.format
-    envelope = {
-        "command": args.command,
-        "input": _echo(args),
-        "exact": True,
-        "payload": payload,
-    }
-    return (1 if payload.get("all_passed") is False else 0), envelope, args.format
+        return 2, f"{label}{exc}"
+    return (1 if payload.get("all_passed") is False else 0), answer
 
 
 def batch(lines: Iterable[Union[str, bytes]], out: TextIO) -> int:
     """Answer each line, one JSON argv list, with one line on out: the
     envelope in the one-line layout, or {"error": <one line>, "exit": 2}.
 
-    Every line goes through _query, whatever its --format, and out is
-    flushed after each answer.  A line that is no JSON list of strings, or
-    that argparse refuses or answers with help, is refused with the line
-    argparse would end its error with, and the batch carries on.  The
-    result is the largest exit code of the lines, 0 for none.
+    Every line goes through _query in the one-line layout, whatever its
+    --format, and out is flushed after each answer.  A line that is no
+    JSON list of strings or asks for help is refused, as _query refuses
+    bad flags, and the batch carries on.  The result is the largest exit
+    code of the lines, 0 for none.
     """
     worst = 0
     for number, line in enumerate(lines, 1):
@@ -563,17 +602,14 @@ def batch(lines: Iterable[Union[str, bytes]], out: TextIO) -> int:
             # ValueError: bad JSON, bytes that are not UTF-8, or no list of strings
             code, answer = 2, f"parse error in line {number}: {exc}"
         else:
-            said = io.StringIO()
-            with contextlib.redirect_stdout(said), contextlib.redirect_stderr(said):
-                code, answer, _ = _query(argv)
+            # swallows the help argparse writes
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, answer = _query(argv, one_line=True)
             if answer is None:
-                # argparse wrote help (exit 0), or a usage and a one-line error
-                last = said.getvalue().rstrip().rpartition("\n")[2]
-                code, answer = 2, last if code else "parse error: help is not a query"
+                code, answer = 2, "parse error: help is not a query"
         if type(answer) is str:
-            answer = {"error": answer, "exit": code}
-        _dump(answer, None, out.write)
-        out.write("\n")
+            answer = _render({"error": answer, "exit": code}, None)
+        _print_envelope(answer, out.write)
         out.flush()
         worst = max(worst, code)
     return worst
@@ -584,9 +620,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv == ["batch"]:
         # a closed stdin (None) is a batch of no lines
         return batch(sys.stdin.buffer if sys.stdin is not None else (), sys.stdout)
-    code, answer, fmt = _query(argv)
-    if type(answer) is dict:
-        _print_envelope(answer, fmt)
+    code, answer = _query(argv)
+    if type(answer) is list:
+        _print_envelope(answer, sys.stdout.write)
     elif answer is not None and sys.stderr is not None:
         # a closed stderr (None) loses the refusal's line, not its exit code
         sys.stderr.write(answer + "\n")

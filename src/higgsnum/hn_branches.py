@@ -194,8 +194,9 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
 
 
 # iter_partition_blocks memoizes the row tails for m in s slots when
-# comb(m + s, s) <= 4096, and always for m <= 1; a call drops its memo
-# once it holds more than _MEMO_CELLS cells.
+# comb(m + s, s) <= _BOX_ROWS, and always for m <= 1; a call drops its
+# memo once it holds more than _MEMO_CELLS cells.
+_BOX_ROWS = 4096
 _MEMO_CELLS = 1 << 16
 
 
@@ -213,7 +214,7 @@ def _box_limits(size: int) -> tuple[int, ...]:
         limits.append(m)
 
 
-_BOX = _box_limits(4096)
+_BOX = _box_limits(_BOX_ROWS)
 
 
 def iter_partition_blocks(
@@ -229,8 +230,9 @@ def iter_partition_blocks(
     tuple rows are both made by it.  The walk extends a prefix one part
     at a time, formatting each cell as it goes, until the parts left fit
     a small box; the rows of a box are memoized tails, each added to the
-    prefix in one concatenation.  A list holds the rows of the boxes
-    below one prefix, at most a few thousand.
+    prefix in one concatenation; past the box of one slot, the one tail
+    is formatted in place.  A list holds the rows of the boxes below one
+    prefix, or up to _BOX_ROWS // 4 one-slot rows: at most a few thousand.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -276,6 +278,12 @@ def iter_partition_blocks(
                 sub, at = memo.get((m2, s2)) or tails(m2, s2)
                 i = m2 - v
                 block += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
+            elif s2 == 1:
+                # m2 <= v, as v >= ceil(m / 2): the one row is c, cell(m2), tail;
+                # a quarter box of them is about the text of a memoized box
+                block.append(c + cell(m2) + tail)
+                if len(block) >= _BOX_ROWS // 4:
+                    break
             else:
                 stack.append((c, m2, s2, iter(range(min(v, m2), -(-m2 // s2) - 1, -1))))
                 break
@@ -302,16 +310,25 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(iter_partition_blocks(n, k, _part, _part, ()))
 
 
+# the largest n partition_count takes for k >= 4, whose table has n + 1 entries
+_TABLE_MAX = 10**6
+
+
 def partition_count(n: int, k: int) -> int:
     """Partitions of n into at most k parts: int(n == 0), 1, n // 2 + 1 and
     ((n + 3)^2 + 6) // 12 for k = 0, 1, 2 and 3, else from an O(n k) table.
 
-    After pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j).
+    After pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j).  The
+    table bounds n by _TABLE_MAX, 10^6, for k >= 4: a larger n raises
+    ValidationError.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
     if k <= 3:
         return (int(n == 0), 1, n // 2 + 1, ((n + 3) ** 2 + 6) // 12)[k]
+    if n > _TABLE_MAX:
+        # n itself may be past the int-to-text limit, so the message leaves it out
+        raise ValidationError(f"partition size must be at most {_TABLE_MAX} for more than 3 parts")
     table = [1] + [0] * n
     for j in range(1, min(k, n) + 1):
         for m in range(j, n + 1):

@@ -34,6 +34,7 @@ package; equality always means exact equality.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, lcm
@@ -338,10 +339,18 @@ def _pivot_first(t: list[int], m: int) -> None:
         t[j] += c * t[j * (2 * m - j - 1) // 2 + k if j < k else kk + j - k]
 
 
+def _row(row: Sequence[int]) -> tuple[int, ...]:
+    # a str or a mapping iterates, but as characters or keys, not entries
+    if isinstance(row, (str, Mapping)):
+        raise LatticeError(f"gram rows must be sequences of integers, got {brief(row)}")
+    return tuple(row)
+
+
 def _rows(gram: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The rows of gram as tuples; a gram that is not a sequence of rows raises LatticeError."""
+    """The rows of gram as tuples; a gram that is not a sequence of rows, or
+    has a row that is a str or a mapping, raises LatticeError."""
     try:
-        return tuple(map(tuple, gram))
+        return tuple(map(_row, gram))
     except TypeError:
         raise LatticeError(f"gram matrix must be a sequence of rows, got {brief(gram)}") from None
 
@@ -362,8 +371,9 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     zero pivot goes to _pivot_first; the bordered minors are linear in
     row and column 0, so e_0 -> e_0 + c*e_k keeps them minors.  Raises
     LatticeError, checking in this order, if gram is not a sequence of
-    rows, an entry is not an int (a bool is not one), the matrix is not
-    square, it is not symmetric, or the form is degenerate.
+    rows (a str or a mapping is no row), an entry is not an int (a bool
+    is not one), the matrix is not square, it is not symmetric, or the
+    form is degenerate.
     """
     rows = _rows(gram)
     n = len(rows)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -782,3 +783,110 @@ def test_new_presets_answer(capsys, name, rank, k2, l2):
     assert (payload["name"], payload["ns_rank"], payload["k_squared"], payload["l_squared"]) == (
         name, rank, k2, l2)
     assert payload["signature"] == [1, rank - 1]
+
+
+QUERIES = {
+    "surface": ["surface", "--surface", "p2"],
+    "ybundle": ["ybundle", "--surface", "p2", "-r", "2"],
+    "spectral": ["spectral", "--surface", "p2", "-r", "2"],
+    "criterion": ["criterion", "--surface", "p2", "-r", "2", "--c1", "1", "--c2", "3"],
+    "branches": ["branches", "--surface", "p2", "-r", "2", "--c1", "1", "--c2", "3"],
+    "grr": ["grr", "--surface", "p2", "-r", "2", "--delta", "1"],
+}
+
+
+def without_flag(argv, flag):
+    """argv with the flag and its value removed."""
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+BAD_FLAGS = {
+    **{f"{name}-no{flag}": without_flag(argv, flag) for name, argv in QUERIES.items()
+       for flag in argv[1::2] if flag.startswith("-")},
+    "rank-not-int": ["spectral", "--surface", "p2", "-r", "two"],
+    "c2-not-int": QUERIES["criterion"][:-1] + ["3.5"],
+    "points-not-int": QUERIES["grr"] + ["--points", "1/2"],
+    "rank-past-int-limit": ["spectral", "--surface", "p2", "-r", "9" * 5000],
+    "unknown-flag": QUERIES["surface"] + ["--colour"],
+    "unknown-choice": ["verify", "--suite", "nosuch"],
+    "unknown-command": ["nosuchcommand"],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_bad_flags_are_one_line_refusals_like_batch_lines(capsys, argv):
+    """A bad flag is refused by _query like any other input: exit 2, no stdout,
+    one stderr line, and that line is what batch answers for the same argv."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    code, answers = run_batch([json.dumps(argv)])
+    assert (code, answers) == (2, [{"error": err[:-1], "exit": 2}])
+
+
+def test_bad_flag_refusal_is_argparse_last_line(capsys):
+    assert run(capsys, "criterion", "--surface", "p2", "-r", "2", "--c1", "1") == (
+        2, "", "higgsnum criterion: error: the following arguments are required: --c2\n")
+    assert run(capsys, "criterion", "--surface", "p2", "-r", "x", "--c1=1", "--c2=0") == (
+        2, "", "higgsnum criterion: error: argument -r/--rank: invalid int value: 'x'\n")
+
+
+def test_every_parser_refuses_through_cli_error():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(subparsers.choices) == 8
+    assert {type(p) for p in [parser, *subparsers.choices.values()]} == {cli._Parser}
+    with pytest.raises(CLIError, match="^higgsnum spectral: error: argument -r/--rank: "):
+        parser.parse_args(["spectral", "--surface", "p2", "-r", "x"])
+
+
+# flag values under the int-to-text limit whose answers are past it
+ONES, SEVENS = ",".join(["1" * 3000]), "7" * 3000
+OVERSIZED = {
+    "criterion": ["criterion", "--surface", "p2", "-r", "2", f"--c1={ONES}", "--c2=0"],
+    "grr": ["grr", "--surface", "p2", "-r", "2", f"--delta={SEVENS}"],
+    "branches": ["branches", "--surface", "p2", "-r", "2", f"--c1=-{ONES}", "--c2=0"],
+}
+TOO_LARGE = (f"result too large: a number in the answer has more than "
+             f"{sys.get_int_max_str_digits()} digits")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_answer_is_refused_before_any_write(capsys, argv, fmt):
+    """An answer holding a number past the int-to-text limit: no half envelope,
+    no traceback, exit 2 and one line."""
+    assert run(capsys, *argv, "--format", fmt) == (2, "", TOO_LARGE + "\n")
+
+
+def test_batch_answers_past_an_oversized_line():
+    good = json.dumps(QUERIES["surface"])
+    code, answers = run_batch([good, json.dumps(OVERSIZED["criterion"]), good])
+    assert code == 2
+    assert answers[1] == {"error": TOO_LARGE, "exit": 2}
+    assert answers[0] == answers[2] and answers[0]["payload"]["name"] == "p2"
+
+
+@pytest.mark.parametrize("c2", [10**11, 10**20])
+def test_branches_past_the_partition_table_refuses(capsys, c2):
+    """More than 3 parts and a point count past 10^6: a refusal, not a
+    MemoryError or an OverflowError."""
+    assert run(capsys, "branches", "--surface", "p2", "-r", "4", "--c1=-6", f"--c2={c2}") == (
+        2, "", "validation error: partition size must be at most 1000000 for more than 3 parts\n")
+
+
+@pytest.mark.parametrize("gram, row", [([{"a": 1}, {"b": -1}], {"a": 1}), (["10", "0-"], "10")],
+                         ids=["dict-rows", "string-rows"])
+def test_gram_row_that_is_no_row_is_named(tmp_path, capsys, gram, row):
+    """A str or an object read from a file is refused as a row, not by a
+    character or a key of it."""
+    message = f"gram rows must be sequences of integers, got {row!r}"
+    with pytest.raises(ns_lattice.LatticeError) as info:
+        NSLattice(2, gram)
+    assert str(info.value) == message
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({**BLOWUP, "gram": gram}))
+    assert run(capsys, "surface", "--surface", str(path)) == (
+        2, "", f"validation error: {message}\n")

@@ -332,13 +332,25 @@ surface_text = st.one_of(
 )
 
 
-def vector_text(rank):
+# integers of 2,200 to 4,400 digits, as text: a flag past the int-to-text
+# limit (4,300 digits), or one under it whose answer is past it
+BIG_TEXT = st.builds(lambda sign, digit, size: sign + digit * size,
+                     st.sampled_from(["", "-"]), st.sampled_from("1379"), st.integers(2200, 4400))
+
+
+def int_text(lo, hi, big):
+    """An integer in lo..hi as text, or with big now and then one of BIG_TEXT."""
+    small = st.integers(lo, hi).map(str)
+    return st.one_of(small, small, small, BIG_TEXT) if big else small
+
+
+def vector_text(rank, big):
     """Mostly rank coordinates in -2..2, which keeps branches near 10^3 components."""
-    coords = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    coords = st.lists(int_text(-2, 2, big), min_size=rank, max_size=rank)
     return st.one_of(
-        coords, coords, coords, st.lists(st.integers(-2, 2), max_size=3),
+        coords, coords, coords, st.lists(st.integers(-2, 2).map(str), max_size=3),
         st.sampled_from(["", "a", "1,", " 1", "1.5", "1/2", ",", "+1"]),
-    ).map(lambda v: v if isinstance(v, str) else ",".join(map(str, v)))
+    ).map(lambda v: v if isinstance(v, str) else ",".join(v))
 
 
 @st.composite
@@ -354,14 +366,16 @@ def argvs(draw, path):
         spec = draw({"preset": st.sampled_from(PRESETS), "bad": st.sampled_from(BAD_SPECS),
                      "text": st.text(max_size=6)}[kind])
     argv = [command, f"--surface={spec}", f"--format={draw(st.sampled_from(['json', 'table']))}"]
+    # branches stays small: a valid point count of 10^3000 streams its rows without end
+    big = command != "branches"
     if command != "surface":
-        argv.append(f"--rank={draw(st.integers(-1, 4))}")
+        argv.append(f"--rank={draw(int_text(-1, 4, big))}")
     if command in ("criterion", "branches"):
-        argv += [f"--c1={draw(vector_text(rank))}", f"--c2={draw(st.integers(-10, 10))}"]
+        argv += [f"--c1={draw(vector_text(rank, big))}", f"--c2={draw(int_text(-10, 10, big))}"]
     if command == "grr":
-        argv.append(f"--delta={draw(vector_text(rank))}")
+        argv.append(f"--delta={draw(vector_text(rank, big))}")
         if draw(st.booleans()):
-            argv.append(f"--points={draw(st.integers(-3, 10))}")
+            argv.append(f"--points={draw(int_text(-3, 10, big))}")
     return argv
 
 

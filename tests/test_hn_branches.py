@@ -459,6 +459,16 @@ def test_partition_count_table():
     assert hn_branches.partition_count(5, 40) == 7
 
 
+@pytest.mark.parametrize("n, k", [(10**6 + 1, 4), (10**11, 10), (10**20, 4)])
+def test_partition_count_refuses_past_its_table(n, k):
+    """More than 3 parts past n = 10^6 is refused before a table of n ints is
+    asked for; the message leaves n out, which may be past the int-to-text limit."""
+    with pytest.raises(ValidationError) as info:
+        hn_branches.partition_count(n, k)
+    assert str(info.value) == "partition size must be at most 1000000 for more than 3 parts"
+    assert hn_branches.partition_count(n, 2) == n // 2 + 1
+
+
 def test_partition_count_closed_form_below_three_parts():
     """k = 0, 1, 2 and 3 are answered without an O(n) table, and agree with it."""
     tracemalloc.start()
