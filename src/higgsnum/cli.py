@@ -217,7 +217,7 @@ def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
 
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
     """Write a Rows view as a JSON list, one write per block of rows that
-    iter_partition_blocks yields (at most a few thousand rows each).
+    iter_partition_blocks yields (at most 4,097 rows each).
 
     The row text comes from the walk with text cells: a cell is the JSON
     separator and str(v), and the first cell of a row has the row opener
@@ -235,18 +235,16 @@ def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> N
     write(last + "]")
 
 
-def _dump(
-    value: Any, ind: Optional[str], write: Callable[[str], Any], dump_rows: Callable = _dump_rows,
-) -> None:
+def _dump(value: Any, ind: Optional[str], write: Callable[[Any], Any]) -> None:
     """Write the JSON text of value piece by piece: the module's one walk.
 
     ind is the newline and indentation of the line value starts on, or
     None for the one-line layout of json.dumps.  Dicts with str keys,
     lists and tuples are walked here; a list or tuple of plain ints is
-    one join; a Rows view goes to dump_rows(view, ind, write), which
-    streams it; a plain str or int is written as json.dumps writes it,
-    and any other str, int, bool or None goes through json.dumps; any
-    other leaf is encoded and walked.
+    one join; a Rows view is written as the pair (view, ind), which
+    _print_envelope streams; a plain str or int is written as json.dumps
+    writes it, and any other str, int, bool or None goes through
+    json.dumps; any other leaf is encoded and walked.
     """
     t = type(value)
     if t is str:
@@ -265,7 +263,7 @@ def _dump(
         for item in value:
             write(sep)
             sep = comma
-            _dump(item, inner, write, dump_rows)
+            _dump(item, inner, write)
         write(last + "]")
     elif t is dict:
         if not value:
@@ -278,14 +276,14 @@ def _dump(
                 raise TypeError(f"payload keys must be str, got {k!r}")
             write(sep + _quote(k) + ": ")
             sep = comma
-            _dump(v, inner, write, dump_rows)
+            _dump(v, inner, write)
         write(last + "}")
     elif t is Rows:
-        dump_rows(value, ind, write)
+        write((value, ind))
     elif value is None or isinstance(value, (str, int)):
         write(json.dumps(value))
     else:
-        _dump(encode(value), ind, write, dump_rows)
+        _dump(encode(value), ind, write)
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -453,21 +451,16 @@ def _render(envelope: dict, fmt: Optional[str]) -> list:
             width = max(len(k) for k, _ in rows)
             for k, v in rows:
                 write(f"{k.ljust(width)}  ")
-                _dump(v, None, write, _defer_rows)
+                _dump(v, None, write)
                 write("\n")
         else:
-            _dump(envelope, "\n" if fmt == "json" else None, write, _defer_rows)
+            _dump(envelope, "\n" if fmt == "json" else None, write)
             write("\n")
     except ValueError:
         # int-to-text conversion refuses more digits than this limit
         raise CLIError(f"result too large: a number in the answer has more than "
                        f"{sys.get_int_max_str_digits()} digits") from None
     return pieces
-
-
-def _defer_rows(rows: Rows, ind: Optional[str], write: Callable[[Any], Any]) -> None:
-    """_render's dump_rows: the view and its ind, to stream once the text is made."""
-    write((rows, ind))
 
 
 def _print_envelope(pieces: list, write: Callable[[str], Any]) -> None:

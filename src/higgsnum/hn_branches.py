@@ -232,7 +232,8 @@ def iter_partition_blocks(
     a small box; the rows of a box are memoized tails, each added to the
     prefix in one concatenation; past the box of one slot, the one tail
     is formatted in place.  A list holds the rows of the boxes below one
-    prefix, or up to _BOX_ROWS // 4 one-slot rows: at most a few thousand.
+    prefix, at most _BOX_ROWS, and one-slot rows until it holds _BOX_ROWS:
+    at most _BOX_ROWS + 1 = 4,097 rows.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -279,10 +280,9 @@ def iter_partition_blocks(
                 i = m2 - v
                 block += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
             elif s2 == 1:
-                # m2 <= v, as v >= ceil(m / 2): the one row is c, cell(m2), tail;
-                # a quarter box of them is about the text of a memoized box
+                # m2 <= v, as v >= ceil(m / 2): the one row is c, cell(m2), tail
                 block.append(c + cell(m2) + tail)
-                if len(block) >= _BOX_ROWS // 4:
+                if len(block) >= _BOX_ROWS:
                     break
             else:
                 stack.append((c, m2, s2, iter(range(min(v, m2), -(-m2 // s2) - 1, -1))))

@@ -497,13 +497,15 @@ def blocks_as_rows(n, k, cell):
 def test_partition_blocks_are_the_reference_rows():
     """With tuple cells the blocks hold the partitions, padded or not, in the
     order of the test's own recursive enumeration, k = 0 and k > n included;
-    iter_partitions_at_most gives the unpadded rows one by one."""
-    for n in range(41):
-        for k in range(9):
-            parts = list(partitions_at_most(n, k))
-            assert blocks_as_rows(n, k, lambda v: (v,) if v else ()) == parts
-            assert blocks_as_rows(n, k, lambda v: (v,)) == [p + (0,) * (k - len(p)) for p in parts]
-            assert list(iter_partitions_at_most(n, k)) == parts
+    iter_partitions_at_most gives the unpadded rows one by one.  n = 12,000
+    with k = 2 passes the box of one slot (m <= 4095): the one-slot rows
+    formatted in place fill a list and resume in the next."""
+    for n, k in [(n, k) for n in range(41) for k in range(9)] + [(12000, 2)]:
+        parts = list(partitions_at_most(n, k))
+        assert blocks_as_rows(n, k, lambda v: (v,) if v else ()) == parts
+        assert blocks_as_rows(n, k, lambda v: (v,)) == [p + (0,) * (k - len(p)) for p in parts]
+        assert list(iter_partitions_at_most(n, k)) == parts
+    assert len(list(iter_partition_blocks(12000, 2, str, str, ""))) > 1
 
 
 @pytest.mark.parametrize("n, k", [(12, 6), (9, 200), (3, 5000)])

@@ -23,7 +23,7 @@ from higgsnum import (
     classify, monopole_components, partition_count, presets,
 )
 from higgsnum import cli
-from higgsnum.cli import Rows, _dump, encode, main
+from higgsnum.cli import Rows, _dump, _print_envelope, encode, main
 
 from conftest import clear_memos, partitions_at_most
 
@@ -63,11 +63,18 @@ def padded_partitions(n, r):
     return [p + (0,) * (r - len(p)) for p in partitions_at_most(n, r)]
 
 
+def dump_text(value, ind):
+    """The text the CLI's writer gives for value, as one string: the pieces
+    of _dump, with each Rows view streamed by _print_envelope."""
+    pieces, out = [], []
+    _dump(value, ind, pieces.append)
+    _print_envelope(pieces, out.append)
+    return "".join(out)
+
+
 def to_json(value):
     """The indented text the CLI's writer gives for value, as one string."""
-    out = []
-    _dump(value, "\n", out.append)
-    return "".join(out)
+    return dump_text(value, "\n")
 
 
 ints = st.integers(-(10**30), 10**30)
@@ -146,21 +153,18 @@ def test_row_view_writes_the_monopole_rows(r):
         assert rows == [list(row) for row in padded_partitions(n, r)]
         view = Rows(r, n)
         assert to_json(view) == json.dumps(rows, indent=2)
-        out = []
-        _dump({"rows": view}, None, out.append)
-        assert "".join(out) == json.dumps({"rows": rows})
+        assert dump_text({"rows": view}, None) == json.dumps({"rows": rows})
 
 
 def test_wide_row_view_of_no_points_is_one_row_of_zeros():
     """r = 5000, n = 0: one row of r zeros, with nothing before it that grows like r^2."""
-    out = []
     tracemalloc.start()
     try:
-        _dump(Rows(5000, 0), "\n", out.append)
+        text = to_json(Rows(5000, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "".join(out) == json.dumps([[0] * 5000], indent=2)
+    assert text == json.dumps([[0] * 5000], indent=2)
     assert peak < 2**20
 
 
@@ -434,6 +438,21 @@ def test_rank2_block_streams_the_rows_twice():
     assert block["components"] == payload["components"]
     assert block["count"] == payload["count"] == len(payload["components"])
     assert payload["count"] == partition_count(payload["n_total"], 2) > 10**4
+
+
+def test_rank2_rows_past_the_box_are_the_reference_rows():
+    """n = 12,000 points in rank 2: the rows (n - i, i) for i <= n / 2, which
+    pass the box of one slot and resume after a full list of rows."""
+    x = presets.p2()
+    c2 = c2_gbun(x, HiggsNumerics(2, x.polarization, 0))[0] + 12000
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(["branches", "--surface", "p2", "-r", "2", "--c1=1", f"--c2={c2}"]) == 0
+    payload = json.loads(out.getvalue())["payload"]
+    n = payload["n_total"]
+    assert n == 12000
+    rows = [[n - i, i] for i in range(n // 2 + 1)]
+    assert payload["components"] == payload["rank2_fixed"]["components"] == rows
 
 
 def old_table(encoded):
