@@ -58,7 +58,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO, Union
 
 from .ns_lattice import (
-    Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio, require_int,
+    Frozen, HiggsError, NSLattice, NSVector, ValidationError, brief, pair_num, ratio, require_int,
 )
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chi
 from .proj_bundle import (
@@ -127,8 +127,10 @@ def load_surface(spec: str) -> SurfaceGeometry:
         with open(spec, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except (OSError, ValueError) as exc:
-        # ValueError: bytes that are not UTF-8, or a path with a NUL byte
-        raise CLIError(f"cannot read surface {spec!r}: {exc}") from None
+        # ValueError: bytes that are not UTF-8, or a path with a NUL byte; the
+        # text of an OSError names the path again, and is cut short there too
+        detail = str(exc).replace(repr(spec), brief(spec))
+        raise CLIError(f"cannot read surface {brief(spec)}: {detail}") from None
     return _parse_surface(spec, raw)
 
 
@@ -166,7 +168,9 @@ def _parse_vector(text: str, what: str) -> NSVector:
     try:
         coords = tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
-        raise CLIError(f"parse error: {what} must be comma-separated integers, got {text!r}") from None
+        raise CLIError(
+            f"parse error: {what} must be comma-separated integers, got {brief(text)}"
+        ) from None
     return NSVector(coords)
 
 
@@ -217,7 +221,7 @@ def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
 
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
     """Write a Rows view as a JSON list, one write per block of rows that
-    iter_partition_blocks yields (at most 4,097 rows each).
+    iter_partition_blocks yields (about 4,096 cells each, whatever r).
 
     The row text comes from the walk with text cells: a cell is the JSON
     separator and str(v), and the first cell of a row has the row opener
@@ -412,7 +416,9 @@ def _cmd_verify(x: None, args: argparse.Namespace) -> dict:
         try:
             seed = int(seed_text)
         except ValueError:
-            raise CLIError(f"parse error: HIGGS_SEED must be an integer, got {seed_text!r}") from None
+            raise CLIError(
+                f"parse error: HIGGS_SEED must be an integer, got {brief(seed_text)}"
+            ) from None
     else:
         seed = DEFAULT_SEED
     suites = run_suites(names, seed)
@@ -481,6 +487,14 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(f"{self.prog}: error: {message}")
 
 
+def _int_flag(text: str) -> int:
+    """The int of a flag's text, refused in argparse's words with a bounded echo."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {brief(text)}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; it depends only on constants."""
@@ -506,33 +520,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ybundle", help="intersection data of the compactified total space")
     p.set_defaults(run=_cmd_ybundle)
     common(p)
-    p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
+    p.add_argument("-r", "--rank", type=_int_flag, required=True, help="cover degree")
 
     p = sub.add_parser("spectral", help="characteristic classes of a spectral cover")
     p.set_defaults(run=_cmd_spectral)
     common(p)
-    p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
+    p.add_argument("-r", "--rank", type=_int_flag, required=True, help="cover degree")
 
     p = sub.add_parser("criterion", help="classify (r, c1, c2) by fiber regime")
     p.set_defaults(run=_cmd_criterion)
     common(p)
-    p.add_argument("-r", "--rank", type=int, required=True)
+    p.add_argument("-r", "--rank", type=_int_flag, required=True)
     p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--c2", type=int, required=True)
+    p.add_argument("--c2", type=_int_flag, required=True)
 
     p = sub.add_parser("branches", help="enumerate fixed-locus component candidates")
     p.set_defaults(run=_cmd_branches)
     common(p)
-    p.add_argument("-r", "--rank", type=int, required=True)
+    p.add_argument("-r", "--rank", type=_int_flag, required=True)
     p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--c2", type=int, required=True)
+    p.add_argument("--c2", type=_int_flag, required=True)
 
     p = sub.add_parser("grr", help="push a twisted line bundle character to the base")
     p.set_defaults(run=_cmd_grr)
     common(p)
-    p.add_argument("-r", "--rank", type=int, required=True)
+    p.add_argument("-r", "--rank", type=_int_flag, required=True)
     p.add_argument("--delta", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--points", type=int, default=0, help="ideal point count (default 0)")
+    p.add_argument("--points", type=_int_flag, default=0, help="ideal point count (default 0)")
 
     p = sub.add_parser("batch", help="answer one JSON argv list per stdin line, one line each")
     p.set_defaults(run=None, surface=None)

@@ -193,9 +193,9 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
         c[k + 1:] = [len(c) - k]
 
 
-# iter_partition_blocks memoizes the row tails for m in s slots when
-# comb(m + s, s) <= _BOX_ROWS, and always for m <= 1; a call drops its
-# memo once it holds more than _MEMO_CELLS cells.
+# iter_partition_blocks memoizes the row tails for m in s >= 2 slots when
+# comb(m + s, s) <= _BOX_ROWS, and always for m <= 1, and yields a block once
+# it holds _BOX_ROWS cells; a call drops its memo past _MEMO_CELLS cells.
 _BOX_ROWS = 4096
 _MEMO_CELLS = 1 << 16
 
@@ -203,7 +203,7 @@ _MEMO_CELLS = 1 << 16
 def _box_limits(size: int) -> tuple[int, ...]:
     """For s = 1, 2, ... while it is at least 2: the largest m with
     comb(m + s, s) <= size, at index s."""
-    limits = [0, size - 1]
+    limits = [0, size - 1]  # index 1 holds the place: one-slot rows are made in place
     while True:
         s, m, c = len(limits), 0, 1
         # c = comb(m + s, s); the next is c (m + s + 1) / (m + 1)
@@ -228,12 +228,12 @@ def iter_partition_blocks(
     Rows come in decreasing lex order.  This is the one enumeration of
     partitions in the package: the CLI's text rows and the library's
     tuple rows are both made by it.  The walk extends a prefix one part
-    at a time, formatting each cell as it goes, until the parts left fit
-    a small box; the rows of a box are memoized tails, each added to the
-    prefix in one concatenation; past the box of one slot, the one tail
-    is formatted in place.  A list holds the rows of the boxes below one
-    prefix, at most _BOX_ROWS, and one-slot rows until it holds _BOX_ROWS:
-    at most _BOX_ROWS + 1 = 4,097 rows.
+    at a time, formatting each cell as it goes, until one slot is left,
+    whose one tail is formatted in place, or the parts left fit a small
+    box, whose rows are memoized tails, each added to the prefix in one
+    concatenation.  A list is yielded once its rows hold _BOX_ROWS = 4,096
+    cells or more, so every list but the last has at least ceil(4096 / k)
+    rows and fewer than 75 more, as a box adds at most 75.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -268,29 +268,29 @@ def iter_partition_blocks(
 
     # a frame walks the part v after prefix pre from its cap down to
     # ceil(m / s), the least largest part of m in s slots
-    stack = [(None, n, k, iter(range(n, -(-n // k) - 1, -1)))]
+    stack, block = [(None, n, k, iter(range(n, -(-n // k) - 1, -1)))], []
     while stack:
         pre, m, s, vs = stack[-1]
-        block = []
         for v in vs:
             c = head(v) if pre is None else pre + cell(v)
             m2, s2 = m - v, s - 1
-            if m2 <= 1 or (s2 < len(_BOX) and m2 <= _BOX[s2]):
+            if s2 == 1:
+                # m2 <= v, as v >= ceil(m / 2): the one row is c, cell(m2), tail
+                block.append(c + cell(m2) + tail)
+            elif m2 <= 1 or (s2 < len(_BOX) and m2 <= _BOX[s2]):
                 sub, at = memo.get((m2, s2)) or tails(m2, s2)
                 i = m2 - v
                 block += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
-            elif s2 == 1:
-                # m2 <= v, as v >= ceil(m / 2): the one row is c, cell(m2), tail
-                block.append(c + cell(m2) + tail)
-                if len(block) >= _BOX_ROWS:
-                    break
             else:
                 stack.append((c, m2, s2, iter(range(min(v, m2), -(-m2 // s2) - 1, -1))))
                 break
+            if len(block) * k >= _BOX_ROWS:
+                yield block
+                block = []
         else:
             stack.pop()
-        if block:
-            yield block
+    if block:
+        yield block
 
 
 def _part(v: int) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, starmap
 from math import gcd, lcm
 from operator import attrgetter, mul
-from reprlib import repr as brief  # bounded, for refusals that echo outside input
+from reprlib import Repr
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 __all__ = [
@@ -75,6 +75,13 @@ class LatticeError(HiggsError):
 
 class ValidationError(HiggsError):
     """Surface or sheaf data violating a structural invariant."""
+
+
+# the bounded repr that refusals echo outside input with: a str of up to 30
+# characters whole, a longer one cut in the middle
+_brief = Repr()
+_brief.maxstring = 32
+brief = _brief.repr
 
 
 _KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}

@@ -23,7 +23,7 @@ a^2 > k, so blowup(1) is polarized by 2H - E.
 
 from __future__ import annotations
 
-from .ns_lattice import NSLattice, NSVector, ValidationError, require_int
+from .ns_lattice import NSLattice, NSVector, ValidationError, brief, require_int
 from .surface_chow import SurfaceGeometry
 
 __all__ = ["blowup", "by_name", "hypersurface", "p1xp1", "p2"]
@@ -57,7 +57,7 @@ def blowup(k: int) -> SurfaceGeometry:
     """The plane blown up in k points, 0 <= k <= MAX_BLOWUP."""
     require_int(k, "blowup point count", 0)
     if k > MAX_BLOWUP:
-        raise ValidationError(f"blowup point count must be at most {MAX_BLOWUP}, got {k}")
+        raise ValidationError(f"blowup point count must be at most {MAX_BLOWUP}, got {brief(k)}")
     a = 1
     while a * a <= k:
         a += 1
@@ -99,6 +99,6 @@ def by_name(name: str) -> SurfaceGeometry:
         try:
             n = int(tail)
         except ValueError:
-            raise ValidationError(f"bad {what} {tail!r}") from None
+            raise ValidationError(f"bad {what} {brief(tail)}") from None
         return build(n)
     raise KeyError(name)

@@ -15,7 +15,7 @@ from higgsnum import (
 )
 from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
 
-from conftest import clear_memos
+from conftest import clear_memos, partitions_at_most
 
 DATA = Path(__file__).parent / "data"
 
@@ -875,6 +875,76 @@ def test_branches_past_the_partition_table_refuses(capsys, c2):
     MemoryError or an OverflowError."""
     assert run(capsys, "branches", "--surface", "p2", "-r", "4", "--c1=-6", f"--c2={c2}") == (
         2, "", "validation error: partition size must be at most 1000000 for more than 3 parts\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_wide_branches_rows_are_written_in_blocks(monkeypatch, fmt):
+    """r = 30 and n = 30: rows of 30 cells, where a box of memoized tails holds
+    m <= 2 points, are the reference partitions, and go out in writes of at
+    most 256 KiB, a few dozen of them rather than one per row."""
+    r, n = 30, 30
+    c1 = -(r * (r - 1) // 2)
+    c2 = higgsnum.c2_gbun(presets.p2(), HiggsNumerics(r, NSVector((c1,)), 0))[0] + n
+    sizes, out = [], io.StringIO()
+
+    def write(text):
+        sizes.append(len(text.encode()))
+        return out.write(text)
+
+    monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=write))
+    argv = ["branches", "--surface", "p2", "-r", str(r), f"--c1={c1}", f"--c2={c2}"]
+    assert main(argv + ["--format", fmt]) == 0
+    if fmt == "json":
+        payload = json.loads(out.getvalue())["payload"]
+        assert payload["n_total"] == n
+        components = payload["components"]
+    else:
+        (line,) = [ln for ln in out.getvalue().splitlines() if ln.startswith("payload.components ")]
+        components = json.loads(line.split(None, 1)[1])
+    rows = [list(p) + [0] * (r - len(p)) for p in partitions_at_most(n, r)]
+    assert components == rows
+    assert max(sizes) <= 256 * 1024
+    assert len(sizes) < len(rows) // 10
+
+
+LONG = {
+    "int-flag": (["spectral", "--surface", "p2", "-r", "9" * 5000], {},
+                 "higgsnum spectral: error: argument -r/--rank: invalid int value: "),
+    "vector": (["criterion", "--surface", "p2", "-r", "2", "--c1", "9" * 5000 + "x", "--c2", "0"],
+               {}, "parse error: --c1 must be comma-separated integers, got "),
+    "seed": (["verify", "--suite", "olympic"], {"HIGGS_SEED": "s" * 5000},
+             "parse error: HIGGS_SEED must be an integer, got "),
+    "path": (["surface", "--surface", "a" * 5000], {}, "cannot read surface "),
+    "preset": (["surface", "--surface", "hypersurface:" + "9" * 5000], {},
+               "parse error: bad hypersurface degree "),
+}
+
+
+@pytest.mark.parametrize("argv, env, start", LONG.values(), ids=LONG.keys())
+def test_long_outside_values_are_cut_short_in_refusals(capsys, monkeypatch, argv, env, start):
+    """A refusal echoes a value of 5,000 characters cut in the middle, once or
+    twice, on one line well under 300 bytes."""
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(start) and err.count("\n") == 1, err
+    assert "..." in err and len(err.encode()) < 300
+
+
+def test_values_of_up_to_30_characters_are_echoed_whole(capsys, monkeypatch):
+    thirty = "9" * 29 + "x"
+    assert run(capsys, "spectral", "--surface", "p2", "-r", thirty) == (
+        2, "", f"higgsnum spectral: error: argument -r/--rank: invalid int value: '{thirty}'\n")
+    assert run(capsys, "criterion", "--surface", "p2", "-r", "2", "--c1", thirty, "--c2", "0") == (
+        2, "", f"parse error: --c1 must be comma-separated integers, got '{thirty}'\n")
+    monkeypatch.setenv("HIGGS_SEED", thirty)
+    assert run(capsys, "verify", "--suite", "olympic") == (
+        2, "", f"parse error: HIGGS_SEED must be an integer, got '{thirty}'\n")
+    path = "no/such/surface/file/here.json"
+    assert len(path) == 30
+    assert run(capsys, "surface", "--surface", path) == (
+        2, "", f"cannot read surface '{path}': [Errno 2] No such file or directory: '{path}'\n")
 
 
 @pytest.mark.parametrize("gram, row", [([{"a": 1}, {"b": -1}], {"a": 1}), (["10", "0-"], "10")],

@@ -490,22 +490,41 @@ def test_partition_count_closed_form_below_three_parts():
 
 def blocks_as_rows(n, k, cell):
     blocks = list(iter_partition_blocks(n, k, cell, cell, ()))
+    # each block a nonempty list of its own, not one list yielded again
     assert all(type(b) is list and b for b in blocks)
+    assert len({id(b) for b in blocks}) == len(blocks)
     return [row for block in blocks for row in block]
 
 
 def test_partition_blocks_are_the_reference_rows():
     """With tuple cells the blocks hold the partitions, padded or not, in the
     order of the test's own recursive enumeration, k = 0 and k > n included;
-    iter_partitions_at_most gives the unpadded rows one by one.  n = 12,000
-    with k = 2 passes the box of one slot (m <= 4095): the one-slot rows
-    formatted in place fill a list and resume in the next."""
-    for n, k in [(n, k) for n in range(41) for k in range(9)] + [(12000, 2)]:
+    iter_partitions_at_most gives the unpadded rows one by one.  The larger
+    cases cross many block breaks: rows of two slots, the last formatted in
+    place (k = 2), boxes of three slots (k = 3) and wide rows (k >= 30)."""
+    cases = [(n, k) for n in range(41) for k in range(9)]
+    for n, k in cases + [(12000, 2), (600, 3), (40, 30), (25, 120)]:
         parts = list(partitions_at_most(n, k))
         assert blocks_as_rows(n, k, lambda v: (v,) if v else ()) == parts
         assert blocks_as_rows(n, k, lambda v: (v,)) == [p + (0,) * (k - len(p)) for p in parts]
         assert list(iter_partitions_at_most(n, k)) == parts
     assert len(list(iter_partition_blocks(12000, 2, str, str, ""))) > 1
+
+
+@pytest.mark.parametrize(
+    "n, k", [(12000, 2), (600, 3), (127, 4), (60, 8), (40, 30), (25, 120), (12, 5000)],
+)
+def test_partition_blocks_hold_one_flush_of_cells(n, k):
+    """Every block but the last holds at least ceil(_BOX_ROWS / k) rows, so
+    _BOX_ROWS cells, and fewer than 75 rows more: a block is yielded as soon
+    as it holds that many, and one step adds at most a box, p(27, <= 3) = 75
+    rows, or one row."""
+    least = -(-hn_branches._BOX_ROWS // k)
+    sizes = [len(b) for b in iter_partition_blocks(n, k, str, str, "")]
+    assert sum(sizes) == hn_branches.partition_count(n, k)
+    assert len(sizes) > 1
+    assert all(least <= size < least + 75 for size in sizes[:-1])
+    assert 0 < sizes[-1] < least + 75
 
 
 @pytest.mark.parametrize("n, k", [(12, 6), (9, 200), (3, 5000)])

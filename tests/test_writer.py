@@ -441,8 +441,8 @@ def test_rank2_block_streams_the_rows_twice():
 
 
 def test_rank2_rows_past_the_box_are_the_reference_rows():
-    """n = 12,000 points in rank 2: the rows (n - i, i) for i <= n / 2, which
-    pass the box of one slot and resume after a full list of rows."""
+    """n = 12,000 points in rank 2: the rows (n - i, i) for i <= n / 2, each
+    with its last cell formatted in place, across many full lists of rows."""
     x = presets.p2()
     c2 = c2_gbun(x, HiggsNumerics(2, x.polarization, 0))[0] + 12000
     out = StringIO()
