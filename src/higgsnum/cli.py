@@ -37,12 +37,13 @@ answers, which are payload rather than failures; 1 when a verify suite
 fails; 2 for input errors (bad flags, unreadable or invalid surface
 data, an answer too large to write); EXIT_NO_STDOUT, 141, when stdout is
 closed or its reader has gone, as in `higgsnum branches ... | head`.
-Every refusal is a HiggsError, caught in one place and printed as one
-stderr line (in batch, as the line's error): a CLIError (files, schemas,
-flags, which argparse refuses through _Parser.error) as it is, any other
-with the prefix "validation error: ".  The CLI owns only the surface
+Every refusal is a HiggsError, caught in one place, _query: its text, a
+CLIError's (files, schemas, flags, which argparse refuses through
+_Parser.error) as it is and any other's after "validation error: ", is
+made one line of at most 240 characters by _refusal_line and printed on
+stderr (in batch, as the line's error).  The CLI owns only the surface
 file's schema and a flag's integer syntax; every rule about the values
-(a rank, the gram, a vector's length) is the library's.
+is the library's.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO, Union
 
 from .ns_lattice import (
-    Frozen, HiggsError, NSLattice, NSVector, ValidationError, brief, pair_num, ratio, require_int,
+    Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio, require_int,
 )
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chi
 from .proj_bundle import (
@@ -127,10 +128,9 @@ def load_surface(spec: str) -> SurfaceGeometry:
         with open(spec, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except (OSError, ValueError) as exc:
-        # ValueError: bytes that are not UTF-8, or a path with a NUL byte; the
-        # text of an OSError names the path again, and is cut short there too
-        detail = str(exc).replace(repr(spec), brief(spec))
-        raise CLIError(f"cannot read surface {brief(spec)}: {detail}") from None
+        # ValueError: bytes that are not UTF-8, or a path with a NUL byte
+        detail = exc.strerror if isinstance(exc, OSError) else exc
+        raise CLIError(f"cannot read surface {spec!r}: {detail}") from None
     return _parse_surface(spec, raw)
 
 
@@ -168,9 +168,8 @@ def _parse_vector(text: str, what: str) -> NSVector:
     try:
         coords = tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
-        raise CLIError(
-            f"parse error: {what} must be comma-separated integers, got {brief(text)}"
-        ) from None
+        raise CLIError(f"parse error: {what} must be comma-separated integers, "
+                       f"got {text!r}") from None
     return NSVector(coords)
 
 
@@ -416,9 +415,8 @@ def _cmd_verify(x: None, args: argparse.Namespace) -> dict:
         try:
             seed = int(seed_text)
         except ValueError:
-            raise CLIError(
-                f"parse error: HIGGS_SEED must be an integer, got {brief(seed_text)}"
-            ) from None
+            raise CLIError(f"parse error: HIGGS_SEED must be an integer, "
+                           f"got {seed_text!r}") from None
     else:
         seed = DEFAULT_SEED
     suites = run_suites(names, seed)
@@ -487,14 +485,6 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(f"{self.prog}: error: {message}")
 
 
-def _int_flag(text: str) -> int:
-    """The int of a flag's text, refused in argparse's words with a bounded echo."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {brief(text)}") from None
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; it depends only on constants."""
@@ -520,33 +510,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ybundle", help="intersection data of the compactified total space")
     p.set_defaults(run=_cmd_ybundle)
     common(p)
-    p.add_argument("-r", "--rank", type=_int_flag, required=True, help="cover degree")
+    p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
 
     p = sub.add_parser("spectral", help="characteristic classes of a spectral cover")
     p.set_defaults(run=_cmd_spectral)
     common(p)
-    p.add_argument("-r", "--rank", type=_int_flag, required=True, help="cover degree")
+    p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
 
     p = sub.add_parser("criterion", help="classify (r, c1, c2) by fiber regime")
     p.set_defaults(run=_cmd_criterion)
     common(p)
-    p.add_argument("-r", "--rank", type=_int_flag, required=True)
+    p.add_argument("-r", "--rank", type=int, required=True)
     p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--c2", type=_int_flag, required=True)
+    p.add_argument("--c2", type=int, required=True)
 
     p = sub.add_parser("branches", help="enumerate fixed-locus component candidates")
     p.set_defaults(run=_cmd_branches)
     common(p)
-    p.add_argument("-r", "--rank", type=_int_flag, required=True)
+    p.add_argument("-r", "--rank", type=int, required=True)
     p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--c2", type=_int_flag, required=True)
+    p.add_argument("--c2", type=int, required=True)
 
     p = sub.add_parser("grr", help="push a twisted line bundle character to the base")
     p.set_defaults(run=_cmd_grr)
     common(p)
-    p.add_argument("-r", "--rank", type=_int_flag, required=True)
+    p.add_argument("-r", "--rank", type=int, required=True)
     p.add_argument("--delta", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--points", type=_int_flag, default=0, help="ideal point count (default 0)")
+    p.add_argument("--points", type=int, default=0, help="ideal point count (default 0)")
 
     p = sub.add_parser("batch", help="answer one JSON argv list per stdin line, one line each")
     p.set_defaults(run=None, surface=None)
@@ -559,13 +549,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusal_line(text: str) -> str:
+    """text with each character that does not print escaped as repr escapes
+    it, cut in the middle to 240 characters when longer: the one line rule."""
+    if not text.isprintable():
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+    return text if len(text) <= 240 else text[:119] + "..." + text[-118:]
+
+
 def _query(argv: list[str], one_line: bool = False) -> tuple[int, Union[list, str, None]]:
     """The one query path: argv to (exit code, answer).
 
     The answer is the envelope as _render's pieces, in the one-line layout
     if one_line, else in the query's --format (exit 0, or 1 when verify
-    finds a failing check); the one-line refusal of a HiggsError (exit 2),
-    which a bad flag is too; or None when argparse has written help.
+    finds a failing check); the refusal line of a HiggsError, which a bad
+    flag is too (exit 2); or None when argparse has written help.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -585,7 +583,7 @@ def _query(argv: list[str], one_line: bool = False) -> tuple[int, Union[list, st
         return 0, None
     except HiggsError as exc:
         label = "" if isinstance(exc, CLIError) else "validation error: "
-        return 2, f"{label}{exc}"
+        return 2, _refusal_line(f"{label}{exc}")
     return (1 if payload.get("all_passed") is False else 0), answer
 
 

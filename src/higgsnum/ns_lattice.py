@@ -389,7 +389,8 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
         raise LatticeError(f"gram entries must be integers, got {brief(x)}")
     if rows != (*zip(*rows),):
         if any(len(row) != n for row in rows):
-            raise LatticeError(f"gram matrix is not square: rows of lengths {[*map(len, rows)]}")
+            raise LatticeError(
+                f"gram matrix is not square: rows of lengths {brief([*map(len, rows)])}")
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
         raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
     t = [x for i, row in enumerate(rows) for x in row[i:]]
@@ -427,7 +428,7 @@ class NSLattice(Frozen):
         gram = _rows(gram)
         if len(gram) != rank:
             raise LatticeError(f"gram matrix must be {rank}x{rank}, got rows of lengths "
-                               f"{[len(row) for row in gram]}")
+                               f"{brief([*map(len, gram)])}")
         pos, neg = inertia(gram)
         if (pos, neg) != (1, rank - 1):
             raise LatticeError(f"signature must be (1, {rank - 1}), got ({pos}, {neg})")

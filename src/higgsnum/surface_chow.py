@@ -86,20 +86,23 @@ class SurfaceGeometry(Frozen):
         require_int(c2_top, "c2_top")
         l2 = pair(lattice, polarization, polarization)
         if l2 <= 0:
-            raise ValidationError(f"polarization must have positive self-intersection, got {l2}")
+            raise ValidationError("polarization must have positive self-intersection, "
+                                  f"got {_shown(l2, 'a negative number')}")
         k2 = pair(lattice, canonical, canonical)
-        if (k2 + c2_top) % 12 != 0:
-            raise ValidationError(
-                f"Noether integrality fails: K^2 + c2 = {k2 + c2_top} is not divisible by 12"
-            )
+        noether = k2 + c2_top
+        if noether % 12 != 0:
+            raise ValidationError(f"Noether integrality fails: K^2 + c2 = "
+                                  f"{_shown(noether, f'{noether % 12} mod 12')} "
+                                  "is not divisible by 12")
         # Wu: e_i^2 = K.e_i (mod 2) on the basis; D^2 + K.D is additive mod 2
         k = canonical.num
-        odd = [j for j, kj in enumerate(k) if kj & 1]
         for i, row in enumerate(lattice.gram):
-            if (row[i] - sum([row[j] for j in odd])) & 1:
+            ke, e2 = sum(map(mul, row, k)), row[i]
+            if (e2 - ke) & 1:
                 raise ValidationError(
-                    f"canonical class is not characteristic: K.e_{i} = {sum(map(mul, row, k))}"
-                    f" and e_{i}^2 = {row[i]} differ mod 2"
+                    f"canonical class is not characteristic: K.e_{i} = "
+                    f"{_shown(ke, f'{ke & 1} mod 2')} and e_{i}^2 = "
+                    f"{_shown(e2, f'{e2 & 1} mod 2')} differ mod 2"
                 )
         Frozen.__init__(self, lattice, canonical, polarization, c2_top, name,
                         k2, l2, pair(lattice, canonical, polarization))
@@ -114,6 +117,15 @@ class SurfaceGeometry(Frozen):
 
     def pair(self, v, w) -> Rat:
         return pair(self.lattice, v, w)
+
+
+def _shown(n: int, fallback: object) -> str:
+    """The text of n, or of fallback when n has more digits than int-to-text
+    conversion allows: a refusal names such a number by its sign or residue."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(fallback)
 
 
 class ChowClass(Frozen):

@@ -540,6 +540,22 @@ def test_malformed_rank2_file_is_one_line_refusal(tmp_path, capsys, field, value
     assert err == f"validation error: {message}\n"
 
 
+# surfaces whose refusal computes a number past the int-to-text limit from
+# entries of 2,500 to 3,000 digits, and the text that names it
+WIDE = int("3" * 3000)
+LARGE_NUMBERS = {
+    "negative-polarization": {"polarization": [0, 10**2500]},
+    "non-noether": {"canonical": [10**2500, 1]},
+    "non-characteristic": {"gram": [[2, WIDE], [WIDE, 0]], "canonical": [0, WIDE],
+                           "polarization": [1, 0], "c2_top": 0},
+}
+LARGE_NUMBER_REFUSALS = [
+    "polarization must have positive self-intersection, got a negative number",
+    f"Noether integrality fails: K^2 + c2 = {(10**5000 + 3) % 12} mod 12 is not divisible by 12",
+    "canonical class is not characteristic: K.e_0 = 1 mod 2 and e_0^2 = 2 differ mod 2",
+]
+
+
 WRONG_VALUES = {
     **{key: {field: value} for key, (field, value, _) in MALFORMED_RANK2.items()},
     "ragged-gram": {"gram": [[1], [0, -1]]},
@@ -552,6 +568,9 @@ WRONG_VALUES = {
     "long-int-rows": {"gram": [1] * 10**5},
     "long-list-entry": {"gram": [[1, [0] * 10**5], [0, -1]]},
     "long-list-coordinate": {"canonical": [[0] * 10**5, 1]},
+    "many-rows": {"gram": [[1]] * 10**5},
+    "many-ragged-rows": {"ns_rank": 10**5, "gram": [[1]] * 10**5},
+    **LARGE_NUMBERS,
 }
 
 
@@ -944,7 +963,7 @@ def test_values_of_up_to_30_characters_are_echoed_whole(capsys, monkeypatch):
     path = "no/such/surface/file/here.json"
     assert len(path) == 30
     assert run(capsys, "surface", "--surface", path) == (
-        2, "", f"cannot read surface '{path}': [Errno 2] No such file or directory: '{path}'\n")
+        2, "", f"cannot read surface '{path}': No such file or directory\n")
 
 
 @pytest.mark.parametrize("gram, row", [([{"a": 1}, {"b": -1}], {"a": 1}), (["10", "0-"], "10")],
@@ -960,3 +979,65 @@ def test_gram_row_that_is_no_row_is_named(tmp_path, capsys, gram, row):
     path.write_text(json.dumps({**BLOWUP, "gram": gram}))
     assert run(capsys, "surface", "--surface", str(path)) == (
         2, "", f"validation error: {message}\n")
+
+
+@pytest.mark.parametrize("fields, message", zip(LARGE_NUMBERS.values(), LARGE_NUMBER_REFUSALS),
+                         ids=LARGE_NUMBERS.keys())
+def test_large_number_refusals_name_what_converts(tmp_path, capsys, fields, message):
+    """A check whose number is past the int-to-text limit still refuses in one
+    line, naming the number by its sign or residue, and a batch answers the
+    lines after it."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({**BLOWUP, **fields}))
+    argv = ["surface", "--surface", str(path)]
+    assert run(capsys, *argv) == (2, "", f"validation error: {message}\n")
+    good = json.dumps(QUERIES["surface"])
+    code, answers = run_batch([good, json.dumps(argv), good])
+    assert code == 2
+    assert answers[1] == {"error": f"validation error: {message}", "exit": 2}
+    assert answers[0] == answers[2] and answers[0]["payload"]["name"] == "p2"
+
+
+def surface_file(directory, name, text):
+    """The path of a file name under directory, made with its parents, holding text."""
+    path = directory / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return str(path)
+
+
+# inputs whose refusal echoes argparse's own text, a path or a list at length,
+# or a newline: each argv is made under a fresh directory
+LONG_OR_BROKEN = {
+    "invalid-choice": lambda tmp: QUERIES["surface"] + ["--format", "x" * 5000],
+    "unrecognized-argument": lambda tmp: QUERIES["surface"] + ["y" * 5000],
+    "unknown-subcommand": lambda tmp: ["z" * 5000],
+    "long-path": lambda tmp: ["surface", "--surface",
+                              surface_file(tmp, "/".join(["d" * 200] * 12) + "/s.json", "{")],
+    "newline-argument": lambda tmp: QUERIES["surface"] + ["a\nb"],
+    "newline-path": lambda tmp: ["surface", "--surface", surface_file(tmp, "a\nb/s.json", "{")],
+    "many-rows": lambda tmp: ["surface", "--surface", surface_file(
+        tmp, "s.json", json.dumps({**BLOWUP, "gram": [[1]] * 10**5}))],
+}
+
+
+@pytest.mark.parametrize("make_argv", LONG_OR_BROKEN.values(), ids=LONG_OR_BROKEN.keys())
+def test_every_refusal_is_one_short_line_like_batch(tmp_path, capsys, make_argv):
+    """However long or broken the text a refusal echoes: exit 2, no stdout, one
+    stderr line of at most 240 characters, and that line is batch's error."""
+    argv = make_argv(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.endswith("\n") and len(err.splitlines()) == 1 and len(err) <= 241, err
+    assert run_batch([json.dumps(argv)]) == (2, [{"error": err[:-1], "exit": 2}])
+
+
+def test_refusal_line_escapes_and_cuts_only_what_it_must():
+    """A printable line that fits is kept byte for byte; a control character
+    is escaped as repr escapes it; a longer line keeps its head and tail."""
+    fits = "é\\'" + "x" * 237
+    assert cli._refusal_line(fits) == fits
+    assert len(cli._refusal_line(fits + "x")) == 240
+    assert cli._refusal_line("a\nb\tc\x00\u2028") == "a\\nb\\tc\\x00\\u2028"
+    cut = cli._refusal_line("h" * 200 + "t" * 200)
+    assert cut == "h" * 119 + "..." + "t" * 118

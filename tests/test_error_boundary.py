@@ -65,7 +65,7 @@ from higgsnum import (
     todd_surface,
     y_mul,
 )
-from higgsnum.cli import CLIError, main
+from higgsnum.cli import CLIError, batch, main
 from higgsnum.ns_lattice import Frozen
 
 pytest.importorskip("hypothesis")
@@ -353,6 +353,15 @@ def vector_text(rank, big):
     ).map(lambda v: v if isinstance(v, str) else ",".join(v))
 
 
+# tokens that no flag takes and that a refusal may echo: a few characters,
+# control characters among them, or a run of 5,000; none holds an integer
+# that fits, so a branches query drawing one is refused, not enumerated
+WILD = st.one_of(
+    st.text(st.sampled_from("\n\t\r\x00\x1b\x7f\x85\u2028a,-"), min_size=1, max_size=6),
+    st.builds(lambda c: c * 5000, st.sampled_from("9xa,\n")),
+)
+
+
 @st.composite
 def argvs(draw, path):
     command = draw(st.sampled_from(
@@ -376,6 +385,11 @@ def argvs(draw, path):
         argv.append(f"--delta={draw(vector_text(rank, big))}")
         if draw(st.booleans()):
             argv.append(f"--points={draw(int_text(-3, 10, big))}")
+    if draw(st.integers(0, 2)) == 0:
+        # a WILD token in place of the command or of a flag's value, or after them all
+        i, token = draw(st.integers(0, len(argv))), draw(WILD)
+        flag = argv[i].partition("=")[0] + "=" if 0 < i < len(argv) else ""
+        argv[i:i + 1] = [flag + token]
     return argv
 
 
@@ -395,7 +409,11 @@ def test_cli_fuzz_answers_or_refuses_in_one_line(tmp_path_factory):
             assert out and not err
         else:
             assert not out
-            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            assert err.endswith("\n") and len(err.splitlines()) == 1, (argv, err)
+            assert len(err) <= 241, (argv, err)
+            batch_out = io.StringIO()
+            assert batch([json.dumps(argv)], batch_out) == 2
+            assert json.loads(batch_out.getvalue()) == {"error": err[:-1], "exit": 2}
 
     check()
 
