@@ -6,6 +6,12 @@ one line each.  Every query prints a single JSON document (or a flat
 table with --format table).  main and batch share _query, the one path
 from argv to an exit code and an envelope or a one-line refusal.
 
+The parser is built once per process.  An argv whose first word is a
+subcommand name is parsed by that subcommand's parser alone, in one
+argparse pass; the top parser's pass would only hand it all the rest, so
+the namespace and every refusal are the same.  Any other argv (empty,
+-h, an unknown command, a leading --) goes through the top parser.
+
 A surface is validated once per process and content: presets are
 memoized by name, and a surface file, read on every query, is parsed and
 validated once per (path, text), so an edited file is never served
@@ -143,19 +149,19 @@ def _parse_surface(spec: str, raw: str) -> SurfaceGeometry:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CLIError(
-            f"parse error in {spec}: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            f"parse error in {spec!r}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
     except (RecursionError, ValueError) as exc:
         # nesting deeper than the decoder's recursion limit, or an integer
         # literal longer than the interpreter's int conversion limit
-        raise CLIError(f"parse error in {spec}: {exc}") from None
+        raise CLIError(f"parse error in {spec!r}: {exc}") from None
     if not isinstance(data, dict):
-        raise CLIError(f"parse error in {spec}: expected a JSON object")
+        raise CLIError(f"parse error in {spec!r}: expected a JSON object")
     for key, typ in SURFACE_FIELDS.items():
         if key not in data:
-            raise CLIError(f"parse error in {spec}: missing field {key!r}")
+            raise CLIError(f"parse error in {spec!r}: missing field {key!r}")
         if not isinstance(data[key], typ) or isinstance(data[key], bool):
-            raise CLIError(f"parse error in {spec}: field {key!r} must be {typ.__name__}")
+            raise CLIError(f"parse error in {spec!r}: field {key!r} must be {typ.__name__}")
     return SurfaceGeometry(
         NSLattice(data["ns_rank"], data["gram"]), NSVector(data["canonical"]),
         NSVector(data["polarization"]), data["c2_top"], data["name"],
@@ -487,12 +493,17 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; it depends only on constants."""
+    """The one parser of the process; it depends only on constants.
+
+    Its commands attribute is argparse's own map from subcommand name to
+    subparser, through which _parse skips the top pass.
+    """
     parser = _Parser(
         prog="higgsnum",
         description="Exact spectral-surface and Higgs sheaf calculator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -549,6 +560,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one argparse pass when argv[0] is
+    a subcommand name.
+
+    The top pass would match that name and hand all of argv[1:] to its
+    subparser, which parses them into a namespace that already holds
+    command, so the keys keep the top pass's order; what it leaves is
+    refused by the top parser in the top pass's words.  Any other argv
+    (empty, -h, an unknown command, a leading --) takes the top pass.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def _refusal_line(text: str) -> str:
     """text with each character that does not print escaped as repr escapes
     it, cut in the middle to 240 characters when longer: the one line rule."""
@@ -560,13 +591,16 @@ def _refusal_line(text: str) -> str:
 def _query(argv: list[str], one_line: bool = False) -> tuple[int, Union[list, str, None]]:
     """The one query path: argv to (exit code, answer).
 
+    argv is parsed by _parse, with one argparse pass when argv[0] names a
+    subcommand and through the top parser otherwise.
+
     The answer is the envelope as _render's pieces, in the one-line layout
     if one_line, else in the query's --format (exit 0, or 1 when verify
     finds a failing check); the refusal line of a HiggsError, which a bad
     flag is too (exit 2); or None when argparse has written help.
     """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         if args.run is None:
             raise CLIError("parse error: batch reads its queries from stdin, not from a batch line")
         x = None if args.surface is None else load_surface(args.surface)

@@ -490,7 +490,7 @@ def test_unreadable_surface_file_is_one_line_refusal(tmp_path, capsys, content, 
     rc, out, err = run(capsys, "surface", "--surface", str(path))
     assert rc == 2
     assert out == ""
-    assert err.startswith(start)
+    assert err.startswith(f"{start}{str(path)!r}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
 
@@ -854,11 +854,107 @@ def test_bad_flag_refusal_is_argparse_last_line(capsys):
 
 def test_every_parser_refuses_through_cli_error():
     parser = build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert len(subparsers.choices) == 8
-    assert {type(p) for p in [parser, *subparsers.choices.values()]} == {cli._Parser}
+    assert len(parser.commands) == 8
+    assert {type(p) for p in [parser, *parser.commands.values()]} == {cli._Parser}
     with pytest.raises(CLIError, match="^higgsnum spectral: error: argument -r/--rank: "):
         parser.parse_args(["spectral", "--surface", "p2", "-r", "x"])
+
+
+# argvs that the one-pass dispatch must read as argparse's top pass does: one
+# well-formed query per subcommand, with --format table and in the
+# --flag=value forms, and the edge cases of argparse's own reading
+DISPATCH = {
+    **QUERIES,
+    "verify": ["verify", "--suite", "olympic"],
+    "batch": ["batch"],
+    **{f"{name}-table": argv + ["--format", "table"] for name, argv in QUERIES.items()},
+    "criterion-equals": ["criterion", "--surface=p2", "-r=2", "--c1=1", "--c2=3", "--format=table"],
+    "grr-equals": ["grr", "--surface=p1xp1", "--rank=3", "--delta=1,-1", "--points=2"],
+    "branches-joined": ["branches", "--surface=p2", "-r3", "--c1=0", "--c2=2"],
+    "verify-equals": ["verify", "--suite=olympic", "--format=table"],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "help-before-command": ["-h", "surface"],
+    "help-after-command": ["surface", "-h"],
+    "help-after-flags": ["criterion", "--surface", "p2", "-h"],
+    "help-abbreviated": ["surface", "--he"],
+    "help-unknown-command": ["nosuch", "-h"],
+    "help-batch": ["batch", "-h"],
+    "abbreviation": ["surface", "--surf", "p2"],
+    "ambiguous-abbreviation": ["criterion", "--surface", "p2", "-r", "2", "--c", "1", "--c2", "3"],
+    "negative-rank": ["spectral", "--surface", "p2", "-r", "-2"],
+    "negative-vector": ["criterion", "--surface", "p2", "-r", "2", "--c1", "-3", "--c2", "0"],
+    "repeated-flag": ["spectral", "--surface", "p2", "-r", "2", "-r", "3"],
+    "trailing-dashes-word": QUERIES["surface"] + ["--", "x"],
+    "trailing-dashes": QUERIES["surface"] + ["--"],
+    "dashes-before-flags": ["surface", "--", "--surface", "p2"],
+    "leading-dashes": ["--"] + QUERIES["surface"],
+    "only-dashes": ["--"],
+    "empty": [],
+    "unknown-command": ["nosuch"],
+    "command-case": ["Surface"] + QUERIES["surface"][1:],
+    "verify-word": ["verify", "x"],
+    "batch-word": ["batch", "x"],
+    "unrecognized-words": QUERIES["surface"] + ["x", "y"],
+    "unknown-flag": QUERIES["surface"] + ["--colour"],
+    "no-flags": ["surface"],
+}
+
+
+def parse_outcome(parse, argv, capsys):
+    """What parse(argv) gives: the namespace's items in order, a refusal, or
+    argparse's exit with the help it wrote."""
+    try:
+        args = parse(argv)
+    except CLIError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    return "args", list(vars(args).items())
+
+
+def query_outcome(argv, one_line, capsys):
+    """_query(argv, one_line) as text: (exit code, the answer or refusal line
+    or None, what was written to stdout, as help is)."""
+    code, answer = cli._query(argv, one_line)
+    if type(answer) is list:
+        text = io.StringIO()
+        cli._print_envelope(answer, text.write)
+        answer = text.getvalue()
+    return code, answer, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", DISPATCH.values(), ids=DISPATCH.keys())
+def test_dispatch_reads_argv_as_the_top_parser(capsys, monkeypatch, argv):
+    """_parse gives the namespace, refusal or help of build_parser().parse_args,
+    and _query the same answer or refusal line in both layouts."""
+    def reference(argv):
+        return build_parser().parse_args(argv)
+
+    assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(reference, argv, capsys)
+    for one_line in (False, True):
+        ours = query_outcome(argv, one_line, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse", reference)
+            assert query_outcome(argv, one_line, capsys) == ours
+
+
+def test_a_query_takes_no_top_level_pass(capsys, monkeypatch):
+    """A well-formed query of each subcommand, through main or a batch line, is
+    parsed by its subparser alone; an argv that starts with -h takes the top
+    parser's pass."""
+    parser, calls = build_parser(), []
+    top_pass = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", lambda *a: calls.append(a) or top_pass(*a))
+    queries = [*QUERIES.values(), DISPATCH["verify"]]
+    assert {argv[0] for argv in queries} == set(parser.commands) - {"batch"}
+    for argv in queries:
+        assert run(capsys, *argv)[0] == 0
+    code, answers = run_batch([json.dumps(argv) for argv in queries])
+    assert code == 0 and all("payload" in answer for answer in answers)
+    assert calls == []
+    assert run(capsys, "-h", "surface")[0] == 0
+    assert len(calls) == 1
 
 
 # flag values under the int-to-text limit whose answers are past it
@@ -1004,6 +1100,21 @@ def surface_file(directory, name, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("{", "Expecting property name enclosed in double quotes at line 1 column 2"),
+    ("[]", "expected a JSON object"),
+    ("{}", "missing field 'name'"),
+    (json.dumps({**BLOWUP, "ns_rank": "2"}), "field 'ns_rank' must be int"),
+], ids=["not-json", "not-an-object", "missing-field", "wrong-type"])
+def test_parse_refusals_quote_the_path(tmp_path, capsys, text, detail):
+    """A refusal of a file's JSON names the path by its repr, so a path
+    holding ': ' cannot be read as part of the detail (the deep-nesting and
+    huge-integer refusals are checked the same way above)."""
+    path = surface_file(tmp_path, "a: b.json", text)
+    assert run(capsys, "surface", "--surface", path) == (
+        2, "", f"parse error in {path!r}: {detail}\n")
 
 
 # inputs whose refusal echoes argparse's own text, a path or a list at length,

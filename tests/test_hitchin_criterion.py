@@ -1,13 +1,18 @@
+import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from higgsnum import (
     FiberWitness,
     HiggsNumerics,
     NSVector,
     Regime,
+    SpectralCover,
     c2_gbun,
     classify,
+    grr_pushforward,
     n_points,
     presets,
     solve_delta,
@@ -186,6 +191,36 @@ def test_witness_presence_matches_regime(blowup):
             assert report.witness.n_points >= 0
         else:
             assert report.witness is None
+
+
+PRESET_NAMES = ["p2", "p1xp1", *(f"hypersurface:{d}" for d in range(1, 7)),
+                *(f"blowup:{k}" for k in range(9))]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_witness_realizes_the_query(name):
+    """For Boundary and Generic the witness (delta, n) is spectral data of the
+    query: grr_pushforward(s, delta, n) has rank r, first Chern class c1 and
+    c1^2/2 - ch2 = c2."""
+    x = presets.by_name(name)
+    rng = random.Random(name)
+    seen = {Regime.BOUNDARY: 0, Regime.GENERIC: 0}
+    for r in range(1, 7):
+        s = SpectralCover(x, r)
+        for _ in range(20):
+            c1 = NSVector(tuple(rng.randint(-6, 6) for _ in range(x.rank)))
+            if rng.randrange(4):
+                # a c1 with a delta
+                c1 = r * c1 - (r * (r - 1) // 2) * x.polarization
+            c2 = math.ceil(c2_gbun(x, HiggsNumerics(r, c1, 0))[0]) + rng.randint(-2, 8)
+            report = classify(x, HiggsNumerics(r, c1, c2))
+            if report.witness is None:
+                continue
+            seen[report.regime] += 1
+            ch = grr_pushforward(s, report.witness.delta, report.witness.n_points)
+            assert (ch.deg0, ch.deg1) == (r, c1), (r, c1, c2)
+            assert Fraction(x.pair(c1, c1)) / 2 - ch.deg2 == c2, (r, c1, c2)
+    assert min(seen.values()) > 0, seen
 
 
 def test_rank_two_polarization_case():
