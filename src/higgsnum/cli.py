@@ -32,11 +32,13 @@ first write, so an answer holding a number too long for int-to-text
 conversion is refused, not cut short.  The components of `branches` are
 a Rows view (r, n): the partitions of n into at most r parts, padded
 with zeros to r columns.  _dump_rows writes their text from
-hn_branches.iter_partition_blocks, one write per block of rows the walk
-yields, so neither the list of components nor the text of the document
-is built whole.  Rows takes r and n as plain ints, and every number a
-row prints is the str of an int from a range no longer than n, so no
-bool, Fraction or list can reach the text, and every cell converts.
+hn_branches.iter_partition_blocks, one write per block the walk yields,
+each run of a block (a prefix and the tails of its rows) joined in one
+str.join, so neither the list of components nor the text of the document
+is built whole, and no row is a Python step of its own.  Rows takes r
+and n as plain ints, and every number a row prints is the str of an int
+from a range no longer than n, so no bool, Fraction or list can reach
+the text, and every cell converts.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
@@ -225,12 +227,14 @@ def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
 
 
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
-    """Write a Rows view as a JSON list, one write per block of rows that
+    """Write a Rows view as a JSON list, one write per block of runs that
     iter_partition_blocks yields (about 4,096 cells each, whatever r).
 
     The row text comes from the walk with text cells: a cell is the JSON
     separator and str(v), and the first cell of a row has the row opener
-    in place of the separator.
+    in place of the separator.  A run (prefix, tails) is the text of its
+    rows joined by the separator, prefix + (comma + prefix).join(tails),
+    so a block takes one join per run and none per row.
     """
     inner, first, comma, last = _pads(ind)
     _, cell_first, cell_comma, cell_last = _pads(inner)
@@ -239,7 +243,7 @@ def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> N
     for block in iter_partition_blocks(
         rows.n, rows.r, lambda v: opener + str(v), lambda v: cell_comma + str(v), cell_last + "]",
     ):
-        write(sep + comma.join(block))
+        write(sep + comma.join([c + (comma + c).join(part) for c, part in block]))
         sep = comma
     write(last + "]")
 

@@ -17,24 +17,24 @@ n = c2 - c2_gbun into at most r parts, all attached to the same fixed
 line bundle classes beta_i = delta - (i-1) c1(L).
 
 A factor is a HiggsNumerics, named HNFactor here.  The partitions are
-enumerated one way: iter_partition_blocks yields them in lists of rows,
-each row built from memoized tails of a shared prefix, with cells the
-caller chooses.  The CLI writes the rows as text this way, and the
-library's tuple rows are views of the same walk: iter_partitions_at_most
-gives the parts, iter_monopole_components the parts zero-padded to
-length r, lazily, and monopole_components lists those.
-partition_count gives their number without enumerating them,
-component_betas gives the shared classes once, and the rank-2 inventory
-for c1 = c1(L), rank2_fixed_components, counts its rows with
-partition_count.  The enumeration describes components by their
-numerical invariants; the geometric identification of each candidate is
-outside the scope of the arithmetic done here.
+enumerated one way: iter_partition_blocks yields them in lists of runs,
+each run a shared prefix and the tails its rows end in, with cells the
+caller chooses.  The CLI writes each run as text with one join, and the
+library's tuple rows are views of the same walk, its runs expanded:
+iter_partitions_at_most gives the parts, iter_monopole_components the
+parts zero-padded to length r, lazily, and monopole_components lists
+those.  partition_count gives their number without enumerating them, by
+a table or Euler's pentagonal recurrence, component_betas gives the
+shared classes once, and the rank-2 inventory for c1 = c1(L),
+rank2_fixed_components, counts its rows with partition_count.  The
+enumeration describes components by their numerical invariants; the
+geometric identification of each candidate is outside the scope of the
+arithmetic done here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .ns_lattice import (
@@ -195,7 +195,7 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
 
 # iter_partition_blocks memoizes the row tails for m in s >= 2 slots when
 # comb(m + s, s) <= _BOX_ROWS, and always for m <= 1, and yields a block once
-# it holds _BOX_ROWS cells; a call drops its memo past _MEMO_CELLS cells.
+# its rows hold _BOX_ROWS cells; a call drops its memo past _MEMO_CELLS cells.
 _BOX_ROWS = 4096
 _MEMO_CELLS = 1 << 16
 
@@ -219,38 +219,42 @@ _BOX = _box_limits(_BOX_ROWS)
 
 def iter_partition_blocks(
     n: int, k: int, head: Callable[[int], _Row], cell: Callable[[int], _Row], tail: _Row,
-) -> Iterator[list[_Row]]:
-    """The partitions of n into at most k parts as rows, in lists of rows.
+) -> Iterator[list[tuple[_Row, Sequence[_Row]]]]:
+    """The partitions of n into at most k parts as rows, in lists of runs.
 
     Row v_1 >= ... >= v_k >= 0 is head(v_1) + cell(v_2) + ... + cell(v_k)
     + tail, so with head = cell = lambda v: (v,) it is the partition padded
     with zeros to length k, and with cell(0) = () the partition itself.
-    Rows come in decreasing lex order.  This is the one enumeration of
+    A run is a pair (prefix, tails), whose rows are prefix + t for each
+    t in tails; a block is a list of runs, and its rows, run after run,
+    come in decreasing lex order.  This is the one enumeration of
     partitions in the package: the CLI's text rows and the library's
     tuple rows are both made by it.  The walk extends a prefix one part
     at a time, formatting each cell as it goes, until one slot is left,
-    whose one tail is formatted in place, or the parts left fit a small
-    box, whose rows are memoized tails, each added to the prefix in one
-    concatenation.  A list is yielded once its rows hold _BOX_ROWS = 4,096
-    cells or more, so every list but the last has at least ceil(4096 / k)
-    rows and fewer than 75 more, as a box adds at most 75.
+    whose one row is made whole, or the parts left fit a small box, whose
+    rows are memoized tails, all of them one run with the prefix.  Whole
+    rows in a row share one run whose prefix is tail[:0], the empty row.
+    Tails are tuples, so no consumer can change the memo.  A list is
+    yielded once its rows hold _BOX_ROWS = 4,096 cells or more, so every
+    list but the last has at least ceil(4096 / k) rows and fewer than 75
+    more, as a box adds at most 75.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
     if k == 0:
         if n == 0:
-            yield [tail]
+            yield [(tail[:0], (tail,))]
         return
-    zero, memo, held = cell(0), {}, 0
+    zero, empty, memo, held = cell(0), tail[:0], {}, 0
 
-    def tails(m: int, s: int) -> tuple[list[_Row], list[int]]:
+    def tails(m: int, s: int) -> tuple[tuple[_Row, ...], list[int]]:
         # every row tail for m in s slots, and at index m - p where the tails
         # with first part at most p begin, for each p from m down to ceil(m/s)
         nonlocal held
         got = memo.get((m, s))
         if got is None:
             if m == 0:
-                got = [zero * s + tail], [0]
+                got = (zero * s + tail,), [0]
             else:
                 rows, starts = [], []
                 for v in range(m, -(-m // s) - 1, -1):
@@ -258,7 +262,7 @@ def iter_partition_blocks(
                     sub, at = tails(m - v, s - 1)
                     i, c = m - 2 * v, cell(v)
                     rows += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
-                got = rows, starts
+                got = tuple(rows), starts
             held += len(got[0]) * s
             if held > _MEMO_CELLS:
                 memo.clear()
@@ -267,8 +271,9 @@ def iter_partition_blocks(
         return got
 
     # a frame walks the part v after prefix pre from its cap down to
-    # ceil(m / s), the least largest part of m in s slots
-    stack, block = [(None, n, k, iter(range(n, -(-n // k) - 1, -1)))], []
+    # ceil(m / s), the least largest part of m in s slots; whole is the
+    # open run of whole rows, or None once a box run or a yield ends it
+    stack, block, rows, whole = [(None, n, k, iter(range(n, -(-n // k) - 1, -1)))], [], 0, None
     while stack:
         pre, m, s, vs = stack[-1]
         for v in vs:
@@ -276,21 +281,35 @@ def iter_partition_blocks(
             m2, s2 = m - v, s - 1
             if s2 == 1:
                 # m2 <= v, as v >= ceil(m / 2): the one row is c, cell(m2), tail
-                block.append(c + cell(m2) + tail)
+                if whole is None:
+                    whole = []
+                    block.append((empty, whole))
+                whole.append(c + cell(m2) + tail)
+                rows += 1
             elif m2 <= 1 or (s2 < len(_BOX) and m2 <= _BOX[s2]):
                 sub, at = memo.get((m2, s2)) or tails(m2, s2)
                 i = m2 - v
-                block += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
+                part = sub[at[i]:] if i > 0 else sub
+                block.append((c, part))
+                rows += len(part)
+                whole = None
             else:
                 stack.append((c, m2, s2, iter(range(min(v, m2), -(-m2 // s2) - 1, -1))))
                 break
-            if len(block) * k >= _BOX_ROWS:
+            if rows * k >= _BOX_ROWS:
                 yield block
-                block = []
+                block, rows, whole = [], 0, None
         else:
             stack.pop()
     if block:
         yield block
+
+
+def _rows(blocks: Iterator[list[tuple[_Row, Sequence[_Row]]]]) -> Iterator[_Row]:
+    """The rows of the runs of blocks, one by one."""
+    for block in blocks:
+        for c, part in block:
+            yield from map(c.__add__, part)
 
 
 def _part(v: int) -> tuple[int, ...]:
@@ -304,23 +323,60 @@ def _padded(v: int) -> tuple[int, ...]:
 def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n into at most k parts, in decreasing lex order.
 
-    Parts are emitted nonincreasing, without zero padding: the rows of
-    iter_partition_blocks with a cell for each nonzero part, one by one.
+    Parts are emitted nonincreasing, without zero padding: the rows of the
+    runs iter_partition_blocks yields with a cell for each nonzero part,
+    one by one.
     """
-    return chain.from_iterable(iter_partition_blocks(n, k, _part, _part, ()))
+    return _rows(iter_partition_blocks(n, k, _part, _part, ()))
 
 
-# the largest n partition_count takes for k >= 4, whose table has n + 1 entries
+# the largest n partition_count takes for k >= 4, whose routes hold n + 1 ints
 _TABLE_MAX = 10**6
+
+
+def _pentagonal_terms(n: int) -> list[tuple[int, bool]]:
+    """The generalized pentagonal numbers j(3j - 1)/2 and j(3j + 1)/2 up to
+    n for j = 1, 2, ..., increasing, each with whether its term in Euler's
+    recurrence is added, as it is for odd j."""
+    terms, j = [], 1
+    while j * (3 * j - 1) // 2 <= n:
+        terms.append((j * (3 * j - 1) // 2, j % 2 == 1))
+        if j * (3 * j + 1) // 2 <= n:
+            terms.append((j * (3 * j + 1) // 2, j % 2 == 1))
+        j += 1
+    return terms
+
+
+def _partition_numbers(n: int, terms: list[tuple[int, bool]]) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal recurrence, in integers:
+    p(m) = sum of +-p(m - g) over the terms (g, added) with g <= m."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        total = 0
+        for g, added in terms:
+            if g > m:
+                break
+            if added:
+                total += p[m - g]
+            else:
+                total -= p[m - g]
+        p[m] = total
+    return p
 
 
 def partition_count(n: int, k: int) -> int:
     """Partitions of n into at most k parts: int(n == 0), 1, n // 2 + 1 and
-    ((n + 3)^2 + 6) // 12 for k = 0, 1, 2 and 3, else from an O(n k) table.
+    ((n + 3)^2 + 6) // 12 for k = 0, 1, 2 and 3, else by the route of the
+    two below that takes fewer additions.
 
-    After pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j).  The
-    table bounds n by _TABLE_MAX, 10^6, for k >= 4: a larger n raises
-    ValidationError.
+    The table: after pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j),
+    sum_{j <= min(k, n)} (n + 1 - j) additions.  For k >= n / 2, Euler's
+    pentagonal recurrence gives p(0..n) in sum_g (n + 1 - g) additions over
+    the generalized pentagonal numbers g <= n, and p(n, <= k) = p(n) -
+    sum_{i < n - k} p(i): a partition of n with a part j > k has only that
+    one, as 2k >= n, beside any partition of n - j < n - k.  Both routes
+    hold n + 1 ints, so n is bounded by _TABLE_MAX, 10^6, for k >= 4: a
+    larger n raises ValidationError.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -329,8 +385,15 @@ def partition_count(n: int, k: int) -> int:
     if n > _TABLE_MAX:
         # n itself may be past the int-to-text limit, so the message leaves it out
         raise ValidationError(f"partition size must be at most {_TABLE_MAX} for more than 3 parts")
+    passes = min(k, n)
+    if 2 * k >= n:
+        terms = _pentagonal_terms(n)
+        # Euler's additions, and n - k more for the sum, against the table's
+        if sum(n + 1 - g for g, _ in terms) + n - passes < passes * (2 * n + 1 - passes) // 2:
+            p = _partition_numbers(n, terms)
+            return p[n] - sum(p[:n - passes])
     table = [1] + [0] * n
-    for j in range(1, min(k, n) + 1):
+    for j in range(1, passes + 1):
         for m in range(j, n + 1):
             table[m] += table[m - j]
     return table[n]
@@ -360,8 +423,7 @@ def iter_monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> Iterator[t
     report = classify(x, h)
     if report.witness is None:
         raise RegimeError(f"no components to enumerate in regime {report.regime.value}", report)
-    blocks = iter_partition_blocks(report.witness.n_points, h.r, _padded, _padded, ())
-    return chain.from_iterable(blocks)
+    return _rows(iter_partition_blocks(report.witness.n_points, h.r, _padded, _padded, ()))
 
 
 def monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> list[tuple[int, ...]]:

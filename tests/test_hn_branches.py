@@ -469,6 +469,48 @@ def test_partition_count_refuses_past_its_table(n, k):
     assert hn_branches.partition_count(n, 2) == n // 2 + 1
 
 
+def test_partition_count_agrees_with_the_table():
+    """Against the test's own table (row k holds p(m, <= k) for m <= 300):
+    every k <= n + 1 for which Euler's route may be taken, k >= n / 2, for
+    every n <= 300, and every smaller k for n <= 120.  The table rows below
+    n / 2 past n = 120 are left out, as each call there fills an O(n k)
+    table of its own and the 45,000 calls took 25 s."""
+    size = 300
+    table = [[1] + [0] * size]
+    for j in range(1, size + 2):
+        row = table[-1][:]
+        for m in range(j, size + 1):
+            row[m] += row[m - j]
+        table.append(row)
+    for n in range(size + 1):
+        for k in range(0 if n <= 120 else (n + 1) // 2, n + 2):
+            assert hn_branches.partition_count(n, k) == table[k][n], (n, k)
+
+
+def test_partition_count_takes_euler_route_where_it_is_cheaper(monkeypatch):
+    """For k >= n / 2 at n = 4,000 the pentagonal recurrence runs, below
+    n / 2 the table does; each agrees with sympy's p(n) for k >= n."""
+    partition = pytest.importorskip("sympy.functions.combinatorial.numbers").partition
+    calls = []
+    numbers = hn_branches._partition_numbers
+
+    def counted(n, terms):
+        calls.append(n)
+        return numbers(n, terms)
+
+    monkeypatch.setattr(hn_branches, "_partition_numbers", counted)
+    assert hn_branches.partition_count(4000, 4000) == partition(4000)
+    assert hn_branches.partition_count(4000, 10**9) == partition(4000)
+    assert calls == [4000, 4000]
+    hn_branches.partition_count(4000, 2000)
+    assert calls == [4000] * 3
+    hn_branches.partition_count(400, 199)
+    assert calls == [4000] * 3
+    for n in range(301):
+        for k in (n, n + 1, 2 * n + 7):
+            assert hn_branches.partition_count(n, k) == partition(n), (n, k)
+
+
 def test_partition_count_closed_form_below_three_parts():
     """k = 0, 1, 2 and 3 are answered without an O(n) table, and agree with it."""
     tracemalloc.start()
@@ -488,20 +530,27 @@ def test_partition_count_closed_form_below_three_parts():
         assert [hn_branches.partition_count(n, k) for n in range(61)] == table
 
 
+def expand(block):
+    """The rows of one block: prefix + t for each tail t of each run, in order."""
+    return [c + t for c, part in block for t in part]
+
+
 def blocks_as_rows(n, k, cell):
     blocks = list(iter_partition_blocks(n, k, cell, cell, ()))
-    # each block a nonempty list of its own, not one list yielded again
+    # each block a nonempty list of its own, not one list yielded again, of
+    # (prefix, tails) runs with at least one tail each
     assert all(type(b) is list and b for b in blocks)
     assert len({id(b) for b in blocks}) == len(blocks)
-    return [row for block in blocks for row in block]
+    assert all(len(run) == 2 and run[1] for b in blocks for run in b)
+    return [row for block in blocks for row in expand(block)]
 
 
 def test_partition_blocks_are_the_reference_rows():
-    """With tuple cells the blocks hold the partitions, padded or not, in the
-    order of the test's own recursive enumeration, k = 0 and k > n included;
-    iter_partitions_at_most gives the unpadded rows one by one.  The larger
-    cases cross many block breaks: rows of two slots, the last formatted in
-    place (k = 2), boxes of three slots (k = 3) and wide rows (k >= 30)."""
+    """With tuple cells the runs of the blocks hold the partitions, padded or
+    not, in the order of the test's own recursive enumeration, k = 0 and
+    k > n included; iter_partitions_at_most gives the unpadded rows one by
+    one.  The larger cases cross many block breaks: whole rows of two slots
+    in one run (k = 2), boxes of three slots (k = 3) and wide rows (k >= 30)."""
     cases = [(n, k) for n in range(41) for k in range(9)]
     for n, k in cases + [(12000, 2), (600, 3), (40, 30), (25, 120)]:
         parts = list(partitions_at_most(n, k))
@@ -518,9 +567,9 @@ def test_partition_blocks_hold_one_flush_of_cells(n, k):
     """Every block but the last holds at least ceil(_BOX_ROWS / k) rows, so
     _BOX_ROWS cells, and fewer than 75 rows more: a block is yielded as soon
     as it holds that many, and one step adds at most a box, p(27, <= 3) = 75
-    rows, or one row."""
+    rows, or one row.  Rows are counted over the runs, not the runs."""
     least = -(-hn_branches._BOX_ROWS // k)
-    sizes = [len(b) for b in iter_partition_blocks(n, k, str, str, "")]
+    sizes = [sum(len(part) for _, part in b) for b in iter_partition_blocks(n, k, str, str, "")]
     assert sum(sizes) == hn_branches.partition_count(n, k)
     assert len(sizes) > 1
     assert all(least <= size < least + 75 for size in sizes[:-1])
@@ -535,6 +584,31 @@ def test_partition_blocks_survive_a_dropped_memo(monkeypatch, n, k):
     assert blocks_as_rows(n, k, lambda v: (v,)) == parts
     monkeypatch.setattr(hn_branches, "_MEMO_CELLS", 0)
     assert blocks_as_rows(n, k, lambda v: (v,)) == parts
+
+
+@pytest.mark.parametrize("n, k", [(12000, 2), (600, 3), (60, 8), (25, 120)])
+def test_partition_blocks_keep_their_rows_whatever_the_consumer_does(n, k):
+    """A block expanded as it is yielded and again after the walk has the
+    same rows, so the walk adds to no run it has yielded.  A consumer that
+    empties every run's tails it can change, once it has read them, still
+    gets the reference rows: the memoized tails are tuples, so the walk's
+    memo cannot be changed through a run."""
+    parts = [p + (0,) * (k - len(p)) for p in partitions_at_most(n, k)]
+    pad = lambda v: (v,)  # noqa: E731
+    blocks, first = [], []
+    for block in iter_partition_blocks(n, k, pad, pad, ()):
+        blocks.append(block)
+        first.append(expand(block))
+    assert [expand(block) for block in blocks] == first
+    assert [row for rows in first for row in rows] == parts
+
+    rows = []
+    for block in iter_partition_blocks(n, k, pad, pad, ()):
+        rows += expand(block)
+        for _, part in block:
+            if type(part) is not tuple:
+                part.clear()
+    assert rows == parts
 
 
 def test_monopole_rows_are_padded_partitions(quintic):

@@ -9,6 +9,7 @@ must stay the bytes it was before the writer replaced that two-pass path.
 import hashlib
 import io
 import json
+import os
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -144,16 +145,42 @@ def test_row_view_writes_and_encodes_as_its_rows(view):
     assert to_json({"a": [view, view]}) == json.dumps({"a": [encode_tree(rows)] * 2}, indent=2)
 
 
-@pytest.mark.parametrize("r", range(1, 9))
+def assert_rows_text(view, rows):
+    """The streamed text of view in the indented, the one-line (batch) and
+    the table layout is json.dumps of rows laid out the same way, at the
+    depth the components of `branches` take in its envelope."""
+    doc = {"payload": {"components": view}}
+    expected = {"payload": {"components": rows}}
+    for fmt, text in (("json", json.dumps(expected, indent=2) + "\n"),
+                      (None, json.dumps(expected) + "\n"),
+                      ("table", "payload.components  " + json.dumps(rows) + "\n")):
+        out = []
+        _print_envelope(cli._render(doc, fmt), out.append)
+        # a failure names the first character that differs, not a diff of megabytes
+        got = "".join(out)
+        same = got == text
+        assert same, (view, fmt, len(os.path.commonprefix([got, text])))
+
+
+@pytest.mark.parametrize("r", range(1, 10))
 def test_row_view_writes_the_monopole_rows(r):
-    """Both layouts of Rows(r, n) are json.dumps of the enumerated rows, and
-    those are the padded partitions of the test's own enumeration."""
+    """Every layout of Rows(r, n) is json.dumps of the rows monopole_components
+    enumerates, and those are the padded partitions of the test's own
+    enumeration."""
     for n in range(41):
         rows = [list(row) for row in monopole_rows(X, r, n)]
         assert rows == [list(row) for row in padded_partitions(n, r)]
         view = Rows(r, n)
         assert to_json(view) == json.dumps(rows, indent=2)
-        assert dump_text({"rows": view}, None) == json.dumps({"rows": rows})
+        assert_rows_text(view, rows)
+
+
+@pytest.mark.parametrize("n, r", [(12000, 2), (600, 3), (40, 30), (25, 120), (3, 5000)])
+def test_row_view_past_a_block_writes_the_monopole_rows(n, r):
+    """Shapes whose rows cross many block breaks of the walk: whole rows of
+    two slots in one run (r = 2, crossing breaks at n = 12,000), boxes of
+    three slots (r = 3) and wide rows of runs of one or two rows."""
+    assert_rows_text(Rows(r, n), [list(row) for row in monopole_rows(X, r, n)])
 
 
 def test_wide_row_view_of_no_points_is_one_row_of_zeros():
