@@ -594,16 +594,15 @@ def test_partition_blocks_keep_their_rows_whatever_the_consumer_does(n, k):
     gets the reference rows: the memoized tails are tuples, so the walk's
     memo cannot be changed through a run."""
     parts = [p + (0,) * (k - len(p)) for p in partitions_at_most(n, k)]
-    pad = lambda v: (v,)  # noqa: E731
     blocks, first = [], []
-    for block in iter_partition_blocks(n, k, pad, pad, ()):
+    for block in iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded, ()):
         blocks.append(block)
         first.append(expand(block))
     assert [expand(block) for block in blocks] == first
     assert [row for rows in first for row in rows] == parts
 
     rows = []
-    for block in iter_partition_blocks(n, k, pad, pad, ()):
+    for block in iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded, ()):
         rows += expand(block)
         for _, part in block:
             if type(part) is not tuple:
