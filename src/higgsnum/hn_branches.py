@@ -23,13 +23,12 @@ caller chooses.  The CLI writes each run as text with one join, and the
 library's tuple rows are views of the same walk, its runs expanded:
 iter_partitions_at_most gives the parts, iter_monopole_components the
 parts zero-padded to length r, lazily, and monopole_components lists
-those.  partition_count gives their number without enumerating them, by
-a table or Euler's pentagonal recurrence, component_betas gives the
-shared classes once, and the rank-2 inventory for c1 = c1(L),
-rank2_fixed_components, counts its rows with partition_count.  The
-enumeration describes components by their numerical invariants; the
-geometric identification of each candidate is outside the scope of the
-arithmetic done here.
+those.  partition_count gives their number without enumerating them,
+component_betas gives the shared classes once, and the rank-2 inventory
+for c1 = c1(L), rank2_fixed_components, counts its rows with
+partition_count.  The enumeration describes components by their
+numerical invariants; the geometric identification of each candidate is
+outside the scope of the arithmetic done here.
 """
 
 from __future__ import annotations
@@ -330,53 +329,17 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
     return _rows(iter_partition_blocks(n, k, _part, _part, ()))
 
 
-# the largest n partition_count takes for k >= 4, whose routes hold n + 1 ints
+# the largest n partition_count takes for k >= 4, whose table has n + 1 entries
 _TABLE_MAX = 10**6
-
-
-def _pentagonal_terms(n: int) -> list[tuple[int, bool]]:
-    """The generalized pentagonal numbers j(3j - 1)/2 and j(3j + 1)/2 up to
-    n for j = 1, 2, ..., increasing, each with whether its term in Euler's
-    recurrence is added, as it is for odd j."""
-    terms, j = [], 1
-    while j * (3 * j - 1) // 2 <= n:
-        terms.append((j * (3 * j - 1) // 2, j % 2 == 1))
-        if j * (3 * j + 1) // 2 <= n:
-            terms.append((j * (3 * j + 1) // 2, j % 2 == 1))
-        j += 1
-    return terms
-
-
-def _partition_numbers(n: int, terms: list[tuple[int, bool]]) -> list[int]:
-    """p(0), ..., p(n) by Euler's pentagonal recurrence, in integers:
-    p(m) = sum of +-p(m - g) over the terms (g, added) with g <= m."""
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        for g, added in terms:
-            if g > m:
-                break
-            if added:
-                total += p[m - g]
-            else:
-                total -= p[m - g]
-        p[m] = total
-    return p
 
 
 def partition_count(n: int, k: int) -> int:
     """Partitions of n into at most k parts: int(n == 0), 1, n // 2 + 1 and
-    ((n + 3)^2 + 6) // 12 for k = 0, 1, 2 and 3, else by the route of the
-    two below that takes fewer additions.
+    ((n + 3)^2 + 6) // 12 for k = 0, 1, 2 and 3, else from an O(n k) table.
 
-    The table: after pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j),
-    sum_{j <= min(k, n)} (n + 1 - j) additions.  For k >= n / 2, Euler's
-    pentagonal recurrence gives p(0..n) in sum_g (n + 1 - g) additions over
-    the generalized pentagonal numbers g <= n, and p(n, <= k) = p(n) -
-    sum_{i < n - k} p(i): a partition of n with a part j > k has only that
-    one, as 2k >= n, beside any partition of n - j < n - k.  Both routes
-    hold n + 1 ints, so n is bounded by _TABLE_MAX, 10^6, for k >= 4: a
-    larger n raises ValidationError.
+    After pass j, entry m holds p(m, j) = p(m, j - 1) + p(m - j, j).  The
+    table bounds n by _TABLE_MAX, 10^6, for k >= 4: a larger n raises
+    ValidationError.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -385,15 +348,8 @@ def partition_count(n: int, k: int) -> int:
     if n > _TABLE_MAX:
         # n itself may be past the int-to-text limit, so the message leaves it out
         raise ValidationError(f"partition size must be at most {_TABLE_MAX} for more than 3 parts")
-    passes = min(k, n)
-    if 2 * k >= n:
-        terms = _pentagonal_terms(n)
-        # Euler's additions, and n - k more for the sum, against the table's
-        if sum(n + 1 - g for g, _ in terms) + n - passes < passes * (2 * n + 1 - passes) // 2:
-            p = _partition_numbers(n, terms)
-            return p[n] - sum(p[:n - passes])
     table = [1] + [0] * n
-    for j in range(1, passes + 1):
+    for j in range(1, min(k, n) + 1):
         for m in range(j, n + 1):
             table[m] += table[m - j]
     return table[n]

@@ -469,48 +469,6 @@ def test_partition_count_refuses_past_its_table(n, k):
     assert hn_branches.partition_count(n, 2) == n // 2 + 1
 
 
-def test_partition_count_agrees_with_the_table():
-    """Against the test's own table (row k holds p(m, <= k) for m <= 300):
-    every k <= n + 1 for which Euler's route may be taken, k >= n / 2, for
-    every n <= 300, and every smaller k for n <= 120.  The table rows below
-    n / 2 past n = 120 are left out, as each call there fills an O(n k)
-    table of its own and the 45,000 calls took 25 s."""
-    size = 300
-    table = [[1] + [0] * size]
-    for j in range(1, size + 2):
-        row = table[-1][:]
-        for m in range(j, size + 1):
-            row[m] += row[m - j]
-        table.append(row)
-    for n in range(size + 1):
-        for k in range(0 if n <= 120 else (n + 1) // 2, n + 2):
-            assert hn_branches.partition_count(n, k) == table[k][n], (n, k)
-
-
-def test_partition_count_takes_euler_route_where_it_is_cheaper(monkeypatch):
-    """For k >= n / 2 at n = 4,000 the pentagonal recurrence runs, below
-    n / 2 the table does; each agrees with sympy's p(n) for k >= n."""
-    partition = pytest.importorskip("sympy.functions.combinatorial.numbers").partition
-    calls = []
-    numbers = hn_branches._partition_numbers
-
-    def counted(n, terms):
-        calls.append(n)
-        return numbers(n, terms)
-
-    monkeypatch.setattr(hn_branches, "_partition_numbers", counted)
-    assert hn_branches.partition_count(4000, 4000) == partition(4000)
-    assert hn_branches.partition_count(4000, 10**9) == partition(4000)
-    assert calls == [4000, 4000]
-    hn_branches.partition_count(4000, 2000)
-    assert calls == [4000] * 3
-    hn_branches.partition_count(400, 199)
-    assert calls == [4000] * 3
-    for n in range(301):
-        for k in (n, n + 1, 2 * n + 7):
-            assert hn_branches.partition_count(n, k) == partition(n), (n, k)
-
-
 def test_partition_count_closed_form_below_three_parts():
     """k = 0, 1, 2 and 3 are answered without an O(n) table, and agree with it."""
     tracemalloc.start()
