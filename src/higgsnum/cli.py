@@ -338,16 +338,14 @@ def _cmd_ybundle(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
 
 def _cmd_spectral(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     s = SpectralCover(x, args.rank)
-    todd = spectral_todd(s)
-    c2coeff = spectral_c2_tangent(s)
     return {
         "r": s.r,
         "canonical": spectral_canonical(s),
         "cotangent_ch": spectral_cotangent_ch(s),
-        "c2_tangent": c2coeff,
-        "euler_number": s.integral(c2coeff),
-        "todd": todd,
-        "chi_structure_sheaf": s.integral(todd.deg2),
+        "c2_tangent": spectral_c2_tangent(s),
+        "euler_number": s.c2_top,
+        "todd": spectral_todd(s),
+        "chi_structure_sheaf": s.chi_structure_sheaf,
         "structure_pushforward_ch": pushforward_structure_ch(s),
     }
 

@@ -34,6 +34,7 @@ outside the scope of the arithmetic done here.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .ns_lattice import (
@@ -305,10 +306,8 @@ def iter_partition_blocks(
 
 
 def _rows(blocks: Iterator[list[tuple[_Row, Sequence[_Row]]]]) -> Iterator[_Row]:
-    """The rows of the runs of blocks, one by one."""
-    for block in blocks:
-        for c, part in block:
-            yield from map(c.__add__, part)
+    """The rows of the runs of blocks, one by one, each run flattened in C."""
+    return chain.from_iterable(map(c.__add__, part) for block in blocks for c, part in block)
 
 
 def _part(v: int) -> tuple[int, ...]:

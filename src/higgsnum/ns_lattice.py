@@ -137,7 +137,7 @@ def _unchecked(cls: type) -> Callable[..., "Frozen"]:
     The writes are unrolled for two and three fields, the values the kernel
     builds: a loop over the slots would cost most of what skipping the checks saves.
     """
-    names = cls.__slots__
+    names = cls._fields
     if len(names) == 2:
         n0, n1 = names
 
@@ -164,24 +164,27 @@ def _unchecked(cls: type) -> Callable[..., "Frozen"]:
 
 
 class Frozen:
-    """An immutable value whose fields are its __slots__, in order.
+    """An immutable value whose fields are the __slots__ along its MRO, base first.
 
-    Equal to a value of its own type with equal fields and hashed by them;
-    repr is Name(field=value, ...).  Assigning or deleting a field raises
-    AttributeError; copy and pickle refill the slots through __setstate__.
-    Cls._of(*fields) builds a value unchecked, from checked normal fields.
+    Equal to a value of its own type with equal own __slots__ and hashed
+    by them; repr is Name(slot=value, ...).  Assigning or deleting a field
+    raises AttributeError; copy and pickle refill every slot through
+    __setstate__.  Cls._of(*fields) builds a value unchecked, from checked
+    normal fields.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in c.__dict__.get("__slots__", ()))
         cls._key = attrgetter(*cls.__slots__)
         cls._of = staticmethod(_unchecked(cls))
 
     def __init__(self, *fields: object) -> None:
-        if len(fields) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, fields):
+        if len(fields) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        for name, value in zip(self._fields, fields):
             _set(self, name, value)
 
     def __eq__(self, other: object) -> bool:

@@ -1,4 +1,4 @@
-"""Characteristic classes of spectral covers and transport to the base.
+"""Spectral covers as surfaces, and Grothendieck-Riemann-Roch transport to the base.
 
 A degree-r spectral surface X_s inside P(L^dual + O) is cut out by a
 characteristic polynomial with coefficients in powers of L.  This module
@@ -6,19 +6,18 @@ assumes that Pic(X_s) is pulled back from the base, as the
 Noether-Lefschetz theorem for spectral surfaces gives for a very general
 X_s under its hypotheses.  The assumption can fail: over P^2 with
 L = O(1) and r = 2 the smooth cover is a quadric surface, of Picard rank
-2 against rank 1 for P^2.  Under it every class on X_s is a pullback
-pi^*c plus a 0-cycle m.pt, and one rule gives every number on the
-cover: the integral of pi^*c + m.pt over X_s is r c.deg2 + m.
-With it the canonical class, the Todd class, the Chern character of the
-cotangent bundle and the whole Grothendieck-Riemann-Roch transport of a
-line bundle twisted by an ideal of points are computed on the base,
-without ever touching X_s.  The chi computed two ways agreeing on
-random inputs is the working check of the bookkeeping.
+2 against rank 1 for P^2.  Under it X_s is a surface on pi^*NS(X), where
+pi^*a.pi^*b = r (a.b), so surface_chow's ring, Todd class and
+Riemann-Roch apply to it as they stand; a cover class read as a base
+class keeps its coordinates and has its degree-2 part divided by r.
+The chi of a twisted line bundle in the cover's ring and the chi on the
+base of its GRR transport agreeing on random inputs is the working
+check of the bookkeeping.
 """
 
 from __future__ import annotations
 
-from .ns_lattice import Frozen, NSVector, Rat, ratio, ratnorm, require_int, require_type
+from .ns_lattice import Frozen, NSLattice, NSVector, Rat, ratio, ratnorm, require_int, require_type
 from .surface_chow import (
     ChowClass,
     SurfaceGeometry,
@@ -26,6 +25,7 @@ from .surface_chow import (
     chow_inverse,
     chow_mul,
     cotangent_ch,
+    ideal_twist_ch,
     line_bundle_ch,
     todd_surface,
 )
@@ -43,80 +43,68 @@ __all__ = [
 ]
 
 
-class SpectralCover(Frozen):
-    """A degree-r spectral surface X_s over a fixed base geometry.
+class SpectralCover(SurfaceGeometry):
+    """A degree-r spectral surface X_s over a base surface, as a surface.
 
-    Every class on X_s is taken to be pi^*c + m.pt.  That is an
-    assumption, not a theorem for every cover: over P^2 with r = 2 the
-    smooth cover is a quadric of Picard rank 2, while P^2 has rank 1.
-    Under it, integral and pushforward are the one place where the degree
-    r is a factor.
+    Under the module's assumption X_s is the surface on pi^*NS(X), in the
+    base's coordinates: gram r G, canonical class K + (r-1)L, polarization
+    L and Euler number r (r(r-1)L^2 + (r-1)K.L + c2).  Its surface fields
+    are filled once, unchecked, from the checked base, whose Noether and
+    Wu give the cover's.  Equality, hash and repr see (base, r) only.
     """
 
     __slots__ = ("base", "r")
 
     def __init__(self, base: SurfaceGeometry, r: int) -> None:
-        Frozen.__init__(self, require_type(base, SurfaceGeometry, "a surface"),
-                        require_int(r, "cover degree", 1))
-
-    def integral(self, deg2: Rat, points: Rat = 0) -> Rat:
-        """Degree of pi^*(deg2 . pt) + points . pt on X_s: r deg2 + points."""
-        return ratnorm(self.r * ratnorm(deg2) + ratnorm(points))
+        x = require_type(base, SurfaceGeometry, "a surface")
+        require_int(r, "cover degree", 1)
+        k2, l2, kl, g = x.k_squared, x.l_squared, x.k_dot_l, x.lattice.gram
+        Frozen.__init__(
+            self, NSLattice._of(len(g), tuple(tuple([r * a for a in row]) for row in g)),
+            x.canonical + (r - 1) * x.polarization, x.polarization,
+            r * (r * (r - 1) * l2 + (r - 1) * kl + x.c2_top), f"{x.name}/r={r}",
+            r * (k2 + 2 * (r - 1) * kl + (r - 1) ** 2 * l2), r * l2, r * (kl + (r - 1) * l2),
+            x, r)
 
     def pushforward(self, c: ChowClass, points: Rat = 0) -> ChowClass:
         """pi_*(pi^*c + points . pt) = r c + points . pt, as a base class."""
         require_type(c, ChowClass, "a Chow class")
-        return ChowClass._of(ratnorm(self.r * c.deg0), self.r * c.deg1,
-                             self.integral(c.deg2, points))
+        r, m = self.r, ratnorm(points)
+        return ChowClass._of(ratnorm(r * c.deg0), r * c.deg1, ratnorm(r * c.deg2 + m))
+
+
+def _on_base(s: SpectralCover, c: ChowClass) -> ChowClass:
+    """A class of the cover as a base class: the same coordinates, deg2 over r."""
+    return ChowClass._of(c.deg0, c.deg1, ratio(c.deg2.numerator, c.deg2.denominator * s.r))
 
 
 def spectral_canonical(s: SpectralCover) -> NSVector:
-    """Canonical class of the cover, as the base class K + (r-1) c1(L).
+    """Canonical class K + (r-1) c1(L) of the cover, by adjunction on the ambient threefold.
 
-    Adjunction on the ambient threefold; the actual class on X_s is the
-    pullback of the returned vector.
+    As a vector it is both the cover's class and the base class it pulls back from.
     """
-    return s.base.canonical + (s.r - 1) * s.base.polarization
+    return s.canonical
 
 
 def spectral_cotangent_ch(s: SpectralCover) -> ChowClass:
-    """Chern character of the cotangent bundle of the cover (pullback part).
+    """Chern character of the cotangent bundle of the cover, as a base class.
 
-    ch(Omega^1_X) + ch(L^dual) - ch(L^dual)^r as base classes; the
-    degree-1 part collapses to K + (r-1) c1(L), matching the canonical
-    class.
+    The degree-1 part is the canonical class K + (r-1) c1(L).
     """
-    x = s.base
-    l = x.polarization
-    return (
-        cotangent_ch(x)
-        + line_bundle_ch(x, -l)
-        - line_bundle_ch(x, (-s.r) * l)
-    )
+    return _on_base(s, cotangent_ch(s))
 
 
 def spectral_c2_tangent(s: SpectralCover) -> int:
     """Second Chern number coefficient r(r-1)L^2 + (r-1)K.L + c2 of the cover.
 
-    This is the coefficient of the pulled-back point class.
+    This is the coefficient of the pulled-back point class: e(X_s) / r.
     """
-    x = s.base
-    r = s.r
-    return r * (r - 1) * x.l_squared + (r - 1) * x.k_dot_l + x.c2_top
+    return s.c2_top // s.r
 
 
 def spectral_todd(s: SpectralCover) -> ChowClass:
-    """Todd class of the cover as a base class.
-
-    (1, -(K + (r-1)L)/2, (K^2 + (2r-1)(r-1)L^2 + 3(r-1)K.L + c2)/12).
-    """
-    x = s.base
-    r = s.r
-    deg2 = ratio(
-        x.k_squared + (2 * r - 1) * (r - 1) * x.l_squared + 3 * (r - 1) * x.k_dot_l + x.c2_top,
-        12,
-    )
-    return ChowClass(1, spectral_canonical(s) / -2, deg2)
+    """Todd class of the cover as a base class: (1, -(K + (r-1)L)/2, chi(O_{X_s})/r)."""
+    return _on_base(s, todd_surface(s))
 
 
 def pushforward_structure_ch(s: SpectralCover) -> ChowClass:
@@ -140,6 +128,7 @@ def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowCla
     The sheaf upstairs is the pullback of delta tensored with the ideal
     of n_points points.  Riemann-Roch without denominators for the
     finite cover: push forward ch . Td(cover), then divide by Td(base).
+    Every product is taken in the base's ring.
     """
     require_int(n_points, "point count", 0)
     x = s.base
@@ -149,21 +138,14 @@ def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowCla
 
 
 def chi_on_cover(s: SpectralCover, delta: NSVector, n_points: int) -> Rat:
-    """Riemann-Roch on the cover for the twisted line bundle.
-
-    The integral of ch . Td over the cover, minus the point correction;
-    the transport to the base is not used.
-    """
-    require_int(n_points, "point count", 0)
-    x = s.base
-    upstairs_product = chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s))
-    return s.integral(upstairs_product.deg2, -n_points)
+    """Riemann-Roch on the cover, in its own ring, for the twisted line bundle."""
+    return chi(s, ideal_twist_ch(s, delta, n_points))
 
 
 def chi_two_ways(s: SpectralCover, delta: NSVector, n_points: int) -> tuple[Rat, Rat]:
     """Euler characteristic upstairs and downstairs; the two agree.
 
-    First entry: chi_on_cover.  Second entry: chi on the base of the
-    character transported by grr_pushforward.
+    First entry: chi_on_cover, in the cover's ring.  Second entry: chi on
+    the base of the character transported by grr_pushforward.
     """
     return chi_on_cover(s, delta, n_points), chi(s.base, grr_pushforward(s, delta, n_points))

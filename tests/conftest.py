@@ -3,6 +3,11 @@ import pytest
 from higgsnum import NSLattice, NSVector, SurfaceGeometry, cli, pair, presets
 
 
+# the 17 presets the identity tests sweep
+PRESET_NAMES = ["p2", "p1xp1", *(f"hypersurface:{d}" for d in range(1, 7)),
+                *(f"blowup:{k}" for k in range(9))]
+
+
 @pytest.fixture
 def plane():
     return presets.p2()

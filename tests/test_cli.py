@@ -305,6 +305,40 @@ def test_one_transport_per_grr_and_one_inertia_per_surface(tmp_path, capsys):
     assert count_calls(ns_lattice.inertia, lambda: main(["surface", "--surface", "p1xp1"])) == 0
 
 
+def test_one_cover_per_query_built_without_pairing_or_inertia(capsys):
+    """spectral and grr build their cover once, in SpectralCover.__init__,
+    whose surface fields come from the base's stored K^2, L^2 and K.L: no
+    pairing, lattice check or surface check runs inside it, and on a warm
+    memo inertia runs nowhere in the query."""
+    init = SpectralCover.__init__.__code__
+    watched = {f.__code__: f.__qualname__ for f in (
+        ns_lattice.pair, ns_lattice.pair_num, ns_lattice.inertia, NSLattice.__init__,
+        SurfaceGeometry.__init__)}
+    for argv in (["spectral", "--surface", "hypersurface:5", "-r", "3"],
+                 ["grr", "--surface", "blowup:3", "-r", "4", "--delta", "1,0,0,0",
+                  "--points", "2"]):
+        assert main(argv) == 0  # fill the surface memo
+        builds, depth, inside = 0, 0, []
+
+        def profile(frame, event, arg):
+            nonlocal builds, depth
+            code = frame.f_code
+            if code is init:
+                builds += event == "call"
+                depth += {"call": 1, "return": -1}.get(event, 0)
+            elif event == "call" and depth and code in watched:
+                inside.append(watched[code])
+
+        sys.setprofile(profile)
+        try:
+            assert main(argv) == 0
+        finally:
+            sys.setprofile(None)
+        assert (builds, depth, inside) == (1, 0, []), argv
+        assert count_calls(ns_lattice.inertia, lambda: main(argv)) == 0
+        capsys.readouterr()
+
+
 def test_ybundle_checks_only_the_classes_built_from_the_surface(capsys):
     """The public constructors run for the classes built from surface data:
     ChowClass for L three times (y_mul twice, restrict_to_spectral once) and

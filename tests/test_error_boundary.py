@@ -190,8 +190,6 @@ NOT_EXACT = (0.5, True, "3/4")
 EXACT_PROBES = [
     ("ChowClass-deg0", lambda v: ChowClass(v, L, 0)),
     ("ChowClass-deg2", lambda v: ChowClass(0, L, v)),
-    ("SpectralCover.integral", lambda v: SpectralCover(X, 2).integral(v)),
-    ("SpectralCover.integral-points", lambda v: SpectralCover(X, 2).integral(0, v)),
     ("SpectralCover.pushforward-points",
      lambda v: SpectralCover(X, 2).pushforward(ChowClass.unit(1), v)),
 ]

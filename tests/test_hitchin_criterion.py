@@ -18,7 +18,7 @@ from higgsnum import (
     solve_delta,
 )
 
-from conftest import characteristic_surface
+from conftest import PRESET_NAMES, characteristic_surface
 
 
 def test_solve_delta_examples(quintic):
@@ -191,10 +191,6 @@ def test_witness_presence_matches_regime(blowup):
             assert report.witness.n_points >= 0
         else:
             assert report.witness is None
-
-
-PRESET_NAMES = ["p2", "p1xp1", *(f"hypersurface:{d}" for d in range(1, 7)),
-                *(f"blowup:{k}" for k in range(9))]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

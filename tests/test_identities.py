@@ -16,7 +16,7 @@ import pytest
 from higgsnum import NSVector, QNSVector, SpectralCover, chi_two_ways, divide, pair, presets
 from higgsnum.cli import main
 
-from conftest import characteristic_surface
+from conftest import PRESET_NAMES, characteristic_surface
 
 
 def identity_surfaces():
@@ -87,11 +87,7 @@ def spectral_payload(capsys, name, r):
     return json.loads(capsys.readouterr().out)["payload"]
 
 
-ORACLE_PRESETS = ["p2", "p1xp1", *(f"hypersurface:{d}" for d in range(1, 7)),
-                  *(f"blowup:{k}" for k in range(9))]
-
-
-@pytest.mark.parametrize("name", ORACLE_PRESETS)
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_spectral_chi_matches_the_gram_oracle(capsys, name):
     x = presets.by_name(name)
     for r in range(1, 9):

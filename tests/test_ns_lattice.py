@@ -318,3 +318,32 @@ def test_frozen_value_contract(make, text):
     for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert type(c) is type(v) and c == v
     assert repr(v) == text
+
+
+def test_cover_copies_keep_the_surface_fields():
+    """A cover is equal by (base, r) only, so the contract test's == cannot see
+    its inherited surface fields; copies and pickles must keep them too."""
+    s = SpectralCover(presets.blowup(2), 3)
+    assert type(s)._fields[:3] == ("lattice", "canonical", "polarization")
+    for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert (c.lattice, c.c2_top, c.k_squared) == (s.lattice, s.c2_top, s.k_squared)
+        assert [getattr(c, name) for name in type(s)._fields] == [
+            getattr(s, name) for name in type(s)._fields]
+
+
+def test_frozen_subclass_of_a_subclass_takes_every_field():
+    """__init__ and _of of a Frozen subclass fill the slots along its MRO,
+    base first, through the unrolled writes (3 fields) and the loop (5);
+    equality, hash and repr stay on the class's own slots."""
+    a = type("A", (Frozen,), {"__slots__": ("a",)})
+    b = type("B", (a,), {"__slots__": ("b", "c")})
+    c = type("C", (b,), {"__slots__": ("d", "e")})
+    for cls, names in ((b, "abc"), (c, "abcde")):
+        fields = list(range(len(names)))
+        assert cls._fields == tuple(names)
+        for v in (cls(*fields), cls._of(*fields)):
+            assert [getattr(v, name) for name in names] == fields
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(names)} fields$"):
+            cls(*fields[1:])
+    v, w = c(0, 1, 2, 3, 4), c(9, 9, 9, 3, 4)
+    assert v == w and hash(v) == hash(w) and repr(v) == "C(d=3, e=4)"

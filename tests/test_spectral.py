@@ -6,11 +6,14 @@ import pytest
 
 from higgsnum import (
     ChowClass,
+    NSLattice,
     NSVector,
     SpectralCover,
+    SurfaceGeometry,
     ValidationError,
     chi,
     chi_two_ways,
+    cotangent_ch,
     grr_pushforward,
     ideal_twist_ch,
     line_bundle_ch,
@@ -25,7 +28,7 @@ from higgsnum import (
 )
 from higgsnum.cli import load_surface
 
-from conftest import characteristic_surface
+from conftest import PRESET_NAMES, characteristic_surface
 
 SURFACES = lambda: (presets.p2(), presets.hypersurface(4), presets.hypersurface(5))
 
@@ -103,28 +106,6 @@ def test_cover_noether():
             assert 12 * td2 == x.pair(k, k) + spectral_c2_tangent(s)
 
 
-def test_integral_and_pushforward(blowup):
-    """The one degree-r rule: pi_*(pi^*c + m pt) = r c + m pt, integral r c.deg2 + m."""
-    rng = random.Random(33)
-    for _ in range(100):
-        s = SpectralCover(blowup, rng.randint(1, 9))
-        c = ChowClass(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-            NSVector((rng.randint(-5, 5), rng.randint(-5, 5))),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
-        )
-        m = rng.choice((0, rng.randint(-20, 20), Fraction(rng.randint(-9, 9), 2)))
-        value = s.integral(c.deg2, m)
-        assert value == s.r * c.deg2 + m
-        assert type(value) is int or value.denominator > 1  # an int whenever integral
-        assert s.integral(c.deg2) == s.r * c.deg2
-        assert s.pushforward(c, m) == s.r * c + ChowClass.of_points(m, blowup.rank)
-        assert s.pushforward(c).deg2 == s.integral(c.deg2)
-        # pulled-back divisors pair in NS(X)(r): r times the base pairing
-        a, b = c.deg1, blowup.polarization
-        assert s.integral(blowup.pair(a, b)) == s.r * pair(blowup.lattice, a, b)
-
-
 def cover_test_surfaces():
     rng = random.Random(34)
     yield presets.p2()
@@ -136,29 +117,87 @@ def cover_test_surfaces():
             yield characteristic_surface(rng, rank)
 
 
-def test_cover_noether_through_the_integral():
-    """12 chi(O) = K^2 + e on the cover, each side one integral over it.
+def test_pushforward_and_pullback_pairing(blowup):
+    """The degree-r rule pi_*(pi^*c + m pt) = r c + m pt, and pulled-back
+    divisors pairing on the cover to r times their pairing on the base."""
+    rng = random.Random(33)
+    for _ in range(100):
+        s = SpectralCover(blowup, rng.randint(1, 9))
+        c = ChowClass(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+            NSVector((rng.randint(-5, 5), rng.randint(-5, 5))),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        )
+        m = rng.choice((0, rng.randint(-20, 20), Fraction(rng.randint(-9, 9), 2)))
+        pushed = s.pushforward(c, m)
+        assert pushed == s.r * c + ChowClass.of_points(m, blowup.rank)
+        assert type(pushed.deg2) is int or pushed.deg2.denominator > 1  # an int whenever integral
+        assert s.pushforward(c) == s.r * c
+        a, b = c.deg1, blowup.polarization
+        assert s.pair(a, b) == s.r * pair(blowup.lattice, a, b)
 
-    spectral_todd, spectral_canonical and spectral_c2_tangent are three
-    independent formulas; with Wu and Noether on the base, chi(O) of the
-    cover and chi of every twisted line bundle on it are integers.
-    """
+
+def test_cover_is_a_checked_surface():
+    """On the 17 presets and every r <= 8, the cover's fields build a checked
+    SurfaceGeometry, which passes Noether and Wu and equals the cover field by
+    field; its gram is r G, its canonical class K + (r-1)L, and its Euler
+    number is 12 chi(O) - K^2 with chi(O) the sum of chi(L^-i), i < r."""
+    for name in PRESET_NAMES:
+        x = presets.by_name(name)
+        for r in range(1, 9):
+            s = SpectralCover(x, r)
+            checked = SurfaceGeometry(NSLattice(s.lattice.rank, s.lattice.gram), s.canonical,
+                                      s.polarization, s.c2_top, s.name)
+            for field in SurfaceGeometry.__slots__:
+                assert getattr(checked, field) == getattr(s, field), (name, r, field)
+            assert s.lattice.gram == tuple(tuple(r * g for g in row) for row in x.lattice.gram)
+            assert s.canonical == x.canonical + (r - 1) * x.polarization
+            assert s.polarization == x.polarization
+            chi_o = sum(chi(x, line_bundle_ch(x, (-i) * x.polarization)) for i in range(r))
+            k = x.canonical + (r - 1) * x.polarization
+            assert s.c2_top == 12 * chi_o - r * x.pair(k, k), (name, r)
+            assert s.chi_structure_sheaf == chi_o, (name, r)
+
+
+def test_cover_twists_have_integral_chi():
+    """With Wu and Noether on the base, chi(O) of the cover and chi of every
+    twisted line bundle on it are integers, and the two routes agree."""
     rng = random.Random(35)
     cases = 0
     for x in cover_test_surfaces():
         for r in range(1, 13):
             s = SpectralCover(x, r)
-            k = spectral_canonical(s)
-            chi_o = s.integral(spectral_todd(s).deg2)
-            assert type(chi_o) is int, (x.name, r)
-            assert 12 * chi_o == (
-                s.integral(x.pair(k, k)) + s.integral(spectral_c2_tangent(s))
-            ), (x.name, r)
+            assert type(s.chi_structure_sheaf) is int, (x.name, r)
+            assert 12 * s.chi_structure_sheaf == s.k_squared + s.c2_top, (x.name, r)
             delta = NSVector(tuple(rng.randint(-3, 3) for _ in range(x.rank)))
             upstairs, downstairs = chi_two_ways(s, delta, rng.randint(0, 5))
             assert upstairs == downstairs and type(upstairs) is int, (x.name, r, delta)
             cases += 1
     assert cases == 12 * 57
+
+
+def todd_oracle(x, r):
+    """Todd class of the degree-r cover as a base class, expanded on the base:
+    (1, -(K + (r-1)L)/2, (K^2 + (2r-1)(r-1)L^2 + 3(r-1)K.L + c2)/12)."""
+    deg2 = Fraction(x.k_squared + (2 * r - 1) * (r - 1) * x.l_squared
+                    + 3 * (r - 1) * x.k_dot_l + x.c2_top, 12)
+    return ChowClass(1, (x.canonical + (r - 1) * x.polarization) / -2, deg2)
+
+
+def cotangent_oracle(x, r):
+    """ch(Omega_X) + ch(L^-1) - ch(L^-r), the cover's cotangent character
+    as a base class, from the exact sequences on the ambient threefold."""
+    l = x.polarization
+    return cotangent_ch(x) + line_bundle_ch(x, -l) - line_bundle_ch(x, (-r) * l)
+
+
+def test_todd_and_cotangent_against_the_expanded_formulas():
+    surfaces = [presets.by_name(name) for name in PRESET_NAMES] + list(cover_test_surfaces())
+    for x in surfaces:
+        for r in range(1, 13):
+            s = SpectralCover(x, r)
+            assert spectral_todd(s) == todd_oracle(x, r), (x.name, r)
+            assert spectral_cotangent_ch(s) == cotangent_oracle(x, r), (x.name, r)
 
 
 def test_chi_structure_sheaf_three_routes(quintic):
