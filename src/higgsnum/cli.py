@@ -226,23 +226,31 @@ def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
     return inner, inner, "," + inner, ind
 
 
+@functools.lru_cache(maxsize=8)
+def _text_cells(inner: Optional[str]) -> tuple[Callable[[int], str], Callable[[int], str], str]:
+    """The head, cell and tail of the text rows at layout inner, made once per
+    layout: the one tails memo of iter_partition_blocks is keyed by the cell,
+    so every query with this layout finds the boxes built before it."""
+    _, cell_first, cell_comma, cell_last = _pads(inner)
+    opener = "[" + cell_first
+    return (lambda v: opener + str(v)), (lambda v: cell_comma + str(v)), cell_last + "]"
+
+
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
     """Write a Rows view as a JSON list, one write per block of runs that
     iter_partition_blocks yields (about 4,096 cells each, whatever r).
 
-    The row text comes from the walk with text cells: a cell is the JSON
-    separator and str(v), and the first cell of a row has the row opener
-    in place of the separator.  A run (prefix, tails) is the text of its
+    The row text comes from the walk with the text cells of _text_cells: a
+    cell is the JSON separator and str(v), and the first cell of a row has
+    the row opener in place of the separator.  They are made once per
+    layout, so the walk's memo of box tails, shared by every call, serves
+    each query after the first.  A run (prefix, tails) is the text of its
     rows joined by the separator, prefix + (comma + prefix).join(tails),
     so a block takes one join per run and none per row.
     """
     inner, first, comma, last = _pads(ind)
-    _, cell_first, cell_comma, cell_last = _pads(inner)
-    opener = "[" + cell_first
     sep = "[" + first
-    for block in iter_partition_blocks(
-        rows.n, rows.r, lambda v: opener + str(v), lambda v: cell_comma + str(v), cell_last + "]",
-    ):
+    for block in iter_partition_blocks(rows.n, rows.r, *_text_cells(inner)):
         write(sep + comma.join([c + (comma + c).join(part) for c, part in block]))
         sep = comma
     write(last + "]")

@@ -193,11 +193,18 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
         c[k + 1:] = [len(c) - k]
 
 
-# iter_partition_blocks memoizes the row tails for m in s >= 2 slots when
-# comb(m + s, s) <= _BOX_ROWS, and always for m <= 1, and yields a block once
-# its rows hold _BOX_ROWS cells; a call drops its memo past _MEMO_CELLS cells.
+# iter_partition_blocks takes the row tails for m in s >= 2 slots from _TAILS
+# when comb(m + s, s) <= _BOX_ROWS, and always for m <= 1, and yields a block
+# once its rows hold _BOX_ROWS cells.  _TAILS is the one memo of tails, shared
+# by every walk and every view: an entry depends only on its key (cell, tail,
+# m, s), the cell function itself and not its id, as the package's cells are
+# pure, so it never goes stale.  _held counts the cells of all its entries;
+# past _MEMO_CELLS the table is emptied, keys included, so the cells of views
+# no longer used do not pile up.
 _BOX_ROWS = 4096
 _MEMO_CELLS = 1 << 16
+_TAILS: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
+_held = 0
 
 
 def _box_limits(size: int) -> tuple[int, ...]:
@@ -217,6 +224,39 @@ def _box_limits(size: int) -> tuple[int, ...]:
 _BOX = _box_limits(_BOX_ROWS)
 
 
+def _box_tails(
+    cell: Callable[[int], _Row], tail: _Row, m: int, s: int,
+) -> tuple[tuple[_Row, ...], tuple[int, ...]]:
+    """The entry of _TAILS at (cell, tail, m, s), built and stored on a miss:
+    every row tail for m in s slots, and at index m - p where the tails with
+    first part at most p begin, for each p from m down to ceil(m / s).
+
+    An entry is stored whole, a pair of tuples, once its tails are made, so
+    no reader sees half of one and no consumer can change it.
+    """
+    global _held
+    key = (cell, tail, m, s)
+    got = _TAILS.get(key)
+    if got is None:
+        if m == 0:
+            got = (cell(0) * s + tail,), (0,)
+        else:
+            rows, starts = [], []
+            for v in range(m, -(-m // s) - 1, -1):
+                starts.append(len(rows))
+                sub, at = _box_tails(cell, tail, m - v, s - 1)
+                i, c = m - 2 * v, cell(v)
+                rows += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
+            got = tuple(rows), tuple(starts)
+        size = len(got[0]) * s
+        _held += size
+        if _held > _MEMO_CELLS:
+            _TAILS.clear()
+            _held = size
+        _TAILS[key] = got
+    return got
+
+
 def iter_partition_blocks(
     n: int, k: int, head: Callable[[int], _Row], cell: Callable[[int], _Row], tail: _Row,
 ) -> Iterator[list[tuple[_Row, Sequence[_Row]]]]:
@@ -232,9 +272,12 @@ def iter_partition_blocks(
     tuple rows are both made by it.  The walk extends a prefix one part
     at a time, formatting each cell as it goes, until one slot is left,
     whose one row is made whole, or the parts left fit a small box, whose
-    rows are memoized tails, all of them one run with the prefix.  Whole
+    rows are tails from _TAILS, all of them one run with the prefix.  Whole
     rows in a row share one run whose prefix is tail[:0], the empty row.
-    Tails are tuples, so no consumer can change the memo.  A list is
+    _TAILS is one bounded memo for every call, keyed by (cell, tail, m, s),
+    so a box of a view is built once while it stays in the table, not once
+    per call; cell must be pure, as the package's cells are.  Its
+    entries are tuples, so no consumer can change the memo.  A list is
     yielded once its rows hold _BOX_ROWS = 4,096 cells or more, so every
     list but the last has at least ceil(4096 / k) rows and fewer than 75
     more, as a box adds at most 75.
@@ -245,30 +288,7 @@ def iter_partition_blocks(
         if n == 0:
             yield [(tail[:0], (tail,))]
         return
-    zero, empty, memo, held = cell(0), tail[:0], {}, 0
-
-    def tails(m: int, s: int) -> tuple[tuple[_Row, ...], list[int]]:
-        # every row tail for m in s slots, and at index m - p where the tails
-        # with first part at most p begin, for each p from m down to ceil(m/s)
-        nonlocal held
-        got = memo.get((m, s))
-        if got is None:
-            if m == 0:
-                got = (zero * s + tail,), [0]
-            else:
-                rows, starts = [], []
-                for v in range(m, -(-m // s) - 1, -1):
-                    starts.append(len(rows))
-                    sub, at = tails(m - v, s - 1)
-                    i, c = m - 2 * v, cell(v)
-                    rows += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
-                got = tuple(rows), starts
-            held += len(got[0]) * s
-            if held > _MEMO_CELLS:
-                memo.clear()
-                held = len(got[0]) * s
-            memo[m, s] = got
-        return got
+    empty = tail[:0]
 
     # a frame walks the part v after prefix pre from its cap down to
     # ceil(m / s), the least largest part of m in s slots; whole is the
@@ -287,7 +307,7 @@ def iter_partition_blocks(
                 whole.append(c + cell(m2) + tail)
                 rows += 1
             elif m2 <= 1 or (s2 < len(_BOX) and m2 <= _BOX[s2]):
-                sub, at = memo.get((m2, s2)) or tails(m2, s2)
+                sub, at = _TAILS.get((cell, tail, m2, s2)) or _box_tails(cell, tail, m2, s2)
                 i = m2 - v
                 part = sub[at[i]:] if i > 0 else sub
                 block.append((c, part))

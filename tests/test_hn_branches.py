@@ -1,11 +1,14 @@
 import math
 import random
+import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
-from higgsnum import hn_branches
+from higgsnum import cli, hn_branches
 from higgsnum import (
     HiggsNumerics,
     HNFactor,
@@ -566,6 +569,120 @@ def test_partition_blocks_keep_their_rows_whatever_the_consumer_does(n, k):
             if type(part) is not tuple:
                 part.clear()
     assert rows == parts
+    # the memo outlives the walk, whole: a pair of tuples at every key (two
+    # slots take no box, their rows are made whole)
+    assert hn_branches._TAILS or k == 2
+    for value in hn_branches._TAILS.values():
+        assert type(value) is tuple and len(value) == 2
+        assert all(type(half) is tuple for half in value)
+    assert blocks_as_rows(n, k, hn_branches._padded) == parts
+
+
+def oracle_rows(n, k, cell, tail):
+    """The reference partitions padded to length k, each row cell(v_1) + ...
+    + cell(v_k) + tail."""
+    rows = []
+    for p in partitions_at_most(n, k):
+        row = tail[:0]
+        for v in p + (0,) * (k - len(p)):
+            row += cell(v)
+        rows.append(row + tail)
+    return rows
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty tails memo for the test, the module's own put back after it."""
+    monkeypatch.setattr(hn_branches, "_TAILS", {})
+    monkeypatch.setattr(hn_branches, "_held", 0)
+
+
+def test_interleaved_walks_survive_a_memo_cleared_inside_both(monkeypatch):
+    """Two live walks zipped block by block, the same view at two (n, k) or two
+    views, each give the reference rows while the one memo is emptied between
+    blocks of both: a walk looks every box up in the table as it is then."""
+    events = []
+
+    class Table(dict):
+        def clear(self):
+            events.append("clear")
+            dict.clear(self)
+
+    monkeypatch.setattr(hn_branches, "_TAILS", Table())
+    monkeypatch.setattr(hn_branches, "_held", 0)
+    monkeypatch.setattr(hn_branches, "_MEMO_CELLS", 2000)
+    pad, part = hn_branches._padded, hn_branches._part
+    walks = [
+        ((pad, (), 40, 6), (pad, (), 60, 5)),
+        ((part, (), 40, 6), (pad, (), 45, 7)),
+        ((lambda v: (v,), (), 50, 6), (lambda v: f"{v},", ";", 40, 7)),
+    ]
+    for views in walks:
+        events.clear()
+        rows = [[], []]
+        live = [iter_partition_blocks(n, k, cell, cell, tail) for cell, tail, n, k in views]
+        for pair in zip_longest(*live):
+            for side, block in enumerate(pair):
+                if block is not None:
+                    rows[side] += expand(block)
+                    events.append(side)
+        for side, (cell, tail, n, k) in enumerate(views):
+            assert rows[side] == oracle_rows(n, k, cell, tail), views[side]
+        # some clear falls after the first and before the last block of each walk
+        spans = [range(events.index(side), len(events) - events[::-1].index(side)) for side in (0, 1)]
+        assert any(i in spans[0] and i in spans[1] for i, e in enumerate(events) if e == "clear")
+
+
+def test_tails_memo_stays_bounded_over_fresh_views(empty_memo):
+    """1,000 walks, each with a cell made for it, leave the one memo holding at
+    most _MEMO_CELLS cells plus its largest entry, as _held counts them; it
+    was emptied on the way, keys included, so it holds only the cells of the
+    walks since its last clear, and keeps no earlier cell alive."""
+    refs = []
+    for _ in range(1000):
+        cell = lambda v: (v,)  # noqa: E731
+        refs.append(weakref.ref(cell))
+        for _block in iter_partition_blocks(20, 5, cell, cell, ()):
+            pass
+    del cell
+    table = hn_branches._TAILS
+    sizes = [len(rows) * s for (_, _, _, s), (rows, _) in table.items()]
+    assert sum(sizes) == hn_branches._held <= hn_branches._MEMO_CELLS + max(sizes)
+    live = [i for i, ref in enumerate(refs) if ref() is not None]
+    assert 0 < live[0] and live == list(range(live[0], len(refs)))
+    assert {key[0] for key in table} == {refs[i]() for i in live}
+
+
+def test_each_box_built_once_per_view(empty_memo, capsys):
+    """One in-process verify --suite partition builds each (cell, tail, m, s)
+    entry of the tails memo at most once, and a second on the warm table
+    builds none; nor does a second branches query of the same layout, whose
+    text cells _text_cells makes once."""
+    code = hn_branches._box_tails.__code__
+
+    def builds(argv):
+        built = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                f = frame.f_locals
+                key = (f["cell"], f["tail"], f["m"], f["s"])
+                if key not in hn_branches._TAILS:
+                    built.append(key)
+
+        sys.setprofile(profile)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        return built
+
+    for argv in (["verify", "--suite", "partition"],
+                 ["branches", "--surface", "hypersurface:5", "-r", "3", "--c1", "3", "--c2", "40"]):
+        first = builds(argv)
+        assert first and len(set(first)) == len(first), argv
+        assert builds(argv) == [], argv
 
 
 def test_monopole_rows_are_padded_partitions(quintic):
