@@ -19,8 +19,10 @@ line bundle classes beta_i = delta - (i-1) c1(L).
 A factor is a HiggsNumerics, named HNFactor here.  The partitions are
 enumerated one way: iter_partition_blocks yields them in lists of runs,
 each run a shared prefix and the tails its rows end in, with cells the
-caller chooses.  The CLI writes each run as text with one join, and the
-library's tuple rows are views of the same walk, its runs expanded:
+caller chooses; the tails of small boxes, and the runs of frames whose
+children are boxes, come from one bounded memo shared by every call.
+The CLI writes each run as text with one join, and the library's tuple
+rows are views of the same walk, its runs expanded:
 iter_partitions_at_most gives the parts, iter_monopole_components the
 parts zero-padded to length r, lazily, and monopole_components lists
 those.  partition_count gives their number without enumerating them,
@@ -195,15 +197,19 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
 
 # iter_partition_blocks takes the row tails for m in s >= 2 slots from _TAILS
 # when comb(m + s, s) <= _BOX_ROWS, and always for m <= 1, and yields a block
-# once its rows hold _BOX_ROWS cells.  _TAILS is the one memo of tails, shared
-# by every walk and every view: an entry depends only on its key (cell, tail,
-# m, s), the cell function itself and not its id, as the package's cells are
-# pure, so it never goes stale.  _held counts the cells of all its entries;
-# past _MEMO_CELLS the table is emptied, keys included, so the cells of views
-# no longer used do not pile up.
+# once its rows hold _BOX_ROWS cells.  One level up, the runs of a frame
+# (m, s), s >= 3, too large to be a box but whose every child (m - v, s - 1)
+# is one, m <= _FRAME[s], come whole from _FRAMES.  The two tables are the
+# one memo, shared by every walk and every view: an entry depends only on
+# its key (cell, tail, m, s), the cell function itself and not its id, as
+# the package's cells are pure, so it never goes stale.  _held counts the
+# cells of all entries, a box's rows times s and a frame's tails and cells;
+# past _MEMO_CELLS both tables are emptied, keys included, so the cells of
+# views no longer used do not pile up.
 _BOX_ROWS = 4096
 _MEMO_CELLS = 1 << 16
 _TAILS: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
+_FRAMES: dict[tuple, tuple[tuple, ...]] = {}
 _held = 0
 
 
@@ -222,6 +228,20 @@ def _box_limits(size: int) -> tuple[int, ...]:
 
 
 _BOX = _box_limits(_BOX_ROWS)
+# at index s >= 3, the largest m with m - ceil(m / s) <= _BOX[s - 1]: the
+# largest child (m - v, s - 1) of the frame is a box
+_FRAME = (0, 0, 0) + tuple(((_BOX[s - 1] + 1) * s - 1) // (s - 1) for s in range(3, len(_BOX) + 1))
+
+
+def _keep(size: int) -> None:
+    """Count size cells more in the memo, emptying both tables first if
+    that passes _MEMO_CELLS; the entry about to be stored is the one left."""
+    global _held
+    _held += size
+    if _held > _MEMO_CELLS:
+        _TAILS.clear()
+        _FRAMES.clear()
+        _held = size
 
 
 def _box_tails(
@@ -234,7 +254,6 @@ def _box_tails(
     An entry is stored whole, a pair of tuples, once its tails are made, so
     no reader sees half of one and no consumer can change it.
     """
-    global _held
     key = (cell, tail, m, s)
     got = _TAILS.get(key)
     if got is None:
@@ -248,12 +267,36 @@ def _box_tails(
                 i, c = m - 2 * v, cell(v)
                 rows += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
             got = tuple(rows), tuple(starts)
-        size = len(got[0]) * s
-        _held += size
-        if _held > _MEMO_CELLS:
-            _TAILS.clear()
-            _held = size
+        _keep(len(got[0]) * s)
         _TAILS[key] = got
+    return got
+
+
+def _frame_runs(
+    cell: Callable[[int], _Row], tail: _Row, m: int, s: int,
+) -> tuple[tuple[_Row, tuple[_Row, ...]], ...]:
+    """The entry of _FRAMES at (cell, tail, m, s), built and stored on a miss:
+    the runs (cell(v), tails) of the frame for v from m down to ceil(m / s),
+    each tails the child box (m - v, s - 1) cut to first parts at most v.
+
+    The run at index m - p has part p, so a frame capped at p takes its
+    runs from there on.  The cut tails are stored, not cut at each use,
+    and counted with the cells in _held; the entry is a tuple of tuples,
+    stored whole.
+    """
+    key = (cell, tail, m, s)
+    got = _FRAMES.get(key)
+    if got is None:
+        runs, size = [], 0
+        for v in range(m, -(-m // s) - 1, -1):
+            sub, at = _box_tails(cell, tail, m - v, s - 1)
+            i = m - 2 * v
+            part = sub[at[i]:] if i > 0 else sub
+            runs.append((cell(v), part))
+            size += len(part) + 1
+        got = tuple(runs)
+        _keep(size)
+        _FRAMES[key] = got
     return got
 
 
@@ -272,15 +315,17 @@ def iter_partition_blocks(
     tuple rows are both made by it.  The walk extends a prefix one part
     at a time, formatting each cell as it goes, until one slot is left,
     whose one row is made whole, or the parts left fit a small box, whose
-    rows are tails from _TAILS, all of them one run with the prefix.  Whole
-    rows in a row share one run whose prefix is tail[:0], the empty row.
-    _TAILS is one bounded memo for every call, keyed by (cell, tail, m, s),
-    so a box of a view is built once while it stays in the table, not once
-    per call; cell must be pure, as the package's cells are.  Its
-    entries are tuples, so no consumer can change the memo.  A list is
-    yielded once its rows hold _BOX_ROWS = 4,096 cells or more, so every
-    list but the last has at least ceil(4096 / k) rows and fewer than 75
-    more, as a box adds at most 75.
+    rows are tails from _TAILS, all of them one run with the prefix, or
+    a frame of boxes, whose runs come from _FRAMES, each joined to the
+    prefix.  Whole rows in a row share one run whose prefix is tail[:0],
+    the empty row.  _TAILS and _FRAMES are one bounded memo for every
+    call, keyed by (cell, tail, m, s), so a box or frame of a view is
+    built once while it stays in the memo, not once per call; cell must
+    be pure, as the package's cells are.  Its entries are tuples, so no
+    consumer can change the memo.  A list is yielded once its rows hold
+    _BOX_ROWS = 4,096 cells or more, after any run, inside a frame too,
+    so every list but the last has at least ceil(4096 / k) rows and fewer
+    than 75 more, as a run adds at most 75.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
@@ -289,6 +334,7 @@ def iter_partition_blocks(
             yield [(tail[:0], (tail,))]
         return
     empty = tail[:0]
+    least = -(-_BOX_ROWS // k)  # the rows of _BOX_ROWS cells
 
     # a frame walks the part v after prefix pre from its cap down to
     # ceil(m / s), the least largest part of m in s slots; whole is the
@@ -313,10 +359,21 @@ def iter_partition_blocks(
                 block.append((c, part))
                 rows += len(part)
                 whole = None
+            elif s2 < len(_FRAME) and m2 <= _FRAME[s2]:
+                # the child frame, capped at v, whole: its runs from part min(v, m2) on
+                runs = _FRAMES.get((cell, tail, m2, s2)) or _frame_runs(cell, tail, m2, s2)
+                whole = None
+                for c2, part in runs[m2 - v:] if v < m2 else runs:
+                    block.append((c + c2, part))
+                    rows += len(part)
+                    if rows >= least:
+                        yield block
+                        block, rows = [], 0
+                continue
             else:
                 stack.append((c, m2, s2, iter(range(min(v, m2), -(-m2 // s2) - 1, -1))))
                 break
-            if rows * k >= _BOX_ROWS:
+            if rows >= least:
                 yield block
                 block, rows, whole = [], 0, None
         else:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -570,11 +571,16 @@ def test_partition_blocks_keep_their_rows_whatever_the_consumer_does(n, k):
                 part.clear()
     assert rows == parts
     # the memo outlives the walk, whole: a pair of tuples at every key (two
-    # slots take no box, their rows are made whole)
+    # slots take no box, their rows are made whole), and at every frame a
+    # tuple of (cell, tails) pairs with tuple tails
     assert hn_branches._TAILS or k == 2
     for value in hn_branches._TAILS.values():
         assert type(value) is tuple and len(value) == 2
         assert all(type(half) is tuple for half in value)
+    assert hn_branches._FRAMES or k <= 3
+    for value in hn_branches._FRAMES.values():
+        assert type(value) is tuple and value
+        assert all(type(run) is tuple and len(run) == 2 and type(run[1]) is tuple for run in value)
     assert blocks_as_rows(n, k, hn_branches._padded) == parts
 
 
@@ -592,8 +598,9 @@ def oracle_rows(n, k, cell, tail):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """An empty tails memo for the test, the module's own put back after it."""
+    """An empty memo, tails and frames, for the test, the module's own put back after it."""
     monkeypatch.setattr(hn_branches, "_TAILS", {})
+    monkeypatch.setattr(hn_branches, "_FRAMES", {})
     monkeypatch.setattr(hn_branches, "_held", 0)
 
 
@@ -609,6 +616,7 @@ def test_interleaved_walks_survive_a_memo_cleared_inside_both(monkeypatch):
             dict.clear(self)
 
     monkeypatch.setattr(hn_branches, "_TAILS", Table())
+    monkeypatch.setattr(hn_branches, "_FRAMES", {})
     monkeypatch.setattr(hn_branches, "_held", 0)
     monkeypatch.setattr(hn_branches, "_MEMO_CELLS", 2000)
     pad, part = hn_branches._padded, hn_branches._part
@@ -635,9 +643,11 @@ def test_interleaved_walks_survive_a_memo_cleared_inside_both(monkeypatch):
 
 def test_tails_memo_stays_bounded_over_fresh_views(empty_memo):
     """1,000 walks, each with a cell made for it, leave the one memo holding at
-    most _MEMO_CELLS cells plus its largest entry, as _held counts them; it
-    was emptied on the way, keys included, so it holds only the cells of the
-    walks since its last clear, and keeps no earlier cell alive."""
+    most _MEMO_CELLS cells plus its largest entry, as _held counts them: a
+    box's rows times its slots, a frame's tails and one cell per run.  Tails
+    and frames were emptied together on the way, keys included, so both
+    hold only the cells of the walks since the last clear, and keep no
+    earlier cell alive."""
     refs = []
     for _ in range(1000):
         cell = lambda v: (v,)  # noqa: E731
@@ -645,30 +655,35 @@ def test_tails_memo_stays_bounded_over_fresh_views(empty_memo):
         for _block in iter_partition_blocks(20, 5, cell, cell, ()):
             pass
     del cell
-    table = hn_branches._TAILS
-    sizes = [len(rows) * s for (_, _, _, s), (rows, _) in table.items()]
+    tails, frames = hn_branches._TAILS, hn_branches._FRAMES
+    # (20, 5) takes the frame (16, 4) under its first part 4
+    assert frames and all(s >= 3 and m > hn_branches._BOX[s] for _, _, m, s in frames)
+    sizes = [len(rows) * s for (_, _, _, s), (rows, _) in tails.items()]
+    sizes += [sum(len(part) + 1 for _, part in runs) for runs in frames.values()]
     assert sum(sizes) == hn_branches._held <= hn_branches._MEMO_CELLS + max(sizes)
     live = [i for i, ref in enumerate(refs) if ref() is not None]
     assert 0 < live[0] and live == list(range(live[0], len(refs)))
-    assert {key[0] for key in table} == {refs[i]() for i in live}
+    assert {key[0] for key in tails} == {key[0] for key in frames} == {refs[i]() for i in live}
 
 
 def test_each_box_built_once_per_view(empty_memo, capsys):
     """One in-process verify --suite partition builds each (cell, tail, m, s)
-    entry of the tails memo at most once, and a second on the warm table
-    builds none; nor does a second branches query of the same layout, whose
-    text cells _text_cells makes once."""
-    code = hn_branches._box_tails.__code__
+    entry of the memo, box or frame, at most once, and a second on the warm
+    memo builds none; nor does a second branches query of the same layout,
+    whose text cells _text_cells makes once.  Three slots take boxes only;
+    the partition suite and four slots take frames too."""
+    tables = {hn_branches._box_tails.__code__: "_TAILS", hn_branches._frame_runs.__code__: "_FRAMES"}
 
     def builds(argv):
         built = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is code:
+            if event == "call" and frame.f_code in tables:
                 f = frame.f_locals
                 key = (f["cell"], f["tail"], f["m"], f["s"])
-                if key not in hn_branches._TAILS:
-                    built.append(key)
+                table = tables[frame.f_code]
+                if key not in getattr(hn_branches, table):
+                    built.append((table, key))
 
         sys.setprofile(profile)
         try:
@@ -678,11 +693,53 @@ def test_each_box_built_once_per_view(empty_memo, capsys):
         capsys.readouterr()
         return built
 
-    for argv in (["verify", "--suite", "partition"],
-                 ["branches", "--surface", "hypersurface:5", "-r", "3", "--c1", "3", "--c2", "40"]):
+    branches = ["branches", "--surface", "hypersurface:5", "--c2", "40"]
+    for argv, built in ((["verify", "--suite", "partition"], {"_TAILS", "_FRAMES"}),
+                        (branches + ["-r", "3", "--c1", "3"], {"_TAILS"}),
+                        (branches + ["-r", "4", "--c1", "2"], {"_TAILS", "_FRAMES"})):
         first = builds(argv)
-        assert first and len(set(first)) == len(first), argv
+        assert len(set(first)) == len(first), argv
+        assert {table for table, _ in first} == built, argv
         assert builds(argv) == [], argv
+
+
+def test_frame_runs_give_the_reference_rows(empty_memo, monkeypatch):
+    """The CLI's text, _part and _padded views give the reference rows for
+    k = 3..12 and every n <= 130 with at most 5,000 rows, and for (60, 10)
+    and (40, 12) past that, from an empty memo on, in blocks of one flush
+    of cells as test_partition_blocks_hold_one_flush_of_cells counts them.
+    The walk looks frames up for every k >= 4 in that range, and never for
+    k = 3, whose frames of two slots end in whole rows."""
+    looked = []
+
+    class Frames(dict):
+        def get(self, key, default=None):
+            looked.append(key)
+            return dict.get(self, key, default)
+
+    monkeypatch.setattr(hn_branches, "_FRAMES", Frames())
+    reached = set()
+    cases = [(n, k) for k in range(3, 13) for n in range(131) if partition_count(n, k) <= 5000]
+    for n, k in cases + [(60, 10), (40, 12)]:
+        looked.clear()
+        parts = list(partitions_at_most(n, k))
+        padded = [p + (0,) * (k - len(p)) for p in parts]
+        rows = [row for block in iter_partition_blocks(n, k, hn_branches._part, hn_branches._part, ())
+                for row in expand(block)]
+        assert rows == parts, (n, k)
+        blocks = list(iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded, ()))
+        assert [row for block in blocks for row in expand(block)] == padded, (n, k)
+        # a frame's runs may cross the block bound: the block is yielded there
+        sizes = [sum(len(part) for _, part in block) for block in blocks]
+        least = -(-hn_branches._BOX_ROWS // k)
+        assert all(least <= size < least + 75 for size in sizes[:-1]), (n, k)
+        text = []
+        cli._dump_rows(cli.Rows(k, n), "\n    ", text.append)
+        assert json.loads("".join(text)) == [list(p) for p in padded], (n, k)
+        if looked:
+            reached.add((n, k))
+    assert {k for _, k in reached} == set(range(4, 13))
+    assert (60, 10) in reached and (40, 12) in reached
 
 
 def test_monopole_rows_are_padded_partitions(quintic):
