@@ -32,13 +32,14 @@ first write, so an answer holding a number too long for int-to-text
 conversion is refused, not cut short.  The components of `branches` are
 a Rows view (r, n): the partitions of n into at most r parts, padded
 with zeros to r columns.  _dump_rows writes their text from
-hn_branches.iter_partition_blocks, one write per block the walk yields,
-each run of a block (a prefix and the tails of its rows) joined in one
-str.join, so neither the list of components nor the text of the document
-is built whole, and no row is a Python step of its own.  Rows takes r
-and n as plain ints, and every number a row prints is the str of an int
-from a range no longer than n, so no bool, Fraction or list can reach
-the text, and every cell converts.
+hn_branches.iter_partition_blocks with the text cells (cell, last), one
+write per block the walk yields, each run of a block (a prefix and the
+tails of its rows) joined in one str.join with the row opener, which
+_dump_rows adds, so neither the list of components nor the text of the
+document is built whole, and no row is a Python step of its own.  Rows
+takes r and n as plain ints, and every number a row prints is the str of
+an int from a range no longer than n, so no bool, Fraction or list can
+reach the text, and every cell converts.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
@@ -227,13 +228,13 @@ def _pads(ind: Optional[str]) -> tuple[Optional[str], str, str, str]:
 
 
 @functools.lru_cache(maxsize=8)
-def _text_cells(inner: Optional[str]) -> tuple[Callable[[int], str], Callable[[int], str], str]:
-    """The head, cell and tail of the text rows at layout inner, made once per
-    layout: the one tails memo of iter_partition_blocks is keyed by the cell,
-    so every query with this layout finds the boxes built before it."""
-    _, cell_first, cell_comma, cell_last = _pads(inner)
-    opener = "[" + cell_first
-    return (lambda v: opener + str(v)), (lambda v: cell_comma + str(v)), cell_last + "]"
+def _text_cells(inner: Optional[str]) -> tuple[Callable[[int], str], Callable[[int], str]]:
+    """The cell and last cell of the text rows at layout inner, made once per
+    layout: the one memo of iter_partition_blocks is keyed by them, so every
+    query with this layout finds the entries built before it."""
+    _, _, cell_comma, cell_last = _pads(inner)
+    close = cell_last + "]"
+    return (lambda v: str(v) + cell_comma), (lambda v: str(v) + close)
 
 
 def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> None:
@@ -241,18 +242,21 @@ def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> N
     iter_partition_blocks yields (about 4,096 cells each, whatever r).
 
     The row text comes from the walk with the text cells of _text_cells: a
-    cell is the JSON separator and str(v), and the first cell of a row has
-    the row opener in place of the separator.  They are made once per
-    layout, so the walk's memo of box tails, shared by every call, serves
-    each query after the first.  A run (prefix, tails) is the text of its
-    rows joined by the separator, prefix + (comma + prefix).join(tails),
-    so a block takes one join per run and none per row.
+    cell is str(v) and the JSON separator after it, and the last cell of a
+    row str(v) and the row's closer.  They are made once per layout, so the
+    walk's memo, shared by every call, serves each query after the first.
+    The row opener is written here: a run (prefix, tails) is s + s.join(tails)
+    with s = opener + prefix, opener the list's separator and the row's "[",
+    so each row comes after its separator, a block is one join of its runs,
+    and the first block drops its leading separator for the list's "[".
     """
     inner, first, comma, last = _pads(ind)
-    sep = "[" + first
+    opener = comma + "[" + _pads(inner)[1]
+    start, cut = "[" + first, len(comma)
     for block in iter_partition_blocks(rows.n, rows.r, *_text_cells(inner)):
-        write(sep + comma.join([c + (comma + c).join(part) for c, part in block]))
-        sep = comma
+        text = "".join([(s := opener + c) + s.join(part) for c, part in block])
+        write(start + text[cut:])
+        start, cut = "", 0
     write(last + "]")
 
 

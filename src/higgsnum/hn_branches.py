@@ -18,11 +18,13 @@ line bundle classes beta_i = delta - (i-1) c1(L).
 
 A factor is a HiggsNumerics, named HNFactor here.  The partitions are
 enumerated one way: iter_partition_blocks yields them in lists of runs,
-each run a shared prefix and the tails its rows end in, with cells the
-caller chooses; the tails of small boxes, and the runs of frames whose
-children are boxes, come from one bounded memo shared by every call.
-The CLI writes each run as text with one join, and the library's tuple
-rows are views of the same walk, its runs expanded:
+each run a shared prefix and the tails its rows end in, made by two cell
+functions the caller chooses, (cell, last), the second for a row's last
+slot; the tails of small boxes, and the runs of frames whose children
+are boxes, come from one bounded memo table shared by every call, the
+walk's top (n, k) included.  The CLI writes each run as text with one
+join, and the library's tuple rows are views of the same walk, its runs
+expanded:
 iter_partitions_at_most gives the parts, iter_monopole_components the
 parts zero-padded to length r, lazily, and monopole_components lists
 those.  partition_count gives their number without enumerating them,
@@ -195,21 +197,21 @@ def iter_compositions(r: int) -> Iterator[tuple[int, ...]]:
         c[k + 1:] = [len(c) - k]
 
 
-# iter_partition_blocks takes the row tails for m in s >= 2 slots from _TAILS
-# when comb(m + s, s) <= _BOX_ROWS, and always for m <= 1, and yields a block
-# once its rows hold _BOX_ROWS cells.  One level up, the runs of a frame
-# (m, s), s >= 3, too large to be a box but whose every child (m - v, s - 1)
-# is one, m <= _FRAME[s], come whole from _FRAMES.  The two tables are the
-# one memo, shared by every walk and every view: an entry depends only on
-# its key (cell, tail, m, s), the cell function itself and not its id, as
-# the package's cells are pure, so it never goes stale.  _held counts the
+# iter_partition_blocks takes the parts m left in s slots from the one memo
+# _MEMO when (m, s) is a box or a frame.  A box, s >= 2 with comb(m + s, s)
+# <= _BOX_ROWS or m <= 1, is held as its rows' tails; a frame, s >= 3 too
+# large for a box but with every child (m - v, s - 1) a box, m <= _FRAME[s],
+# as its runs.  The two ranges do not overlap, so one table, keyed by
+# (cell, last, m, s), holds both, shared by every walk and every view: an
+# entry depends only on its key, the cell functions themselves and not
+# their ids, as the package's cells are pure, so it never goes stale.  A
+# block is yielded once its rows hold _BOX_ROWS cells.  _held counts the
 # cells of all entries, a box's rows times s and a frame's tails and cells;
-# past _MEMO_CELLS both tables are emptied, keys included, so the cells of
+# past _MEMO_CELLS the table is emptied, keys included, so the cells of
 # views no longer used do not pile up.
 _BOX_ROWS = 4096
 _MEMO_CELLS = 1 << 16
-_TAILS: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
-_FRAMES: dict[tuple, tuple[tuple, ...]] = {}
+_MEMO: dict[tuple, tuple] = {}
 _held = 0
 
 
@@ -233,127 +235,102 @@ _BOX = _box_limits(_BOX_ROWS)
 _FRAME = (0, 0, 0) + tuple(((_BOX[s - 1] + 1) * s - 1) // (s - 1) for s in range(3, len(_BOX) + 1))
 
 
-def _keep(size: int) -> None:
-    """Count size cells more in the memo, emptying both tables first if
-    that passes _MEMO_CELLS; the entry about to be stored is the one left."""
+def _entry(
+    cell: Callable[[int], _Row], last: Callable[[int], _Row], m: int, s: int,
+) -> tuple:
+    """The entry of _MEMO at (cell, last, m, s), built and stored: the runs
+    (cell(v), tails) for v from m down to ceil(m / s), each tails the child
+    box (m - v, s - 1) cut to first parts at most v.  A frame keeps its runs,
+    so a frame capped at p takes them from index m - p on; a box flattens
+    them into every row tail for m in s slots, and at index m - p where the
+    tails with first part at most p begin.
+
+    The cut tails are stored, not cut at each use, and counted in _held; an
+    entry is a tuple of tuples, stored whole once it is made, so no reader
+    sees half of one and no consumer can change it.
+    """
     global _held
+    if m == 0 or s == 1:
+        got, size = ((cell(0) * (s - 1) + last(m),), (0,)), s
+    else:
+        runs = []
+        for v in range(m, -(-m // s) - 1, -1):
+            sub, at = _MEMO.get((cell, last, m - v, s - 1)) or _entry(cell, last, m - v, s - 1)
+            i = m - 2 * v
+            runs.append((cell(v), sub[at[i]:] if i > 0 else sub))
+        if m > 1 and (s >= len(_BOX) or m > _BOX[s]):  # past the box bound: a frame
+            got, size = tuple(runs), sum(len(part) + 1 for _, part in runs)
+        else:
+            tails, starts = [], []
+            for c, part in runs:
+                starts.append(len(tails))
+                tails += [c + t for t in part]
+            got, size = (tuple(tails), tuple(starts)), len(tails) * s
     _held += size
     if _held > _MEMO_CELLS:
-        _TAILS.clear()
-        _FRAMES.clear()
+        _MEMO.clear()
         _held = size
-
-
-def _box_tails(
-    cell: Callable[[int], _Row], tail: _Row, m: int, s: int,
-) -> tuple[tuple[_Row, ...], tuple[int, ...]]:
-    """The entry of _TAILS at (cell, tail, m, s), built and stored on a miss:
-    every row tail for m in s slots, and at index m - p where the tails with
-    first part at most p begin, for each p from m down to ceil(m / s).
-
-    An entry is stored whole, a pair of tuples, once its tails are made, so
-    no reader sees half of one and no consumer can change it.
-    """
-    key = (cell, tail, m, s)
-    got = _TAILS.get(key)
-    if got is None:
-        if m == 0:
-            got = (cell(0) * s + tail,), (0,)
-        else:
-            rows, starts = [], []
-            for v in range(m, -(-m // s) - 1, -1):
-                starts.append(len(rows))
-                sub, at = _box_tails(cell, tail, m - v, s - 1)
-                i, c = m - 2 * v, cell(v)
-                rows += [c + t for t in (sub[at[i]:] if i > 0 else sub)]
-            got = tuple(rows), tuple(starts)
-        _keep(len(got[0]) * s)
-        _TAILS[key] = got
-    return got
-
-
-def _frame_runs(
-    cell: Callable[[int], _Row], tail: _Row, m: int, s: int,
-) -> tuple[tuple[_Row, tuple[_Row, ...]], ...]:
-    """The entry of _FRAMES at (cell, tail, m, s), built and stored on a miss:
-    the runs (cell(v), tails) of the frame for v from m down to ceil(m / s),
-    each tails the child box (m - v, s - 1) cut to first parts at most v.
-
-    The run at index m - p has part p, so a frame capped at p takes its
-    runs from there on.  The cut tails are stored, not cut at each use,
-    and counted with the cells in _held; the entry is a tuple of tuples,
-    stored whole.
-    """
-    key = (cell, tail, m, s)
-    got = _FRAMES.get(key)
-    if got is None:
-        runs, size = [], 0
-        for v in range(m, -(-m // s) - 1, -1):
-            sub, at = _box_tails(cell, tail, m - v, s - 1)
-            i = m - 2 * v
-            part = sub[at[i]:] if i > 0 else sub
-            runs.append((cell(v), part))
-            size += len(part) + 1
-        got = tuple(runs)
-        _keep(size)
-        _FRAMES[key] = got
+    _MEMO[(cell, last, m, s)] = got
     return got
 
 
 def iter_partition_blocks(
-    n: int, k: int, head: Callable[[int], _Row], cell: Callable[[int], _Row], tail: _Row,
+    n: int, k: int, cell: Callable[[int], _Row], last: Callable[[int], _Row],
 ) -> Iterator[list[tuple[_Row, Sequence[_Row]]]]:
     """The partitions of n into at most k parts as rows, in lists of runs.
 
-    Row v_1 >= ... >= v_k >= 0 is head(v_1) + cell(v_2) + ... + cell(v_k)
-    + tail, so with head = cell = lambda v: (v,) it is the partition padded
-    with zeros to length k, and with cell(0) = () the partition itself.
-    A run is a pair (prefix, tails), whose rows are prefix + t for each
-    t in tails; a block is a list of runs, and its rows, run after run,
-    come in decreasing lex order.  This is the one enumeration of
-    partitions in the package: the CLI's text rows and the library's
-    tuple rows are both made by it.  The walk extends a prefix one part
-    at a time, formatting each cell as it goes, until one slot is left,
-    whose one row is made whole, or the parts left fit a small box, whose
-    rows are tails from _TAILS, all of them one run with the prefix, or
-    a frame of boxes, whose runs come from _FRAMES, each joined to the
-    prefix.  Whole rows in a row share one run whose prefix is tail[:0],
-    the empty row.  _TAILS and _FRAMES are one bounded memo for every
-    call, keyed by (cell, tail, m, s), so a box or frame of a view is
-    built once while it stays in the memo, not once per call; cell must
-    be pure, as the package's cells are.  Its entries are tuples, so no
-    consumer can change the memo.  A list is yielded once its rows hold
-    _BOX_ROWS = 4,096 cells or more, after any run, inside a frame too,
-    so every list but the last has at least ceil(4096 / k) rows and fewer
-    than 75 more, as a run adds at most 75.
+    Row v_1 >= ... >= v_k >= 0 is cell(v_1) + ... + cell(v_{k-1}) +
+    last(v_k), so with cell = last = lambda v: (v,) it is the partition
+    padded with zeros to length k, and with cell(0) = last(0) = () the
+    partition itself.  A run is a pair (prefix, tails), whose rows are
+    prefix + t for each t in tails; a block is a list of runs, and its
+    rows, run after run, come in decreasing lex order.  This is the one
+    enumeration of partitions in the package: the CLI's text rows and the
+    library's tuple rows are both made by it.  The walk extends a prefix
+    one part at a time, formatting each cell as it goes, until the parts
+    left, (m, s), fill one slot, whose one row is made whole, or fit a box,
+    whose tails are one run with the prefix, or a frame of boxes, whose
+    runs are each joined to the prefix; (n, k) itself is such a child,
+    with the empty row last(0)[:0] as its prefix.  Whole rows in a row
+    share one run whose prefix is the empty row.  Boxes and frames come
+    from _MEMO, one bounded memo for every call, keyed by (cell, last, m,
+    s), so each is built once while it stays in the memo, not once per
+    call; cell and last must be pure, as the package's cells are.  Its
+    entries are tuples, so no consumer can change the memo.  A list is
+    yielded once its rows hold _BOX_ROWS = 4,096 cells or more, after any
+    run, inside a frame too, so every list but the last has at least
+    ceil(4096 / k) rows and fewer than 75 more, as a run adds at most 75.
     """
     require_int(n, "partition size", 0)
     require_int(k, "part count", 0)
+    empty = last(0)[:0]
     if k == 0:
         if n == 0:
-            yield [(tail[:0], (tail,))]
+            yield [(empty, (empty,))]
         return
-    empty = tail[:0]
     least = -(-_BOX_ROWS // k)  # the rows of _BOX_ROWS cells
 
-    # a frame walks the part v after prefix pre from its cap down to
-    # ceil(m / s), the least largest part of m in s slots; whole is the
-    # open run of whole rows, or None once a box run or a yield ends it
-    stack, block, rows, whole = [(None, n, k, iter(range(n, -(-n // k) - 1, -1)))], [], 0, None
+    # a frame (pre, m, s, vs) walks the part v of m in s slots from its cap
+    # down to ceil(m / s), the least largest part: its child is the row so
+    # far c = pre + cell(v) and the rest (m - v, s - 1), capped at v.  The
+    # root (n, k) is the child, capped at n, of part n in a frame (2n, k + 1)
+    # with no prefix, so c is the empty row.  whole is the open run of whole
+    # rows, or None once a box run or a yield ends it
+    stack, block, rows, whole = [(None, n + n, k + 1, iter((n,)))], [], 0, None
     while stack:
         pre, m, s, vs = stack[-1]
         for v in vs:
-            c = head(v) if pre is None else pre + cell(v)
+            c = empty if pre is None else pre + cell(v)
             m2, s2 = m - v, s - 1
             if s2 == 1:
-                # m2 <= v, as v >= ceil(m / 2): the one row is c, cell(m2), tail
+                # m2 <= v, as v >= ceil(m / 2): the one row is c + last(m2)
                 if whole is None:
                     whole = []
                     block.append((empty, whole))
-                whole.append(c + cell(m2) + tail)
+                whole.append(c + last(m2))
                 rows += 1
             elif m2 <= 1 or (s2 < len(_BOX) and m2 <= _BOX[s2]):
-                sub, at = _TAILS.get((cell, tail, m2, s2)) or _box_tails(cell, tail, m2, s2)
+                sub, at = _MEMO.get((cell, last, m2, s2)) or _entry(cell, last, m2, s2)
                 i = m2 - v
                 part = sub[at[i]:] if i > 0 else sub
                 block.append((c, part))
@@ -361,7 +338,7 @@ def iter_partition_blocks(
                 whole = None
             elif s2 < len(_FRAME) and m2 <= _FRAME[s2]:
                 # the child frame, capped at v, whole: its runs from part min(v, m2) on
-                runs = _FRAMES.get((cell, tail, m2, s2)) or _frame_runs(cell, tail, m2, s2)
+                runs = _MEMO.get((cell, last, m2, s2)) or _entry(cell, last, m2, s2)
                 whole = None
                 for c2, part in runs[m2 - v:] if v < m2 else runs:
                     block.append((c + c2, part))
@@ -402,7 +379,7 @@ def iter_partitions_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
     runs iter_partition_blocks yields with a cell for each nonzero part,
     one by one.
     """
-    return _rows(iter_partition_blocks(n, k, _part, _part, ()))
+    return _rows(iter_partition_blocks(n, k, _part, _part))
 
 
 # the largest n partition_count takes for k >= 4, whose table has n + 1 entries
@@ -455,7 +432,7 @@ def iter_monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> Iterator[t
     report = classify(x, h)
     if report.witness is None:
         raise RegimeError(f"no components to enumerate in regime {report.regime.value}", report)
-    return _rows(iter_partition_blocks(report.witness.n_points, h.r, _padded, _padded, ()))
+    return _rows(iter_partition_blocks(report.witness.n_points, h.r, _padded, _padded))
 
 
 def monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> list[tuple[int, ...]]:

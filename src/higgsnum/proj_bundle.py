@@ -85,6 +85,7 @@ def _same_base(a: YClass, b: YClass) -> None:
 
 def pullback(x: SurfaceGeometry, a: Union[ChowClass, NSVector]) -> YClass:
     """pi^* of a class on the base."""
+    require_type(x, SurfaceGeometry, "a surface")
     if isinstance(a, NSVector):
         a = ChowClass.of_divisor(a)
     return YClass(a, ChowClass.zero(x.rank), x)
@@ -92,6 +93,7 @@ def pullback(x: SurfaceGeometry, a: Union[ChowClass, NSVector]) -> YClass:
 
 def hyperplane_class(x: SurfaceGeometry) -> YClass:
     """The generator eta."""
+    require_type(x, SurfaceGeometry, "a surface")
     return YClass(ChowClass.zero(x.rank), ChowClass.unit(x.rank), x)
 
 
@@ -113,7 +115,7 @@ def y_mul(a: YClass, b: YClass) -> YClass:
 
 def y_pushforward(a: YClass) -> ChowClass:
     """pi_* to the base: kills pure pullbacks, strips one eta."""
-    return a.beta
+    return require_type(a, YClass, "a class on the threefold").beta
 
 
 def spectral_divisor_class(x: SurfaceGeometry, r: int) -> YClass:
@@ -128,6 +130,7 @@ def dinfty_class(x: SurfaceGeometry) -> YClass:
 
 def canonical_y(x: SurfaceGeometry) -> YClass:
     """Canonical class pi^* (K + c1(L)) - 2 eta of the threefold."""
+    require_type(x, SurfaceGeometry, "a surface")
     return pullback(x, x.canonical + x.polarization) - 2 * hyperplane_class(x)
 
 
@@ -138,6 +141,6 @@ def restrict_to_spectral(a: YClass, r: int) -> ChowClass:
     b = alpha + beta . c1(L) does not depend on r.
     """
     require_int(r, "cover degree", 1)
-    x = a.over
+    x = require_type(a, YClass, "a class on the threefold").over
     c_l = ChowClass.of_divisor(x.polarization)
     return a.alpha + chow_mul(x, a.beta, c_l)

@@ -83,7 +83,7 @@ def spectral_canonical(s: SpectralCover) -> NSVector:
 
     As a vector it is both the cover's class and the base class it pulls back from.
     """
-    return s.canonical
+    return require_type(s, SpectralCover, "a spectral cover").canonical
 
 
 def spectral_cotangent_ch(s: SpectralCover) -> ChowClass:
@@ -99,6 +99,7 @@ def spectral_c2_tangent(s: SpectralCover) -> int:
 
     This is the coefficient of the pulled-back point class: e(X_s) / r.
     """
+    require_type(s, SpectralCover, "a spectral cover")
     return s.c2_top // s.r
 
 
@@ -113,7 +114,7 @@ def pushforward_structure_ch(s: SpectralCover) -> ChowClass:
     The direct image splits as the sum of L^(-i) for i = 0..r-1, so the
     character is (r, -r(r-1)/2 L, r(r-1)(2r-1)/12 L^2).
     """
-    x = s.base
+    x = require_type(s, SpectralCover, "a spectral cover").base
     r = s.r
     return ChowClass(
         r,
@@ -131,7 +132,7 @@ def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowCla
     Every product is taken in the base's ring.
     """
     require_int(n_points, "point count", 0)
-    x = s.base
+    x = require_type(s, SpectralCover, "a spectral cover").base
     # the 0-cycle of the ideal meets only the deg0 part 1 of Td(cover)
     pushed = s.pushforward(chow_mul(x, line_bundle_ch(x, delta), spectral_todd(s)), -n_points)
     return chow_mul(x, pushed, chow_inverse(x, todd_surface(x)))

@@ -40,6 +40,7 @@ from higgsnum import (
     classify,
     component_betas,
     cotangent_ch,
+    dinfty_class,
     discriminant_identity,
     divide,
     grr_pushforward,
@@ -57,13 +58,17 @@ from higgsnum import (
     partition_count,
     presets,
     pullback,
+    pushforward_structure_ch,
     rank2_fixed_components,
     restrict_to_spectral,
     slope_gaps,
     solve_delta,
+    spectral_c2_tangent,
+    spectral_canonical,
     spectral_divisor_class,
     todd_surface,
     y_mul,
+    y_pushforward,
 )
 from higgsnum.cli import CLIError, batch, main
 from higgsnum.ns_lattice import Frozen
@@ -161,6 +166,20 @@ PROBES = [
      (5, None, X.lattice), ValidationError),
     ("ideal_twist_ch-surface", lambda v: ideal_twist_ch(v, L, 1), (5, None, X.lattice),
      ValidationError),
+    ("y_pushforward", y_pushforward, (5, None, ChowClass.unit(1)), ValidationError),
+    ("restrict_to_spectral-class", lambda v: restrict_to_spectral(v, 2),
+     (5, None, ChowClass.unit(1)), ValidationError),
+    ("pullback-surface", lambda v: pullback(v, L), (5, None, X.lattice), ValidationError),
+    ("hyperplane_class", hyperplane_class, (5, None, X.lattice), ValidationError),
+    ("dinfty_class", dinfty_class, (5, None, X.lattice), ValidationError),
+    ("canonical_y", canonical_y, (5, None, X.lattice), ValidationError),
+    ("spectral_divisor_class-surface", lambda v: spectral_divisor_class(v, 2), (5, None, X.lattice),
+     ValidationError),
+    # a plain surface is no cover
+    ("grr_pushforward-cover", lambda v: grr_pushforward(v, L, 1), (5, None, X), ValidationError),
+    ("pushforward_structure_ch", pushforward_structure_ch, (5, None, X), ValidationError),
+    ("spectral_canonical", spectral_canonical, (5, None, X), ValidationError),
+    ("spectral_c2_tangent", spectral_c2_tangent, (5, None, X), ValidationError),
 ]
 
 

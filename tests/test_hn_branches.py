@@ -498,7 +498,7 @@ def expand(block):
 
 
 def blocks_as_rows(n, k, cell):
-    blocks = list(iter_partition_blocks(n, k, cell, cell, ()))
+    blocks = list(iter_partition_blocks(n, k, cell, cell))
     # each block a nonempty list of its own, not one list yielded again, of
     # (prefix, tails) runs with at least one tail each
     assert all(type(b) is list and b for b in blocks)
@@ -519,7 +519,7 @@ def test_partition_blocks_are_the_reference_rows():
         assert blocks_as_rows(n, k, lambda v: (v,) if v else ()) == parts
         assert blocks_as_rows(n, k, lambda v: (v,)) == [p + (0,) * (k - len(p)) for p in parts]
         assert list(iter_partitions_at_most(n, k)) == parts
-    assert len(list(iter_partition_blocks(12000, 2, str, str, ""))) > 1
+    assert len(list(iter_partition_blocks(12000, 2, str, str))) > 1
 
 
 @pytest.mark.parametrize(
@@ -531,7 +531,7 @@ def test_partition_blocks_hold_one_flush_of_cells(n, k):
     as it holds that many, and one step adds at most a box, p(27, <= 3) = 75
     rows, or one row.  Rows are counted over the runs, not the runs."""
     least = -(-hn_branches._BOX_ROWS // k)
-    sizes = [sum(len(part) for _, part in b) for b in iter_partition_blocks(n, k, str, str, "")]
+    sizes = [sum(len(part) for _, part in b) for b in iter_partition_blocks(n, k, str, str)]
     assert sum(sizes) == hn_branches.partition_count(n, k)
     assert len(sizes) > 1
     assert all(least <= size < least + 75 for size in sizes[:-1])
@@ -557,50 +557,64 @@ def test_partition_blocks_keep_their_rows_whatever_the_consumer_does(n, k):
     memo cannot be changed through a run."""
     parts = [p + (0,) * (k - len(p)) for p in partitions_at_most(n, k)]
     blocks, first = [], []
-    for block in iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded, ()):
+    for block in iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded):
         blocks.append(block)
         first.append(expand(block))
     assert [expand(block) for block in blocks] == first
     assert [row for rows in first for row in rows] == parts
 
     rows = []
-    for block in iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded, ()):
+    for block in iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded):
         rows += expand(block)
         for _, part in block:
             if type(part) is not tuple:
                 part.clear()
     assert rows == parts
-    # the memo outlives the walk, whole: a pair of tuples at every key (two
+    # the memo outlives the walk, whole: a pair of tuples at every box (two
     # slots take no box, their rows are made whole), and at every frame a
     # tuple of (cell, tails) pairs with tuple tails
-    assert hn_branches._TAILS or k == 2
-    for value in hn_branches._TAILS.values():
+    boxes, frames = memo_entries()
+    assert boxes or k == 2
+    for value in boxes.values():
         assert type(value) is tuple and len(value) == 2
         assert all(type(half) is tuple for half in value)
-    assert hn_branches._FRAMES or k <= 3
-    for value in hn_branches._FRAMES.values():
+    assert frames or k <= 3
+    for value in frames.values():
         assert type(value) is tuple and value
         assert all(type(run) is tuple and len(run) == 2 and type(run[1]) is tuple for run in value)
     assert blocks_as_rows(n, k, hn_branches._padded) == parts
 
 
-def oracle_rows(n, k, cell, tail):
+def is_box(m, s):
+    """Whether the walk takes (m, s) as a box; past the box bound it takes a frame."""
+    return m <= 1 or (s < len(hn_branches._BOX) and m <= hn_branches._BOX[s])
+
+
+def memo_entries():
+    """The entries of the one memo table, split into boxes and frames by their key."""
+    boxes, frames = {}, {}
+    for key, value in hn_branches._MEMO.items():
+        (boxes if is_box(key[2], key[3]) else frames)[key] = value
+    return boxes, frames
+
+
+def oracle_rows(n, k, cell, last):
     """The reference partitions padded to length k, each row cell(v_1) + ...
-    + cell(v_k) + tail."""
+    + cell(v_{k-1}) + last(v_k), the empty row last(0)[:0] for k = 0."""
     rows = []
     for p in partitions_at_most(n, k):
-        row = tail[:0]
-        for v in p + (0,) * (k - len(p)):
+        p += (0,) * (k - len(p))
+        row = last(0)[:0]
+        for v in p[:-1]:
             row += cell(v)
-        rows.append(row + tail)
+        rows.append(row + last(p[-1]) if p else row)
     return rows
 
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """An empty memo, tails and frames, for the test, the module's own put back after it."""
-    monkeypatch.setattr(hn_branches, "_TAILS", {})
-    monkeypatch.setattr(hn_branches, "_FRAMES", {})
+    """An empty memo table for the test, the module's own put back after it."""
+    monkeypatch.setattr(hn_branches, "_MEMO", {})
     monkeypatch.setattr(hn_branches, "_held", 0)
 
 
@@ -615,27 +629,27 @@ def test_interleaved_walks_survive_a_memo_cleared_inside_both(monkeypatch):
             events.append("clear")
             dict.clear(self)
 
-    monkeypatch.setattr(hn_branches, "_TAILS", Table())
-    monkeypatch.setattr(hn_branches, "_FRAMES", {})
+    monkeypatch.setattr(hn_branches, "_MEMO", Table())
     monkeypatch.setattr(hn_branches, "_held", 0)
     monkeypatch.setattr(hn_branches, "_MEMO_CELLS", 2000)
     pad, part = hn_branches._padded, hn_branches._part
+    one = lambda v: (v,)  # noqa: E731
     walks = [
-        ((pad, (), 40, 6), (pad, (), 60, 5)),
-        ((part, (), 40, 6), (pad, (), 45, 7)),
-        ((lambda v: (v,), (), 50, 6), (lambda v: f"{v},", ";", 40, 7)),
+        ((pad, pad, 40, 6), (pad, pad, 60, 5)),
+        ((part, part, 40, 6), (pad, pad, 45, 7)),
+        ((one, one, 50, 6), (lambda v: f"{v},", lambda v: f"{v};", 40, 7)),
     ]
     for views in walks:
         events.clear()
         rows = [[], []]
-        live = [iter_partition_blocks(n, k, cell, cell, tail) for cell, tail, n, k in views]
+        live = [iter_partition_blocks(n, k, cell, last) for cell, last, n, k in views]
         for pair in zip_longest(*live):
             for side, block in enumerate(pair):
                 if block is not None:
                     rows[side] += expand(block)
                     events.append(side)
-        for side, (cell, tail, n, k) in enumerate(views):
-            assert rows[side] == oracle_rows(n, k, cell, tail), views[side]
+        for side, (cell, last, n, k) in enumerate(views):
+            assert rows[side] == oracle_rows(n, k, cell, last), views[side]
         # some clear falls after the first and before the last block of each walk
         spans = [range(events.index(side), len(events) - events[::-1].index(side)) for side in (0, 1)]
         assert any(i in spans[0] and i in spans[1] for i, e in enumerate(events) if e == "clear")
@@ -644,7 +658,7 @@ def test_interleaved_walks_survive_a_memo_cleared_inside_both(monkeypatch):
 def test_tails_memo_stays_bounded_over_fresh_views(empty_memo):
     """1,000 walks, each with a cell made for it, leave the one memo holding at
     most _MEMO_CELLS cells plus its largest entry, as _held counts them: a
-    box's rows times its slots, a frame's tails and one cell per run.  Tails
+    box's rows times its slots, a frame's tails and one cell per run.  Boxes
     and frames were emptied together on the way, keys included, so both
     hold only the cells of the walks since the last clear, and keep no
     earlier cell alive."""
@@ -652,38 +666,38 @@ def test_tails_memo_stays_bounded_over_fresh_views(empty_memo):
     for _ in range(1000):
         cell = lambda v: (v,)  # noqa: E731
         refs.append(weakref.ref(cell))
-        for _block in iter_partition_blocks(20, 5, cell, cell, ()):
+        for _block in iter_partition_blocks(20, 5, cell, cell):
             pass
     del cell
-    tails, frames = hn_branches._TAILS, hn_branches._FRAMES
+    boxes, frames = memo_entries()
     # (20, 5) takes the frame (16, 4) under its first part 4
-    assert frames and all(s >= 3 and m > hn_branches._BOX[s] for _, _, m, s in frames)
-    sizes = [len(rows) * s for (_, _, _, s), (rows, _) in tails.items()]
+    assert frames and all(s >= 3 for _, _, _, s in frames)
+    sizes = [len(rows) * s for (_, _, _, s), (rows, _) in boxes.items()]
     sizes += [sum(len(part) + 1 for _, part in runs) for runs in frames.values()]
     assert sum(sizes) == hn_branches._held <= hn_branches._MEMO_CELLS + max(sizes)
     live = [i for i, ref in enumerate(refs) if ref() is not None]
     assert 0 < live[0] and live == list(range(live[0], len(refs)))
-    assert {key[0] for key in tails} == {key[0] for key in frames} == {refs[i]() for i in live}
+    assert {key[0] for key in boxes} == {key[0] for key in frames} == {refs[i]() for i in live}
+    assert all(key[0] is key[1] for key in hn_branches._MEMO)
 
 
 def test_each_box_built_once_per_view(empty_memo, capsys):
-    """One in-process verify --suite partition builds each (cell, tail, m, s)
+    """One in-process verify --suite partition builds each (cell, last, m, s)
     entry of the memo, box or frame, at most once, and a second on the warm
     memo builds none; nor does a second branches query of the same layout,
-    whose text cells _text_cells makes once.  Three slots take boxes only;
-    the partition suite and four slots take frames too."""
-    tables = {hn_branches._box_tails.__code__: "_TAILS", hn_branches._frame_runs.__code__: "_FRAMES"}
+    whose text cells _text_cells makes once.  Three slots take a frame at
+    the top below the frame bound (n = 30), and boxes only past it (n =
+    150); the partition suite and four slots take frames too."""
 
     def builds(argv):
         built = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code in tables:
+            if event == "call" and frame.f_code is hn_branches._entry.__code__:
                 f = frame.f_locals
-                key = (f["cell"], f["tail"], f["m"], f["s"])
-                table = tables[frame.f_code]
-                if key not in getattr(hn_branches, table):
-                    built.append((table, key))
+                key = (f["cell"], f["last"], f["m"], f["s"])
+                if key not in hn_branches._MEMO:
+                    built.append(("box" if is_box(key[2], key[3]) else "frame", key))
 
         sys.setprofile(profile)
         try:
@@ -693,13 +707,14 @@ def test_each_box_built_once_per_view(empty_memo, capsys):
         capsys.readouterr()
         return built
 
-    branches = ["branches", "--surface", "hypersurface:5", "--c2", "40"]
-    for argv, built in ((["verify", "--suite", "partition"], {"_TAILS", "_FRAMES"}),
-                        (branches + ["-r", "3", "--c1", "3"], {"_TAILS"}),
-                        (branches + ["-r", "4", "--c1", "2"], {"_TAILS", "_FRAMES"})):
+    branches = ["branches", "--surface", "hypersurface:5"]
+    for argv, built in ((["verify", "--suite", "partition"], {"box", "frame"}),
+                        (branches + ["-r", "3", "--c1", "3", "--c2", "40"], {"box", "frame"}),
+                        (branches + ["-r", "3", "--c1", "3", "--c2", "160"], {"box"}),
+                        (branches + ["-r", "4", "--c1", "2", "--c2", "40"], {"box", "frame"})):
         first = builds(argv)
         assert len(set(first)) == len(first), argv
-        assert {table for table, _ in first} == built, argv
+        assert {kind for kind, _ in first} == built, argv
         assert builds(argv) == [], argv
 
 
@@ -708,26 +723,28 @@ def test_frame_runs_give_the_reference_rows(empty_memo, monkeypatch):
     k = 3..12 and every n <= 130 with at most 5,000 rows, and for (60, 10)
     and (40, 12) past that, from an empty memo on, in blocks of one flush
     of cells as test_partition_blocks_hold_one_flush_of_cells counts them.
-    The walk looks frames up for every k >= 4 in that range, and never for
-    k = 3, whose frames of two slots end in whole rows."""
+    The walk looks frames up for every k >= 4 in that range; for k = 3 only
+    at the top (n, 3) itself, when it is a frame, as its frames of two
+    slots would end in whole rows."""
     looked = []
 
-    class Frames(dict):
+    class Table(dict):
         def get(self, key, default=None):
-            looked.append(key)
+            if not is_box(key[2], key[3]):
+                looked.append(key)
             return dict.get(self, key, default)
 
-    monkeypatch.setattr(hn_branches, "_FRAMES", Frames())
+    monkeypatch.setattr(hn_branches, "_MEMO", Table())
     reached = set()
     cases = [(n, k) for k in range(3, 13) for n in range(131) if partition_count(n, k) <= 5000]
     for n, k in cases + [(60, 10), (40, 12)]:
         looked.clear()
         parts = list(partitions_at_most(n, k))
         padded = [p + (0,) * (k - len(p)) for p in parts]
-        rows = [row for block in iter_partition_blocks(n, k, hn_branches._part, hn_branches._part, ())
+        rows = [row for block in iter_partition_blocks(n, k, hn_branches._part, hn_branches._part)
                 for row in expand(block)]
         assert rows == parts, (n, k)
-        blocks = list(iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded, ()))
+        blocks = list(iter_partition_blocks(n, k, hn_branches._padded, hn_branches._padded))
         assert [row for block in blocks for row in expand(block)] == padded, (n, k)
         # a frame's runs may cross the block bound: the block is yielded there
         sizes = [sum(len(part) for _, part in block) for block in blocks]
@@ -736,10 +753,35 @@ def test_frame_runs_give_the_reference_rows(empty_memo, monkeypatch):
         text = []
         cli._dump_rows(cli.Rows(k, n), "\n    ", text.append)
         assert json.loads("".join(text)) == [list(p) for p in padded], (n, k)
+        if k == 3:
+            assert {key[2:] for key in looked} <= {(n, 3)}, n
         if looked:
             reached.add((n, k))
-    assert {k for _, k in reached} == set(range(4, 13))
+    assert {k for _, k in reached} == set(range(3, 13))
     assert (60, 10) in reached and (40, 12) in reached
+
+
+@pytest.mark.parametrize("n, k", [(12, 3), (100, 3), (30, 4), (19, 5), (13, 6)])
+def test_a_top_box_or_frame_is_served_whole_from_a_warm_memo(empty_memo, n, k):
+    """(n, k) itself a box, (12, 3), or a frame, the others: a second walk on
+    the warm memo formats no part, its one call the last(0) that gives the
+    empty row, and its rows are the first walk's, the reference rows."""
+    calls = []
+
+    def cell(v):
+        calls.append(v)
+        return (v,)
+
+    def last(v):
+        calls.append(-v)
+        return (v, None)
+
+    first = [row for block in iter_partition_blocks(n, k, cell, last) for row in expand(block)]
+    assert (cell, last, n, k) in hn_branches._MEMO
+    calls.clear()
+    second = [row for block in iter_partition_blocks(n, k, cell, last) for row in expand(block)]
+    assert calls == [0]
+    assert first == second == oracle_rows(n, k, cell, last)
 
 
 def test_monopole_rows_are_padded_partitions(quintic):

@@ -175,11 +175,14 @@ def test_row_view_writes_the_monopole_rows(r):
         assert_rows_text(view, rows)
 
 
-@pytest.mark.parametrize("n, r", [(12000, 2), (600, 3), (40, 30), (25, 120), (3, 5000)])
+@pytest.mark.parametrize("n, r", [(12000, 2), (600, 3), (40, 30), (25, 120), (3, 5000),
+                                  (127, 4), (72, 5), (53, 6), (45, 7), (40, 8), (60, 10)])
 def test_row_view_past_a_block_writes_the_monopole_rows(n, r):
     """Shapes whose rows cross many block breaks of the walk: whole rows of
     two slots in one run (r = 2, crossing breaks at n = 12,000), boxes of
-    three slots (r = 3) and wide rows of runs of one or two rows."""
+    three slots (r = 3), wide rows of runs of one or two rows, and rows
+    served by frames of boxes over many blocks (r = 4..8 at the benchmark's
+    branches shapes, and r = 10), byte for byte."""
     assert_rows_text(Rows(r, n), [list(row) for row in monopole_rows(X, r, n)])
 
 
