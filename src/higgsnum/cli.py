@@ -25,21 +25,21 @@ byte-identical output.
 The JSON document is the text json.dumps(..., indent=2) gives for the
 envelope with each exact leaf (a Fraction, vector, Chow or Y class)
 replaced by its encode; a payload key that is no str raises TypeError.
-_dump is the one walk from payload to text.  The table has one line per
-leaf of the same tree, a Chow or Y class split into dotted keys, in the
-one-line layout of json.dumps.  _render makes the whole text before the
-first write, so an answer holding a number too long for int-to-text
-conversion is refused, not cut short.  The components of `branches` are
-a Rows view (r, n): the partitions of n into at most r parts, padded
-with zeros to r columns.  _dump_rows writes their text from
-hn_branches.iter_partition_blocks with the text cells (cell, last), one
-write per block the walk yields, each run of a block (a prefix and the
-tails of its rows) joined in one str.join with the row opener, which
-_dump_rows adds, so neither the list of components nor the text of the
-document is built whole, and no row is a Python step of its own.  Rows
-takes r and n as plain ints, and every number a row prints is the str of
-an int from a range no longer than n, so no bool, Fraction or list can
-reach the text, and every cell converts.
+The table has one line per leaf of the same tree, a Chow or Y class
+split into dotted keys, in the one-line layout of json.dumps.  _dump is
+the one walk from payload to text: it returns the text of a value, one
+join per dict, list or tuple.  The components of `branches` are a Rows
+view (r, n), the partitions of n into at most r parts padded with zeros
+to r columns, which _dump sets aside and marks with a NUL, a character
+no other text of an answer holds.  _render makes the whole text before
+the first write, so an answer holding a number too long for int-to-text
+conversion is refused, not cut short, and splits it at the NULs: an
+answer is one str per stretch between views.  _print_envelope writes
+each str and streams each view's rows by _dump_rows, one write per
+block that hn_branches.iter_partition_blocks yields, so neither the list
+of components nor the text of the document is built whole.  Rows takes
+r and n as plain ints, and every number a row prints is the str of an
+int from a range no longer than n, so every cell converts.
 
 Exit codes: 0 for a computed answer, including Empty and no-solution
 answers, which are payload rather than failures; 1 when a verify suite
@@ -260,55 +260,47 @@ def _dump_rows(rows: Rows, ind: Optional[str], write: Callable[[str], Any]) -> N
     write(last + "]")
 
 
-def _dump(value: Any, ind: Optional[str], write: Callable[[Any], Any]) -> None:
-    """Write the JSON text of value piece by piece: the module's one walk.
+def _dump(value: Any, ind: Optional[str], views: list) -> str:
+    """The JSON text of value: the module's one walk.
 
     ind is the newline and indentation of the line value starts on, or
-    None for the one-line layout of json.dumps.  Dicts with str keys,
-    lists and tuples are walked here; a list or tuple of plain ints is
-    one join; a Rows view is written as the pair (view, ind), which
-    _print_envelope streams; a plain str or int is written as json.dumps
-    writes it, and any other str, int, bool or None goes through
-    json.dumps; any other leaf is encoded and walked.
+    None for the one-line layout of json.dumps.  A dict with str keys, a
+    list or a tuple is one join of its items' texts, and a list or tuple
+    of plain ints one join of their strs.  A Rows view is appended to
+    views as (view, ind) and stands in the text as one NUL, which no
+    other text here holds: every str is escaped, a NUL as \\u0000.  A
+    plain str or int is written as json.dumps writes it, any other str,
+    int, bool or None goes through json.dumps, and any other leaf is
+    encoded and walked.
     """
     t = type(value)
     if t is str:
-        write(_quote(value))
-    elif t is int:
-        write(_int_text(value))
-    elif t is list or t is tuple:
+        return _quote(value)
+    if t is int:
+        return _int_text(value)
+    if t is list or t is tuple:
         if not value:
-            write("[]")
-            return
+            return "[]"
         inner, first, comma, last = _pads(ind)
         if set(map(type, value)) == _INT_ONLY:
-            write("[" + first + comma.join(map(str, value)) + last + "]")
-            return
-        sep = "[" + first
-        for item in value:
-            write(sep)
-            sep = comma
-            _dump(item, inner, write)
-        write(last + "]")
-    elif t is dict:
+            return f"[{first}{comma.join(map(str, value))}{last}]"
+        return f"[{first}{comma.join([_dump(v, inner, views) for v in value])}{last}]"
+    if t is dict:
         if not value:
-            write("{}")
-            return
+            return "{}"
         inner, first, comma, last = _pads(ind)
-        sep = "{" + first
+        items = []
         for k, v in value.items():
             if type(k) is not str:
                 raise TypeError(f"payload keys must be str, got {k!r}")
-            write(sep + _quote(k) + ": ")
-            sep = comma
-            _dump(v, inner, write)
-        write(last + "}")
-    elif t is Rows:
-        write((value, ind))
-    elif value is None or isinstance(value, (str, int)):
-        write(json.dumps(value))
-    else:
-        _dump(encode(value), ind, write)
+            items.append(f"{_quote(k)}: {_dump(v, inner, views)}")
+        return f"{{{first}{comma.join(items)}{last}}}"
+    if t is Rows:
+        views.append((value, ind))
+        return "\0"
+    if value is None or isinstance(value, (str, int)):
+        return json.dumps(value)
+    return _dump(encode(value), ind, views)
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -320,7 +312,7 @@ def _cmd_surface(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     return {
         "name": x.name,
         "ns_rank": x.rank,
-        "gram": [list(row) for row in x.lattice.gram],
+        "gram": x.lattice.gram,
         "canonical": x.canonical,
         "polarization": x.polarization,
         "c2_top": x.c2_top,
@@ -458,37 +450,37 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]) -> None:
 
 def _render(envelope: dict, fmt: Optional[str]) -> list:
     """The text of envelope in fmt, "json", "table" or None for the one-line
-    layout, as the pieces _print_envelope writes: str, and a (view, ind)
-    pair where a Rows view is to be streamed.
+    layout, as the pieces _print_envelope writes: for v Rows views, 2v + 1
+    strs with the view's (view, ind) pair between each two.
 
-    Every number but a row's cells is made text here, before any write;
-    one past the interpreter's int-to-text limit refuses the whole answer
-    with a CLIError.  A cell is at most the view's n, which is in the
-    text as n_total, so the streamed rows always convert.
+    The whole text is made here, before any write, and split at the NULs
+    that stand for the views.  A number past the interpreter's int-to-text
+    limit refuses the whole answer with a CLIError.  A cell is at most the
+    view's n, which is in the text as n_total, so the streamed rows always
+    convert.
     """
-    pieces: list = []
-    write = pieces.append
+    views: list = []
     try:
         if fmt == "table":
             rows: list[tuple[str, Any]] = []
             _flatten("", envelope, rows)
             width = max(len(k) for k, _ in rows)
-            for k, v in rows:
-                write(f"{k.ljust(width)}  ")
-                _dump(v, None, write)
-                write("\n")
+            text = "".join([f"{k.ljust(width)}  {_dump(v, None, views)}\n" for k, v in rows])
         else:
-            _dump(envelope, "\n" if fmt == "json" else None, write)
-            write("\n")
+            text = _dump(envelope, "\n" if fmt == "json" else None, views) + "\n"
     except ValueError:
         # int-to-text conversion refuses more digits than this limit
         raise CLIError(f"result too large: a number in the answer has more than "
                        f"{sys.get_int_max_str_digits()} digits") from None
+    pieces: list = [None] * (2 * len(views) + 1)
+    pieces[::2] = text.split("\0")
+    pieces[1::2] = views
     return pieces
 
 
 def _print_envelope(pieces: list, write: Callable[[str], Any]) -> None:
-    """Write what _render made, each Rows view streamed by _dump_rows."""
+    """Write what _render made: each str as it is, and each (view, ind)
+    pair's rows by _dump_rows, streamed."""
     for piece in pieces:
         if type(piece) is str:
             write(piece)

@@ -75,6 +75,7 @@ class SpectralCover(SurfaceGeometry):
 
 def _on_base(s: SpectralCover, c: ChowClass) -> ChowClass:
     """A class of the cover as a base class: the same coordinates, deg2 over r."""
+    require_type(s, SpectralCover, "a spectral cover")
     return ChowClass._of(c.deg0, c.deg1, ratio(c.deg2.numerator, c.deg2.denominator * s.r))
 
 
@@ -149,4 +150,5 @@ def chi_two_ways(s: SpectralCover, delta: NSVector, n_points: int) -> tuple[Rat,
     First entry: chi_on_cover, in the cover's ring.  Second entry: chi on
     the base of the character transported by grr_pushforward.
     """
+    require_type(s, SpectralCover, "a spectral cover")
     return chi_on_cover(s, delta, n_points), chi(s.base, grr_pushforward(s, delta, n_points))

@@ -65,7 +65,9 @@ from higgsnum import (
     solve_delta,
     spectral_c2_tangent,
     spectral_canonical,
+    spectral_cotangent_ch,
     spectral_divisor_class,
+    spectral_todd,
     todd_surface,
     y_mul,
     y_pushforward,
@@ -180,6 +182,9 @@ PROBES = [
     ("pushforward_structure_ch", pushforward_structure_ch, (5, None, X), ValidationError),
     ("spectral_canonical", spectral_canonical, (5, None, X), ValidationError),
     ("spectral_c2_tangent", spectral_c2_tangent, (5, None, X), ValidationError),
+    ("spectral_todd", spectral_todd, (5, None, X), ValidationError),
+    ("spectral_cotangent_ch", spectral_cotangent_ch, (5, None, X), ValidationError),
+    ("chi_two_ways-cover", lambda v: chi_two_ways(v, L, 0), (5, None, X), ValidationError),
 ]
 
 

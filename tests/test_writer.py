@@ -1,8 +1,10 @@
 """The one-pass JSON writer of the CLI.
 
-cli._dump must write the text of json.dumps(encode_tree(v), indent=2)
-for every exact value the CLI prints, where encode_tree is the recursive
-encoder the CLI once had, kept here as an oracle; and the CLI's stdout
+cli._dump must return the text of json.dumps(encode_tree(v), indent=2)
+for every exact value the CLI prints, each Rows view streamed where its
+NUL stands, where encode_tree is the recursive encoder the CLI once had,
+kept here as an oracle; an answer must be one str per stretch between
+Rows views, so an answer without them is one write; and the CLI's stdout
 must stay the bytes it was before the writer replaced that two-pass path.
 """
 
@@ -65,11 +67,15 @@ def padded_partitions(n, r):
 
 
 def dump_text(value, ind):
-    """The text the CLI's writer gives for value, as one string: the pieces
-    of _dump, with each Rows view streamed by _print_envelope."""
-    pieces, out = [], []
-    _dump(value, ind, pieces.append)
-    _print_envelope(pieces, out.append)
+    """The text the CLI's writer gives for value, as one string: the text of
+    _dump, with each Rows view that a NUL stands for streamed by
+    _print_envelope."""
+    views, out = [], []
+    pieces = _dump(value, ind, views).split("\0")
+    answer = [pieces[0]]
+    for view, piece in zip(views, pieces[1:]):
+        answer += [view, piece]
+    _print_envelope(answer, out.append)
     return "".join(out)
 
 
@@ -371,6 +377,37 @@ def test_digest_cases_cover_every_regime_and_rank2_block(monkeypatch):
     assert rank2 > 0
 
 
+def test_an_answer_is_one_piece_per_stretch_between_row_views(monkeypatch):
+    """Over every GROUPS argv in both formats, _query's answer is 2v + 1
+    pieces for its v Rows views: one str for every subcommand but branches;
+    for branches, strs and (Rows, ind) pairs in turn, one view for the
+    components and one more for the rank2_fixed block."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("HIGGS_SEED", raising=False)
+    seen = set()
+    for _, command, argvs in GROUPS:
+        for argv in argvs:
+            out = StringIO()
+            with redirect_stdout(out):
+                assert main(argv) == 0
+            payload = json.loads(out.getvalue())["payload"]
+            inds = {"json": [], "table": []}
+            if command == "branches" and payload["components"] is not None:
+                inds = {"json": ["\n    "], "table": [None]}
+                if "rank2_fixed" in payload:
+                    inds = {"json": ["\n    ", "\n      "], "table": [None, None]}
+            for fmt in ("json", "table"):
+                code, answer = cli._query(argv + ["--format", fmt])
+                assert code == 0 and type(answer) is list, argv
+                assert all(type(piece) is str for piece in answer[::2]), argv
+                views = [(payload["r"], payload["n_total"], ind) for ind in inds[fmt]]
+                assert [(v.r, v.n, ind) for v, ind in answer[1::2]] == views, argv
+                assert all(type(v) is Rows for v, _ in answer[1::2]), argv
+                assert len(answer) == 2 * len(views) + 1, argv
+                seen.add((command == "branches", len(answer)))
+    assert seen == {(False, 1), (True, 1), (True, 3), (True, 5)}
+
+
 class RecordingStdout(io.TextIOBase):
     """A stdout that keeps every write apart."""
 
@@ -384,6 +421,14 @@ class RecordingStdout(io.TextIOBase):
     def write(self, text):
         self.writes.append(text)
         return len(text)
+
+
+def test_a_criterion_answer_is_one_write():
+    out = RecordingStdout()
+    with redirect_stdout(out):
+        assert main(["criterion", "--surface", "p2", "-r", "2", "--c1=1", "--c2=5"]) == 0
+    assert len(out.writes) == 1
+    assert json.loads(out.writes[0])["command"] == "criterion"
 
 
 def test_branches_streams_its_rows():
