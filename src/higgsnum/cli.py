@@ -6,11 +6,18 @@ one line each.  Every query prints a single JSON document (or a flat
 table with --format table).  main and batch share _query, the one path
 from argv to an exit code and an envelope or a one-line refusal.
 
-The parser is built once per process.  An argv whose first word is a
-subcommand name is parsed by that subcommand's parser alone, in one
-argparse pass; the top parser's pass would only hand it all the rest, so
-the namespace and every refusal are the same.  Any other argv (empty,
--h, an unknown command, a leading --) goes through the top parser.
+The parser is built once per process, with a table per subcommand made
+from the actions of its own flags.  An argv that is a subcommand name and
+plain words, each flag with its value whole (separate, not starting with
+"-", or after "=", not "--"), is read from that table with no argparse
+pass: each value through its flag's type and choices, the last of a
+repeated flag winning, every required flag there, into the namespace
+argparse would give, keys in its order.  Any other argv of a subcommand
+is parsed by that subcommand's parser alone, in one argparse pass, so
+help, abbreviations and every refusal are argparse's own; any other argv
+(empty, -h, an unknown command, a leading --) goes through the top
+parser.  A flag that argparse hands a list, as --c1=-- once it has
+stripped the "--", is refused as --c1 -- is.
 
 A surface is validated once per process and content: presets are
 memoized by name, and a surface file, read on every query, is parsed and
@@ -502,87 +509,151 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; it depends only on constants.
 
     Its commands attribute is argparse's own map from subcommand name to
-    subparser, through which _parse skips the top pass.
+    subparser, through which _parse skips the top pass.  Its tables
+    attribute maps each name to the table _read reads a plain argv by, made
+    from the Action objects the subparser's own add_argument calls return:
+    each option string's action, the required dests, and the namespace
+    argparse starts from, each action's default in add_argument order and
+    then the set_defaults values.
     """
     parser = _Parser(
         prog="higgsnum",
         description="Exact spectral-surface and Higgs sheaf calculator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
+    parser.commands, parser.tables = sub.choices, {}
+    made: list[tuple[str, list, dict]] = []
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
+    def command(name: str, help: str, **defaults: Any) -> Callable[..., None]:
+        """Add the subcommand name with its defaults; the function returned
+        adds a flag to it as add_argument does and keeps the action."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(**defaults)
+        actions: list[argparse.Action] = []
+        made.append((name, actions, defaults))
+        return lambda *names, **kwargs: actions.append(p.add_argument(*names, **kwargs))
+
+    def common(add: Callable[..., None]) -> None:
+        add(
             "--surface",
             required=True,
             help="preset name (p2, p1xp1, hypersurface:<d>, blowup:<k>) or path to a "
                  "surface JSON file",
         )
-        p.add_argument("--format", choices=("json", "table"), default="json")
+        add("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("surface", help="validate and report a surface")
-    p.set_defaults(run=_cmd_surface)
-    common(p)
+    add = command("surface", "validate and report a surface", run=_cmd_surface)
+    common(add)
 
-    p = sub.add_parser("ybundle", help="intersection data of the compactified total space")
-    p.set_defaults(run=_cmd_ybundle)
-    common(p)
-    p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
+    add = command("ybundle", "intersection data of the compactified total space",
+                  run=_cmd_ybundle)
+    common(add)
+    add("-r", "--rank", type=int, required=True, help="cover degree")
 
-    p = sub.add_parser("spectral", help="characteristic classes of a spectral cover")
-    p.set_defaults(run=_cmd_spectral)
-    common(p)
-    p.add_argument("-r", "--rank", type=int, required=True, help="cover degree")
+    add = command("spectral", "characteristic classes of a spectral cover", run=_cmd_spectral)
+    common(add)
+    add("-r", "--rank", type=int, required=True, help="cover degree")
 
-    p = sub.add_parser("criterion", help="classify (r, c1, c2) by fiber regime")
-    p.set_defaults(run=_cmd_criterion)
-    common(p)
-    p.add_argument("-r", "--rank", type=int, required=True)
-    p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--c2", type=int, required=True)
+    add = command("criterion", "classify (r, c1, c2) by fiber regime", run=_cmd_criterion)
+    common(add)
+    add("-r", "--rank", type=int, required=True)
+    add("--c1", required=True, help="comma-separated lattice coordinates")
+    add("--c2", type=int, required=True)
 
-    p = sub.add_parser("branches", help="enumerate fixed-locus component candidates")
-    p.set_defaults(run=_cmd_branches)
-    common(p)
-    p.add_argument("-r", "--rank", type=int, required=True)
-    p.add_argument("--c1", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--c2", type=int, required=True)
+    add = command("branches", "enumerate fixed-locus component candidates", run=_cmd_branches)
+    common(add)
+    add("-r", "--rank", type=int, required=True)
+    add("--c1", required=True, help="comma-separated lattice coordinates")
+    add("--c2", type=int, required=True)
 
-    p = sub.add_parser("grr", help="push a twisted line bundle character to the base")
-    p.set_defaults(run=_cmd_grr)
-    common(p)
-    p.add_argument("-r", "--rank", type=int, required=True)
-    p.add_argument("--delta", required=True, help="comma-separated lattice coordinates")
-    p.add_argument("--points", type=int, default=0, help="ideal point count (default 0)")
+    add = command("grr", "push a twisted line bundle character to the base", run=_cmd_grr)
+    common(add)
+    add("-r", "--rank", type=int, required=True)
+    add("--delta", required=True, help="comma-separated lattice coordinates")
+    add("--points", type=int, default=0, help="ideal point count (default 0)")
 
-    p = sub.add_parser("batch", help="answer one JSON argv list per stdin line, one line each")
-    p.set_defaults(run=None, surface=None)
+    command("batch", "answer one JSON argv list per stdin line, one line each",
+            run=None, surface=None)
 
-    p = sub.add_parser("verify", help="run the oracle suites")
-    p.set_defaults(run=_cmd_verify, surface=None)
-    p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    add = command("verify", "run the oracle suites", run=_cmd_verify, surface=None)
+    add("--suite", choices=("all",) + SUITE_NAMES, default="all")
+    add("--format", choices=("json", "table"), default="json")
 
+    for name, actions, defaults in made:
+        template = {a.dest: a.default for a in actions}
+        for dest, value in defaults.items():
+            template.setdefault(dest, value)
+        flags = {s: a for a in actions if a.nargs is None for s in a.option_strings}
+        parser.tables[name] = flags, {a.dest for a in actions if a.required}, template
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), in one argparse pass when argv[0] is
-    a subcommand name.
+def _read(argv: list[str], table: tuple) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives argv, a subcommand name and then plain
+    words only, from the subcommand's table; None for any other argv.
 
-    The top pass would match that name and hand all of argv[1:] to its
-    subparser, which parses them into a namespace that already holds
+    A plain word is one of the table's option strings followed by a value
+    that does not start with "-", or option=value with any value but "--",
+    which argparse strips.  Each value goes through its action's type and
+    choices, the last of a repeated flag wins, and every required flag must
+    be there.  A value whose type raises an error that argparse catches, a
+    value past the choices or a missing flag is None too, so that argparse
+    refuses it in its own words.  The namespace is the template updated,
+    so its keys keep argparse's order.
+    """
+    flags, required, template = table
+    values, seen, i = dict(template), set(), 1
+    while i < len(argv):
+        action = flags.get(argv[i])
+        if action is not None and i + 1 < len(argv) and argv[i + 1][:1] != "-":
+            text, i = argv[i + 1], i + 2
+        else:
+            name, eq, text = argv[i].partition("=")
+            action = flags.get(name) if eq and text != "--" else None
+            if action is None:
+                return None
+            i += 1
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    return argparse.Namespace(command=argv[0], **values) if required <= seen else None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with no argparse pass when argv is a
+    subcommand name and plain words, which _read reads.
+
+    Any other argv of a subcommand takes one argparse pass, its subparser's
+    alone: the top pass would match the name and hand all of argv[1:] to
+    that subparser, which parses them into a namespace that already holds
     command, so the keys keep the top pass's order; what it leaves is
-    refused by the top parser in the top pass's words.  Any other argv
-    (empty, -h, an unknown command, a leading --) takes the top pass.
+    refused by the top parser in the top pass's words.  So help,
+    abbreviations, a joined -r3, a separate value that starts with "-",
+    words left over and every refusal stay argparse's own.  Any other argv
+    (empty, -h, an unknown command, a leading --) takes the top pass.  A
+    flag that argparse hands a list, as it does for --c1=-- once it has
+    stripped the "--", is refused as argparse refuses --c1 -- .
     """
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    name = argv[0] if argv else None
+    table = parser.tables.get(name)
+    if table is None:
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = _read(argv, table)
+    if args is not None:
+        return args
+    command = parser.commands[name]
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=name))
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    for action in table[0].values():
+        if type(getattr(args, action.dest)) is list:
+            command.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
     return args
 
 
@@ -597,8 +668,8 @@ def _refusal_line(text: str) -> str:
 def _query(argv: list[str], one_line: bool = False) -> tuple[int, Union[list, str, None]]:
     """The one query path: argv to (exit code, answer).
 
-    argv is parsed by _parse, with one argparse pass when argv[0] names a
-    subcommand and through the top parser otherwise.
+    argv is parsed by _parse: read from its subcommand's table when it is
+    plain, else in one argparse pass, its subparser's or the top parser's.
 
     The answer is the envelope as _render's pieces, in the one-line layout
     if one_line, else in the query's --format (exit 0, or 1 when verify

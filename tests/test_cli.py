@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import higgsnum
 from higgsnum import (
@@ -935,15 +938,16 @@ DISPATCH = {
 }
 
 
-def parse_outcome(parse, argv, capsys):
+def parse_outcome(parse, argv):
     """What parse(argv) gives: the namespace's items in order, a refusal, or
     argparse's exit with the help it wrote."""
-    try:
-        args = parse(argv)
-    except CLIError as exc:
-        return "refused", str(exc)
-    except SystemExit as exc:
-        return "exit", exc.code, capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            args = parse(argv)
+        except CLIError as exc:
+            return "refused", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue()
     return "args", list(vars(args).items())
 
 
@@ -965,7 +969,7 @@ def test_dispatch_reads_argv_as_the_top_parser(capsys, monkeypatch, argv):
     def reference(argv):
         return build_parser().parse_args(argv)
 
-    assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(reference, argv, capsys)
+    assert parse_outcome(cli._parse, argv) == parse_outcome(reference, argv)
     for one_line in (False, True):
         ours = query_outcome(argv, one_line, capsys)
         with monkeypatch.context() as patch:
@@ -974,21 +978,107 @@ def test_dispatch_reads_argv_as_the_top_parser(capsys, monkeypatch, argv):
 
 
 def test_a_query_takes_no_top_level_pass(capsys, monkeypatch):
-    """A well-formed query of each subcommand, through main or a batch line, is
-    parsed by its subparser alone; an argv that starts with -h takes the top
-    parser's pass."""
+    """A query of plain words (each flag with its value, separate or after
+    "="), through main or a batch line, makes no argparse pass at all; an
+    abbreviation, a joined -r3, a separate negative value or help makes one,
+    its subparser's, and an argv that starts with -h the top parser's."""
     parser, calls = build_parser(), []
-    top_pass = parser.parse_known_args
-    monkeypatch.setattr(parser, "parse_known_args", lambda *a: calls.append(a) or top_pass(*a))
-    queries = [*QUERIES.values(), DISPATCH["verify"]]
-    assert {argv[0] for argv in queries} == set(parser.commands) - {"batch"}
-    for argv in queries:
+    for p in [parser, *parser.commands.values()]:
+        monkeypatch.setattr(p, "parse_known_args",
+                            lambda *a, parse=p.parse_known_args: calls.append(a) or parse(*a))
+    plain = [*QUERIES.values(), DISPATCH["verify"], ["verify"],
+             *(argv for name, argv in DISPATCH.items() if name.endswith("-equals"))]
+    assert {argv[0] for argv in plain} == set(parser.commands) - {"batch"}
+    for argv in plain:
         assert run(capsys, *argv)[0] == 0
-    code, answers = run_batch([json.dumps(argv) for argv in queries])
+    code, answers = run_batch([json.dumps(argv) for argv in plain])
     assert code == 0 and all("payload" in answer for answer in answers)
     assert calls == []
-    assert run(capsys, "-h", "surface")[0] == 0
-    assert len(calls) == 1
+    for argv in (DISPATCH["abbreviation"], DISPATCH["branches-joined"],
+                 QUERIES["criterion"][:-1] + ["-3"], ["surface", "-h"], ["-h", "surface"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+
+
+# --flag=--, whose value argparse strips to no words at all, for each command
+# and form that answered or crashed with it: (argv, the flag's name)
+DASHED = {
+    "criterion-c1": (["criterion", "--surface", "p2", "-r", "2", "--c1=--", "--c2", "0"], "--c1"),
+    "spectral-rank": (["spectral", "--surface", "p2", "-r=--"], "-r/--rank"),
+    "surface-surface": (["surface", "--surface=--"], "--surface"),
+    "surface-format": (["surface", "--surface", "p2", "--format=--"], "--format"),
+    "verify-suite": (["verify", "--suite=--"], "--suite"),
+    "grr-delta": (["grr", "--surface", "p2", "-r", "2", "--delta=--"], "--delta"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", DASHED.values(), ids=DASHED.keys())
+def test_a_flag_value_of_two_dashes_is_refused_as_a_missing_value(capsys, argv, flag):
+    """--flag=-- is refused with the line argparse gives --flag --: exit 2,
+    in main and as a batch line's error, and the batch carries on."""
+    line = f"higgsnum {argv[0]}: error: argument {flag}: expected one argument"
+    assert run(capsys, *argv) == (2, "", line + "\n")
+    separate = [word for w in argv for word in ([w[:-3], "--"] if w.endswith("=--") else [w])]
+    assert run(capsys, *separate) == (2, "", line + "\n")
+    code, answers = run_batch([json.dumps(argv), json.dumps(QUERIES["surface"])])
+    assert code == 2 and answers[0] == {"error": line, "exit": 2}
+    assert answers[1]["payload"]["name"] == "p2"
+
+
+RANKED = ["--surface", "--format", "-r", "--rank"]
+OPTIONS = {
+    "surface": RANKED[:2], "ybundle": RANKED, "spectral": RANKED,
+    "criterion": RANKED + ["--c1", "--c2"], "branches": RANKED + ["--c1", "--c2"],
+    "grr": RANKED + ["--delta", "--points"], "verify": ["--suite", "--format"], "batch": [],
+}
+WELL_FORMED = {**QUERIES, "verify": DISPATCH["verify"], "batch": ["batch"]}
+VALUES = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.sampled_from(["-", "--", "", " 3 ", "3_0", "9" * 5000, "1,-1", "p2", "x",
+                     "json", "table", "all", "olympic", "nosuch"]),
+)
+
+
+@st.composite
+def parser_argvs(draw):
+    """A subcommand and words: its option strings whole, cut to a prefix,
+    joined as -rN or with =, values of every kind, help and stray words;
+    half the time the well-formed query's flags, in any order, with some
+    values redrawn and some flags written with =."""
+    name = draw(st.sampled_from(sorted(OPTIONS)))
+    option = st.sampled_from(OPTIONS[name] + ["--colour"])
+    word = st.one_of(
+        st.tuples(option, VALUES).map(list),
+        st.tuples(option, VALUES).map(lambda t: ["=".join(t)]),
+        st.tuples(option, st.integers(1, 7)).map(lambda t: [t[0][:t[1]]]),
+        VALUES.map(lambda v: ["-r" + v]),
+        VALUES.map(lambda v: [v]),
+        st.sampled_from([["-h"], ["--help"], ["x"]]),
+    )
+    if draw(st.booleans()):
+        base = WELL_FORMED[name]
+        pairs = draw(st.permutations(list(zip(base[1::2], base[2::2]))))
+        words = [[flag, draw(st.one_of(st.just(value), VALUES))] for flag, value in pairs]
+        words = [["=".join(w)] if draw(st.booleans()) else w for w in words]
+        words += draw(st.lists(word, max_size=1))
+    else:
+        words = draw(st.lists(word, max_size=6))
+    return [name, *(w for ws in words for w in ws)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(parser_argvs())
+def test_plain_read_gives_what_argparse_gives(argv):
+    """_parse gives build_parser().parse_args's namespace items in order, its
+    refusal or its help, except that a flag argparse hands a list (--flag=--)
+    is refused as a flag with no value."""
+    ours = parse_outcome(cli._parse, argv)
+    theirs = parse_outcome(build_parser().parse_args, argv)
+    if theirs[0] == "args" and any(type(v) is list for _, v in theirs[1]):
+        assert ours[0] == "refused" and ours[1].endswith(": expected one argument"), ours
+    else:
+        assert ours == theirs
 
 
 # flag values under the int-to-text limit whose answers are past it

@@ -8,7 +8,7 @@ dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
 only the kernel modules call the unchecked constructor _of,
 every functools cache is bounded,
-the package namespace is the
+cli reads argparse by its public names alone, the package namespace is the
 modules' __all__ lists, every public class other than an exception or
 an enum is a Frozen value, pyproject.toml takes the version from
 higgsnum.__version__, and every function the benchmark's tracer wraps
@@ -296,6 +296,48 @@ def test_cache_lint_catches_unbounded_caches(tmp_path):
     )
     assert sorted(int(use.split(":")[1]) for use in unbounded_caches(path)) == [
         4, 6, 8, 10, 12, 13, 14]
+
+
+# argparse's private tables, which cli's plain read must not lean on
+ARGPARSE_PRIVATE = {"_actions", "_defaults", "_option_string_actions", "_registries"}
+
+
+def private_argparse_reads(path):
+    """Reads of an argparse._* name, by attribute or import, and of an
+    attribute named in ARGPARSE_PRIVATE, as "<file>:<line>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            bad = node.attr in ARGPARSE_PRIVATE or (
+                ast.unparse(node.value) == "argparse" and node.attr.startswith("_"))
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.module == "argparse" and any(a.name.startswith("_") for a in node.names)
+        else:
+            bad = False
+        if bad:
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_cli_reads_only_public_argparse_names():
+    """The plain read of an argv stays on the documented Action attributes
+    (option_strings, dest, nargs, type, choices, required, default)."""
+    assert private_argparse_reads(PACKAGE / "cli.py") == []
+
+
+def test_argparse_lint_catches_private_reads(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import argparse\n"
+        "from argparse import _StoreAction, Action\n"
+        "a = argparse._StoreAction\n"
+        "b = p._actions\n"
+        "c = p._option_string_actions['-r']\n"
+        "d = p._defaults, p._registries\n"
+        "ok = argparse.Action, argparse.SUPPRESS, p.get_default('x'), a.option_strings\n"
+    )
+    assert [int(use.split(":")[1]) for use in private_argparse_reads(path)] == [2, 3, 4, 5, 6, 6]
 
 
 # the math modules whose __all__ the package re-exports
