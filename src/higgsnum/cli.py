@@ -7,17 +7,15 @@ table with --format table).  main and batch share _query, the one path
 from argv to an exit code and an envelope or a one-line refusal.
 
 The parser is built once per process, with a table per subcommand made
-from the actions of its own flags.  An argv that is a subcommand name and
-plain words, each flag with its value whole (separate, not starting with
-"-", or after "=", not "--"), is read from that table with no argparse
-pass: each value through its flag's type and choices, the last of a
-repeated flag winning, every required flag there, into the namespace
-argparse would give, keys in its order.  Any other argv of a subcommand
-is parsed by that subcommand's parser alone, in one argparse pass, so
-help, abbreviations and every refusal are argparse's own; any other argv
-(empty, -h, an unknown command, a leading --) goes through the top
-parser.  A flag that argparse hands a list, as --c1=-- once it has
-stripped the "--", is refused as --c1 -- is.
+from the actions of its own flags.  An argv takes one of two routes.  A
+subcommand name and plain words, each flag with its value whole
+(separate, not starting with "-", or after "=", not "--"), is read from
+that table with no argparse pass: each value through its flag's type and
+choices, the last of a repeated flag winning, every required flag there,
+into the namespace argparse would give, keys in its order.  Any other
+argv takes argparse's one top pass, so help, abbreviations and every
+refusal are argparse's own.  A flag that argparse hands a list, as
+--c1=-- once it has stripped the "--", is refused as --c1 -- is.
 
 A surface is validated once per process and content: presets are
 memoized by name, and a surface file, read on every query, is parsed and
@@ -59,7 +57,11 @@ _Parser.error) as it is and any other's after "validation error: ", is
 made one line of at most 240 characters by _refusal_line and printed on
 stderr (in batch, as the line's error).  The CLI owns only the surface
 file's schema and a flag's integer syntax; every rule about the values
-is the library's.
+is the library's.  That syntax is Python's int(): each integer of -r,
+--c2, --points and the comma-separated --c1 and --delta may carry
+surrounding spaces, "_" between digits and non-ASCII decimal digits, so
+-r ' 3 ' is r = 3 and -r=3_0 is r = 30.  The input echo shows -r, --c2
+and --points as the int read, and --c1 and --delta as their text.
 """
 
 from __future__ import annotations
@@ -508,20 +510,18 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; it depends only on constants.
 
-    Its commands attribute is argparse's own map from subcommand name to
-    subparser, through which _parse skips the top pass.  Its tables
-    attribute maps each name to the table _read reads a plain argv by, made
-    from the Action objects the subparser's own add_argument calls return:
-    each option string's action, the required dests, and the namespace
-    argparse starts from, each action's default in add_argument order and
-    then the set_defaults values.
+    Its tables attribute maps each subcommand name to the table _read reads
+    a plain argv by, made from the Action objects the subparser's own
+    add_argument calls return: each option string's action, the required
+    dests, and the namespace argparse starts from, each action's default in
+    add_argument order and then the set_defaults values.
     """
     parser = _Parser(
         prog="higgsnum",
         description="Exact spectral-surface and Higgs sheaf calculator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands, parser.tables = sub.choices, {}
+    parser.tables = {}
     made: list[tuple[str, list, dict]] = []
 
     def command(name: str, help: str, **defaults: Any) -> Callable[..., None]:
@@ -625,35 +625,25 @@ def _read(argv: list[str], table: tuple) -> Optional[argparse.Namespace]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with no argparse pass when argv is a
-    subcommand name and plain words, which _read reads.
+    """build_parser().parse_args(argv), read by _read with no argparse pass
+    when argv is a subcommand name and plain words.
 
-    Any other argv of a subcommand takes one argparse pass, its subparser's
-    alone: the top pass would match the name and hand all of argv[1:] to
-    that subparser, which parses them into a namespace that already holds
-    command, so the keys keep the top pass's order; what it leaves is
-    refused by the top parser in the top pass's words.  So help,
-    abbreviations, a joined -r3, a separate value that starts with "-",
-    words left over and every refusal stay argparse's own.  Any other argv
-    (empty, -h, an unknown command, a leading --) takes the top pass.  A
-    flag that argparse hands a list, as it does for --c1=-- once it has
-    stripped the "--", is refused as argparse refuses --c1 -- .
+    Any other argv takes argparse's one top pass, so help, abbreviations, a
+    joined -r3, a separate value that starts with "-" and every refusal are
+    argparse's own.  A flag that argparse hands a list, as it does for
+    --c1=-- once it has stripped the "--", is refused as argparse refuses
+    --c1 -- .
     """
     parser = build_parser()
-    name = argv[0] if argv else None
-    table = parser.tables.get(name)
-    if table is None:
-        return parser.parse_args(argv)
-    args = _read(argv, table)
+    table = parser.tables.get(argv[0]) if argv else None
+    args = None if table is None else _read(argv, table)
     if args is not None:
         return args
-    command = parser.commands[name]
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=name))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    for action in table[0].values():
+    args = parser.parse_args(argv)
+    for action in parser.tables[args.command][0].values():
         if type(getattr(args, action.dest)) is list:
-            command.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+            raise CLIError(f"{parser.prog} {args.command}: error: argument "
+                           f"{'/'.join(action.option_strings)}: expected one argument")
     return args
 
 
@@ -666,10 +656,7 @@ def _refusal_line(text: str) -> str:
 
 
 def _query(argv: list[str], one_line: bool = False) -> tuple[int, Union[list, str, None]]:
-    """The one query path: argv to (exit code, answer).
-
-    argv is parsed by _parse: read from its subcommand's table when it is
-    plain, else in one argparse pass, its subparser's or the top parser's.
+    """The one query path: argv, parsed by _parse, to (exit code, answer).
 
     The answer is the envelope as _render's pieces, in the one-line layout
     if one_line, else in the query's --format (exit 0, or 1 when verify

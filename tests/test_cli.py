@@ -889,10 +889,42 @@ def test_bad_flag_refusal_is_argparse_last_line(capsys):
         2, "", "higgsnum criterion: error: argument -r/--rank: invalid int value: 'x'\n")
 
 
+# a flag's integers are read by int(): (argv, the input key and its echo,
+# the payload key and its value)
+INT_SYNTAX = {
+    "rank-spaces": (["spectral", "--surface", "p2", "-r", " 3 "], "rank", 3, "r", 3),
+    "rank-underscore": (["spectral", "--surface", "p2", "-r=3_0"], "rank", 30, "r", 30),
+    "c1-underscore": (QUERIES["criterion"][:5] + ["--c1=1_0", "--c2", "0"],
+                      "c1", "1_0", "c1", [10]),
+}
+
+
+@pytest.mark.parametrize("argv, key, echo, field, value", INT_SYNTAX.values(),
+                         ids=INT_SYNTAX.keys())
+def test_a_flag_integer_takes_the_syntax_of_int(capsys, argv, key, echo, field, value):
+    """Spaces around an integer and "_" between its digits are int()'s syntax,
+    so they answer; -r, --c2 and --points echo the int, --c1 and --delta
+    their text."""
+    doc = run_json(capsys, *argv)
+    assert (doc["input"][key], doc["payload"][field]) == (echo, value)
+
+
 def test_every_parser_refuses_through_cli_error():
+    """Each subcommand refuses a missing required flag and a bad value of a
+    typed or choice flag with a CLIError in its own name, so every
+    subparser is a _Parser too."""
     parser = build_parser()
-    assert len(parser.commands) == 8
-    assert {type(p) for p in [parser, *parser.commands.values()]} == {cli._Parser}
+    assert len(parser.tables) == 8 and type(parser) is cli._Parser
+    refusing = set()
+    for name, (flags, required, _) in parser.tables.items():
+        bad = [[name]] if required else []
+        bad += [[name, option, "x"] for option, action in flags.items()
+                if action.type is not None or action.choices is not None]
+        for argv in bad:
+            with pytest.raises(CLIError, match=f"^higgsnum {name}: error: "):
+                parser.parse_args(argv)
+            refusing.add(name)
+    assert refusing == set(parser.tables) - {"batch"}
     with pytest.raises(CLIError, match="^higgsnum spectral: error: argument -r/--rank: "):
         parser.parse_args(["spectral", "--surface", "p2", "-r", "x"])
 
@@ -980,15 +1012,14 @@ def test_dispatch_reads_argv_as_the_top_parser(capsys, monkeypatch, argv):
 def test_a_query_takes_no_top_level_pass(capsys, monkeypatch):
     """A query of plain words (each flag with its value, separate or after
     "="), through main or a batch line, makes no argparse pass at all; an
-    abbreviation, a joined -r3, a separate negative value or help makes one,
-    its subparser's, and an argv that starts with -h the top parser's."""
+    abbreviation, a joined -r3, a separate negative value or help makes
+    exactly one, the top parser's."""
     parser, calls = build_parser(), []
-    for p in [parser, *parser.commands.values()]:
-        monkeypatch.setattr(p, "parse_known_args",
-                            lambda *a, parse=p.parse_known_args: calls.append(a) or parse(*a))
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *a, parse=parser.parse_known_args: calls.append(a) or parse(*a))
     plain = [*QUERIES.values(), DISPATCH["verify"], ["verify"],
              *(argv for name, argv in DISPATCH.items() if name.endswith("-equals"))]
-    assert {argv[0] for argv in plain} == set(parser.commands) - {"batch"}
+    assert {argv[0] for argv in plain} == set(parser.tables) - {"batch"}
     for argv in plain:
         assert run(capsys, *argv)[0] == 0
     code, answers = run_batch([json.dumps(argv) for argv in plain])

@@ -8,7 +8,8 @@ dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
 only the kernel modules call the unchecked constructor _of,
 every functools cache is bounded,
-cli reads argparse by its public names alone, the package namespace is the
+cli reads argparse by its public names alone and parses through argparse
+at one site, parse_args, the package namespace is the
 modules' __all__ lists, every public class other than an exception or
 an enum is a Frozen value, pyproject.toml takes the version from
 higgsnum.__version__, and every function the benchmark's tracer wraps
@@ -338,6 +339,39 @@ def test_argparse_lint_catches_private_reads(tmp_path):
         "ok = argparse.Action, argparse.SUPPRESS, p.get_default('x'), a.option_strings\n"
     )
     assert [int(use.split(":")[1]) for use in private_argparse_reads(path)] == [2, 3, 4, 5, 6, 6]
+
+
+# argparse's parse methods: cli's one pass is a parse_args behind its plain read
+PARSE_METHODS = {"parse_args", "parse_known_args", "parse_intermixed_args",
+                 "parse_known_intermixed_args"}
+
+
+def argparse_passes(path):
+    """Each read of an attribute named in PARSE_METHODS, called or not, as
+    "<method>:<line>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{node.attr}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in PARSE_METHODS]
+
+
+def test_cli_parses_through_argparse_at_one_site():
+    """An argv the plain read declines takes the top parser's parse_args, and
+    no other pass: never a partial parse_known_args or intermixed parse."""
+    assert [use.split(":")[0] for use in argparse_passes(PACKAGE / "cli.py")] == ["parse_args"]
+
+
+def test_parse_lint_catches_every_pass(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "a = p.parse_args(argv)\n"
+        "b = p.parse_args\n"
+        "c = p.parse_known_args(argv[1:], ns)\n"
+        "d = p.parse_intermixed_args(argv), p.parse_known_intermixed_args(argv)\n"
+        "ok = p.format_usage(), p.error, p.tables\n"
+    )
+    assert sorted(argparse_passes(path)) == [
+        "parse_args:1", "parse_args:2", "parse_intermixed_args:4", "parse_known_args:3",
+        "parse_known_intermixed_args:4"]
 
 
 # the math modules whose __all__ the package re-exports
