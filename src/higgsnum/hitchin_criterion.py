@@ -58,16 +58,10 @@ class RegimeReport(Frozen):
     __slots__ = ("regime", "c2gbun", "witness")
 
 
-def check_input(x: SurfaceGeometry, *numerics: HiggsNumerics) -> None:
-    """Refuse an x that is not a surface, then any numerics that are not (r, c1, c2)."""
-    require_type(x, SurfaceGeometry, "a surface")
-    for h in numerics:
-        require_type(h, HiggsNumerics, "rank, c1 and c2 data")
-
-
 def solve_delta(x: SurfaceGeometry, h: HiggsNumerics) -> Optional[NSVector]:
     """Lattice solution of r delta = c1 + r(r-1)/2 L, or None."""
-    check_input(x, h)
+    require_type(x, SurfaceGeometry, "a surface")
+    require_type(h, HiggsNumerics, "rank, c1 and c2 data")
     x.lattice.check_vector(h.c1)
     shift = (h.r * (h.r - 1) // 2) * x.polarization
     return divide(x.lattice, h.c1 + shift, h.r)
@@ -80,7 +74,8 @@ def c2_gbun(x: SurfaceGeometry, h: HiggsNumerics) -> tuple[Rat, bool]:
     is solvable this is C(r,2) delta^2 - r(r-1)^2/2 delta.L
     + r(r-1)(r-2)(3r-1)/24 L^2, whose three coefficients are integers.
     """
-    check_input(x, h)
+    require_type(x, SurfaceGeometry, "a surface")
+    require_type(h, HiggsNumerics, "rank, c1 and c2 data")
     r = h.r
     value = ratio(
         12 * (r - 1) * x.pair(h.c1, h.c1) - r * r * (r * r - 1) * x.l_squared, 24 * r
@@ -95,7 +90,8 @@ def n_points(x: SurfaceGeometry, h: HiggsNumerics) -> Rat:
     c2 - c2_gbun identically.  Nonnegative integrality is exactly the
     condition checked by classify.
     """
-    check_input(x, h)
+    require_type(x, SurfaceGeometry, "a surface")
+    require_type(h, HiggsNumerics, "rank, c1 and c2 data")
     r = h.r
     numerator = (
         r * r * (r * r - 1) * x.l_squared

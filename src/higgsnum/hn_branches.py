@@ -46,7 +46,7 @@ from .ns_lattice import (
     require_int, require_type,
 )
 from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
-from .hitchin_criterion import RegimeReport, check_input, classify
+from .hitchin_criterion import RegimeReport, classify
 
 __all__ = [
     "HNFactor",
@@ -123,7 +123,7 @@ def discriminant_identity(x: SurfaceGeometry, t: HNType) -> tuple[Rat, Rat]:
     over the one denominator D = r prod r_i and divided once.  Exact
     equality of the two is the content of the identity.
     """
-    check_input(x)
+    require_type(x, SurfaceGeometry, "a surface")
     total = _total_numerics(x, t)
     r = total.r
     lhs = ratio(discriminant(total, x), r)
@@ -150,7 +150,7 @@ def slope_gaps(x: SurfaceGeometry, t: HNType) -> tuple[tuple[Rat, ...], bool]:
     destabilizing filtration induced by a Higgs field lie in the window
     (0, L^2]; returns the gaps plus whether all of them do.
     """
-    check_input(x)
+    require_type(x, SurfaceGeometry, "a surface")
     slopes = [
         Fraction(x.pair(f.c1, x.polarization), f.r) for f in t.factors
     ]
@@ -413,7 +413,7 @@ def component_betas(x: SurfaceGeometry, r: int, delta: NSVector) -> tuple[NSVect
 
     They are shared by every monopole component of one (r, c1, c2).
     """
-    check_input(x)
+    require_type(x, SurfaceGeometry, "a surface")
     require_int(r, "rank", 1)
     x.lattice.check_vector(qvec(delta))
     return tuple(delta - i * x.polarization for i in range(r))
@@ -455,7 +455,7 @@ def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
     alongside the branch of sheaves with vanishing Higgs field, which is
     only marked here.  partition_count counts the pairs, never enumerating them.
     """
-    check_input(x)
+    require_type(x, SurfaceGeometry, "a surface")
     report = classify(x, HiggsNumerics(2, x.polarization, c2))
     if report.witness is None:
         return Rank2Report(c2, report.regime, False, 0)

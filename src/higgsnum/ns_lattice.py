@@ -13,7 +13,7 @@ vector is integral.  NSVector(coords) builds an integral vector and
 QNSVector(coords) one from rational coordinates.  Vector sums and the
 pairing run over the integer numerators and divide once at the end.
 The signature test is fraction-free symmetric Bareiss elimination on
-the packed upper triangle, with one exactness check per step.
+the gram's rows, with one exactness check per step.
 
 Every value is a Frozen.  Public constructors check every field and
 bring it to normal form, so outside input is checked where it enters;
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, starmap
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, mul
 from reprlib import Repr
@@ -329,24 +329,22 @@ def qvec(v: NSVector) -> NSVector:
 _INT = frozenset((int,))
 
 
-def _pivot_first(t: list[int], m: int) -> None:
-    """Make t[0] nonzero in the packed m x m block t, in place, by e_0 -> e_0 + c*e_k.
+def _pivot_first(a: list[list[int]]) -> None:
+    """Make a[0][0] nonzero in the symmetric block a, in place, by e_0 -> e_0 + c*e_k.
 
     k is the first index with a_0k != 0 (there is none when e_0 spans a
     kernel) and c in (1, 2) makes the new a_00 = c*(2*a_0k + c*a_kk)
-    nonzero.  Row 0 gains c times row k: a_jk read down column k for
-    j < k, then the packed row k from a_kk at index kk.
+    nonzero.  Row 0 gains c times row k and column 0 c times column k,
+    so row 0 and column 0 stay equal.
     """
-    k = 1
-    while k < m and not t[k]:
-        k += 1
-    if k == m:
+    k = next((k for k, x in enumerate(a[0]) if x), None)
+    if k is None:
         raise LatticeError("gram matrix is degenerate (nonzero kernel)")
-    kk = k * (2 * m - k - 1) // 2 + k
-    c = 1 if 2 * t[k] + t[kk] else 2
-    t[0] = c * (2 * t[k] + c * t[kk])
-    for j in range(1, m):
-        t[j] += c * t[j * (2 * m - j - 1) // 2 + k if j < k else kk + j - k]
+    c = 1 if 2 * a[0][k] + a[k][k] else 2
+    top = a[0] = [x + c * y for x, y in zip(a[0], a[k])]
+    top[0] += c * top[k]
+    for row, x in zip(a[1:], top[1:]):
+        row[0] = x
 
 
 def _row(row: Sequence[int]) -> tuple[int, ...]:
@@ -369,21 +367,21 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Exact inertia (positive count, negative count) of a symmetric integer matrix.
 
     Fraction-free symmetric Bareiss elimination with diagonal pivots, on
-    a trailing block held as its upper triangle packed row by row.  After
-    step k each entry a_ij of the block is the leading (k+1)-minor
-    bordered by row i and column j, so every division by the previous
-    pivot is exact and the k-th pivot of the rational reduction,
-    d_k / d_(k-1), has sign sign(d_k) * sign(d_(k-1)).  With p = a_00 and
-    r = (a_01, ...), a step maps a_ij to (p*a_ij - r_i*r_j) // prev for
-    i <= j in one pass and checks the pass once, by linearity: the
-    numerators sum to p*sum(a_ij) - sum(r_i*r_j), and floor remainders
-    share the sign of prev, so they all vanish iff their sum does.  A
-    zero pivot goes to _pivot_first; the bordered minors are linear in
-    row and column 0, so e_0 -> e_0 + c*e_k keeps them minors.  Raises
-    LatticeError, checking in this order, if gram is not a sequence of
-    rows (a str or a mapping is no row), an entry is not an int (a bool
-    is not one), the matrix is not square, it is not symmetric, or the
-    form is degenerate.
+    the trailing block held as a list of row lists.  After step k each
+    entry a_ij of the block is the leading (k+1)-minor bordered by row i
+    and column j, so every division by the previous pivot is exact and
+    the k-th pivot of the rational reduction, d_k / d_(k-1), has sign
+    sign(d_k) * sign(d_(k-1)).  With p = a_00 and r = (a_01, ...), row 0
+    past the pivot, a step maps a_ij to (p*a_ij - r_i*r_j) // prev in one
+    comprehension and checks it once, by linearity: the numerators sum
+    to p*sum(a_ij) - sum(r)**2, and floor remainders share the sign of
+    prev, so they all vanish iff their sum does; an inexact division
+    raises AssertionError.  A zero pivot goes to _pivot_first; the
+    bordered minors are linear in row and column 0, so e_0 -> e_0 + c*e_k
+    keeps them minors.  Raises LatticeError, checking in this order, if
+    gram is not a sequence of rows (a str or a mapping is no row), an
+    entry is not an int (a bool is not one), the matrix is not square,
+    it is not symmetric, or the form is degenerate.
     """
     rows = _rows(gram)
     n = len(rows)
@@ -396,22 +394,18 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
                 f"gram matrix is not square: rows of lengths {brief([*map(len, rows)])}")
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
         raise LatticeError(f"gram matrix not symmetric at ({i},{j})")
-    t = [x for i, row in enumerate(rows) for x in row[i:]]
+    a = [*map(list, rows)]
     neg = 0
     prev = 1
-    for m in range(n, 0, -1):
-        if t[0] == 0:
-            _pivot_first(t, m)
-        p = t[0]
+    for _ in range(n):
+        if a[0][0] == 0:
+            _pivot_first(a)
+        p, *r = a[0]
         neg += (p > 0) != (prev > 0)
-        if m == 1:
-            break
-        r = t[1:m]
-        old = t[m:]
-        # the products r_i*r_j over i <= j, in packed order
-        rr = [*starmap(mul, combinations_with_replacement(r, 2))]
-        t = [(p * x - y) // prev for x, y in zip(old, rr)]
-        assert p * sum(old) - sum(rr) == prev * sum(t), "inexact Bareiss division"
+        rest = [row[1:] for row in a[1:]]
+        a = [[(p * x - ri * rj) // prev for x, rj in zip(row, r)] for row, ri in zip(rest, r)]
+        if p * sum(map(sum, rest)) - sum(r) ** 2 != prev * sum(map(sum, a)):
+            raise AssertionError("inexact Bareiss division")
         prev = p
     return n - neg, neg
 

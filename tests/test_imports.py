@@ -7,7 +7,8 @@ presets and cli build a SurfaceGeometry, no package module imports
 dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
 only the kernel modules call the unchecked constructor _of,
-every functools cache is bounded,
+every functools cache is bounded, no package module holds an assert
+statement (python -O strips them),
 cli reads argparse by its public names alone and parses through argparse
 at one site, parse_args, the package namespace is the
 modules' __all__ lists, every public class other than an exception or
@@ -298,6 +299,30 @@ def test_cache_lint_catches_unbounded_caches(tmp_path):
     assert sorted(int(use.split(":")[1]) for use in unbounded_caches(path)) == [
         4, 6, 8, 10, 12, 13, 14]
 
+
+
+def assert_statements(path):
+    """assert statements, which python -O strips, as "<file>:<line>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+def test_package_modules_check_without_assert():
+    """A check the package relies on raises explicitly, so it runs under python -O too."""
+    found = [use for p in sorted(PACKAGE.glob("*.py")) for use in assert_statements(p)]
+    assert found == []
+
+
+def test_assert_lint_catches_assert_statements(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "assert x\n"
+        "def f(y):\n    assert y > 0, 'positive'\n    return y\n"
+        "if not x:\n    raise AssertionError('kept under -O')\n"
+        "assertion = True\n"
+    )
+    assert assert_statements(path) == ["m.py:1: assert x", "m.py:3: assert y > 0, 'positive'"]
 
 # argparse's private tables, which cli's plain read must not lean on
 ARGPARSE_PRIVATE = {"_actions", "_defaults", "_option_string_actions", "_registries"}
