@@ -57,8 +57,11 @@ _Parser.error) as it is and any other's after "validation error: ", is
 made one line of at most 240 characters by _refusal_line and printed on
 stderr (in batch, as the line's error).  The CLI owns only the surface
 file's schema and a flag's integer syntax; every rule about the values
-is the library's.  That syntax is Python's int(): each integer of -r,
---c2, --points and the comma-separated --c1 and --delta may carry
+is the library's, and so is every answer: a subcommand maps the fields
+of the library's reports to payload keys and does no arithmetic of its
+own, so branches writes hn_branches.branches_report and grr's c2 is
+surface_chow.chern_c2.  That syntax is Python's int(): each integer of
+-r, --c2, --points and the comma-separated --c1 and --delta may carry
 surrounding spaces, "_" between digits and non-ASCII decimal digits, so
 -r ' 3 ' is r = 3 and -r=3_0 is r = 30.  The input echo shows -r, --c2
 and --points as the int read, and --c1 and --delta as their text.
@@ -76,10 +79,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO, Union
 
-from .ns_lattice import (
-    Frozen, HiggsError, NSLattice, NSVector, ValidationError, pair_num, ratio, require_int,
-)
-from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chi
+from .ns_lattice import Frozen, HiggsError, NSLattice, NSVector, ValidationError, require_int
+from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chern_c2, chi
 from .proj_bundle import (
     YClass,
     canonical_y,
@@ -101,7 +102,7 @@ from .spectral import (
     spectral_todd,
 )
 from .hitchin_criterion import classify
-from .hn_branches import component_betas, iter_partition_blocks, partition_count
+from .hn_branches import branches_report, iter_partition_blocks
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 from . import presets
 
@@ -382,30 +383,22 @@ def _cmd_criterion(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
 def _cmd_branches(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     c1 = _parse_vector(args.c1, "--c1")
     h = HiggsNumerics(args.rank, c1, args.c2)
-    report = classify(x, h)
-    w = report.witness
-    comps, count = None, 0
-    if w:
-        comps = Rows(h.r, w.n_points)
-        count = partition_count(w.n_points, h.r)
+    b = branches_report(x, h)
+    w = b.report.witness
+    comps = Rows(h.r, w.n_points) if w else None
     payload = {
         "r": h.r,
         "c1": h.c1,
         "c2": h.c2,
-        "c2_gbun": report.c2gbun,
-        "regime": report.regime,
+        "c2_gbun": b.report.c2gbun,
+        "regime": b.report.regime,
         "n_total": w.n_points if w else None,
-        "betas": list(component_betas(x, h.r, w.delta)) if w else None,
+        "betas": b.betas,
         "components": comps,
-        "count": count,
+        "count": b.count,
     }
-    if w and h.r == 2 and h.c1 == x.polarization:
-        # the instanton branch sits beside the monopole components here
-        payload["rank2_fixed"] = {
-            "instanton_branch": True,
-            "components": comps,
-            "count": count,
-        }
+    if b.instanton_branch:
+        payload["rank2_fixed"] = {"instanton_branch": True, "components": comps, "count": b.count}
     return payload
 
 
@@ -414,15 +407,12 @@ def _cmd_grr(x: SurfaceGeometry, args: argparse.Namespace) -> dict:
     delta = _parse_vector(args.delta, "--delta")
     ch = grr_pushforward(s, delta, args.points)
     chi_base = chi(x, ch)
-    # c2 = ch1^2/2 - ch2 over the one denominator 2 e^2 q, with ch1 = v/e and ch2 = p/q
-    e2, p, q = ch.deg1.den ** 2, ch.deg2.numerator, ch.deg2.denominator
-    c2_value = ratio(pair_num(x.lattice, ch.deg1, ch.deg1) * q - 2 * e2 * p, 2 * e2 * q)
     return {
         "r": s.r,
         "delta": delta,
         "n_points": args.points,
         "ch": {"rank": ch.deg0, "c1": ch.deg1, "ch2": ch.deg2},
-        "c2": c2_value,
+        "c2": chern_c2(x, ch),
         "chi_cover": chi_on_cover(s, delta, args.points),
         "chi_base": chi_base,
         "chi_integral": isinstance(chi_base, int),

@@ -28,11 +28,14 @@ expanded:
 iter_partitions_at_most gives the parts, iter_monopole_components the
 parts zero-padded to length r, lazily, and monopole_components lists
 those.  partition_count gives their number without enumerating them,
-component_betas gives the shared classes once, and the rank-2 inventory
-for c1 = c1(L), rank2_fixed_components, counts its rows with
-partition_count.  The enumeration describes components by their
-numerical invariants; the geometric identification of each candidate is
-outside the scope of the arithmetic done here.
+and component_betas gives the shared classes once.  branches_report
+answers a branches query: classify's report and, with a witness, the
+betas, the count by partition_count and the rank-2 rule, r = 2 and
+c1 = c1(L), under which the instanton branch sits beside the components;
+it is the one place each of these is worked out for a query, and
+rank2_fixed_components reads it.  The enumeration describes components
+by their numerical invariants; the geometric identification of each
+candidate is outside the scope of the arithmetic done here.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ from .surface_chow import HiggsNumerics, SurfaceGeometry, discriminant
 from .hitchin_criterion import RegimeReport, classify
 
 __all__ = [
+    "BranchesReport",
     "HNFactor",
     "HNType",
     "Rank2Report",
     "RegimeError",
+    "branches_report",
     "component_betas",
     "discriminant_identity",
     "iter_compositions",
@@ -440,6 +445,30 @@ def monopole_components(x: SurfaceGeometry, h: HiggsNumerics) -> list[tuple[int,
     return list(iter_monopole_components(x, h))
 
 
+class BranchesReport(Frozen):
+    """The answer to a branches query for (r, c1, c2): classify's report,
+    and with a witness the shared classes betas, the number of monopole
+    components count and whether the instanton branch sits beside them."""
+
+    __slots__ = ("report", "betas", "count", "instanton_branch")
+
+
+def branches_report(x: SurfaceGeometry, h: HiggsNumerics) -> BranchesReport:
+    """The BranchesReport of (r, c1, c2): without a witness betas is None,
+    count 0 and instanton_branch False.  With one, betas is component_betas
+    and count partition_count of the witness's n points into r parts,
+    counted without enumerating them, so r >= 4 and n > 10^6 is refused
+    with partition_count's ValidationError.  The instanton branch is
+    marked for r = 2 and c1 = c1(L), the one place that rule is stated.
+    """
+    report = classify(x, h)
+    w = report.witness
+    if w is None:
+        return BranchesReport(report, None, 0, False)
+    return BranchesReport(report, component_betas(x, h.r, w.delta),
+                          partition_count(w.n_points, h.r), h.r == 2 and h.c1 == x.polarization)
+
+
 class Rank2Report(Frozen):
     """Fixed-locus inventory for rank 2 with c1 the polarization class."""
 
@@ -453,10 +482,9 @@ def rank2_fixed_components(x: SurfaceGeometry, c2: int) -> Rank2Report:
     c2 < 0; otherwise the components are the monopole components of
     (2, c1(L), c2), the pairs (n1, n2) with n1 >= n2 >= 0 summing to c2,
     alongside the branch of sheaves with vanishing Higgs field, which is
-    only marked here.  partition_count counts the pairs, never enumerating them.
+    only marked here.  The regime, the flag and the count are those of
+    branches_report, which counts the pairs, never enumerating them.
     """
     require_type(x, SurfaceGeometry, "a surface")
-    report = classify(x, HiggsNumerics(2, x.polarization, c2))
-    if report.witness is None:
-        return Rank2Report(c2, report.regime, False, 0)
-    return Rank2Report(c2, report.regime, True, partition_count(report.witness.n_points, 2))
+    b = branches_report(x, HiggsNumerics(2, x.polarization, c2))
+    return Rank2Report(c2, b.report.regime, b.instanton_branch, b.count)

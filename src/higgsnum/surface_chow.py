@@ -10,8 +10,9 @@ the surface vanish, so the ring multiplication is
 
 with a1.b1 the intersection pairing.  On top of the ring this module
 provides Chern characters of line bundles and of the cotangent bundle,
-the surface Todd class, the Riemann-Roch integral, Hilbert polynomial
-values and the discriminant of rank/c1/c2 data.
+the surface Todd class, the Riemann-Roch integral, c2 of a Chern
+character, Hilbert polynomial values and the discriminant of rank/c1/c2
+data.
 
 The geometry of the surface itself enters only through the lattice, the
 canonical class, the polarization and the topological Euler number; the
@@ -51,6 +52,7 @@ __all__ = [
     "ChowClass",
     "HiggsNumerics",
     "SurfaceGeometry",
+    "chern_c2",
     "chi",
     "chow_inverse",
     "chow_mul",
@@ -255,6 +257,16 @@ def chi(x: SurfaceGeometry, ch: ChowClass) -> Rat:
     returned as is.
     """
     return chow_mul(x, ch, todd_surface(x)).deg2
+
+
+def chern_c2(x: SurfaceGeometry, ch: ChowClass) -> Rat:
+    """c2 = ch1^2/2 - ch2 of a Chern character, exact: the second Chern
+    class of a sheaf with that character, for any rank."""
+    require_type(x, SurfaceGeometry, "a surface")
+    require_type(ch, ChowClass, "a Chow class")
+    # over the one denominator 2 e^2 q, with ch1 = v/e and ch2 = p/q
+    e2, p, q = ch.deg1.den ** 2, ch.deg2.numerator, ch.deg2.denominator
+    return ratio(pair_num(x.lattice, ch.deg1, ch.deg1) * q - 2 * e2 * p, 2 * e2 * q)
 
 
 def hilbert_polynomial(x: SurfaceGeometry, ch: ChowClass, n: int) -> Rat:

@@ -1142,9 +1142,14 @@ def test_batch_answers_past_an_oversized_line():
 @pytest.mark.parametrize("c2", [10**11, 10**20])
 def test_branches_past_the_partition_table_refuses(capsys, c2):
     """More than 3 parts and a point count past 10^6: a refusal, not a
-    MemoryError or an OverflowError."""
-    assert run(capsys, "branches", "--surface", "p2", "-r", "4", "--c1=-6", f"--c2={c2}") == (
+    MemoryError or an OverflowError.  criterion counts nothing, so the same
+    query answers there."""
+    argv = ("--surface", "p2", "-r", "4", "--c1=-6", f"--c2={c2}")
+    assert run(capsys, "branches", *argv) == (
         2, "", "validation error: partition size must be at most 1000000 for more than 3 parts\n")
+    code, out, err = run(capsys, "criterion", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["regime"] == "Generic"
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

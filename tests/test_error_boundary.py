@@ -32,8 +32,10 @@ from higgsnum import (
     SurfaceGeometry,
     ValidationError,
     YClass,
+    branches_report,
     c2_gbun,
     canonical_y,
+    chern_c2,
     chi_two_ways,
     chow_inverse,
     chow_mul,
@@ -145,6 +147,12 @@ PROBES = [
     ("todd_surface", lambda v: todd_surface(v), (5, None, X.lattice), ValidationError),
     ("rank2_fixed_components-surface", lambda v: rank2_fixed_components(v, 3), (5, None),
      ValidationError),
+    ("branches_report-surface", lambda v: branches_report(v, HiggsNumerics(2, L, 3)),
+     (5, None, X.lattice), ValidationError),
+    ("branches_report-numerics", lambda v: branches_report(X, v), (5, None, L), ValidationError),
+    ("chern_c2-surface", lambda v: chern_c2(v, ChowClass.unit(1)), (5, None, X.lattice),
+     ValidationError),
+    ("chern_c2-class", lambda v: chern_c2(X, v), (5, None, L), ValidationError),
     ("y_mul", lambda v: y_mul(v, v), (5, None, ChowClass.unit(1)), ValidationError),
     ("HNType", lambda v: HNType((v,)), (5, None, L), ValidationError),
     ("SurfaceGeometry-rational", lambda v: SurfaceGeometry(X.lattice, v, L, 12),

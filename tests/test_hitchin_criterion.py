@@ -11,6 +11,7 @@ from higgsnum import (
     Regime,
     SpectralCover,
     c2_gbun,
+    chern_c2,
     classify,
     grr_pushforward,
     n_points,
@@ -197,7 +198,7 @@ def test_witness_presence_matches_regime(blowup):
 def test_witness_realizes_the_query(name):
     """For Boundary and Generic the witness (delta, n) is spectral data of the
     query: grr_pushforward(s, delta, n) has rank r, first Chern class c1 and
-    c1^2/2 - ch2 = c2."""
+    c1^2/2 - ch2 = c2, by hand and by chern_c2."""
     x = presets.by_name(name)
     rng = random.Random(name)
     seen = {Regime.BOUNDARY: 0, Regime.GENERIC: 0}
@@ -216,6 +217,7 @@ def test_witness_realizes_the_query(name):
             ch = grr_pushforward(s, report.witness.delta, report.witness.n_points)
             assert (ch.deg0, ch.deg1) == (r, c1), (r, c1, c2)
             assert Fraction(x.pair(c1, c1)) / 2 - ch.deg2 == c2, (r, c1, c2)
+            assert chern_c2(x, ch) == c2, (r, c1, c2)
     assert min(seen.values()) > 0, seen
 
 

@@ -18,6 +18,7 @@ from higgsnum import (
     Regime,
     RegimeError,
     ValidationError,
+    branches_report,
     c2_gbun,
     classify,
     component_betas,
@@ -35,7 +36,7 @@ from higgsnum import (
     slope_gaps,
 )
 
-from conftest import characteristic_surface, partitions_at_most
+from conftest import PRESET_NAMES, characteristic_surface, partitions_at_most
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -422,6 +423,60 @@ def test_rank2_counts_without_enumerating(quintic, monkeypatch):
     assert rank2_fixed_components(quintic, 10**6).count == 500_001
     # no O(c2) table either: this one would need 10^12 entries
     assert rank2_fixed_components(quintic, 10**12).count == 5 * 10**11 + 1
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_branches_report_is_classify_betas_count_and_the_rank2_rule(name):
+    """Over random (r, c1, c2), drawn as the witness test of
+    test_hitchin_criterion draws them, and c1 = c1(L) beside each at r = 2: the
+    report is classify's, and with a witness its betas are component_betas,
+    its count the recurrence's, and the instanton branch is marked exactly
+    for r = 2 and c1 = c1(L)."""
+    x = presets.by_name(name)
+    rng = random.Random(name)
+    seen = {False: 0, True: 0}
+    for r in range(1, 7):
+        for _ in range(20):
+            d = NSVector(tuple(rng.randint(-6, 6) for _ in range(x.rank)))
+            if rng.randrange(4):
+                # a c1 with a delta
+                d = r * d - (r * (r - 1) // 2) * x.polarization
+            for c1 in (d, x.polarization) if r == 2 else (d,):
+                c2 = math.ceil(c2_gbun(x, HiggsNumerics(r, c1, 0))[0]) + rng.randint(-2, 8)
+                h = HiggsNumerics(r, c1, c2)
+                b = branches_report(x, h)
+                assert b.report == classify(x, h)
+                w = b.report.witness
+                if w is None:
+                    assert (b.betas, b.count, b.instanton_branch) == (None, 0, False)
+                    continue
+                assert b.betas == component_betas(x, r, w.delta)
+                assert b.count == partition_count(w.n_points, r)
+                assert b.instanton_branch == (r == 2 and c1 == x.polarization)
+                seen[b.instanton_branch] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_rank2_fixed_components_reads_the_branches_report(name):
+    x = presets.by_name(name)
+    for c2 in range(-3, 31):
+        b = branches_report(x, HiggsNumerics(2, x.polarization, c2))
+        report = rank2_fixed_components(x, c2)
+        assert (report.c2, report.regime, report.instanton_branch, report.count) == (
+            c2, b.report.regime, b.instanton_branch, b.count)
+
+
+@pytest.mark.parametrize("c2", [10**11, 10**20])
+def test_branches_report_refuses_past_the_partition_table(plane, c2):
+    """r = 4 and n past 10^6 is refused by partition_count's line, while the
+    lazy enumeration, which counts nothing, still takes the query."""
+    h = HiggsNumerics(4, NSVector((-6,)), c2)
+    with pytest.raises(ValidationError) as info:
+        branches_report(plane, h)
+    assert str(info.value) == "partition size must be at most 1000000 for more than 3 parts"
+    assert classify(plane, h).regime is Regime.GENERIC
+    assert next(iter_monopole_components(plane, h))[1:] == (0, 0, 0)
 
 
 def test_hntype_validation(quintic):

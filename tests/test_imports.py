@@ -10,7 +10,8 @@ only the kernel modules call the unchecked constructor _of,
 every functools cache is bounded, no package module holds an assert
 statement (python -O strips them),
 cli reads argparse by its public names alone and parses through argparse
-at one site, parse_args, the package namespace is the
+at one site, cli imports none of the library's counting, class-making
+or pairing functions, parse_args, the package namespace is the
 modules' __all__ lists, every public class other than an exception or
 an enum is a Frozen value, pyproject.toml takes the version from
 higgsnum.__version__, and every function the benchmark's tracer wraps
@@ -397,6 +398,36 @@ def test_parse_lint_catches_every_pass(tmp_path):
     assert sorted(argparse_passes(path)) == [
         "parse_args:1", "parse_args:2", "parse_intermixed_args:4", "parse_known_args:3",
         "parse_known_intermixed_args:4"]
+
+
+# the library's arithmetic that cli leaves to the library's reports
+LIBRARY_ONLY = {"partition_count", "component_betas", "pair_num", "ratio"}
+
+
+def imported_names(path):
+    """Each name a module imports, by import or from-import, as "<name>:<line>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{a.name.split('.')[-1]}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
+
+
+def test_cli_leaves_the_arithmetic_to_the_library():
+    """cli maps the fields of the library's reports to keys: it imports none
+    of the functions that count components, make their classes or pair."""
+    found = [use for use in imported_names(PACKAGE / "cli.py")
+             if use.split(":")[0] in LIBRARY_ONLY]
+    assert found == []
+
+
+def test_import_lint_sees_every_import(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import json\n"
+        "from .hn_branches import (\n    branches_report,\n    partition_count,\n)\n"
+        "from .ns_lattice import pair_num as pn, ratio\n"
+    )
+    assert imported_names(path) == [
+        "json:1", "branches_report:2", "partition_count:2", "pair_num:6", "ratio:6"]
 
 
 # the math modules whose __all__ the package re-exports

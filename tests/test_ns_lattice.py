@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import higgsnum
 from higgsnum import (
+    BranchesReport,
     ChowClass,
     FiberWitness,
     HiggsNumerics,
@@ -24,6 +26,7 @@ from higgsnum import (
     pair,
     presets,
     qvec,
+    branches_report,
     ratnorm,
 )
 from higgsnum.cli import Rows
@@ -292,8 +295,22 @@ VALUES = [
      f"RegimeReport(regime=<Regime.GENERIC: 'Generic'>, c2gbun=1, witness={W})"),
     (lambda: Rank2Report(3, Regime.GENERIC, True, 2),
      "Rank2Report(c2=3, regime=<Regime.GENERIC: 'Generic'>, instanton_branch=True, count=2)"),
+    (lambda: branches_report(presets.p2(), HiggsNumerics(2, NSVector((1,)), 2)),
+     f"BranchesReport(report=RegimeReport(regime=<Regime.GENERIC: 'Generic'>, c2gbun=0, "
+     f"witness={W}), betas=(NSVector(num=(1,), den=1), NSVector(num=(0,), den=1)), count=2, "
+     "instanton_branch=True)"),
     (lambda: Rows(2, 3), "Rows(r=2, n=3)"),
 ]
+
+
+def test_values_hold_every_exported_frozen_class():
+    """VALUES has one instance of Rows and of each Frozen class that the math
+    modules' __all__ lists, which higgsnum re-exports: a class left out fails here."""
+    exported = {v for v in vars(higgsnum).values() if isinstance(v, type) and issubclass(v, Frozen)}
+    held = [type(make()) for make, _ in VALUES]
+    assert len(held) == len(set(held))
+    assert set(held) == exported | {Rows}
+    assert BranchesReport in exported
 
 
 @pytest.mark.parametrize("make, text", VALUES, ids=[text.split("(")[0] for _, text in VALUES])

@@ -13,6 +13,7 @@ from higgsnum import (
     QNSVector,
     SurfaceGeometry,
     ValidationError,
+    chern_c2,
     chi,
     chow_inverse,
     chow_mul,
@@ -307,6 +308,27 @@ def test_discriminant(quintic):
     assert discriminant(HiggsNumerics(2, 5 * h, 30), quintic) == -5
     assert discriminant(HiggsNumerics(1, 7 * h, 4), quintic) == 8
     assert discriminant(HiggsNumerics(2, 0 * h, 3), quintic) == 12
+
+
+def test_chern_c2_round_trip():
+    """c2 = ch1^2/2 - ch2 of a class with rational ch1 and ch2, on random
+    characteristic surfaces of rank 1 to 8, whatever the class's rank."""
+    rng = random.Random(36)
+    for rank in range(1, 9):
+        x = characteristic_surface(rng, rank)
+        for _ in range(25):
+            v = QNSVector(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                                for _ in range(rank)))
+            ch2 = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+            r = rng.randint(1, 8)
+            assert chern_c2(x, ChowClass(r, v, ch2)) == Fraction(x.pair(v, v)) / 2 - ch2
+
+
+def test_chern_c2_of_a_twisted_ideal(quintic):
+    """A line bundle twisted by the ideal of n points has c2 = n."""
+    h = quintic.lattice.basis(0)
+    for n in range(5):
+        assert chern_c2(quintic, ideal_twist_ch(quintic, 3 * h, n)) == n
 
 
 def test_higgs_numerics_validation(quintic):
