@@ -6,16 +6,20 @@ one line each.  Every query prints a single JSON document (or a flat
 table with --format table).  main and batch share _query, the one path
 from argv to an exit code and an envelope or a one-line refusal.
 
-The parser is built once per process, with a table per subcommand made
-from the actions of its own flags.  An argv takes one of two routes.  A
-subcommand name and plain words, each flag with its value whole
-(separate, not starting with "-", or after "=", not "--"), is read from
-that table with no argparse pass: each value through its flag's type and
-choices, the last of a repeated flag winning, every required flag there,
-into the namespace argparse would give, keys in its order.  Any other
-argv takes argparse's one top pass, so help, abbreviations and every
-refusal are argparse's own.  A flag that argparse hands a list, as
---c1=-- once it has stripped the "--", is refused as --c1 -- is.
+Each subcommand and each flag is declared once, in _COMMANDS: a
+subcommand's help, its defaults and its flags, each flag one spec of its
+option strings and add_argument keywords.  build_parser, one loop over
+that table, builds the parser once per process, with a table per
+subcommand made from the actions of its own flags.  An argv takes one of
+two routes.  A subcommand name and plain words, each flag with its value
+whole (separate, not starting with "-" unless it is a negative number by
+argparse's own pattern, or after "=", not "--"), is read from that table
+with no argparse pass: each value through its flag's type and choices,
+the last of a repeated flag winning, every required flag there, into the
+namespace argparse would give, keys in its order.  Any other argv takes
+argparse's one top pass, so help, abbreviations and every refusal are
+argparse's own.  A flag that argparse hands a list, as --c1=-- once it
+has stripped the "--", is refused as --c1 -- is.
 
 A surface is validated once per process and content: presets are
 memoized by name, and a surface file, read on every query, is parsed and
@@ -75,6 +79,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO, Union
@@ -496,86 +501,67 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(f"{self.prog}: error: {message}")
 
 
+# one spec per flag: its option strings and its add_argument keywords; -r/--rank
+# has two, with the help "cover degree" where r is one and without it elsewhere
+_SURFACE = ("--surface",), {"required": True, "help": "preset name (p2, p1xp1, "
+                             "hypersurface:<d>, blowup:<k>) or path to a surface JSON file"}
+_FORMAT = ("--format",), {"choices": ("json", "table"), "default": "json"}
+_DEGREE = ("-r", "--rank"), {"type": int, "required": True, "help": "cover degree"}
+_RANK = ("-r", "--rank"), {"type": int, "required": True}
+_C1 = ("--c1",), {"required": True, "help": "comma-separated lattice coordinates"}
+_C2 = ("--c2",), {"type": int, "required": True}
+_DELTA = ("--delta",), {"required": True, "help": "comma-separated lattice coordinates"}
+_POINTS = ("--points",), {"type": int, "default": 0, "help": "ideal point count (default 0)"}
+_SUITE = ("--suite",), {"choices": ("all",) + SUITE_NAMES, "default": "all"}
+
+# each subcommand in help order: its help, its set_defaults values and its flags in help order
+_COMMANDS = {
+    "surface": ("validate and report a surface", {"run": _cmd_surface}, (_SURFACE, _FORMAT)),
+    "ybundle": ("intersection data of the compactified total space", {"run": _cmd_ybundle},
+                (_SURFACE, _FORMAT, _DEGREE)),
+    "spectral": ("characteristic classes of a spectral cover", {"run": _cmd_spectral},
+                 (_SURFACE, _FORMAT, _DEGREE)),
+    "criterion": ("classify (r, c1, c2) by fiber regime", {"run": _cmd_criterion},
+                  (_SURFACE, _FORMAT, _RANK, _C1, _C2)),
+    "branches": ("enumerate fixed-locus component candidates", {"run": _cmd_branches},
+                 (_SURFACE, _FORMAT, _RANK, _C1, _C2)),
+    "grr": ("push a twisted line bundle character to the base", {"run": _cmd_grr},
+            (_SURFACE, _FORMAT, _RANK, _DELTA, _POINTS)),
+    "batch": ("answer one JSON argv list per stdin line, one line each",
+              {"run": None, "surface": None}, ()),
+    "verify": ("run the oracle suites", {"run": _cmd_verify, "surface": None}, (_SUITE, _FORMAT)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; it depends only on constants.
+    """The one parser of the process, built from _COMMANDS alone.
 
-    Its tables attribute maps each subcommand name to the table _read reads
-    a plain argv by, made from the Action objects the subparser's own
-    add_argument calls return: each option string's action, the required
-    dests, and the namespace argparse starts from, each action's default in
-    add_argument order and then the set_defaults values.
+    One loop adds each subcommand with its help and defaults, then its
+    flags from their specs.  The tables attribute maps each subcommand name
+    to the table _read reads a plain argv by, made from the Action objects
+    those add_argument calls return: each option string's action, the
+    required dests, and the namespace argparse starts from, each action's
+    default in add_argument order and then the set_defaults values.
     """
-    parser = _Parser(
-        prog="higgsnum",
-        description="Exact spectral-surface and Higgs sheaf calculator.",
-    )
+    parser = _Parser(prog="higgsnum",
+                     description="Exact spectral-surface and Higgs sheaf calculator.")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.tables = {}
-    made: list[tuple[str, list, dict]] = []
-
-    def command(name: str, help: str, **defaults: Any) -> Callable[..., None]:
-        """Add the subcommand name with its defaults; the function returned
-        adds a flag to it as add_argument does and keeps the action."""
-        p = sub.add_parser(name, help=help)
+    for name, (summary, defaults, specs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(**defaults)
-        actions: list[argparse.Action] = []
-        made.append((name, actions, defaults))
-        return lambda *names, **kwargs: actions.append(p.add_argument(*names, **kwargs))
-
-    def common(add: Callable[..., None]) -> None:
-        add(
-            "--surface",
-            required=True,
-            help="preset name (p2, p1xp1, hypersurface:<d>, blowup:<k>) or path to a "
-                 "surface JSON file",
-        )
-        add("--format", choices=("json", "table"), default="json")
-
-    add = command("surface", "validate and report a surface", run=_cmd_surface)
-    common(add)
-
-    add = command("ybundle", "intersection data of the compactified total space",
-                  run=_cmd_ybundle)
-    common(add)
-    add("-r", "--rank", type=int, required=True, help="cover degree")
-
-    add = command("spectral", "characteristic classes of a spectral cover", run=_cmd_spectral)
-    common(add)
-    add("-r", "--rank", type=int, required=True, help="cover degree")
-
-    add = command("criterion", "classify (r, c1, c2) by fiber regime", run=_cmd_criterion)
-    common(add)
-    add("-r", "--rank", type=int, required=True)
-    add("--c1", required=True, help="comma-separated lattice coordinates")
-    add("--c2", type=int, required=True)
-
-    add = command("branches", "enumerate fixed-locus component candidates", run=_cmd_branches)
-    common(add)
-    add("-r", "--rank", type=int, required=True)
-    add("--c1", required=True, help="comma-separated lattice coordinates")
-    add("--c2", type=int, required=True)
-
-    add = command("grr", "push a twisted line bundle character to the base", run=_cmd_grr)
-    common(add)
-    add("-r", "--rank", type=int, required=True)
-    add("--delta", required=True, help="comma-separated lattice coordinates")
-    add("--points", type=int, default=0, help="ideal point count (default 0)")
-
-    command("batch", "answer one JSON argv list per stdin line, one line each",
-            run=None, surface=None)
-
-    add = command("verify", "run the oracle suites", run=_cmd_verify, surface=None)
-    add("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    add("--format", choices=("json", "table"), default="json")
-
-    for name, actions, defaults in made:
+        actions = [p.add_argument(*names, **kwargs) for names, kwargs in specs]
         template = {a.dest: a.default for a in actions}
-        for dest, value in defaults.items():
-            template.setdefault(dest, value)
+        template.update((k, v) for k, v in defaults.items() if k not in template)
         flags = {s: a for a in actions if a.nargs is None for s in a.option_strings}
         parser.tables[name] = flags, {a.dest for a in actions if a.required}, template
     return parser
+
+
+# a word that argparse reads as a value, not a flag, while no option string
+# looks like a negative number: its own pattern, with Unicode \d as it has it
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _read(argv: list[str], table: tuple) -> Optional[argparse.Namespace]:
@@ -583,19 +569,21 @@ def _read(argv: list[str], table: tuple) -> Optional[argparse.Namespace]:
     words only, from the subcommand's table; None for any other argv.
 
     A plain word is one of the table's option strings followed by a value
-    that does not start with "-", or option=value with any value but "--",
-    which argparse strips.  Each value goes through its action's type and
-    choices, the last of a repeated flag wins, and every required flag must
-    be there.  A value whose type raises an error that argparse catches, a
-    value past the choices or a missing flag is None too, so that argparse
-    refuses it in its own words.  The namespace is the template updated,
-    so its keys keep argparse's order.
+    that does not start with "-" or is a negative number by argparse's
+    pattern, or option=value with any value but "--", which argparse
+    strips.  Each value goes through its action's type and choices, the
+    last of a repeated flag wins, and every required flag must be there.
+    A value whose type raises an error that argparse catches, a value past
+    the choices or a missing flag is None too, so that argparse refuses it
+    in its own words.  The namespace is the template updated, so its keys
+    keep argparse's order.
     """
     flags, required, template = table
     values, seen, i = dict(template), set(), 1
     while i < len(argv):
         action = flags.get(argv[i])
-        if action is not None and i + 1 < len(argv) and argv[i + 1][:1] != "-":
+        if action is not None and i + 1 < len(argv) and (
+                argv[i + 1][:1] != "-" or _NEGATIVE_NUMBER.match(argv[i + 1])):
             text, i = argv[i + 1], i + 2
         else:
             name, eq, text = argv[i].partition("=")
@@ -619,10 +607,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     when argv is a subcommand name and plain words.
 
     Any other argv takes argparse's one top pass, so help, abbreviations, a
-    joined -r3, a separate value that starts with "-" and every refusal are
-    argparse's own.  A flag that argparse hands a list, as it does for
-    --c1=-- once it has stripped the "--", is refused as argparse refuses
-    --c1 -- .
+    joined -r3, a separate value that starts with "-" and is no negative
+    number, and every refusal are argparse's own.  A flag that argparse
+    hands a list, as it does for --c1=-- once it has stripped the "--", is
+    refused as argparse refuses --c1 -- .
     """
     parser = build_parser()
     table = parser.tables.get(argv[0]) if argv else None

@@ -929,6 +929,72 @@ def test_every_parser_refuses_through_cli_error():
         parser.parse_args(["spectral", "--surface", "p2", "-r", "x"])
 
 
+# each subcommand's flags in help order, as (option strings, dest, type,
+# choices, default, required), and the keys of its template in order
+SUITES = ("all", "ring", "chi", "adjunction", "olympic", "discriminant", "partition", "hodge")
+DECLARED = {
+    "surface": ([(("--surface",), "surface", None, None, None, True),
+                 (("--format",), "format", None, ("json", "table"), "json", False)],
+                ["surface", "format", "run"]),
+    "ybundle": ([(("--surface",), "surface", None, None, None, True),
+                 (("--format",), "format", None, ("json", "table"), "json", False),
+                 (("-r", "--rank"), "rank", int, None, None, True)],
+                ["surface", "format", "rank", "run"]),
+    "spectral": ([(("--surface",), "surface", None, None, None, True),
+                  (("--format",), "format", None, ("json", "table"), "json", False),
+                  (("-r", "--rank"), "rank", int, None, None, True)],
+                 ["surface", "format", "rank", "run"]),
+    "criterion": ([(("--surface",), "surface", None, None, None, True),
+                   (("--format",), "format", None, ("json", "table"), "json", False),
+                   (("-r", "--rank"), "rank", int, None, None, True),
+                   (("--c1",), "c1", None, None, None, True),
+                   (("--c2",), "c2", int, None, None, True)],
+                  ["surface", "format", "rank", "c1", "c2", "run"]),
+    "branches": ([(("--surface",), "surface", None, None, None, True),
+                  (("--format",), "format", None, ("json", "table"), "json", False),
+                  (("-r", "--rank"), "rank", int, None, None, True),
+                  (("--c1",), "c1", None, None, None, True),
+                  (("--c2",), "c2", int, None, None, True)],
+                 ["surface", "format", "rank", "c1", "c2", "run"]),
+    "grr": ([(("--surface",), "surface", None, None, None, True),
+             (("--format",), "format", None, ("json", "table"), "json", False),
+             (("-r", "--rank"), "rank", int, None, None, True),
+             (("--delta",), "delta", None, None, None, True),
+             (("--points",), "points", int, None, 0, False)],
+            ["surface", "format", "rank", "delta", "points", "run"]),
+    "batch": ([], ["run", "surface"]),
+    "verify": ([(("--suite",), "suite", None, SUITES, "all", False),
+                (("--format",), "format", None, ("json", "table"), "json", False)],
+               ["suite", "format", "run", "surface"]),
+}
+
+
+def test_the_parser_declares_what_is_pinned():
+    """Each subcommand, in order, declares the flags pinned in DECLARED, in
+    help order, and its template holds the pinned keys in order; its run is
+    its own handler."""
+    parser = build_parser()
+    assert list(parser.tables) == list(DECLARED)
+    for name, (flags, required, template) in parser.tables.items():
+        actions = list(dict.fromkeys(flags.values()))
+        assert [(tuple(a.option_strings), a.dest, a.type, a.choices, a.default, a.required)
+                for a in actions] == DECLARED[name][0], name
+        assert list(template) == DECLARED[name][1], name
+        assert required == {a.dest for a in actions if a.required}, name
+        assert template["run"] is (None if name == "batch" else getattr(cli, f"_cmd_{name}"))
+
+
+def test_no_option_string_looks_like_a_negative_number():
+    """argparse reads a separate -3 as a value because no option string of any
+    of its parsers looks like a negative number; _read takes such a word by
+    argparse's own pattern, so that pattern is the one argparse uses."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [parser, *subparsers.choices.values()]:
+        assert p._has_negative_number_optionals == [], p.prog
+        assert p._negative_number_matcher.pattern == cli._NEGATIVE_NUMBER.pattern, p.prog
+
+
 # argvs that the one-pass dispatch must read as argparse's top pass does: one
 # well-formed query per subcommand, with --format table and in the
 # --flag=value forms, and the edge cases of argparse's own reading
@@ -953,6 +1019,9 @@ DISPATCH = {
     "ambiguous-abbreviation": ["criterion", "--surface", "p2", "-r", "2", "--c", "1", "--c2", "3"],
     "negative-rank": ["spectral", "--surface", "p2", "-r", "-2"],
     "negative-vector": ["criterion", "--surface", "p2", "-r", "2", "--c1", "-3", "--c2", "0"],
+    "negative-c2": QUERIES["branches"][:-1] + ["-3"],
+    "negative-unicode-digits": QUERIES["criterion"][:-1] + ["-\u0663"],
+    "dashed-vector": ["criterion", "--surface", "p2", "-r", "2", "--c1", "-1,1", "--c2", "0"],
     "repeated-flag": ["spectral", "--surface", "p2", "-r", "2", "-r", "3"],
     "trailing-dashes-word": QUERIES["surface"] + ["--", "x"],
     "trailing-dashes": QUERIES["surface"] + ["--"],
@@ -1011,14 +1080,15 @@ def test_dispatch_reads_argv_as_the_top_parser(capsys, monkeypatch, argv):
 
 def test_a_query_takes_no_top_level_pass(capsys, monkeypatch):
     """A query of plain words (each flag with its value, separate or after
-    "="), through main or a batch line, makes no argparse pass at all; an
-    abbreviation, a joined -r3, a separate negative value or help makes
-    exactly one, the top parser's."""
+    "=", a separate value a negative number too), through main or a batch
+    line, makes no argparse pass at all; an abbreviation, a joined -r3 or
+    help makes exactly one, the top parser's."""
     parser, calls = build_parser(), []
     monkeypatch.setattr(parser, "parse_known_args",
                         lambda *a, parse=parser.parse_known_args: calls.append(a) or parse(*a))
     plain = [*QUERIES.values(), DISPATCH["verify"], ["verify"],
-             *(argv for name, argv in DISPATCH.items() if name.endswith("-equals"))]
+             *(argv for name, argv in DISPATCH.items() if name.endswith("-equals")),
+             QUERIES["criterion"][:-1] + ["-3"], DISPATCH["negative-unicode-digits"]]
     assert {argv[0] for argv in plain} == set(parser.tables) - {"batch"}
     for argv in plain:
         assert run(capsys, *argv)[0] == 0
@@ -1026,7 +1096,7 @@ def test_a_query_takes_no_top_level_pass(capsys, monkeypatch):
     assert code == 0 and all("payload" in answer for answer in answers)
     assert calls == []
     for argv in (DISPATCH["abbreviation"], DISPATCH["branches-joined"],
-                 QUERIES["criterion"][:-1] + ["-3"], ["surface", "-h"], ["-h", "surface"]):
+                 ["surface", "-h"], ["-h", "surface"]):
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 1, argv

@@ -1,21 +1,20 @@
-"""Lint guards, all but the last four written with ast alone: every name
-a package or test module imports is used, every name a package module's
+"""Lint guards, all but the last four written with ast alone: every name a
+package or test module imports is used, every name a package module's
 __all__ lists is defined in it (so each public name has one owning
 module), every top-level def or class of a package module is exported or
 read by package code, no package module computes with floats, only
 presets and cli build a SurfaceGeometry, no package module imports
 dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
-only the kernel modules call the unchecked constructor _of,
-every functools cache is bounded, no package module holds an assert
-statement (python -O strips them),
-cli reads argparse by its public names alone and parses through argparse
-at one site, cli imports none of the library's counting, class-making
-or pairing functions, parse_args, the package namespace is the
-modules' __all__ lists, every public class other than an exception or
-an enum is a Frozen value, pyproject.toml takes the version from
-higgsnum.__version__, and every function the benchmark's tracer wraps
-by name is there to wrap."""
+only the kernel modules call the unchecked constructor _of, every
+functools cache is bounded, no package module holds an assert statement
+(python -O strips them), cli reads argparse by its public names alone
+and parses through argparse at one site, cli imports none of the
+library's counting, class-making or pairing functions, cli declares each
+flag once, the package namespace is the modules' __all__ lists, every
+public class other than an exception or an enum is a Frozen value,
+pyproject.toml takes the version from higgsnum.__version__, and every
+function the benchmark's tracer wraps by name is there to wrap."""
 
 import ast
 import enum
@@ -428,6 +427,65 @@ def test_import_lint_sees_every_import(tmp_path):
     )
     assert imported_names(path) == [
         "json:1", "branches_report:2", "partition_count:2", "pair_num:6", "ratio:6"]
+
+
+def flag_declarations(path):
+    """Each flag declaration in a module, as ((option strings, keywords), line):
+    a call whose positional arguments are all option strings ("-" and one
+    character more at least), or a pair of a tuple of option strings and a
+    dict; the keywords as sorted (name, value) sources, "**" for an unpacking."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            names = node.args
+            keywords = [(repr(k.arg) if k.arg else "**", k.value) for k in node.keywords]
+        elif (isinstance(node, ast.Tuple) and len(node.elts) == 2
+              and isinstance(node.elts[0], ast.Tuple) and isinstance(node.elts[1], ast.Dict)):
+            names, spec = node.elts[0].elts, node.elts[1]
+            keywords = [(ast.unparse(k) if k else "**", v) for k, v in zip(spec.keys, spec.values)]
+        else:
+            continue
+        strings = tuple(n.value for n in names if isinstance(n, ast.Constant)
+                        and type(n.value) is str and n.value[:1] == "-" and len(n.value) > 1)
+        if names and len(strings) == len(names):
+            keys = tuple(sorted((k, ast.unparse(v)) for k, v in keywords))
+            found.append(((strings, keys), node.lineno))
+    return found
+
+
+def repeated_flag_declarations(path):
+    """The flags declared more than once with the same keywords, as
+    "<option strings>: <lines>"."""
+    lines = {}
+    for key, line in flag_declarations(path):
+        lines.setdefault(key, []).append(line)
+    return sorted(f"{'/'.join(key[0])}: {', '.join(map(str, sorted(found)))}"
+                  for key, found in lines.items() if len(found) > 1)
+
+
+def test_cli_declares_each_flag_once():
+    """A flag that several subcommands take is one spec in cli, named in each
+    subcommand's row of the table, not written out again for each."""
+    assert repeated_flag_declarations(PACKAGE / "cli.py") == []
+
+
+def test_flag_lint_catches_repeated_declarations(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "add('-r', '--rank', type=int, required=True)\n"
+        "add('-r', '--rank', required=True, type=int)\n"
+        "add('-r', '--rank', type=int, required=True, help='cover degree')\n"
+        "_C2 = ('--c2',), {'type': int, 'required': True}\n"
+        "p.add_argument('--c2', required=True, type=int)\n"
+        "_F = ('--format',), {'choices': ('json', 'table'), **EXTRA}\n"
+        "_G = ('--format',), {'choices': ('json', 'table'), **EXTRA}\n"
+        "ok = text.startswith('-'), text.split(','), p.add_argument(*names, **kwargs)\n"
+        "ok = ('--c1',), {'required': True}\n"
+        "ok = add('--c1', required=False), ('x', '-y'), {'a': 1}\n"
+    )
+    assert repeated_flag_declarations(path) == [
+        "--c2: 4, 5", "--format: 6, 7", "-r/--rank: 1, 2"]
 
 
 # the math modules whose __all__ the package re-exports
