@@ -21,6 +21,11 @@ argparse's one top pass, so help, abbreviations and every refusal are
 argparse's own.  A flag that argparse hands a list, as --c1=-- once it
 has stripped the "--", is refused as --c1 -- is.
 
+A --surface value names a preset before it names a file: p2, p1xp1 and
+any value starting "hypersurface:" or "blowup:" is read as a preset name,
+and refused as one if its tail is no integer, even when a file of that
+name exists; ./blowup:1.json reads the file.
+
 A surface is validated once per process and content: presets are
 memoized by name, and a surface file, read on every query, is parsed and
 validated once per (path, text), so an edited file is never served
@@ -61,10 +66,13 @@ _Parser.error) as it is and any other's after "validation error: ", is
 made one line of at most 240 characters by _refusal_line and printed on
 stderr (in batch, as the line's error).  The CLI owns only the surface
 file's schema and a flag's integer syntax; every rule about the values
-is the library's, and so is every answer: a subcommand maps the fields
-of the library's reports to payload keys and does no arithmetic of its
-own, so branches writes hn_branches.branches_report and grr's c2 is
-surface_chow.chern_c2.  That syntax is Python's int(): each integer of
+is the library's, and so is every answer.  Most subcommands map the
+fields of a library report to payload keys: branches writes
+hn_branches.branches_report and grr's c2 is surface_chow.chern_c2.
+ybundle composes the library's y_mul, restrict_to_spectral and a YClass
+sum itself, and surface writes the signature (1, rank - 1) that
+NSLattice has checked; no subcommand counts components or pairs
+vectors.  That syntax is Python's int(): each integer of
 -r, --c2, --points and the comma-separated --c1 and --delta may carry
 surrounding spaces, "_" between digits and non-ASCII decimal digits, so
 -r ' 3 ' is r = 3 and -r=3_0 is r = 30.  The input echo shows -r, --c2

@@ -134,33 +134,17 @@ _set = object.__setattr__
 def _unchecked(cls: type) -> Callable[..., "Frozen"]:
     """cls._of: the value of cls with the given fields, written as they are.
 
-    The writes are unrolled for two and three fields, the values the kernel
-    builds: a loop over the slots would cost most of what skipping the checks saves.
+    Compiled from cls._fields, one slot write per field, as dataclasses
+    compiles __init__.
     """
+    # a loop over the slots costs about x2.5 per build: 862 ns against 331 ns
+    # on 2 fields (CPython 3.11)
     names = cls._fields
-    if len(names) == 2:
-        n0, n1 = names
-
-        def of(f0: object, f1: object) -> Frozen:
-            v = _new(cls)
-            _set(v, n0, f0)
-            _set(v, n1, f1)
-            return v
-    elif len(names) == 3:
-        n0, n1, n2 = names
-
-        def of(f0: object, f1: object, f2: object) -> Frozen:
-            v = _new(cls)
-            _set(v, n0, f0)
-            _set(v, n1, f1)
-            _set(v, n2, f2)
-            return v
-    else:
-        def of(*fields: object) -> Frozen:
-            v = _new(cls)
-            Frozen.__init__(v, *fields)
-            return v
-    return of
+    args = ", ".join(f"f{i}" for i in range(len(names)))
+    sets = "".join(f"    _set(v, {name!r}, f{i})\n" for i, name in enumerate(names))
+    scope = {"_new": _new, "_set": _set, "cls": cls}
+    exec(f"def of({args}):\n    v = _new(cls)\n{sets}    return v\n", scope)
+    return scope["of"]
 
 
 class Frozen:

@@ -144,6 +144,28 @@ def test_bad_preset_degree(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name, answer", [
+    ("blowup:1.json", "parse error: bad blowup point count '1.json'\n"),
+    ("hypersurface:5.json", "parse error: bad hypersurface degree '5.json'\n"),
+    ("blowup:2", "blowup:2"),
+    ("p2", "p2"),
+    ("p1xp1", "p1xp1"),
+])
+def test_a_preset_name_shadows_a_surface_file(tmp_path, monkeypatch, capsys, name, answer):
+    """--surface reads p2, p1xp1 and any value starting hypersurface: or
+    blowup: as a preset name, whether or not a file of that name exists: a
+    tail that is no integer is refused, and a preset answers as itself.
+    ./<name> reads the file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text((DATA / "blowup_p2.json").read_text(encoding="utf-8"))
+    rc, out, err = run(capsys, "surface", "--surface", name)
+    if answer.startswith("parse error"):
+        assert (rc, out, err) == (2, "", answer)
+    else:
+        assert rc == 0 and json.loads(out)["payload"]["name"] == answer
+    assert run_json(capsys, "surface", "--surface", f"./{name}")["payload"]["name"] == "blowup-p2"
+
+
 def test_bad_vector_input(capsys):
     rc, out, err = run(
         capsys, "criterion", "--surface", "hypersurface:5", "-r", "2", "--c1", "1,2", "--c2", "0"

@@ -6,10 +6,11 @@ read by package code, no package module computes with floats, only
 presets and cli build a SurfaceGeometry, no package module imports
 dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
-only the kernel modules call the unchecked constructor _of, every
-functools cache is bounded, no package module holds an assert statement
-(python -O strips them), cli reads argparse by its public names alone
-and parses through argparse at one site, cli imports none of the
+only the kernel modules call the unchecked constructor _of, the one
+exec, eval or compile in the package is the exec ns_lattice._unchecked
+compiles each _of with, every functools cache is bounded, no package
+module holds an assert statement (python -O strips them), cli reads
+argparse by its public names alone and parses through argparse at one site, cli imports none of the
 library's counting, class-making or pairing functions, cli declares each
 flag once, the package namespace is the modules' __all__ lists, every
 public class other than an exception or an enum is a Frozen value,
@@ -235,6 +236,42 @@ def test_only_the_kernel_builds_values_unchecked():
              for use in unchecked_constructions(p)]
     assert found == []
     assert {p.name for p in modules if unchecked_constructions(p)} == KERNEL_MODULES
+
+
+# the builtins that run or compile source text
+DYNAMIC = {"exec", "eval", "compile"}
+
+
+def dynamic_code(path):
+    """Reads of exec, eval or compile, by name or on builtins, as
+    "<file>: <top-level def, class or ''>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}: {getattr(top, 'name', '')}: {ast.unparse(node)}"
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id in DYNAMIC
+            or isinstance(node, ast.Attribute) and node.attr in DYNAMIC
+            and ast.unparse(node.value) == "builtins"]
+
+
+def test_package_runs_source_text_at_one_site():
+    """The one exec in the package compiles each Frozen class's _of from its
+    fields; no other code is built from text."""
+    found = [use for p in sorted(PACKAGE.glob("*.py")) for use in dynamic_code(p)]
+    assert found == ["ns_lattice.py: _unchecked: exec"]
+
+
+def test_dynamic_code_lint_catches_every_read(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import builtins, re\n"
+        "exec('x = 1')\n"
+        "def f(s):\n    return eval(s)\n"
+        "class C:\n    code = compile('1', '<m>', 'eval')\n"
+        "run = builtins.exec\n"
+        "ok = re.compile('x'), pattern.compile, evaluate(1), 'exec'\n"
+    )
+    assert dynamic_code(path) == [
+        "m.py: : exec", "m.py: f: eval", "m.py: C: compile", "m.py: : builtins.exec"]
 
 
 CACHES = {"cache", "lru_cache"}

@@ -350,16 +350,19 @@ def test_cover_copies_keep_the_surface_fields():
 
 def test_frozen_subclass_of_a_subclass_takes_every_field():
     """__init__ and _of of a Frozen subclass fill the slots along its MRO,
-    base first, through the unrolled writes (3 fields) and the loop (5);
-    equality, hash and repr stay on the class's own slots."""
+    base first, at 1, 2, 3, 5 and 10 fields, and _of builds what __init__
+    builds, slot for slot; equality, hash and repr stay on the class's own slots."""
     a = type("A", (Frozen,), {"__slots__": ("a",)})
+    p = type("P", (Frozen,), {"__slots__": ("a", "b")})
     b = type("B", (a,), {"__slots__": ("b", "c")})
     c = type("C", (b,), {"__slots__": ("d", "e")})
-    for cls, names in ((b, "abc"), (c, "abcde")):
+    d = type("D", (c,), {"__slots__": tuple("fghij")})
+    for cls, names in ((a, "a"), (p, "ab"), (b, "abc"), (c, "abcde"), (d, "abcdefghij")):
         fields = list(range(len(names)))
         assert cls._fields == tuple(names)
-        for v in (cls(*fields), cls._of(*fields)):
-            assert [getattr(v, name) for name in names] == fields
+        made, fast = cls(*fields), cls._of(*fields)
+        assert type(made) is type(fast) is cls
+        assert [getattr(fast, n) for n in names] == [getattr(made, n) for n in names] == fields
         with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(names)} fields$"):
             cls(*fields[1:])
     v, w = c(0, 1, 2, 3, 4), c(9, 9, 9, 3, 4)
