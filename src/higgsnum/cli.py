@@ -66,8 +66,10 @@ _Parser.error) as it is and any other's after "validation error: ", is
 made one line of at most 240 characters by _refusal_line and printed on
 stderr (in batch, as the line's error).  The CLI owns only the surface
 file's schema and a flag's integer syntax; every rule about the values
-is the library's, and so is every answer.  Most subcommands map the
-fields of a library report to payload keys: branches writes
+is the library's, and so is every answer.  The schema is the six
+SURFACE_FIELDS and their JSON types, and the fields are the parameters
+of presets.surface, the one builder of a surface.  Most subcommands map
+the fields of a library report to payload keys: branches writes
 hn_branches.branches_report and grr's c2 is surface_chow.chern_c2.
 ybundle composes the library's y_mul, restrict_to_spectral and a YClass
 sum itself, and surface writes the signature (1, rank - 1) that
@@ -92,7 +94,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO, Union
 
-from .ns_lattice import Frozen, HiggsError, NSLattice, NSVector, ValidationError, require_int
+from .ns_lattice import Frozen, HiggsError, NSVector, ValidationError, require_int
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chern_c2, chi
 from .proj_bundle import (
     YClass,
@@ -170,7 +172,7 @@ def load_surface(spec: str) -> SurfaceGeometry:
 def _parse_surface(spec: str, raw: str) -> SurfaceGeometry:
     """The surface that the text raw of the file spec describes: a CLIError
     unless it is a JSON object with the SURFACE_FIELDS of their JSON types,
-    whose values go to the constructors as they are."""
+    whose values go to presets.surface by name, as they are."""
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -188,10 +190,7 @@ def _parse_surface(spec: str, raw: str) -> SurfaceGeometry:
             raise CLIError(f"parse error in {spec!r}: missing field {key!r}")
         if not isinstance(data[key], typ) or isinstance(data[key], bool):
             raise CLIError(f"parse error in {spec!r}: field {key!r} must be {typ.__name__}")
-    return SurfaceGeometry(
-        NSLattice(data["ns_rank"], data["gram"]), NSVector(data["canonical"]),
-        NSVector(data["polarization"]), data["c2_top"], data["name"],
-    )
+    return presets.surface(**{key: data[key] for key in SURFACE_FIELDS})
 
 
 def _parse_vector(text: str, what: str) -> NSVector:
@@ -562,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         actions = [p.add_argument(*names, **kwargs) for names, kwargs in specs]
         template = {a.dest: a.default for a in actions}
         template.update((k, v) for k, v in defaults.items() if k not in template)
-        flags = {s: a for a in actions if a.nargs is None for s in a.option_strings}
+        flags = {s: a for a in actions for s in a.option_strings}
         parser.tables[name] = flags, {a.dest for a in actions if a.required}, template
     return parser
 
@@ -675,16 +674,19 @@ def batch(lines: Iterable[Union[str, bytes]], out: TextIO) -> int:
     """Answer each line, one JSON argv list, with one line on out: the
     envelope in the one-line layout, or {"error": <one line>, "exit": 2}.
 
-    Every line goes through _query in the one-line layout, whatever its
-    --format, and out is flushed after each answer.  A line that is no
-    JSON list of strings or asks for help is refused, as _query refuses
-    bad flags, and the batch carries on.  The result is the largest exit
-    code of the lines, 0 for none.
+    Each line is decoded without its terminator, LF or CR LF, so a JSON
+    refusal gives a position within the line.  Every line goes through
+    _query in the one-line layout, whatever its --format, and out is
+    flushed after each answer.  A line that is no JSON list of strings or
+    asks for help is refused, as _query refuses bad flags, and the batch
+    carries on.  The result is the largest exit code of the lines, 0 for
+    none.
     """
     worst = 0
     for number, line in enumerate(lines, 1):
+        crlf, lf = ("\r\n", "\n") if isinstance(line, str) else (b"\r\n", b"\n")
         try:
-            argv = json.loads(line)
+            argv = json.loads(line[:-2] if line.endswith(crlf) else line.removesuffix(lf))
             if type(argv) is not list or not all(type(a) is str for a in argv):
                 raise ValueError("expected a JSON list of strings")
         except (RecursionError, ValueError) as exc:

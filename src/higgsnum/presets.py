@@ -1,4 +1,11 @@
-"""Built-in surface geometries.
+"""Built-in surface geometries, and the one builder of every surface.
+
+surface(name, ns_rank, gram, canonical, polarization, c2_top) turns a
+surface's plain data into a checked SurfaceGeometry.  Its parameters are
+the six fields of a surface file, in the order of cli.SURFACE_FIELDS:
+the presets below call it with their data, and the CLI with a file's
+fields by name, so a lattice, a class vector and a surface are built
+from plain data here and nowhere else.
 
 Three families cover the worked cases: the projective plane, smooth
 degree-d hypersurfaces in projective 3-space polarized by the hyperplane
@@ -23,13 +30,24 @@ a^2 > k, so blowup(1) is polarized by 2H - E.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .ns_lattice import NSLattice, NSVector, ValidationError, brief, require_int
 from .surface_chow import SurfaceGeometry
 
-__all__ = ["blowup", "by_name", "hypersurface", "p1xp1", "p2"]
+__all__ = ["blowup", "by_name", "hypersurface", "p1xp1", "p2", "surface"]
 
 # the most points blowup(k) blows up, so a preset name cannot ask for a huge lattice
 MAX_BLOWUP = 64
+
+
+def surface(name: str, ns_rank: int, gram: Sequence[Sequence[int]], canonical: Sequence[int],
+            polarization: Sequence[int], c2_top: int) -> SurfaceGeometry:
+    """The checked surface of a surface file's six fields, taken in the file's
+    order: NSLattice(ns_rank, gram), then NSVector(canonical) and
+    NSVector(polarization), then SurfaceGeometry, each refusing its own."""
+    return SurfaceGeometry(NSLattice(ns_rank, gram), NSVector(canonical),
+                           NSVector(polarization), c2_top, name)
 
 
 def p2() -> SurfaceGeometry:
@@ -44,13 +62,7 @@ def hypersurface(d: int) -> SurfaceGeometry:
 
 def p1xp1() -> SurfaceGeometry:
     """P^1 x P^1: gram [[0, 1], [1, 0]], K = (-2, -2), L = (1, 1), c2 = 4."""
-    return SurfaceGeometry(
-        lattice=NSLattice(2, ((0, 1), (1, 0))),
-        canonical=NSVector((-2, -2)),
-        polarization=NSVector((1, 1)),
-        c2_top=4,
-        name="p1xp1",
-    )
+    return surface("p1xp1", 2, ((0, 1), (1, 0)), (-2, -2), (1, 1), 4)
 
 
 def blowup(k: int) -> SurfaceGeometry:
@@ -62,24 +74,12 @@ def blowup(k: int) -> SurfaceGeometry:
     while a * a <= k:
         a += 1
     diagonal = (1,) + (-1,) * k
-    return SurfaceGeometry(
-        lattice=NSLattice(k + 1, [[d if i == j else 0 for j in range(k + 1)]
-                                  for i, d in enumerate(diagonal)]),
-        canonical=NSVector((-3,) + (1,) * k),
-        polarization=NSVector((a,) + (-1,) * k),
-        c2_top=3 + k,
-        name=f"blowup:{k}",
-    )
+    gram = [[d if i == j else 0 for j in range(k + 1)] for i, d in enumerate(diagonal)]
+    return surface(f"blowup:{k}", k + 1, gram, (-3,) + (1,) * k, (a,) + (-1,) * k, 3 + k)
 
 
 def _hypersurface(d: int, name: str) -> SurfaceGeometry:
-    return SurfaceGeometry(
-        lattice=NSLattice(1, ((d,),)),
-        canonical=NSVector((d - 4,)),
-        polarization=NSVector((1,)),
-        c2_top=d**3 - 4 * d**2 + 6 * d,
-        name=name,
-    )
+    return surface(name, 1, ((d,),), (d - 4,), (1,), d**3 - 4 * d**2 + 6 * d)
 
 
 # the presets with a number after the colon: builder and what the number is

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -517,6 +518,22 @@ def test_encode_fractions():
     assert encode(Fraction(5, -4)) == "-5/4"  # normalized denominator stays positive
 
 
+# every preset family, at each size up to 9 points and at the largest blowup
+SCHEMA_PRESETS = ["p2", "p1xp1", *(f"hypersurface:{d}" for d in range(1, 7)),
+                  *(f"blowup:{k}" for k in (*range(10), presets.MAX_BLOWUP))]
+
+
+def test_surface_files_are_the_builder_and_the_surface_payload(tmp_path, capsys):
+    """The surface file schema is presets.surface's parameters, in order, and the
+    first six keys of a preset's `surface` payload, as a file, load to that preset."""
+    assert tuple(cli.SURFACE_FIELDS) == tuple(inspect.signature(presets.surface).parameters)
+    path = tmp_path / "surface.json"
+    for name in SCHEMA_PRESETS:
+        payload = run_json(capsys, "surface", "--surface", name)["payload"]
+        path.write_text(json.dumps(dict(list(payload.items())[:len(cli.SURFACE_FIELDS)])))
+        assert load_surface(str(path)) == presets.by_name(name), name
+
+
 def test_load_surface_preset_roundtrip():
     x = load_surface("p2")
     assert x.name == "p2"
@@ -792,7 +809,10 @@ def test_batch_failing_verify_line_exits_one(monkeypatch):
 BAD_LINES = [
     ("not-json", "{", "parse error in line 1: Expecting property name enclosed in double quotes: "
      "line 1 column 2 (char 1)"),
-    ("blank", "\n", "parse error in line 1: Expecting value: line 2 column 1 (char 1)"),
+    ("blank", "\n", "parse error in line 1: Expecting value: line 1 column 1 (char 0)"),
+    ("cut-short", '{"a": \n', "parse error in line 1: Expecting value: line 1 column 7 (char 6)"),
+    ("cut-short-crlf", b'{"a": \r\n',
+     "parse error in line 1: Expecting value: line 1 column 7 (char 6)"),
     ("not-utf8", b"\xff\n", "parse error in line 1: 'utf-8' codec can't decode byte 0xff in "
      "position 0: invalid start byte"),
     ("not-a-list", '{"surface": "p2"}', "parse error in line 1: expected a JSON list of strings"),

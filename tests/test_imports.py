@@ -142,8 +142,9 @@ def test_package_definitions_are_exported_or_read():
     assert unread_definitions(sorted(PACKAGE.glob("*.py"))) == []
 
 
-# the one place each surface is built: presets, and cli for surface files
-SURFACE_BUILDERS = {"cli.py", "presets.py"}
+# the one module that builds a surface, in its function surface, which the
+# presets and cli's surface-file reader call
+SURFACE_BUILDERS = {"presets.py"}
 
 
 def surface_constructions(path):
@@ -156,10 +157,12 @@ def surface_constructions(path):
     ]
 
 
-def test_only_presets_and_cli_build_surfaces():
-    found = [use for p in sorted(PACKAGE.glob("*.py")) if p.name not in SURFACE_BUILDERS
-             for use in surface_constructions(p)]
-    assert found == []
+def test_only_presets_surface_builds_surfaces():
+    found = [use for p in sorted(PACKAGE.glob("*.py")) for use in surface_constructions(p)]
+    assert [use.partition(":")[0] for use in found] == sorted(SURFACE_BUILDERS)
+    tree = ast.parse((PACKAGE / "presets.py").read_text(encoding="utf-8"))
+    builder = next(node for node in tree.body if getattr(node, "name", None) == "surface")
+    assert builder.lineno <= int(found[0].partition(":")[2]) <= builder.end_lineno
 
 
 # ns_lattice's aliases of object.__setattr__ and object.__new__
