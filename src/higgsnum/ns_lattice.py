@@ -12,13 +12,18 @@ positive, gcd-reduced common denominator, which is 1 exactly when the
 vector is integral.  NSVector(coords) builds an integral vector and
 QNSVector(coords) one from rational coordinates.  Vector sums and the
 pairing run over the integer numerators and divide once at the end.
+NumDen holds the arithmetic of that layout, which surface_chow's
+ChowClass shares: sums and differences through lincomb, scalar multiples
+through reduced, the one gcd reduction to normal form; dot is the
+pairing's loop on raw numerator tuples.
 The signature test is fraction-free symmetric Bareiss elimination on
 the gram's rows, with one exactness check per step.
 
 Every value is a Frozen.  Public constructors check every field and
 bring it to normal form, so outside input is checked where it enters;
-kernel results are built unchecked from checked parts by Cls._of(*fields).
-Both write the slots through _set, the one route around Frozen.__setattr__.
+kernel results are built unchecked from checked parts by Cls._of(*fields),
+compiled the first time the class reads it.  Both write the slots
+through _set, the one route around Frozen.__setattr__.
 
 Every refusal in the package is a HiggsError (a ValueError):
 LatticeError for lattice data, ValidationError for surface and sheaf
@@ -63,6 +68,7 @@ __all__ = [
 
 Rat = Union[int, Fraction]
 _T = TypeVar("_T")
+_V = TypeVar("_V", bound="NumDen")
 
 
 class HiggsError(ValueError):
@@ -147,6 +153,22 @@ def _unchecked(cls: type) -> Callable[..., "Frozen"]:
     return scope["of"]
 
 
+class _Compiled:
+    """The _of of each Frozen class until its first read, which compiles it
+    with _unchecked and puts it on the class in this one's place: most
+    classes are only ever built through their checked __init__."""
+
+    __slots__ = ()
+
+    def __get__(self, obj: object, cls: type) -> Callable[..., "Frozen"]:
+        of = _unchecked(cls)
+        cls._of = staticmethod(of)
+        return of
+
+
+_COMPILED = _Compiled()
+
+
 class Frozen:
     """An immutable value whose fields are the __slots__ along its MRO, base first.
 
@@ -163,7 +185,8 @@ class Frozen:
         cls._fields = tuple(name for c in reversed(cls.__mro__)
                             for name in c.__dict__.get("__slots__", ()))
         cls._key = attrgetter(*cls.__slots__)
-        cls._of = staticmethod(_unchecked(cls))
+        # on the class itself, so a subclass never reads its base's _of
+        cls._of = _COMPILED
 
     def __init__(self, *fields: object) -> None:
         if len(fields) != len(self._fields):
@@ -193,7 +216,37 @@ class Frozen:
             _set(self, name, value)
 
 
-class NSVector(Frozen):
+class NumDen:
+    """The arithmetic of a value stored as a tuple num of integer numerators
+    over one denominator den > 0 with gcd(den, *num) = 1: NSVector and
+    ChowClass.  Sums and differences go through lincomb, a scalar multiple
+    through reduced; a value of another type is NotImplemented."""
+
+    __slots__ = ()
+
+    def __add__(self: _V, other: _V) -> _V:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return lincomb(1, self, 1, other)
+
+    def __sub__(self: _V, other: _V) -> _V:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return lincomb(1, self, -1, other)
+
+    def __neg__(self: _V) -> _V:
+        return type(self)._of(tuple([-a for a in self.num]), self.den)
+
+    def __mul__(self: _V, k: Rat) -> _V:
+        if type(k) is not int and not isinstance(k, Fraction):
+            return NotImplemented
+        p = k.numerator
+        return reduced(type(self), tuple([p * a for a in self.num]), k.denominator * self.den)
+
+    __rmul__ = __mul__
+
+
+class NSVector(NumDen, Frozen):
     """Rational coordinate vector num/den in a fixed basis of the lattice.
 
     num is a tuple of integers and den a positive integer with
@@ -237,34 +290,13 @@ class NSVector(Frozen):
     def __len__(self) -> int:
         return len(self.num)
 
-    def __add__(self, other: "NSVector") -> "NSVector":
-        if not isinstance(other, NSVector):
-            return NotImplemented
-        return lincomb(1, self, 1, other)
-
-    def __sub__(self, other: "NSVector") -> "NSVector":
-        if not isinstance(other, NSVector):
-            return NotImplemented
-        return lincomb(1, self, -1, other)
-
-    def __neg__(self) -> "NSVector":
-        return NSVector._of(tuple(-a for a in self.num), self.den)
-
-    def __mul__(self, k: Rat) -> "NSVector":
-        if type(k) is not int and not isinstance(k, Fraction):
-            return NotImplemented
-        p = k.numerator
-        return _reduced(tuple(p * a for a in self.num), k.denominator * self.den)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, k: Rat) -> "NSVector":
         if type(k) is not int and not isinstance(k, Fraction):
             return NotImplemented
         if k == 0:
             raise ZeroDivisionError("vector divided by zero")
         p = k.denominator if k > 0 else -k.denominator
-        return _reduced(tuple(p * a for a in self.num), abs(k.numerator) * self.den)
+        return reduced(NSVector, tuple([p * a for a in self.num]), abs(k.numerator) * self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -278,27 +310,33 @@ class NSVector(Frozen):
         return self if self.den == 1 else None
 
 
-def _reduced(num: tuple[int, ...], den: int) -> NSVector:
-    """An NSVector from integer numerators over a positive denominator."""
+def reduced(cls: type[_V], num: tuple[int, ...], den: int) -> _V:
+    """The cls value num/den, from integer numerators over a positive
+    denominator, brought to lowest terms by one gcd."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(a // g for a in num)
+            num = tuple([a // g for a in num])
             den //= g
-    return NSVector._of(num, den)
+    return cls._of(num, den)
 
 
-def lincomb(s: Rat, v: NSVector, t: Rat, w: NSVector) -> NSVector:
-    """s*v + t*w for exact scalars s, t, summed in integers and reduced once."""
-    if len(v.num) != len(w.num):
-        raise LatticeError(f"dimension mismatch: {len(v.num)} vs {len(w.num)}")
-    sd, td = s.denominator, t.denominator
-    # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
-    a = s.numerator * td * w.den
-    b = t.numerator * sd * v.den
-    return _reduced(
-        tuple(map(lambda x, y: a * x + b * y, v.num, w.num)), sd * td * v.den * w.den
-    )
+def lincomb(s: Rat, v: _V, t: Rat, w: _V) -> _V:
+    """s*v + t*w for exact scalars s, t and two values of v's NumDen type
+    (two vectors or two Chow classes), summed in integers and reduced once."""
+    # both types have num and den, so the type is checked, not the fields
+    if type(w) is not type(v):
+        raise LatticeError(f"not two vectors or two Chow classes: {v!r}, {w!r}")
+    vn, wn, vd, wd = v.num, w.num, v.den, w.den
+    if len(vn) != len(wn):
+        raise LatticeError(f"dimension mismatch: {len(vn)} vs {len(wn)}")
+    if vd == wd and type(s) is int and type(t) is int:
+        a, b, den = s, t, vd
+    else:
+        sd, td = s.denominator, t.denominator
+        # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
+        a, b, den = s.numerator * td * wd, t.numerator * sd * vd, sd * td * vd * wd
+    return reduced(type(v), tuple([a * x + b * y for x, y in zip(vn, wn)]), den)
 
 
 # the rational constructor of the one vector type
@@ -430,15 +468,20 @@ class NSLattice(Frozen):
 
 def pair_num(lat: NSLattice, v: NSVector, w: NSVector) -> int:
     """Integer numerator of v.w over the denominator v.den * w.den."""
-    try:
-        vn, wn = v.num, w.num
-    except AttributeError:
-        raise LatticeError(f"not a pair of lattice vectors: {v!r}, {w!r}") from None
+    # a Chow class has num and den too, so the type is checked, not the fields
+    if not (isinstance(v, NSVector) and isinstance(w, NSVector)):
+        raise LatticeError(f"not a pair of lattice vectors: {v!r}, {w!r}")
+    vn, wn = v.num, w.num
     if len(vn) != lat.rank or len(wn) != lat.rank:
         lat.check_vector(v)
         lat.check_vector(w)
+    return dot(lat.gram, vn, wn)
+
+
+def dot(gram: tuple[tuple[int, ...], ...], vn: Sequence[int], wn: Sequence[int]) -> int:
+    """The form gram on integer coordinate tuples vn and wn of its size."""
     total = 0
-    for vi, row in zip(vn, lat.gram):
+    for vi, row in zip(vn, gram):
         if vi:
             total += vi * sum(map(mul, row, wn))
     return total

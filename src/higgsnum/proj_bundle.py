@@ -47,9 +47,9 @@ class YClass(Frozen):
     __slots__ = ("alpha", "beta", "over")
 
     def __init__(self, alpha: ChowClass, beta: ChowClass, over: SurfaceGeometry) -> None:
-        require_type(over, SurfaceGeometry, "a surface")
+        n = require_type(over, SurfaceGeometry, "a surface").rank + 2
         for part in (alpha, beta):
-            if not isinstance(part, ChowClass) or part.rank != over.rank:
+            if not isinstance(part, ChowClass) or len(part.num) != n:
                 raise LatticeError("class components do not fit the base lattice")
         Frozen.__init__(self, alpha, beta, over)
 
@@ -72,14 +72,14 @@ class YClass(Frozen):
         if isinstance(other, YClass):
             return y_mul(self, other)
         if type(other) is int or isinstance(other, Fraction):
-            return YClass._of(other * self.alpha, other * self.beta, self.over)
+            return YClass._of(self.alpha * other, self.beta * other, self.over)
         return NotImplemented
 
     __rmul__ = __mul__
 
 
 def _same_base(a: YClass, b: YClass) -> None:
-    if a.over != b.over:
+    if a.over is not b.over and a.over != b.over:
         raise LatticeError("classes live over different base surfaces")
 
 
@@ -98,19 +98,14 @@ def hyperplane_class(x: SurfaceGeometry) -> YClass:
 
 
 def y_mul(a: YClass, b: YClass) -> YClass:
-    """Ring product, rewriting eta^2 as pi^* c1(L) . eta."""
-    for c in (a, b):
-        require_type(c, YClass, "a class on the threefold")
+    """Ring product (a + b eta)(c + d eta) = ac + (ad + b(c + d L)) eta, as eta^2 = L eta."""
+    require_type(a, YClass, "a class on the threefold")
+    require_type(b, YClass, "a class on the threefold")
     _same_base(a, b)
     x = a.over
     c_l = ChowClass.of_divisor(x.polarization)
-    alpha = chow_mul(x, a.alpha, b.alpha)
-    beta = (
-        chow_mul(x, a.alpha, b.beta)
-        + chow_mul(x, a.beta, b.alpha)
-        + chow_mul(x, chow_mul(x, a.beta, b.beta), c_l)
-    )
-    return YClass._of(alpha, beta, x)
+    beta = chow_mul(x, a.alpha, b.beta) + chow_mul(x, a.beta, b.alpha + chow_mul(x, b.beta, c_l))
+    return YClass._of(chow_mul(x, a.alpha, b.alpha), beta, x)
 
 
 def y_pushforward(a: YClass) -> ChowClass:

@@ -17,7 +17,8 @@ check of the bookkeeping.
 
 from __future__ import annotations
 
-from .ns_lattice import Frozen, NSLattice, NSVector, Rat, ratio, ratnorm, require_int, require_type
+from .ns_lattice import (Frozen, NSLattice, NSVector, Rat, ratnorm, reduced, require_int,
+                         require_type)
 from .surface_chow import (
     ChowClass,
     SurfaceGeometry,
@@ -69,14 +70,15 @@ class SpectralCover(SurfaceGeometry):
     def pushforward(self, c: ChowClass, points: Rat = 0) -> ChowClass:
         """pi_*(pi^*c + points . pt) = r c + points . pt, as a base class."""
         require_type(c, ChowClass, "a Chow class")
-        r, m = self.r, ratnorm(points)
-        return ChowClass._of(ratnorm(r * c.deg0), r * c.deg1, ratnorm(r * c.deg2 + m))
+        m, d = ratnorm(points), c.den
+        *num, top = [self.r * m.denominator * a for a in c.num]
+        return reduced(ChowClass, (*num, top + m.numerator * d), d * m.denominator)
 
 
 def _on_base(s: SpectralCover, c: ChowClass) -> ChowClass:
     """A class of the cover as a base class: the same coordinates, deg2 over r."""
-    require_type(s, SpectralCover, "a spectral cover")
-    return ChowClass._of(c.deg0, c.deg1, ratio(c.deg2.numerator, c.deg2.denominator * s.r))
+    r = require_type(s, SpectralCover, "a spectral cover").r
+    return reduced(ChowClass, (*[r * a for a in c.num[:-1]], c.num[-1]), r * c.den)
 
 
 def spectral_canonical(s: SpectralCover) -> NSVector:
@@ -117,11 +119,8 @@ def pushforward_structure_ch(s: SpectralCover) -> ChowClass:
     """
     x = require_type(s, SpectralCover, "a spectral cover").base
     r = s.r
-    return ChowClass(
-        r,
-        (-(r * (r - 1) // 2)) * x.polarization,
-        ratio(r * (r - 1) * (2 * r - 1) * x.l_squared, 12),
-    )
+    return reduced(ChowClass, (12 * r, *[-6 * r * (r - 1) * a for a in x.polarization.num],
+                               r * (r - 1) * (2 * r - 1) * x.l_squared), 12)
 
 
 def grr_pushforward(s: SpectralCover, delta: NSVector, n_points: int) -> ChowClass:

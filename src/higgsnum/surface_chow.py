@@ -20,15 +20,18 @@ constructor checks the Noether constraint that K^2 + c2 is divisible by
 12, and Wu's formula that K is characteristic (D^2 + K.D is even for
 every D), so chi(O) and chi of every line bundle are integers.
 
-The public constructors check: ChowClass(deg0, deg1, deg2) brings deg0
-and deg2 to normal form.  Kernel results are built unchecked from checked
-parts with ChowClass._of (+, -, negation, scalar *, chow_mul, chow_inverse,
-zero, unit); a sum or product that may be an integral Fraction is ratnorm'd.
+A class is stored as a vector is: integer numerators num = (n0, n1 ..
+n_rank, n2) of its degrees over one den > 0, gcd(den, *num) = 1, with
+deg0, deg1 and deg2 as read-only views.  Each kernel (NumDen's + - neg *,
+chow_mul, chow_inverse, the Chern characters, Todd, chi, chern_c2) is one
+comprehension over those integers, at most one pairing (dot) and one gcd
+reduction into ChowClass._of.  The checked constructor is ChowClass(deg0,
+deg1, deg2), behind of_divisor and of_points; zero and unit check the rank.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .ns_lattice import (
@@ -36,14 +39,16 @@ from .ns_lattice import (
     LatticeError,
     NSLattice,
     NSVector,
+    NumDen,
     Rat,
     ValidationError,
-    lincomb,
+    dot,
     pair,
     pair_num,
     qvec,
     ratio,
     ratnorm,
+    reduced,
     require_int,
     require_type,
 )
@@ -130,26 +135,32 @@ def _shown(n: int, fallback: object) -> str:
         return str(fallback)
 
 
-class ChowClass(Frozen):
-    """Element of the truncated intersection ring of a surface.
-
-    deg0 and deg2 are exact rationals, deg1 a rational divisor class.
-    Addition and scalar multiplication are defined here; the ring
-    product needs the pairing and lives in chow_mul.
+class ChowClass(NumDen, Frozen):
+    """Element of the truncated intersection ring of a surface: deg0 and
+    deg2 exact rationals, deg1 a rational divisor class, all three held in
+    num over den.  Sums, differences and scalar multiples come from NumDen;
+    the ring product needs the pairing and lives in chow_mul.
     """
 
-    __slots__ = ("deg0", "deg1", "deg2")
+    __slots__ = ("num", "den")
 
     def __init__(self, deg0: Rat, deg1: NSVector, deg2: Rat) -> None:
-        Frozen.__init__(self, ratnorm(deg0), qvec(deg1), ratnorm(deg2))
+        if type(deg0) is int and type(deg2) is int and type(deg1) is NSVector and deg1.den == 1:
+            Frozen.__init__(self, (deg0, *deg1.num, deg2), 1)
+            return
+        a, v, b = ratnorm(deg0), qvec(deg1), ratnorm(deg2)
+        # the lcm of reduced denominators leaves gcd(den, *num) = 1
+        den, m = lcm(a.denominator, v.den, b.denominator), v.den
+        Frozen.__init__(self, (a.numerator * den // a.denominator, *[y * den // m for y in v.num],
+                               b.numerator * den // b.denominator), den)
 
     @classmethod
     def zero(cls, rank: int) -> "ChowClass":
-        return cls._of(0, NSVector.zero(rank), 0)
+        return cls._of((0,) * (require_int(rank, "rank", 1, error=LatticeError) + 2), 1)
 
     @classmethod
     def unit(cls, rank: int) -> "ChowClass":
-        return cls._of(1, NSVector.zero(rank), 0)
+        return cls._of((1,) + (0,) * (require_int(rank, "rank", 1, error=LatticeError) + 1), 1)
 
     @classmethod
     def of_divisor(cls, v: NSVector) -> "ChowClass":
@@ -160,78 +171,65 @@ class ChowClass(Frozen):
         return cls(0, NSVector.zero(rank), x)
 
     @property
+    def deg0(self) -> Rat:
+        return self.num[0] if self.den == 1 else ratio(self.num[0], self.den)
+
+    @property
+    def deg1(self) -> NSVector:
+        return reduced(NSVector, self.num[1:-1], self.den)
+
+    @property
+    def deg2(self) -> Rat:
+        return self.num[-1] if self.den == 1 else ratio(self.num[-1], self.den)
+
+    @property
     def rank(self) -> int:
-        return len(self.deg1)
+        return len(self.num) - 2
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return ChowClass._of(ratnorm(self.deg0 + other.deg0), self.deg1 + other.deg1,
-                             ratnorm(self.deg2 + other.deg2))
 
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return ChowClass._of(ratnorm(self.deg0 - other.deg0), self.deg1 - other.deg1,
-                             ratnorm(self.deg2 - other.deg2))
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass._of(-self.deg0, -self.deg1, -self.deg2)
-
-    def __mul__(self, k: Rat) -> "ChowClass":
-        if type(k) is int or isinstance(k, Fraction):
-            return ChowClass._of(ratnorm(k * self.deg0), k * self.deg1, ratnorm(k * self.deg2))
-        return NotImplemented
-
-    __rmul__ = __mul__
+def _deg1(x: SurfaceGeometry, a: ChowClass) -> tuple[int, ...]:
+    """The numerators of the degree-1 part of a, which must fit the lattice of x."""
+    if len(a.num) != x.lattice.rank + 2:
+        x.lattice.check_vector(a.deg1)
+    return a.num[1:-1]
 
 
 def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
     """Product in the truncated intersection ring of x.
 
-    Each degree is summed over integer numerators and divided once.
+    Over the one denominator a.den * b.den the numerators are
+    (a0 b0, a0 b1 + b0 a1, a0 b2 + b0 a2 + a1.b1), reduced once.
     """
-    try:
-        a0, b0, a2, b2 = a.deg0, b.deg0, a.deg2, b.deg2
-        u, v = a.deg1, b.deg1
-    except AttributeError:
-        raise ValidationError(f"not a pair of Chow classes: {a!r}, {b!r}") from None
-    # deg2 = a0 b2 + b0 a2 + u.v over the common denominator d1 d2 d3
-    d1 = a0.denominator * b2.denominator
-    d2 = b0.denominator * a2.denominator
-    d3 = u.den * v.den
-    deg2 = ratio(
-        (a0.numerator * b2.numerator * d2 + b0.numerator * a2.numerator * d1) * d3
-        + pair_num(x.lattice, u, v) * d1 * d2,
-        d1 * d2 * d3,
-    )
-    deg0 = ratio(a0.numerator * b0.numerator, a0.denominator * b0.denominator)
-    return ChowClass._of(deg0, lincomb(a0, v, b0, u), deg2)
+    if not (isinstance(a, ChowClass) and isinstance(b, ChowClass)):
+        raise ValidationError(f"not a pair of Chow classes: {a!r}, {b!r}")
+    p, q, lat = a.num, b.num, x.lattice
+    if len(p) != lat.rank + 2 or len(q) != len(p):
+        _deg1(x, a), _deg1(x, b)
+    a0, b0, u, v = p[0], q[0], p[1:-1], q[1:-1]
+    return reduced(ChowClass, (a0 * b0, *[a0 * z + b0 * y for y, z in zip(u, v)],
+                               a0 * q[-1] + b0 * p[-1] + dot(lat.gram, u, v)),
+                   a.den * b.den)
 
 
 def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
     """Multiplicative inverse of a class with invertible degree-0 part.
 
-    With a0 = n/d, n > 0: (d/n, -d^2/n^2 a1, d^3/n^3 a1^2 - d^2/n^2 a2), each divided once.
+    With a = (n, u, t)/d: (d n^2, -d n u, d (u.u - n t)) / n^3, reduced once.
     """
-    try:
-        n, d = a.deg0.numerator, a.deg0.denominator
-        u, s, t = a.deg1, a.deg2.numerator, a.deg2.denominator
-    except AttributeError:
-        raise ValidationError(f"not a Chow class: {a!r}") from None
+    if not isinstance(a, ChowClass):
+        raise ValidationError(f"not a Chow class: {a!r}")
+    n = a.num[0]
     if n == 0:
         raise ValidationError("class with deg0 = 0 is not invertible")
-    if n < 0:
-        n, d = -n, -d
-    e2 = u.den * u.den
-    deg2 = ratio(d * d * (pair_num(x.lattice, u, u) * d * t - s * n * e2), n * n * n * e2 * t)
-    return ChowClass._of(ratio(d, n), u * ratio(-d * d, n * n), deg2)
+    d = a.den if n > 0 else -a.den
+    u = _deg1(x, a)
+    return reduced(ChowClass, (d * n * n, *[-d * n * y for y in u],
+                               d * (dot(x.lattice.gram, u, u) - n * a.num[-1])), n * n * abs(n))
 
 
 def line_bundle_ch(x: SurfaceGeometry, d: NSVector) -> ChowClass:
     """Chern character exp(D) = (1, D, D^2/2) of a line bundle class."""
-    require_type(x, SurfaceGeometry, "a surface")
-    return ChowClass(1, d, ratio(pair_num(x.lattice, d, d), 2 * d.den * d.den))
+    return ideal_twist_ch(x, d, 0)
 
 
 def todd_surface(x: SurfaceGeometry) -> ChowClass:
@@ -240,23 +238,28 @@ def todd_surface(x: SurfaceGeometry) -> ChowClass:
     The degree-2 part is chi(O), an integer by the Noether check.
     """
     require_type(x, SurfaceGeometry, "a surface")
-    return ChowClass(1, x.canonical / -2, x.chi_structure_sheaf)
+    return reduced(ChowClass, (2, *[-k for k in x.canonical.num], 2 * x.chi_structure_sheaf), 2)
 
 
 def cotangent_ch(x: SurfaceGeometry) -> ChowClass:
     """Chern character (2, K, (K^2 - 2 c2)/2) of the cotangent bundle."""
     require_type(x, SurfaceGeometry, "a surface")
-    return ChowClass(2, x.canonical, ratio(x.k_squared - 2 * x.c2_top, 2))
+    return reduced(ChowClass, (4, *[2 * k for k in x.canonical.num],
+                               x.k_squared - 2 * x.c2_top), 2)
 
 
 def chi(x: SurfaceGeometry, ch: ChowClass) -> Rat:
     """Euler characteristic by Riemann-Roch: degree-2 part of ch * Td.
 
+    That is ch0 chi(O) - ch1.K/2 + ch2, over the one denominator 2 ch.den.
     The value is exact; for the Chern character of an actual sheaf it is
     an integer, but non-integral inputs are legitimate and the result is
     returned as is.
     """
-    return chow_mul(x, ch, todd_surface(x)).deg2
+    require_type(x, SurfaceGeometry, "a surface")
+    require_type(ch, ChowClass, "a Chow class")
+    k = dot(x.lattice.gram, _deg1(x, ch), x.canonical.num)
+    return ratio(2 * (ch.num[0] * x.chi_structure_sheaf + ch.num[-1]) - k, 2 * ch.den)
 
 
 def chern_c2(x: SurfaceGeometry, ch: ChowClass) -> Rat:
@@ -264,9 +267,9 @@ def chern_c2(x: SurfaceGeometry, ch: ChowClass) -> Rat:
     class of a sheaf with that character, for any rank."""
     require_type(x, SurfaceGeometry, "a surface")
     require_type(ch, ChowClass, "a Chow class")
-    # over the one denominator 2 e^2 q, with ch1 = v/e and ch2 = p/q
-    e2, p, q = ch.deg1.den ** 2, ch.deg2.numerator, ch.deg2.denominator
-    return ratio(pair_num(x.lattice, ch.deg1, ch.deg1) * q - 2 * e2 * p, 2 * e2 * q)
+    # over the one denominator 2 d^2, with ch1 = u/d and ch2 = t/d
+    d, u = ch.den, _deg1(x, ch)
+    return ratio(dot(x.lattice.gram, u, u) - 2 * d * ch.num[-1], 2 * d * d)
 
 
 def hilbert_polynomial(x: SurfaceGeometry, ch: ChowClass, n: int) -> Rat:
@@ -282,10 +285,13 @@ def hilbert_polynomial(x: SurfaceGeometry, ch: ChowClass, n: int) -> Rat:
 
 
 def ideal_twist_ch(x: SurfaceGeometry, m: NSVector, n_points: int) -> ChowClass:
-    """Chern character of a line bundle twisted by the ideal of n points."""
+    """Chern character (1, M, M^2/2 - n) of a line bundle twisted by the
+    ideal of n points, over the one denominator 2 e^2 with M = v/e."""
     require_int(n_points, "point count", 0)
-    c = line_bundle_ch(x, m)
-    return ChowClass(c.deg0, c.deg1, c.deg2 - n_points)
+    require_type(x, SurfaceGeometry, "a surface")
+    e = qvec(m).den
+    return reduced(ChowClass, (2 * e * e, *[2 * e * y for y in m.num],
+                               pair_num(x.lattice, m, m) - 2 * e * e * n_points), 2 * e * e)
 
 
 class HiggsNumerics(Frozen):

@@ -131,6 +131,8 @@ PROBES = [
     ("SurfaceGeometry-lattice", lambda v: SurfaceGeometry(v, X.canonical, L, 12),
      (5, None, ((1,),)), LatticeError),
     ("chow_mul", lambda v: chow_mul(X, v, v), (1, None, L), ValidationError),
+    # a vector has num and den too, but is no Chow class
+    ("chow_mul-mixed", lambda v: chow_mul(X, ChowClass.unit(1), v), (L,), ValidationError),
     ("hilbert_polynomial-class", lambda v: hilbert_polynomial(X, v, 1), (5, L), ValidationError),
     ("classify", lambda v: classify(X, v), (5, None, L), ValidationError),
     ("component_betas-delta", lambda v: component_betas(X, 2, v), (5, None, NSVector((1, 2))),
@@ -158,8 +160,12 @@ PROBES = [
     ("SurfaceGeometry-rational", lambda v: SurfaceGeometry(X.lattice, v, L, 12),
      (QNSVector((Fraction(-3, 2),)),), ValidationError),
     ("lincomb", lambda v: lincomb(1, L, 1, v), (NSVector((1, 2)),), LatticeError),
+    # a class of rank 1 has as many numerators as a vector of rank 3
+    ("lincomb-class", lambda v: lincomb(1, NSVector((1, 2, 3)), 1, v), (ChowClass.unit(1),),
+     LatticeError),
     ("pair_num", lambda v: pair_num(X.lattice, v, L), (5, None), LatticeError),
     ("pair_num-second", lambda v: pair_num(X.lattice, L, v), (NSVector((1, 2)),), LatticeError),
+    ("pair_num-class", lambda v: pair_num(X.lattice, v, L), (ChowClass.unit(1),), LatticeError),
     # a gram whose rows are not sequences
     ("NSLattice-gram", lambda v: NSLattice(2, v), ((1, 2), 5), LatticeError),
     ("inertia", inertia, (5, [5]), LatticeError),

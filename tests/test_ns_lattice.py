@@ -269,9 +269,10 @@ def test_ratnorm():
     assert ratnorm(7) == 7
 
 
-# The reprs are the text the dataclasses printed, with two differences: a
-# surface also shows its last three fields, K^2, L^2 and K.L, and Rows, which
-# had the default object repr, shows its fields.
+# The reprs are the text the dataclasses printed, with three differences: a
+# surface also shows its last three fields, K^2, L^2 and K.L, Rows, which
+# had the default object repr, shows its fields, and a Chow class shows its
+# stored numerators and denominator, as a vector does.
 P2 = ("SurfaceGeometry(lattice=NSLattice(rank=1, gram=((1,),)), canonical=NSVector(num=(-3,), "
       "den=1), polarization=NSVector(num=(1,), den=1), c2_top=3, name='p2', k_squared=9, "
       "l_squared=1, k_dot_l=-3)")
@@ -282,10 +283,10 @@ VALUES = [
     (lambda: NSLattice(2, ((1, 0), (0, -1))), "NSLattice(rank=2, gram=((1, 0), (0, -1)))"),
     (presets.p2, P2),
     (lambda: ChowClass(1, NSVector((1,)), Fraction(1, 2)),
-     "ChowClass(deg0=1, deg1=NSVector(num=(1,), den=1), deg2=Fraction(1, 2))"),
+     "ChowClass(num=(2, 2, 1), den=2)"),
     (lambda: hyperplane_class(presets.p2()),
-     "YClass(alpha=ChowClass(deg0=0, deg1=NSVector(num=(0,), den=1), deg2=0), "
-     f"beta=ChowClass(deg0=1, deg1=NSVector(num=(0,), den=1), deg2=0), over={P2})"),
+     "YClass(alpha=ChowClass(num=(0, 0, 0), den=1), "
+     f"beta=ChowClass(num=(1, 0, 0), den=1), over={P2})"),
     (lambda: SpectralCover(presets.p2(), 2), f"SpectralCover(base={P2}, r=2)"),
     (lambda: HiggsNumerics(2, NSVector((1,)), 3), H),
     (lambda: HNType((HiggsNumerics(2, NSVector((1,)), 3), HiggsNumerics(1, NSVector((0,)), 0))),
