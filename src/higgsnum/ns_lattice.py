@@ -330,12 +330,9 @@ def lincomb(s: Rat, v: _V, t: Rat, w: _V) -> _V:
     vn, wn, vd, wd = v.num, w.num, v.den, w.den
     if len(vn) != len(wn):
         raise LatticeError(f"dimension mismatch: {len(vn)} vs {len(wn)}")
-    if vd == wd and type(s) is int and type(t) is int:
-        a, b, den = s, t, vd
-    else:
-        sd, td = s.denominator, t.denominator
-        # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
-        a, b, den = s.numerator * td * wd, t.numerator * sd * vd, sd * td * vd * wd
+    sd, td = s.denominator, t.denominator
+    # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
+    a, b, den = s.numerator * td * wd, t.numerator * sd * vd, sd * td * vd * wd
     return reduced(type(v), tuple([a * x + b * y for x, y in zip(vn, wn)]), den)
 
 

@@ -145,9 +145,6 @@ class ChowClass(NumDen, Frozen):
     __slots__ = ("num", "den")
 
     def __init__(self, deg0: Rat, deg1: NSVector, deg2: Rat) -> None:
-        if type(deg0) is int and type(deg2) is int and type(deg1) is NSVector and deg1.den == 1:
-            Frozen.__init__(self, (deg0, *deg1.num, deg2), 1)
-            return
         a, v, b = ratnorm(deg0), qvec(deg1), ratnorm(deg2)
         # the lcm of reduced denominators leaves gcd(den, *num) = 1
         den, m = lcm(a.denominator, v.den, b.denominator), v.den
@@ -189,8 +186,9 @@ class ChowClass(NumDen, Frozen):
 
 def _deg1(x: SurfaceGeometry, a: ChowClass) -> tuple[int, ...]:
     """The numerators of the degree-1 part of a, which must fit the lattice of x."""
-    if len(a.num) != x.lattice.rank + 2:
-        x.lattice.check_vector(a.deg1)
+    rank = x.lattice.rank
+    if len(a.num) != rank + 2:
+        raise LatticeError(f"vector of length {len(a.num) - 2} does not fit lattice of rank {rank}")
     return a.num[1:-1]
 
 
@@ -202,12 +200,10 @@ def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
     """
     if not (isinstance(a, ChowClass) and isinstance(b, ChowClass)):
         raise ValidationError(f"not a pair of Chow classes: {a!r}, {b!r}")
-    p, q, lat = a.num, b.num, x.lattice
-    if len(p) != lat.rank + 2 or len(q) != len(p):
-        _deg1(x, a), _deg1(x, b)
-    a0, b0, u, v = p[0], q[0], p[1:-1], q[1:-1]
+    p, q, u, v = a.num, b.num, _deg1(x, a), _deg1(x, b)
+    a0, b0 = p[0], q[0]
     return reduced(ChowClass, (a0 * b0, *[a0 * z + b0 * y for y, z in zip(u, v)],
-                               a0 * q[-1] + b0 * p[-1] + dot(lat.gram, u, v)),
+                               a0 * q[-1] + b0 * p[-1] + dot(x.lattice.gram, u, v)),
                    a.den * b.den)
 
 

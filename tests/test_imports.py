@@ -6,9 +6,10 @@ read by package code, no package module computes with floats, only
 presets and cli build a SurfaceGeometry, no package module imports
 dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
-only the kernel modules call the unchecked constructor _of, the one
-exec, eval or compile in the package is the exec ns_lattice._unchecked
-compiles each _of with, every functools cache is bounded, no package
+only the kernel modules call the unchecked constructor _of or reduce
+numerators into it with ns_lattice.reduced, the one exec, eval or
+compile in the package is the exec ns_lattice._unchecked compiles each
+_of with, every functools cache is bounded, no package
 module holds an assert statement (python -O strips them), cli reads
 argparse by its public names alone and parses through argparse at one site, cli imports none of the
 library's counting, class-making or pairing functions, cli declares each
@@ -239,6 +240,35 @@ def test_only_the_kernel_builds_values_unchecked():
              for use in unchecked_constructions(p)]
     assert found == []
     assert {p.name for p in modules if unchecked_constructions(p)} == KERNEL_MODULES
+
+
+def unchecked_reductions(path):
+    """Imports and reads of ns_lattice.reduced, which brings numerators to
+    lowest terms and builds the value with _of unchecked, as
+    "<file>:<line>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.alias) and node.name == "reduced"
+            or isinstance(node, ast.Name) and node.id == "reduced"
+            or isinstance(node, ast.Attribute) and node.attr == "reduced"]
+
+
+def test_only_the_kernel_reduces_values_unchecked():
+    found = [use for p in sorted(PACKAGE.glob("*.py")) if p.name not in KERNEL_MODULES
+             for use in unchecked_reductions(p)]
+    assert found == []
+
+
+def test_reduction_lint_catches_every_read(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from .ns_lattice import reduced as r\n"
+        "from . import ns_lattice\n"
+        "v = ns_lattice.reduced(NSVector, (1,), 2)\n"
+        "f = reduced\n"
+        "ok = reduce, reduced_form, 'reduced'\n"
+    )
+    assert sorted(int(use.split(":")[1]) for use in unchecked_reductions(path)) == [1, 3, 4]
 
 
 # the builtins that run or compile source text
