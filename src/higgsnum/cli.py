@@ -219,8 +219,8 @@ class Rows(Frozen):
 
 
 def encode(value: Any) -> Any:
-    """One exact leaf, one level deep: a Fraction as an int or 'p/q', a
-    vector as its coords, a Chow or Y class as a dict of its raw fields."""
+    """One exact leaf, one level deep: a Fraction as an int or 'p/q', a vector as
+    its coords, a Chow class as a dict of its degrees, a Y class of its parts."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
     if isinstance(value, NSVector):
