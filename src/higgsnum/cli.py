@@ -34,7 +34,9 @@ not memoized, and the Frozen surfaces are shared by every query.
 
 Exact rationals serialize as "p/q" strings with q > 0 and gcd(p, q) = 1,
 or as bare integers when q = 1; identical invocations produce
-byte-identical output.
+byte-identical output.  encode writes a vector or class from its stored
+numerators and denominator, with one gcd per coordinate, and builds none
+of its views.
 
 The JSON document is the text json.dumps(..., indent=2) gives for the
 envelope with each exact leaf (a Fraction, vector, Chow or Y class)
@@ -92,20 +94,13 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO, Union
+from math import gcd
+from typing import Any, Callable, Iterable, NoReturn, Optional, Sequence, TextIO, Union
 
 from .ns_lattice import Frozen, HiggsError, NSVector, ValidationError, require_int
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chern_c2, chi
-from .proj_bundle import (
-    YClass,
-    canonical_y,
-    dinfty_class,
-    hyperplane_class,
-    restrict_to_spectral,
-    spectral_divisor_class,
-    y_mul,
-    y_pushforward,
-)
+from .proj_bundle import (YClass, canonical_y, dinfty_class, hyperplane_class,
+                          restrict_to_spectral, spectral_divisor_class, y_mul, y_pushforward)
 from .spectral import (
     SpectralCover,
     chi_on_cover,
@@ -219,17 +214,25 @@ class Rows(Frozen):
 
 
 def encode(value: Any) -> Any:
-    """One exact leaf, one level deep: a Fraction as an int or 'p/q', a vector as
-    its coords, a Chow class as a dict of its degrees, a Y class of its parts."""
+    """One exact leaf as ints and "p/q" strs, read straight from its num and
+    den with one gcd per coordinate: a Fraction as an int or "p/q", a vector
+    as its coordinates, a Chow class as the dict of its degrees and a Y class
+    as the dicts of its parts alpha and beta."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, NSVector):
-        return value.coords
-    if isinstance(value, ChowClass):
-        return {"deg0": value.deg0, "deg1": value.deg1, "deg2": value.deg2}
-    if isinstance(value, YClass):
-        return {"alpha": value.alpha, "beta": value.beta}
+    if isinstance(value, (NSVector, ChowClass, YClass)):
+        d = value.den
+        q = value.num if d == 1 else [n // g if (g := gcd(n, d)) == d else f"{n // g}/{d // g}"
+                                      for n in value.num]
+        if isinstance(value, YClass):
+            return {"alpha": _degrees(q[:len(q) // 2]), "beta": _degrees(q[len(q) // 2:])}
+        return q if isinstance(value, NSVector) else _degrees(q)
     raise TypeError(f"cannot encode {value!r}")
+
+
+def _degrees(q: Sequence) -> dict:
+    """The degrees of a Chow class from its coordinates q, as encode writes them."""
+    return {"deg0": q[0], "deg1": q[1:-1], "deg2": q[-1]}
 
 
 _INT_ONLY = {int}

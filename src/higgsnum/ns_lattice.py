@@ -14,8 +14,10 @@ QNSVector(coords) one from rational coordinates.  Vector sums and the
 pairing run over the integer numerators and divide once at the end.
 NumDen holds the arithmetic of that layout, which surface_chow's
 ChowClass shares: sums and differences through lincomb, scalar multiples
-through reduced, the one gcd reduction to normal form; dot is the
-pairing's loop on raw numerator tuples.
+through reduced, the one gcd reduction to normal form.  proj_bundle's
+YClass has the same layout with its base surface as a field after den,
+which lincomb and reduced pass on.  dot is the pairing's loop on raw
+numerator tuples.
 The signature test is fraction-free symmetric Bareiss elimination on
 the gram's rows, with one exactness check per step.
 
@@ -310,20 +312,22 @@ class NSVector(NumDen, Frozen):
         return self if self.den == 1 else None
 
 
-def reduced(cls: type[_V], num: tuple[int, ...], den: int) -> _V:
+def reduced(cls: type[_V], num: tuple[int, ...], den: int, *rest: object) -> _V:
     """The cls value num/den, from integer numerators over a positive
-    denominator, brought to lowest terms by one gcd."""
+    denominator, brought to lowest terms by one gcd; rest are the fields
+    after den (a class on the threefold has its base)."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = tuple([a // g for a in num])
             den //= g
-    return cls._of(num, den)
+    return cls._of(num, den, *rest)
 
 
-def lincomb(s: Rat, v: _V, t: Rat, w: _V) -> _V:
-    """s*v + t*w for exact scalars s, t and two values of v's NumDen type
-    (two vectors or two Chow classes), summed in integers and reduced once."""
+def lincomb(s: Rat, v: _V, t: Rat, w: _V, *rest: object) -> _V:
+    """s*v + t*w for exact scalars s, t and two values of v's type (two
+    vectors, two Chow classes or two classes on the threefold, whose base
+    is rest), summed in integers and reduced once."""
     # both types have num and den, so the type is checked, not the fields
     if type(w) is not type(v):
         raise LatticeError(f"not two vectors or two Chow classes: {v!r}, {w!r}")
@@ -333,7 +337,7 @@ def lincomb(s: Rat, v: _V, t: Rat, w: _V) -> _V:
     sd, td = s.denominator, t.denominator
     # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
     a, b, den = s.numerator * td * wd, t.numerator * sd * vd, sd * td * vd * wd
-    return reduced(type(v), tuple([a * x + b * y for x, y in zip(vn, wn)]), den)
+    return reduced(type(v), tuple([a * x + b * y for x, y in zip(vn, wn)]), den, *rest)
 
 
 # the rational constructor of the one vector type

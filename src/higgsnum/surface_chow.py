@@ -305,4 +305,6 @@ class HiggsNumerics(Frozen):
 
 def discriminant(h: HiggsNumerics, x: SurfaceGeometry) -> int:
     """Bogomolov discriminant 2 r c2 - (r - 1) c1^2."""
+    require_type(h, HiggsNumerics, "rank, c1 and c2 data")
+    require_type(x, SurfaceGeometry, "a surface")
     return 2 * h.r * h.c2 - (h.r - 1) * pair_num(x.lattice, h.c1, h.c1)

@@ -43,6 +43,7 @@ from higgsnum import (
     component_betas,
     cotangent_ch,
     dinfty_class,
+    discriminant,
     discriminant_identity,
     divide,
     grr_pushforward,
@@ -174,6 +175,9 @@ PROBES = [
     ("slope_gaps", lambda v: slope_gaps(v, T), (5, None, X.lattice), ValidationError),
     ("discriminant_identity", lambda v: discriminant_identity(v, T), (5, None, X.lattice),
      ValidationError),
+    ("discriminant-numerics", lambda v: discriminant(v, X), (5, None, L), ValidationError),
+    ("discriminant-surface", lambda v: discriminant(HiggsNumerics(2, L, 3), v),
+     (5, None, X.lattice), ValidationError),
     ("divide-lattice", lambda v: divide(v, NSVector((2,)), 2), (5, None, X), LatticeError),
     ("divide-vector", lambda v: divide(X.lattice, v, 2), (5, None), LatticeError),
     ("line_bundle_ch", lambda v: line_bundle_ch(v, L), (5, None, X.lattice), ValidationError),

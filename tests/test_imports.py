@@ -12,7 +12,8 @@ compile in the package is the exec ns_lattice._unchecked compiles each
 _of with, every functools cache is bounded, no package
 module holds an assert statement (python -O strips them), cli reads
 argparse by its public names alone and parses through argparse at one site, cli imports none of the
-library's counting, class-making or pairing functions, cli declares each
+library's counting, class-making or pairing functions, cli.encode reads no
+view of a vector or class, cli declares each
 flag once, the package namespace is the modules' __all__ lists, every
 public class other than an exception or an enum is a Frozen value,
 pyproject.toml takes the version from higgsnum.__version__, and every
@@ -497,6 +498,52 @@ def test_import_lint_sees_every_import(tmp_path):
     )
     assert imported_names(path) == [
         "json:1", "branches_report:2", "partition_count:2", "pair_num:6", "ratio:6"]
+
+
+# the views of a vector, a Chow class and a class on the threefold: each
+# builds a vector, a class or a Fraction that the text does not need
+VIEWS = {"deg0", "deg1", "deg2", "alpha", "beta", "coords"}
+
+
+def view_reads(path, name="encode"):
+    """Reads of an attribute named in VIEWS in the top-level function name of
+    a module and in each top-level function it calls by name, however deep,
+    as "<function>:<line>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen, found = [name], set(), []
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, ast.Attribute) and node.attr in VIEWS:
+                found.append(f"{fn}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+    return sorted(found)
+
+
+def test_cli_encode_reads_no_view():
+    """encode writes each exact leaf from its num and den, with one gcd per
+    coordinate, and builds no vector, Chow class or Fraction to do it."""
+    assert view_reads(PACKAGE / "cli.py") == []
+
+
+def test_view_lint_catches_every_view(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def encode(v):\n"
+        "    return v.deg0, v.deg1, helper(v), {'deg2': v.num}\n"
+        "def helper(v):\n"
+        "    return v.deg2, v.alpha, v.beta.num, v.coords, helper(v)\n"
+        "def other(v):\n"
+        "    return v.deg0, encode(v)\n"
+    )
+    assert view_reads(path) == [
+        "encode:2: v.deg0", "encode:2: v.deg1", "helper:4: v.alpha", "helper:4: v.beta",
+        "helper:4: v.coords", "helper:4: v.deg2"]
 
 
 def flag_declarations(path):

@@ -271,8 +271,8 @@ def test_ratnorm():
 
 # The reprs are the text the dataclasses printed, with three differences: a
 # surface also shows its last three fields, K^2, L^2 and K.L, Rows, which
-# had the default object repr, shows its fields, and a Chow class shows its
-# stored numerators and denominator, as a vector does.
+# had the default object repr, shows its fields, and a Chow class and a class
+# on the threefold show their stored numerators and denominator, as a vector does.
 P2 = ("SurfaceGeometry(lattice=NSLattice(rank=1, gram=((1,),)), canonical=NSVector(num=(-3,), "
       "den=1), polarization=NSVector(num=(1,), den=1), c2_top=3, name='p2', k_squared=9, "
       "l_squared=1, k_dot_l=-3)")
@@ -285,8 +285,7 @@ VALUES = [
     (lambda: ChowClass(1, NSVector((1,)), Fraction(1, 2)),
      "ChowClass(num=(2, 2, 1), den=2)"),
     (lambda: hyperplane_class(presets.p2()),
-     "YClass(alpha=ChowClass(num=(0, 0, 0), den=1), "
-     f"beta=ChowClass(num=(1, 0, 0), den=1), over={P2})"),
+     f"YClass(num=(0, 0, 0, 1, 0, 0), den=1, over={P2})"),
     (lambda: SpectralCover(presets.p2(), 2), f"SpectralCover(base={P2}, r=2)"),
     (lambda: HiggsNumerics(2, NSVector((1,)), 3), H),
     (lambda: HNType((HiggsNumerics(2, NSVector((1,)), 3), HiggsNumerics(1, NSVector((0,)), 0))),

@@ -8,10 +8,16 @@ surface_chow, so the integer kernels (one numerator tuple over one
 denominator, one pairing, one reduction) are checked against the
 textbook formulas: sums, differences, scalar multiples, chow_mul,
 chow_inverse, line_bundle_ch, todd_surface, chi, chern_c2 and y_mul with
-eta^2 = L.eta.  Every class the library returns is also in normal form:
-den >= 1, gcd(den, *num) = 1, integral views are ints, and the checked
-constructor gives the class back from its views.  Surfaces are random
-characteristic surfaces of rank 1 to 8 and the 17 presets.
+eta^2 = L.eta.  A class on the threefold is a pair (alpha, beta) of such
+triples, and the oracle never calls into proj_bundle either: it checks
+the sums, differences, negation and scalar multiples of such classes,
+pullback, hyperplane_class, the divisor classes r eta, D_inf and the
+canonical class, restrict_to_spectral and y_pushforward.  Every class
+the library returns is also in normal form: den >= 1,
+gcd(den, *num) = 1, integral views are ints, and the checked constructor
+gives the class back from its views.  Surfaces are random characteristic
+surfaces of rank 1 to 8 and the 17 presets, and the classes drawn on
+them have denominators up to 4 in each degree.
 """
 
 import random
@@ -24,20 +30,27 @@ from higgsnum import (
     ChowClass,
     QNSVector,
     YClass,
+    canonical_y,
     chern_c2,
     chi,
     chow_inverse,
     chow_mul,
+    dinfty_class,
+    hyperplane_class,
     line_bundle_ch,
     presets,
+    pullback,
+    restrict_to_spectral,
+    spectral_divisor_class,
     todd_surface,
     y_mul,
+    y_pushforward,
 )
 
 from conftest import PRESET_NAMES, characteristic_surface
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -96,12 +109,40 @@ def o_c2(x, ch):
     return pairing(x, ch[1], ch[1]) / 2 - ch[2]
 
 
+def o_divisor(d):
+    """The class (0, D, 0) of a divisor with integer coordinates d."""
+    return Fraction(0), [Fraction(c) for c in d], Fraction(0)
+
+
 def o_y_mul(x, a, b):
     """(p + q eta)(r + s eta) with eta^2 = L.eta, on pairs (alpha, beta)."""
     (p, q), (r, s) = a, b
-    c_l = (Fraction(0), [Fraction(c) for c in x.polarization.num], Fraction(0))
+    c_l = o_divisor(x.polarization.num)
     beta = o_add(o_add(o_mul(x, p, s), o_mul(x, q, r)), o_mul(x, o_mul(x, q, s), c_l))
     return o_mul(x, p, r), beta
+
+
+def o_y_add(a, b, t=1):
+    """a + t b on pairs (alpha, beta)."""
+    return o_add(a[0], b[0], t), o_add(a[1], b[1], t)
+
+
+def o_y_scale(k, a):
+    return o_scale(k, a[0]), o_scale(k, a[1])
+
+
+def o_zero(x):
+    return Fraction(0), [Fraction(0)] * x.rank, Fraction(0)
+
+
+def o_eta(x):
+    """eta = pi^* 0 + pi^* 1 . eta."""
+    return o_zero(x), (Fraction(1), [Fraction(0)] * x.rank, Fraction(0))
+
+
+def o_restrict(x, a):
+    """alpha + beta . L: eta restricts to the pullback of L."""
+    return o_add(a[0], o_mul(x, a[1], o_divisor(x.polarization.num)))
 
 
 # -- between the two -----------------------------------------------------------
@@ -122,6 +163,16 @@ def normal(c):
 
 def build(a):
     return ChowClass(a[0], QNSVector(a[1]), a[2])
+
+
+def y_normal(y):
+    """The oracle pair of a library class on the threefold, after checking
+    its normal form and that of each of its parts."""
+    assert type(y) is YClass
+    assert type(y.den) is int and y.den >= 1 and gcd(y.den, *y.num) == 1
+    assert all(type(n) is int for n in y.num) and len(y.num) == 2 * (y.over.rank + 2)
+    assert YClass(y.alpha, y.beta, y.over) == y
+    return normal(y.alpha), normal(y.beta)
 
 
 @st.composite
@@ -178,3 +229,38 @@ def test_y_mul_matches_the_oracle(data):
     b = YClass(build(r), build(s), x)
     product = y_mul(a, b)
     assert (normal(product.alpha), normal(product.beta)) == o_y_mul(x, (p, q), (r, s))
+
+
+# denominators 12 = lcm(3, 4) in alpha and 2 in beta: den 12 over both parts
+@settings(SETTINGS, max_examples=40)
+@given(surface_and_triples(4), scalars)
+@example((presets.blowup(2), [(Fraction(1, 3), [Fraction(1, 4), 2, Fraction(-1, 2)], 1),
+                              (Fraction(1, 2), [0, Fraction(3, 2), 1], Fraction(-5, 2)),
+                              (2, [1, Fraction(2, 3), 0], Fraction(1, 4)),
+                              (0, [Fraction(1, 3), 0, 0], 0)]), Fraction(-3, 4))
+def test_y_sums_pullbacks_and_restrictions_match_the_oracle(data, k):
+    x, (p, q, r, s) = data
+    a, b = YClass(build(p), build(q), x), YClass(build(r), build(s), x)
+    assert y_normal(a) == (p, q) and y_normal(b) == (r, s)
+    assert y_normal(a + b) == o_y_add((p, q), (r, s))
+    assert y_normal(a - b) == o_y_add((p, q), (r, s), -1)
+    assert y_normal(-a) == o_y_scale(-1, (p, q))
+    assert y_normal(k * a) == y_normal(a * k) == o_y_scale(k, (p, q))
+    assert y_normal(pullback(x, build(p))) == (p, o_zero(x))
+    assert y_normal(pullback(x, QNSVector(p[1]))) == ((0, p[1], 0), o_zero(x))
+    assert y_normal(hyperplane_class(x)) == o_eta(x)
+    for degree in (1, 3):
+        assert normal(restrict_to_spectral(a, degree)) == o_restrict(x, (p, q))
+    assert normal(y_pushforward(a)) == q
+    assert normal(y_pushforward(y_mul(a, hyperplane_class(x)))) == o_restrict(x, (p, q))
+
+
+@SETTINGS
+@given(surfaces, st.integers(1, 9))
+def test_divisor_classes_match_the_oracle(x, r):
+    l, k = x.polarization.num, x.canonical.num
+    eta = o_eta(x)
+    assert y_normal(spectral_divisor_class(x, r)) == o_y_scale(r, eta)
+    assert y_normal(dinfty_class(x)) == o_y_add(eta, (o_divisor(l), o_zero(x)), -1)
+    canonical = o_divisor([a + b for a, b in zip(k, l)])
+    assert y_normal(canonical_y(x)) == o_y_add((canonical, o_zero(x)), eta, -2)

@@ -91,10 +91,18 @@ vectors = st.one_of(
     st.lists(ints, max_size=4).map(NSVector),
     st.lists(rationals, max_size=4).map(QNSVector),
 )
-chow = st.builds(
-    ChowClass, rationals, st.lists(rationals, min_size=1, max_size=1).map(QNSVector), rationals
-)
-ycls = st.builds(YClass, chow, chow, st.just(X))
+# the plane blown up in 0 to 7 points: ranks 1 to 8
+BASES = [presets.blowup(k) for k in range(8)]
+
+
+def chow_classes(rank):
+    return st.builds(ChowClass, rationals,
+                     st.lists(rationals, min_size=rank, max_size=rank).map(QNSVector), rationals)
+
+
+chow = st.integers(1, 8).flatmap(chow_classes)
+ycls = st.sampled_from(BASES).flatmap(
+    lambda x: st.builds(YClass, chow_classes(x.rank), chow_classes(x.rank), st.just(x)))
 # quotes, backslashes, control and non-ASCII characters, surrogates included
 texts = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00é✓😀 ab', max_size=8))
 int_tuples = st.lists(ints, max_size=3).map(tuple)
@@ -221,12 +229,34 @@ def test_writer_refuses_what_encode_refuses():
             to_json(bad)
 
 
-def test_encode_is_one_level_on_exact_leaves():
-    c = ChowClass(Fraction(1, 2), NSVector((3,)), 4)
-    assert encode(Fraction(6, 3)) == 2 and encode(Fraction(-1, 2)) == "-1/2"
-    assert encode(NSVector((1, -2))) == (1, -2)
-    assert encode(c) == {"deg0": Fraction(1, 2), "deg1": NSVector((3,)), "deg2": 4}
-    assert encode(YClass(c, c, X)) == {"alpha": c, "beta": c}
+VIEWS = ("deg0", "deg1", "deg2", "alpha", "beta", "coords")
+
+
+def test_encode_writes_exact_leaves_from_num_and_den(monkeypatch):
+    """Each coordinate of num over den is an int, or "p/q" in lowest terms,
+    whatever the class's common denominator: (1, 2)/4 writes "1/4", "1/2".
+    encode builds no view: with every view refusing, it writes the same."""
+    c = ChowClass(Fraction(1, 2), QNSVector((Fraction(1, 4), 3)), 4)
+    half = {"deg0": "1/2", "deg1": ["1/4", 3], "deg2": 4}
+    b = presets.blowup(1)
+    cases = [
+        (Fraction(6, 3), 2), (Fraction(-1, 2), "-1/2"), (NSVector((1, -2)), (1, -2)),
+        (QNSVector((Fraction(1, 4), Fraction(1, 2))), ["1/4", "1/2"]),
+        (c, half), (ChowClass.unit(2), {"deg0": 1, "deg1": (0, 0), "deg2": 0}),
+        (YClass(c, ChowClass.zero(2), b),
+         {"alpha": half, "beta": {"deg0": 0, "deg1": [0, 0], "deg2": 0}}),
+        (YClass(ChowClass.unit(2), 2 * ChowClass.unit(2), b),
+         {"alpha": {"deg0": 1, "deg1": (0, 0), "deg2": 0},
+          "beta": {"deg0": 2, "deg1": (0, 0), "deg2": 0}}),
+    ]
+    for value, written in cases:
+        assert encode(value) == written
+    for cls in (NSVector, ChowClass, YClass):
+        for name in VIEWS:
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, property(lambda v: pytest.fail("view read")))
+    for value, written in cases:
+        assert encode(value) == written
     for bad in (1, "s", None, True, [1], (1,), {"a": 1}, Rows(1, 1)):
         with pytest.raises(TypeError):
             encode(bad)
