@@ -99,8 +99,16 @@ from typing import Any, Callable, Iterable, NoReturn, Optional, Sequence, TextIO
 
 from .ns_lattice import Frozen, HiggsError, NSVector, ValidationError, require_int
 from .surface_chow import ChowClass, HiggsNumerics, SurfaceGeometry, chern_c2, chi
-from .proj_bundle import (YClass, canonical_y, dinfty_class, hyperplane_class,
-                          restrict_to_spectral, spectral_divisor_class, y_mul, y_pushforward)
+from .proj_bundle import (
+    YClass,
+    canonical_y,
+    dinfty_class,
+    hyperplane_class,
+    restrict_to_spectral,
+    spectral_divisor_class,
+    y_mul,
+    y_pushforward,
+)
 from .spectral import (
     SpectralCover,
     chi_on_cover,

@@ -312,22 +312,23 @@ class NSVector(NumDen, Frozen):
         return self if self.den == 1 else None
 
 
-def reduced(cls: type[_V], num: tuple[int, ...], den: int, *rest: object) -> _V:
+def reduced(cls: type[_V], num: tuple[int, ...], den: int, over: object = None) -> _V:
     """The cls value num/den, from integer numerators over a positive
-    denominator, brought to lowest terms by one gcd; rest are the fields
-    after den (a class on the threefold has its base)."""
+    denominator, brought to lowest terms by one gcd; over is the base
+    surface of a class on the threefold, the one field after den."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = tuple([a // g for a in num])
             den //= g
-    return cls._of(num, den, *rest)
+    # a *rest passed on costs every vector and Chow class about 100 ns a call
+    return cls._of(num, den) if over is None else cls._of(num, den, over)
 
 
-def lincomb(s: Rat, v: _V, t: Rat, w: _V, *rest: object) -> _V:
+def lincomb(s: Rat, v: _V, t: Rat, w: _V, over: object = None) -> _V:
     """s*v + t*w for exact scalars s, t and two values of v's type (two
-    vectors, two Chow classes or two classes on the threefold, whose base
-    is rest), summed in integers and reduced once."""
+    vectors, two Chow classes or two classes on the threefold over the
+    base over), summed in integers and reduced once."""
     # both types have num and den, so the type is checked, not the fields
     if type(w) is not type(v):
         raise LatticeError(f"not two vectors or two Chow classes: {v!r}, {w!r}")
@@ -337,7 +338,7 @@ def lincomb(s: Rat, v: _V, t: Rat, w: _V, *rest: object) -> _V:
     sd, td = s.denominator, t.denominator
     # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
     a, b, den = s.numerator * td * wd, t.numerator * sd * vd, sd * td * vd * wd
-    return reduced(type(v), tuple([a * x + b * y for x, y in zip(vn, wn)]), den, *rest)
+    return reduced(type(v), tuple([a * x + b * y for x, y in zip(vn, wn)]), den, over)
 
 
 # the rational constructor of the one vector type
