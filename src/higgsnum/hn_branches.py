@@ -129,6 +129,7 @@ def discriminant_identity(x: SurfaceGeometry, t: HNType) -> tuple[Rat, Rat]:
     equality of the two is the content of the identity.
     """
     require_type(x, SurfaceGeometry, "a surface")
+    require_type(t, HNType, "a Harder-Narasimhan type")
     total = _total_numerics(x, t)
     r = total.r
     lhs = ratio(discriminant(total, x), r)
@@ -156,6 +157,7 @@ def slope_gaps(x: SurfaceGeometry, t: HNType) -> tuple[tuple[Rat, ...], bool]:
     (0, L^2]; returns the gaps plus whether all of them do.
     """
     require_type(x, SurfaceGeometry, "a surface")
+    require_type(t, HNType, "a Harder-Narasimhan type")
     slopes = [
         Fraction(x.pair(f.c1, x.polarization), f.r) for f in t.factors
     ]

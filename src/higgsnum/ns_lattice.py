@@ -12,12 +12,15 @@ positive, gcd-reduced common denominator, which is 1 exactly when the
 vector is integral.  NSVector(coords) builds an integral vector and
 QNSVector(coords) one from rational coordinates.  Vector sums and the
 pairing run over the integer numerators and divide once at the end.
-NumDen holds the arithmetic of that layout, which surface_chow's
-ChowClass shares: sums and differences through lincomb, scalar multiples
-through reduced, the one gcd reduction to normal form.  proj_bundle's
-YClass has the same layout with its base surface as a field after den,
-which lincomb and reduced pass on.  dot is the pairing's loop on raw
-numerator tuples.
+NumDen holds the arithmetic of that layout for NSVector, surface_chow's
+ChowClass and proj_bundle's YClass, which keeps its base surface in the
+slot over after den (NumDen.over is None for the other two): the
+package's only + - neg, with sums and differences through lincomb, which
+refuses two values over different bases, and negation and scalar
+multiples through reduced, the one gcd reduction to normal form.
+lcm_form is the one lcm: the normal form that the checked constructors
+of all three types build from parts in lowest terms.  dot is the
+pairing's loop on raw numerator tuples.
 The signature test is fraction-free symmetric Bareiss elimination on
 the gram's rows, with one exactness check per step.
 
@@ -220,11 +223,15 @@ class Frozen:
 
 class NumDen:
     """The arithmetic of a value stored as a tuple num of integer numerators
-    over one denominator den > 0 with gcd(den, *num) = 1: NSVector and
-    ChowClass.  Sums and differences go through lincomb, a scalar multiple
-    through reduced; a value of another type is NotImplemented."""
+    over one denominator den > 0 with gcd(den, *num) = 1: NSVector,
+    ChowClass and YClass.  A class on the threefold also holds its base
+    surface in the slot over after den; over is None for the others.
+    Sums and differences go through lincomb, a negation or a scalar
+    multiple through reduced, each passing over on; a value of another
+    type is NotImplemented.  These are the package's only + - neg."""
 
     __slots__ = ()
+    over: object = None
 
     def __add__(self: _V, other: _V) -> _V:
         if not isinstance(other, type(self)):
@@ -237,13 +244,14 @@ class NumDen:
         return lincomb(1, self, -1, other)
 
     def __neg__(self: _V) -> _V:
-        return type(self)._of(tuple([-a for a in self.num]), self.den)
+        return reduced(type(self), tuple([-a for a in self.num]), self.den, self.over)
 
     def __mul__(self: _V, k: Rat) -> _V:
         if type(k) is not int and not isinstance(k, Fraction):
             return NotImplemented
         p = k.numerator
-        return reduced(type(self), tuple([p * a for a in self.num]), k.denominator * self.den)
+        return reduced(type(self), tuple([p * a for a in self.num]), k.denominator * self.den,
+                       self.over)
 
     __rmul__ = __mul__
 
@@ -274,9 +282,7 @@ class NSVector(NumDen, Frozen):
         for c in qs:
             if type(c) is not int and not isinstance(c, Fraction):
                 raise LatticeError(f"integer or Fraction coordinates required, got {c!r}")
-        den = lcm(*(c.denominator for c in qs))
-        # the lcm of reduced denominators leaves gcd(den, *num) = 1
-        return cls._of(tuple(c.numerator * (den // c.denominator) for c in qs), den)
+        return cls._of(*lcm_form([((c.numerator,), c.denominator) for c in qs]))
 
     @classmethod
     def zero(cls, rank: int) -> "NSVector":
@@ -314,8 +320,9 @@ class NSVector(NumDen, Frozen):
 
 def reduced(cls: type[_V], num: tuple[int, ...], den: int, over: object = None) -> _V:
     """The cls value num/den, from integer numerators over a positive
-    denominator, brought to lowest terms by one gcd; over is the base
-    surface of a class on the threefold, the one field after den."""
+    denominator, brought to lowest terms by one gcd: the one gcd
+    reduction of the kernel.  over is the base surface of a class on the
+    threefold, the one field after den, and None for the other types."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -325,16 +332,35 @@ def reduced(cls: type[_V], num: tuple[int, ...], den: int, over: object = None) 
     return cls._of(num, den) if over is None else cls._of(num, den, over)
 
 
-def lincomb(s: Rat, v: _V, t: Rat, w: _V, over: object = None) -> _V:
-    """s*v + t*w for exact scalars s, t and two values of v's type (two
-    vectors, two Chow classes or two classes on the threefold over the
-    base over), summed in integers and reduced once."""
-    # both types have num and den, so the type is checked, not the fields
-    if type(w) is not type(v):
+def lcm_form(parts: Sequence[tuple[Sequence[int], int]]) -> tuple[tuple[int, ...], int]:
+    """The numerators of parts in order over the lcm of their denominators,
+    and that lcm: the normal form the checked constructors build from
+    parts (numerators, den) that are each in lowest terms."""
+    den = lcm(*[d for _, d in parts])
+    # the lcm of reduced denominators leaves gcd(den, *num) = 1
+    return tuple([a * (den // d) for num, d in parts for a in num]), den
+
+
+def lincomb(s: Rat, v: _V, t: Rat, w: _V) -> _V:
+    """s*v + t*w for exact scalars s, t and two values of one NumDen type
+    (two vectors, two Chow classes or two classes on the threefold over
+    one base surface), summed in integers and reduced once.
+
+    The sum takes v's base; a w over another base, a value that is no
+    NumDen and a scalar that is no int or Fraction raise LatticeError.
+    """
+    # the types share num and den, so the type is checked, not the fields
+    if type(w) is not type(v) or not isinstance(v, NumDen):
         raise LatticeError(f"not two vectors or two Chow classes: {v!r}, {w!r}")
+    over = v.over
+    if w.over is not over and w.over != over:
+        raise LatticeError("classes live over different base surfaces")
     vn, wn, vd, wd = v.num, w.num, v.den, w.den
     if len(vn) != len(wn):
         raise LatticeError(f"dimension mismatch: {len(vn)} vs {len(wn)}")
+    if (type(s) is not int and not isinstance(s, Fraction)
+            or type(t) is not int and not isinstance(t, Fraction)):
+        raise LatticeError(f"scalars must be ints or Fractions, got {brief((s, t))}")
     sd, td = s.denominator, t.denominator
     # s v + t w = (s.num td w.den v.num + t.num sd v.den w.num) / (sd td v.den w.den)
     a, b, den = s.numerator * td * wd, t.numerator * sd * vd, sd * td * vd * wd

@@ -19,21 +19,24 @@ classes on X, stored as a Chow class is: num holds the rank + 2
 numerators of alpha and then those of beta, over one den > 0 with
 gcd(den, *num) = 1, and alpha and beta are read-only views.  Total
 degrees 0 to 3 are covered: the degree-3 piece is the deg2 part of beta,
-because a point of X pulled back and cut by eta is a point of Y.  Each
-kernel (+ - neg *, y_mul, pullback, restrict_to_spectral and the divisor
-classes) is one comprehension over those integers, with its pairings
-(dot) and at most one gcd reduction into YClass._of, through lincomb or
-reduced.  The checked constructor is YClass(alpha, beta, over).
+because a point of X pulled back and cut by eta is a point of Y.  YClass
+is a NumDen whose base surface is the slot over after den: + - neg and
+scalar multiples are NumDen's, which pass the base on and refuse to add
+classes over different bases.  Each kernel here (y_mul, pullback,
+restrict_to_spectral and the divisor classes) is one comprehension over
+those integers, with its pairings (dot) and at most one gcd reduction
+into YClass._of, through reduced.  The checked constructor is
+YClass(alpha, beta, over), which brings alpha and beta over one
+denominator with ns_lattice.lcm_form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 from .ns_lattice import (
-    Frozen, LatticeError, NSVector, Rat, dot, lincomb, reduced, require_int, require_type,
+    Frozen, LatticeError, NSVector, NumDen, Rat, dot, lcm_form, reduced, require_int,
+    require_type,
 )
 from .surface_chow import ChowClass, SurfaceGeometry
 
@@ -50,19 +53,19 @@ __all__ = [
 ]
 
 
-class YClass(Frozen):
+class YClass(NumDen, Frozen):
     """Class pi^* alpha + pi^* beta . eta on the threefold over a surface:
-    the numerators of alpha, then of beta, in num over den."""
+    the numerators of alpha, then of beta, in num over den, and the base
+    surface in over.  Sums, differences, negation and scalar multiples
+    come from NumDen, with the base passed on; the product of two classes
+    on the threefold is y_mul."""
 
     __slots__ = ("num", "den", "over")
 
     def __init__(self, alpha: ChowClass, beta: ChowClass, over: SurfaceGeometry) -> None:
         n = require_type(over, SurfaceGeometry, "a surface").rank + 2
-        p, q = _fit(alpha, n), _fit(beta, n)
-        # the lcm of reduced denominators leaves gcd(den, *num) = 1
-        den = lcm(alpha.den, beta.den)
-        s, t = den // alpha.den, den // beta.den
-        Frozen.__init__(self, (*[s * a for a in p], *[t * b for b in q]), den, over)
+        parts = (_fit(alpha, n), alpha.den), (_fit(beta, n), beta.den)
+        Frozen.__init__(self, *lcm_form(parts), over)
 
     @property
     def alpha(self) -> ChowClass:
@@ -72,29 +75,10 @@ class YClass(Frozen):
     def beta(self) -> ChowClass:
         return reduced(ChowClass, self.num[len(self.num) // 2:], self.den)
 
-    def __add__(self, other: "YClass") -> "YClass":
-        if not isinstance(other, YClass):
-            return NotImplemented
-        return lincomb(1, self, 1, other, _same_base(self, other))
-
-    def __sub__(self, other: "YClass") -> "YClass":
-        if not isinstance(other, YClass):
-            return NotImplemented
-        return lincomb(1, self, -1, other, _same_base(self, other))
-
-    def __neg__(self) -> "YClass":
-        return YClass._of(tuple([-a for a in self.num]), self.den, self.over)
-
     def __mul__(self, other: Union["YClass", Rat]) -> "YClass":
         if isinstance(other, YClass):
             return y_mul(self, other)
-        if type(other) is int or isinstance(other, Fraction):
-            p = other.numerator
-            return reduced(YClass, tuple([p * a for a in self.num]),
-                           other.denominator * self.den, self.over)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return NumDen.__mul__(self, other)
 
 
 def _fit(part: ChowClass, n: int) -> tuple[int, ...]:

@@ -22,16 +22,18 @@ every D), so chi(O) and chi of every line bundle are integers.
 
 A class is stored as a vector is: integer numerators num = (n0, n1 ..
 n_rank, n2) of its degrees over one den > 0, gcd(den, *num) = 1, with
-deg0, deg1 and deg2 as read-only views.  Each kernel (NumDen's + - neg *,
-chow_mul, chow_inverse, the Chern characters, Todd, chi, chern_c2) is one
-comprehension over those integers, at most one pairing (dot) and one gcd
-reduction into ChowClass._of.  The checked constructor is ChowClass(deg0,
-deg1, deg2), behind of_divisor and of_points; zero and unit check the rank.
+deg0, deg1 and deg2 as read-only views.  ChowClass is a NumDen, so
++ - neg and scalar multiples are ns_lattice's.  Each kernel here
+(chow_mul, chow_inverse, the Chern characters, Todd, chi, chern_c2) is
+one comprehension over those integers, at most one pairing (dot) and one
+gcd reduction into ChowClass._of, through ns_lattice.reduced.  The
+checked constructor is ChowClass(deg0, deg1, deg2), which brings the
+three degrees over one denominator with ns_lattice.lcm_form, behind
+of_divisor and of_points; zero and unit check the rank.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 from .ns_lattice import (
@@ -43,6 +45,7 @@ from .ns_lattice import (
     Rat,
     ValidationError,
     dot,
+    lcm_form,
     pair,
     pair_num,
     qvec,
@@ -146,10 +149,8 @@ class ChowClass(NumDen, Frozen):
 
     def __init__(self, deg0: Rat, deg1: NSVector, deg2: Rat) -> None:
         a, v, b = ratnorm(deg0), qvec(deg1), ratnorm(deg2)
-        # the lcm of reduced denominators leaves gcd(den, *num) = 1
-        den, m = lcm(a.denominator, v.den, b.denominator), v.den
-        Frozen.__init__(self, (a.numerator * den // a.denominator, *[y * den // m for y in v.num],
-                               b.numerator * den // b.denominator), den)
+        parts = ((a.numerator,), a.denominator), (v.num, v.den), ((b.numerator,), b.denominator)
+        Frozen.__init__(self, *lcm_form(parts))
 
     @classmethod
     def zero(cls, rank: int) -> "ChowClass":
@@ -178,10 +179,6 @@ class ChowClass(NumDen, Frozen):
     @property
     def deg2(self) -> Rat:
         return self.num[-1] if self.den == 1 else ratio(self.num[-1], self.den)
-
-    @property
-    def rank(self) -> int:
-        return len(self.num) - 2
 
 
 def _deg1(x: SurfaceGeometry, a: ChowClass) -> tuple[int, ...]:

@@ -164,6 +164,14 @@ PROBES = [
     # a class of rank 1 has as many numerators as a vector of rank 3
     ("lincomb-class", lambda v: lincomb(1, NSVector((1, 2, 3)), 1, v), (ChowClass.unit(1),),
      LatticeError),
+    # two values of one type that is no vector or class type
+    ("lincomb-values", lambda v: lincomb(1, v, 1, v), (3, None, Fraction(1, 2), (1, 2)),
+     LatticeError),
+    # a scalar is an int, never a bool, or a Fraction, in either place
+    ("lincomb-s", lambda v: lincomb(v, L, 1, L), (True, 0.5, "1", None), LatticeError),
+    ("lincomb-t", lambda v: lincomb(1, L, v, L), (False, 0.5, "1", None), LatticeError),
+    ("lincomb-base", lambda v: lincomb(1, hyperplane_class(X), 1, hyperplane_class(v)),
+     (presets.hypersurface(4),), LatticeError),
     ("pair_num", lambda v: pair_num(X.lattice, v, L), (5, None), LatticeError),
     ("pair_num-second", lambda v: pair_num(X.lattice, L, v), (NSVector((1, 2)),), LatticeError),
     ("pair_num-class", lambda v: pair_num(X.lattice, v, L), (ChowClass.unit(1),), LatticeError),
@@ -174,6 +182,10 @@ PROBES = [
      ValidationError),
     ("slope_gaps", lambda v: slope_gaps(v, T), (5, None, X.lattice), ValidationError),
     ("discriminant_identity", lambda v: discriminant_identity(v, T), (5, None, X.lattice),
+     ValidationError),
+    # an HN type is checked as its surface is, not read for its factors
+    ("slope_gaps-type", lambda v: slope_gaps(X, v), (5, None, L, X), ValidationError),
+    ("discriminant_identity-type", lambda v: discriminant_identity(X, v), (5, None, L, X),
      ValidationError),
     ("discriminant-numerics", lambda v: discriminant(v, X), (5, None, L), ValidationError),
     ("discriminant-surface", lambda v: discriminant(HiggsNumerics(2, L, 3), v),

@@ -7,7 +7,8 @@ presets and cli build a SurfaceGeometry, no package module imports
 dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
 only the kernel modules call the unchecked constructor _of or reduce
-numerators into it with ns_lattice.reduced, the one exec, eval or
+numerators into it with ns_lattice.reduced, only ns_lattice's NumDen
+defines + - neg and only ns_lattice reads math.lcm, the one exec, eval or
 compile in the package is the exec ns_lattice._unchecked compiles each
 _of with, every functools cache is bounded, no package
 module holds an assert statement (python -O strips them), cli reads
@@ -270,6 +271,55 @@ def test_reduction_lint_catches_every_read(tmp_path):
         "ok = reduce, reduced_form, 'reduced'\n"
     )
     assert sorted(int(use.split(":")[1]) for use in unchecked_reductions(path)) == [1, 3, 4]
+
+
+# the operators whose one definition is NumDen's, for every num/den type
+ARITHMETIC = {"__add__", "__sub__", "__neg__"}
+
+
+def arithmetic_owners(path):
+    """Definitions of __add__, __sub__ or __neg__ in a class body, by def or
+    assignment, as "<file>: <class>.<name>", and imports and attribute reads
+    of math.lcm, as "<file>: <source>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                else:
+                    names = [t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)]
+                found += [f"{path.name}: {node.name}.{n}" for n in names if n in ARITHMETIC]
+        elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+              and any(a.name == "lcm" for a in node.names)
+              or isinstance(node, ast.Attribute) and node.attr == "lcm"
+              and ast.unparse(node.value) == "math"):
+            found.append(f"{path.name}: {ast.unparse(node)}")
+    return found
+
+
+def test_numden_owns_the_sums_and_ns_lattice_the_lcm():
+    """NSVector, ChowClass and YClass take + - neg from NumDen, and the lcm of
+    denominators is taken in ns_lattice alone, by lcm_form."""
+    found = [use for p in sorted(PACKAGE.glob("*.py")) for use in arithmetic_owners(p)]
+    assert found == ["ns_lattice.py: from math import gcd, lcm", "ns_lattice.py: NumDen.__add__",
+                     "ns_lattice.py: NumDen.__sub__", "ns_lattice.py: NumDen.__neg__"]
+
+
+def test_arithmetic_lint_catches_every_owner(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import math\n"
+        "from math import gcd, lcm as l\n"
+        "class A:\n    def __add__(self, o): pass\n    __sub__ = __rsub__ = __add__\n"
+        "def f():\n    class B:\n        def __neg__(self): pass\n    return math.lcm(2, 3)\n"
+        "class C:\n    def __mul__(self, k): pass\n    __radd__ = __add__\n"
+        "ok = gcd(2, 3), lcm_form, x.lcm\n"
+    )
+    assert arithmetic_owners(path) == [
+        "m.py: from math import gcd, lcm as l", "m.py: A.__add__", "m.py: A.__sub__",
+        "m.py: B.__neg__", "m.py: math.lcm"]
 
 
 # the builtins that run or compile source text

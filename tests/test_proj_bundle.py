@@ -8,10 +8,12 @@ from higgsnum import (
     LatticeError,
     NSVector,
     QNSVector,
+    YClass,
     canonical_y,
     chow_mul,
     dinfty_class,
     hyperplane_class,
+    lincomb,
     presets,
     pullback,
     restrict_to_spectral,
@@ -136,7 +138,26 @@ def test_restriction_of_eta(quintic):
 
 
 def test_base_mismatch(quintic, k3):
+    """Classes over two surfaces do not combine, however they are combined."""
+    a, b = hyperplane_class(quintic), hyperplane_class(k3)
     with pytest.raises(LatticeError):
-        y_mul(hyperplane_class(quintic), hyperplane_class(k3))
-    with pytest.raises(LatticeError):
-        hyperplane_class(quintic) + hyperplane_class(k3)
+        y_mul(a, b)
+    for combine in (lambda: a + b, lambda: a - b, lambda: lincomb(1, a, Fraction(1, 2), b)):
+        with pytest.raises(LatticeError, match="^classes live over different base surfaces$"):
+            combine()
+
+
+def test_equal_bases_combine():
+    """Two surfaces built apart from the same data are one base: classes over
+    them add, subtract and negate, and scalar multiples keep type and base."""
+    x, x2 = presets.p2(), presets.p2()
+    assert x == x2 and x is not x2
+    y, z = canonical_y(x), dinfty_class(x2)
+    expected = YClass(y.alpha + z.alpha, y.beta + z.beta, x)
+    assert y + z == expected and (y + z).over is x
+    assert y - z == YClass(y.alpha - z.alpha, y.beta - z.beta, x)
+    assert -z == YClass(-z.alpha, -z.beta, x2) and (-z).over is x2
+    assert lincomb(2, z, -1, y) == z + z - y
+    for scaled, k in ((3 * y, 3), (y * Fraction(1, 3), Fraction(1, 3))):
+        assert type(scaled) is YClass and scaled.over is x
+        assert scaled == YClass(k * y.alpha, k * y.beta, x)
