@@ -26,9 +26,10 @@ the gram's rows, with one exactness check per step.
 
 Every value is a Frozen.  Public constructors check every field and
 bring it to normal form, so outside input is checked where it enters;
-kernel results are built unchecked from checked parts by Cls._of(*fields),
-compiled the first time the class reads it.  Both write the slots
-through _set, the one route around Frozen.__setattr__.
+kernel results are built unchecked from checked parts, a NumDen value
+by reduced, the package's one unchecked constructor, and the lattice of
+a cover by NSLattice.scaled.  All of them write the slots through _set,
+the one route around Frozen.__setattr__.
 
 Every refusal in the package is a HiggsError (a ValueError):
 LatticeError for lattice data, ValidationError for surface and sheaf
@@ -50,7 +51,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, mul
 from reprlib import Repr
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Iterable, Optional, Sequence, TypeVar, Union
 
 __all__ = [
     "HiggsError",
@@ -142,46 +143,13 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _unchecked(cls: type) -> Callable[..., "Frozen"]:
-    """cls._of: the value of cls with the given fields, written as they are.
-
-    Compiled from cls._fields, one slot write per field, as dataclasses
-    compiles __init__.
-    """
-    # a loop over the slots costs about x2.5 per build: 862 ns against 331 ns
-    # on 2 fields (CPython 3.11)
-    names = cls._fields
-    args = ", ".join(f"f{i}" for i in range(len(names)))
-    sets = "".join(f"    _set(v, {name!r}, f{i})\n" for i, name in enumerate(names))
-    scope = {"_new": _new, "_set": _set, "cls": cls}
-    exec(f"def of({args}):\n    v = _new(cls)\n{sets}    return v\n", scope)
-    return scope["of"]
-
-
-class _Compiled:
-    """The _of of each Frozen class until its first read, which compiles it
-    with _unchecked and puts it on the class in this one's place: most
-    classes are only ever built through their checked __init__."""
-
-    __slots__ = ()
-
-    def __get__(self, obj: object, cls: type) -> Callable[..., "Frozen"]:
-        of = _unchecked(cls)
-        cls._of = staticmethod(of)
-        return of
-
-
-_COMPILED = _Compiled()
-
-
 class Frozen:
     """An immutable value whose fields are the __slots__ along its MRO, base first.
 
     Equal to a value of its own type with equal own __slots__ and hashed
     by them; repr is Name(slot=value, ...).  Assigning or deleting a field
     raises AttributeError; copy and pickle refill every slot through
-    __setstate__.  Cls._of(*fields) builds a value unchecked, from checked
-    normal fields.
+    __setstate__.
     """
 
     __slots__ = ()
@@ -190,8 +158,6 @@ class Frozen:
         cls._fields = tuple(name for c in reversed(cls.__mro__)
                             for name in c.__dict__.get("__slots__", ()))
         cls._key = attrgetter(*cls.__slots__)
-        # on the class itself, so a subclass never reads its base's _of
-        cls._of = _COMPILED
 
     def __init__(self, *fields: object) -> None:
         if len(fields) != len(self._fields):
@@ -282,11 +248,11 @@ class NSVector(NumDen, Frozen):
         for c in qs:
             if type(c) is not int and not isinstance(c, Fraction):
                 raise LatticeError(f"integer or Fraction coordinates required, got {c!r}")
-        return cls._of(*lcm_form([((c.numerator,), c.denominator) for c in qs]))
+        return reduced(cls, *lcm_form([((c.numerator,), c.denominator) for c in qs]))
 
     @classmethod
     def zero(cls, rank: int) -> "NSVector":
-        return cls._of((0,) * require_int(rank, "rank", 1, error=LatticeError), 1)
+        return reduced(cls, (0,) * require_int(rank, "rank", 1, error=LatticeError), 1)
 
     @property
     def coords(self) -> tuple[Rat, ...]:
@@ -321,15 +287,22 @@ class NSVector(NumDen, Frozen):
 def reduced(cls: type[_V], num: tuple[int, ...], den: int, over: object = None) -> _V:
     """The cls value num/den, from integer numerators over a positive
     denominator, brought to lowest terms by one gcd: the one gcd
-    reduction of the kernel.  over is the base surface of a class on the
-    threefold, the one field after den, and None for the other types."""
+    reduction of the kernel and the one constructor of a NumDen value
+    that checks nothing, so its parts come checked.  over is the base
+    surface of a class on the threefold, the one field after den, and
+    None for the other types."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = tuple([a // g for a in num])
             den //= g
+    v = _new(cls)
+    _set(v, "num", num)
+    _set(v, "den", den)
     # a *rest passed on costs every vector and Chow class about 100 ns a call
-    return cls._of(num, den) if over is None else cls._of(num, den, over)
+    if over is not None:
+        _set(v, "over", over)
+    return v
 
 
 def lcm_form(parts: Sequence[tuple[Sequence[int], int]]) -> tuple[tuple[int, ...], int]:
@@ -480,6 +453,15 @@ class NSLattice(Frozen):
         if (pos, neg) != (1, rank - 1):
             raise LatticeError(f"signature must be (1, {rank - 1}), got ({pos}, {neg})")
         Frozen.__init__(self, rank, gram)
+
+    def scaled(self, r: int) -> "NSLattice":
+        """The lattice with the form r G, for a positive int r: a positive
+        multiple keeps the form integral and its signature, so nothing is
+        checked again."""
+        require_int(r, "scale", 1, error=LatticeError)
+        lat = _new(NSLattice)
+        Frozen.__init__(lat, self.rank, tuple(tuple([r * a for a in row]) for row in self.gram))
+        return lat
 
     def check_vector(self, v: NSVector) -> None:
         if len(v) != self.rank:

@@ -25,9 +25,9 @@ scalar multiples are NumDen's, which pass the base on and refuse to add
 classes over different bases.  Each kernel here (y_mul, pullback,
 restrict_to_spectral and the divisor classes) is one comprehension over
 those integers, with its pairings (dot) and at most one gcd reduction
-into YClass._of, through reduced.  The checked constructor is
-YClass(alpha, beta, over), which brings alpha and beta over one
-denominator with ns_lattice.lcm_form.
+by reduced, which builds the result unchecked.  The checked
+constructor is YClass(alpha, beta, over), which brings alpha and beta
+over one denominator with ns_lattice.lcm_form.
 """
 
 from __future__ import annotations
@@ -97,15 +97,15 @@ def _same_base(a: YClass, b: YClass) -> SurfaceGeometry:
 
 def _divisor(x: SurfaceGeometry, d: Sequence[int], e: int) -> YClass:
     """pi^* D + e eta for the integral numerators d of a divisor D on x."""
-    return YClass._of((0, *d, 0, e, *(0,) * (len(d) + 1)), 1, x)
+    return reduced(YClass, (0, *d, 0, e, *(0,) * (len(d) + 1)), 1, x)
 
 
 def pullback(x: SurfaceGeometry, a: Union[ChowClass, NSVector]) -> YClass:
     """pi^* of a class on the base."""
     n = require_type(x, SurfaceGeometry, "a surface").rank + 2
     if isinstance(a, NSVector):
-        a = ChowClass._of((0, *a.num, 0), a.den)
-    return YClass._of((*_fit(a, n), *(0,) * n), a.den, x)
+        a = reduced(ChowClass, (0, *a.num, 0), a.den)
+    return reduced(YClass, (*_fit(a, n), *(0,) * n), a.den, x)
 
 
 def hyperplane_class(x: SurfaceGeometry) -> YClass:

@@ -17,8 +17,7 @@ check of the bookkeeping.
 
 from __future__ import annotations
 
-from .ns_lattice import (Frozen, NSLattice, NSVector, Rat, ratnorm, reduced, require_int,
-                         require_type)
+from .ns_lattice import Frozen, NSVector, Rat, ratnorm, reduced, require_int, require_type
 from .surface_chow import (
     ChowClass,
     SurfaceGeometry,
@@ -59,10 +58,9 @@ class SpectralCover(SurfaceGeometry):
     def __init__(self, base: SurfaceGeometry, r: int) -> None:
         x = require_type(base, SurfaceGeometry, "a surface")
         require_int(r, "cover degree", 1)
-        k2, l2, kl, g = x.k_squared, x.l_squared, x.k_dot_l, x.lattice.gram
+        k2, l2, kl = x.k_squared, x.l_squared, x.k_dot_l
         Frozen.__init__(
-            self, NSLattice._of(len(g), tuple(tuple([r * a for a in row]) for row in g)),
-            x.canonical + (r - 1) * x.polarization, x.polarization,
+            self, x.lattice.scaled(r), x.canonical + (r - 1) * x.polarization, x.polarization,
             r * (r * (r - 1) * l2 + (r - 1) * kl + x.c2_top), f"{x.name}/r={r}",
             r * (k2 + 2 * (r - 1) * kl + (r - 1) ** 2 * l2), r * l2, r * (kl + (r - 1) * l2),
             x, r)

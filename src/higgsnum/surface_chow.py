@@ -26,9 +26,9 @@ deg0, deg1 and deg2 as read-only views.  ChowClass is a NumDen, so
 + - neg and scalar multiples are ns_lattice's.  Each kernel here
 (chow_mul, chow_inverse, the Chern characters, Todd, chi, chern_c2) is
 one comprehension over those integers, at most one pairing (dot) and one
-gcd reduction into ChowClass._of, through ns_lattice.reduced.  The
-checked constructor is ChowClass(deg0, deg1, deg2), which brings the
-three degrees over one denominator with ns_lattice.lcm_form, behind
+gcd reduction by ns_lattice.reduced, which builds the result unchecked.
+The checked constructor is ChowClass(deg0, deg1, deg2), which brings
+the three degrees over one denominator with ns_lattice.lcm_form, behind
 of_divisor and of_points; zero and unit check the rank.
 """
 
@@ -154,11 +154,11 @@ class ChowClass(NumDen, Frozen):
 
     @classmethod
     def zero(cls, rank: int) -> "ChowClass":
-        return cls._of((0,) * (require_int(rank, "rank", 1, error=LatticeError) + 2), 1)
+        return reduced(cls, (0,) * (require_int(rank, "rank", 1, error=LatticeError) + 2), 1)
 
     @classmethod
     def unit(cls, rank: int) -> "ChowClass":
-        return cls._of((1,) + (0,) * (require_int(rank, "rank", 1, error=LatticeError) + 1), 1)
+        return reduced(cls, (1,) + (0,) * (require_int(rank, "rank", 1, error=LatticeError) + 1), 1)
 
     @classmethod
     def of_divisor(cls, v: NSVector) -> "ChowClass":

@@ -94,6 +94,7 @@ INTEGER = (True, 1.5, Fraction(3, 2))
 
 PROBES = [
     ("NSLattice-rank", lambda v: NSLattice(v, ((1,),)), POSITIVE, LatticeError),
+    ("NSLattice.scaled", lambda v: X.lattice.scaled(v), POSITIVE, LatticeError),
     ("NSVector.zero", NSVector.zero, POSITIVE, LatticeError),
     ("ChowClass.zero", ChowClass.zero, POSITIVE, LatticeError),
     ("ChowClass.unit", ChowClass.unit, POSITIVE, LatticeError),

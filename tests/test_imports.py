@@ -6,11 +6,10 @@ read by package code, no package module computes with floats, only
 presets and cli build a SurfaceGeometry, no package module imports
 dataclasses, only ns_lattice's aliases _set and _new name
 object.__setattr__ and a __new__ and no module reads a slot's __set__,
-only the kernel modules call the unchecked constructor _of or reduce
-numerators into it with ns_lattice.reduced, only ns_lattice's NumDen
-defines + - neg and only ns_lattice reads math.lcm, the one exec, eval or
-compile in the package is the exec ns_lattice._unchecked compiles each
-_of with, every functools cache is bounded, no package
+the kernel modules and no others read ns_lattice.reduced, the one
+unchecked constructor of a num/den value, only ns_lattice's NumDen
+defines + - neg and only ns_lattice reads math.lcm, the package runs no
+exec, eval or compile, every functools cache is bounded, no package
 module holds an assert statement (python -O strips them), cli reads
 argparse by its public names alone and parses through argparse at one site, cli imports none of the
 library's counting, class-making or pairing functions, cli.encode reads no
@@ -229,25 +228,9 @@ def test_frozen_lint_catches_workarounds(tmp_path):
 KERNEL_MODULES = {"ns_lattice.py", "surface_chow.py", "proj_bundle.py", "spectral.py"}
 
 
-def unchecked_constructions(path):
-    """Reads of a class's unchecked constructor _of, as "<file>:<line>: <source>"."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "_of"]
-
-
-def test_only_the_kernel_builds_values_unchecked():
-    modules = sorted(PACKAGE.glob("*.py"))
-    found = [use for p in modules if p.name not in KERNEL_MODULES
-             for use in unchecked_constructions(p)]
-    assert found == []
-    assert {p.name for p in modules if unchecked_constructions(p)} == KERNEL_MODULES
-
-
 def unchecked_reductions(path):
     """Imports and reads of ns_lattice.reduced, which brings numerators to
-    lowest terms and builds the value with _of unchecked, as
-    "<file>:<line>: <source>"."""
+    lowest terms and builds the value unchecked, as "<file>:<line>: <source>"."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
             if isinstance(node, ast.alias) and node.name == "reduced"
@@ -256,9 +239,11 @@ def unchecked_reductions(path):
 
 
 def test_only_the_kernel_reduces_values_unchecked():
-    found = [use for p in sorted(PACKAGE.glob("*.py")) if p.name not in KERNEL_MODULES
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [use for p in modules if p.name not in KERNEL_MODULES
              for use in unchecked_reductions(p)]
     assert found == []
+    assert {p.name for p in modules if unchecked_reductions(p)} == KERNEL_MODULES
 
 
 def test_reduction_lint_catches_every_read(tmp_path):
@@ -338,10 +323,10 @@ def dynamic_code(path):
 
 
 def test_package_runs_source_text_at_one_site():
-    """The one exec in the package compiles each Frozen class's _of from its
-    fields; no other code is built from text."""
+    """No code in the package is built from text: it reads no exec, eval or
+    compile, so the count of such sites is zero."""
     found = [use for p in sorted(PACKAGE.glob("*.py")) for use in dynamic_code(p)]
-    assert found == ["ns_lattice.py: _unchecked: exec"]
+    assert found == []
 
 
 def test_dynamic_code_lint_catches_every_read(tmp_path):

@@ -1,7 +1,9 @@
 """Kernel results are in the normal form the public constructors give.
 
-The ring operations build their results with the unchecked constructor
-Cls._of, so nothing downstream brings a field to normal form.  Each
+The ring operations build their results with ns_lattice.reduced, the
+one unchecked constructor, so nothing downstream brings a field to
+normal form; reduced itself must build what the checked constructors
+build from the same value's numerators over any denominator.  Each
 result is rebuilt here through the public constructor, field by field,
 and must come back equal and with the same type in every field:
 Fraction(1, 1) == 1, so equality alone would miss an integral Fraction
@@ -30,6 +32,8 @@ from higgsnum import (
     pullback,
     y_mul,
 )
+
+from higgsnum.ns_lattice import reduced
 
 from conftest import characteristic_surface
 
@@ -108,6 +112,23 @@ def test_chow_results_are_normal(data, k, r, points):
     u, w = a.deg1, b.deg1
     for v in (u + w, u - w, -u, k * u, u / k, lincomb(k, u, a.deg2, w), NSVector.zero(n)):
         normal(v)
+
+
+@SETTINGS
+@given(surface_and_classes(2), st.integers(1, 12))
+def test_reduced_builds_what_the_checked_constructors_build(data, m):
+    """From m times the numerators over m times the denominator, reduced gives
+    the checked NSVector, ChowClass and YClass back: the same type, every
+    slot equal, each field of the same type, and the base surface itself."""
+    x, (a, b) = data
+    y = YClass(a, b, x)
+    for v, over in ((QNSVector(a.deg1.coords), None), (NSVector(b.deg1.num), None), (a, None),
+                    (y, x)):
+        got = reduced(type(v), tuple([m * n for n in v.num]), m * v.den, over)
+        assert type(got) is type(v) and got == v and fields(got) == fields(v)
+        assert [getattr(got, f) for f in type(v)._fields] == [
+            getattr(v, f) for f in type(v)._fields]
+    assert reduced(YClass, y.num, y.den, x).over is x
 
 
 @SETTINGS

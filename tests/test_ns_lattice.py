@@ -32,6 +32,8 @@ from higgsnum import (
 from higgsnum.cli import Rows
 from higgsnum.ns_lattice import Frozen
 
+from conftest import characteristic_surface
+
 
 def rand_vec(rng, rank, lo=-50, hi=50):
     return NSVector(tuple(rng.randint(lo, hi) for _ in range(rank)))
@@ -349,9 +351,9 @@ def test_cover_copies_keep_the_surface_fields():
 
 
 def test_frozen_subclass_of_a_subclass_takes_every_field():
-    """__init__ and _of of a Frozen subclass fill the slots along its MRO,
-    base first, at 1, 2, 3, 5 and 10 fields, and _of builds what __init__
-    builds, slot for slot; equality, hash and repr stay on the class's own slots."""
+    """__init__ of a Frozen subclass fills the slots along its MRO, base
+    first, at 1, 2, 3, 5 and 10 fields; equality, hash and repr stay on the
+    class's own slots."""
     a = type("A", (Frozen,), {"__slots__": ("a",)})
     p = type("P", (Frozen,), {"__slots__": ("a", "b")})
     b = type("B", (a,), {"__slots__": ("b", "c")})
@@ -360,10 +362,22 @@ def test_frozen_subclass_of_a_subclass_takes_every_field():
     for cls, names in ((a, "a"), (p, "ab"), (b, "abc"), (c, "abcde"), (d, "abcdefghij")):
         fields = list(range(len(names)))
         assert cls._fields == tuple(names)
-        made, fast = cls(*fields), cls._of(*fields)
-        assert type(made) is type(fast) is cls
-        assert [getattr(fast, n) for n in names] == [getattr(made, n) for n in names] == fields
+        made = cls(*fields)
+        assert type(made) is cls and not hasattr(cls, "_of")
+        assert [getattr(made, n) for n in names] == fields
         with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(names)} fields$"):
             cls(*fields[1:])
     v, w = c(0, 1, 2, 3, 4), c(9, 9, 9, 3, 4)
     assert v == w and hash(v) == hash(w) and repr(v) == "C(d=3, e=4)"
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_scaled_lattice_is_the_checked_lattice_of_the_scaled_form(rank):
+    """NSLattice.scaled(r) builds, unchecked, the lattice that the checked
+    constructor builds from r G: same rank, same gram of int tuples."""
+    lat = characteristic_surface(random.Random(rank), rank).lattice
+    for r in (1, 2, 3, 7):
+        scaled, checked = lat.scaled(r), NSLattice(rank, [[r * a for a in row] for row in lat.gram])
+        assert type(scaled) is NSLattice and scaled == checked and hash(scaled) == hash(checked)
+        assert scaled.gram == checked.gram and all(type(row) is tuple for row in scaled.gram)
+    assert lat.scaled(1) == lat
