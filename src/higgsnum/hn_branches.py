@@ -459,16 +459,17 @@ def branches_report(x: SurfaceGeometry, h: HiggsNumerics) -> BranchesReport:
     """The BranchesReport of (r, c1, c2): without a witness betas is None,
     count 0 and instanton_branch False.  With one, betas is component_betas
     and count partition_count of the witness's n points into r parts,
-    counted without enumerating them, so r >= 4 and n > 10^6 is refused
-    with partition_count's ValidationError.  The instanton branch is
+    counted without enumerating them and before betas is built, so r >= 4
+    and n > 10^6 is refused with partition_count's ValidationError.  The instanton branch is
     marked for r = 2 and c1 = c1(L), the one place that rule is stated.
     """
     report = classify(x, h)
     w = report.witness
     if w is None:
         return BranchesReport(report, None, 0, False)
-    return BranchesReport(report, component_betas(x, h.r, w.delta),
-                          partition_count(w.n_points, h.r), h.r == 2 and h.c1 == x.polarization)
+    count = partition_count(w.n_points, h.r)
+    return BranchesReport(report, component_betas(x, h.r, w.delta), count,
+                          h.r == 2 and h.c1 == x.polarization)
 
 
 class Rank2Report(Frozen):

@@ -89,9 +89,20 @@ class ValidationError(HiggsError):
     """Surface or sheaf data violating a structural invariant."""
 
 
-# the bounded repr that refusals echo outside input with: a str of up to 30
-# characters whole, a longer one cut in the middle
-_brief = Repr()
+class _Brief(Repr):
+    """The bounded repr that every refusal echoes outside input with: a str
+    of up to 30 characters, an int of up to 40 digits and any other value
+    of up to 30 characters whole, a longer one cut in the middle, and an int
+    with more digits than int-to-text conversion allows as a fixed phrase."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return "<an int too long to print>"
+
+
+_brief = _Brief()
 _brief.maxstring = 32
 brief = _brief.repr
 
@@ -109,7 +120,7 @@ def require_int(
     """
     if type(value) is int and (low is None or value >= low):
         return value
-    raise error(f"{what} must be {_KINDS[low]}, got {value!r}")
+    raise error(f"{what} must be {_KINDS[low]}, got {brief(value)}")
 
 
 def require_type(value: _T, cls: type, what: str, error: type[HiggsError] = ValidationError) -> _T:
@@ -120,7 +131,7 @@ def require_type(value: _T, cls: type, what: str, error: type[HiggsError] = Vali
     """
     if isinstance(value, cls):
         return value
-    raise error(f"not {what}: {value!r}")
+    raise error(f"not {what}: {brief(value)}")
 
 
 def ratnorm(x: Rat) -> Rat:
@@ -128,7 +139,7 @@ def ratnorm(x: Rat) -> Rat:
     if type(x) is int:
         return x
     if not isinstance(x, Fraction):
-        raise ValidationError(f"an int or Fraction is required, got {x!r}")
+        raise ValidationError(f"an int or Fraction is required, got {brief(x)}")
     return int(x) if x.denominator == 1 else x
 
 
@@ -247,7 +258,7 @@ class NSVector(NumDen, Frozen):
         qs = tuple(coords)
         for c in qs:
             if type(c) is not int and not isinstance(c, Fraction):
-                raise LatticeError(f"integer or Fraction coordinates required, got {c!r}")
+                raise LatticeError(f"integer or Fraction coordinates required, got {brief(c)}")
         return reduced(cls, *lcm_form([((c.numerator,), c.denominator) for c in qs]))
 
     @classmethod
@@ -324,7 +335,8 @@ def lincomb(s: Rat, v: _V, t: Rat, w: _V) -> _V:
     """
     # the types share num and den, so the type is checked, not the fields
     if type(w) is not type(v) or not isinstance(v, NumDen):
-        raise LatticeError(f"not two vectors or two Chow classes: {v!r}, {w!r}")
+        raise LatticeError("not two vectors, two Chow classes or two classes on the threefold: "
+                           f"{brief(v)}, {brief(w)}")
     over = v.over
     if w.over is not over and w.over != over:
         raise LatticeError("classes live over different base surfaces")
@@ -480,7 +492,7 @@ def pair_num(lat: NSLattice, v: NSVector, w: NSVector) -> int:
     """Integer numerator of v.w over the denominator v.den * w.den."""
     # a Chow class has num and den too, so the type is checked, not the fields
     if not (isinstance(v, NSVector) and isinstance(w, NSVector)):
-        raise LatticeError(f"not a pair of lattice vectors: {v!r}, {w!r}")
+        raise LatticeError(f"not a pair of lattice vectors: {brief(v)}, {brief(w)}")
     vn, wn = v.num, w.num
     if len(vn) != lat.rank or len(wn) != lat.rank:
         lat.check_vector(v)

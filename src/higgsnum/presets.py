@@ -32,12 +32,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .ns_lattice import NSLattice, NSVector, ValidationError, brief, require_int
+from .ns_lattice import LatticeError, NSLattice, NSVector, ValidationError, brief, require_int
 from .surface_chow import SurfaceGeometry
 
 __all__ = ["blowup", "by_name", "hypersurface", "p1xp1", "p2", "surface"]
 
-# the most points blowup(k) blows up, so a preset name cannot ask for a huge lattice
+# the most points blowup(k) blows up, so a preset name cannot ask for a huge
+# lattice; one more is the most lattice rank that any surface may have
 MAX_BLOWUP = 64
 
 
@@ -45,7 +46,10 @@ def surface(name: str, ns_rank: int, gram: Sequence[Sequence[int]], canonical: S
             polarization: Sequence[int], c2_top: int) -> SurfaceGeometry:
     """The checked surface of a surface file's six fields, taken in the file's
     order: NSLattice(ns_rank, gram), then NSVector(canonical) and
-    NSVector(polarization), then SurfaceGeometry, each refusing its own."""
+    NSVector(polarization), then SurfaceGeometry, each refusing its own.
+    A rank past that of blowup(MAX_BLOWUP) is refused before any of them."""
+    if require_int(ns_rank, "rank", 1, error=LatticeError) > MAX_BLOWUP + 1:
+        raise LatticeError(f"rank must be at most {MAX_BLOWUP + 1}, got {brief(ns_rank)}")
     return SurfaceGeometry(NSLattice(ns_rank, gram), NSVector(canonical),
                            NSVector(polarization), c2_top, name)
 

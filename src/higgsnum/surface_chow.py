@@ -44,6 +44,7 @@ from .ns_lattice import (
     NumDen,
     Rat,
     ValidationError,
+    brief,
     dot,
     lcm_form,
     pair,
@@ -196,7 +197,7 @@ def chow_mul(x: SurfaceGeometry, a: ChowClass, b: ChowClass) -> ChowClass:
     (a0 b0, a0 b1 + b0 a1, a0 b2 + b0 a2 + a1.b1), reduced once.
     """
     if not (isinstance(a, ChowClass) and isinstance(b, ChowClass)):
-        raise ValidationError(f"not a pair of Chow classes: {a!r}, {b!r}")
+        raise ValidationError(f"not a pair of Chow classes: {brief(a)}, {brief(b)}")
     p, q, u, v = a.num, b.num, _deg1(x, a), _deg1(x, b)
     a0, b0 = p[0], q[0]
     return reduced(ChowClass, (a0 * b0, *[a0 * z + b0 * y for y, z in zip(u, v)],
@@ -210,7 +211,7 @@ def chow_inverse(x: SurfaceGeometry, a: ChowClass) -> ChowClass:
     With a = (n, u, t)/d: (d n^2, -d n u, d (u.u - n t)) / n^3, reduced once.
     """
     if not isinstance(a, ChowClass):
-        raise ValidationError(f"not a Chow class: {a!r}")
+        raise ValidationError(f"not a Chow class: {brief(a)}")
     n = a.num[0]
     if n == 0:
         raise ValidationError("class with deg0 = 0 is not invertible")
@@ -296,7 +297,7 @@ class HiggsNumerics(Frozen):
         require_int(r, "rank", 1)
         require_int(c2, "c2")
         if not qvec(c1).is_integral():
-            raise ValidationError(f"c1 must be an integral class, got {c1!r}")
+            raise ValidationError(f"c1 must be an integral class, got {brief(c1)}")
         Frozen.__init__(self, r, c1, c2)
 
 

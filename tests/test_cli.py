@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import higgsnum
 from higgsnum import (
     ChowClass, HiggsError, HiggsNumerics, NSLattice, NSVector, SpectralCover, SurfaceGeometry,
-    YClass, classify, cli, grr_pushforward, ns_lattice, presets, spectral, verify,
+    YClass, classify, cli, grr_pushforward, hn_branches, ns_lattice, presets, spectral, verify,
 )
 from higgsnum.cli import CLIError, build_parser, encode, load_surface, main
 
@@ -329,6 +329,33 @@ def test_one_transport_per_grr_and_one_inertia_per_surface(tmp_path, capsys):
     clear_memos()
     assert count_calls(ns_lattice.inertia, lambda: main(["surface", "--surface", "p1xp1"])) == 1
     assert count_calls(ns_lattice.inertia, lambda: main(["surface", "--surface", "p1xp1"])) == 0
+
+
+def test_branches_counts_before_it_builds_betas(capsys):
+    """A partition count past the table is refused before the component
+    betas, one vector per part, are built."""
+    argv = ["branches", "--surface", "p2", "-r", "1001", "--c1=0", "--c2=0"]
+    assert count_calls(hn_branches.component_betas, lambda: main(argv)) == 0
+    assert capsys.readouterr().err == (
+        "validation error: partition size must be at most 1000000 for more than 3 parts\n")
+    assert main(argv) == 2
+
+
+def test_surface_file_rank_is_bounded_before_the_lattice(tmp_path, capsys):
+    """A file of rank 66, one past blowup:64's, is refused in one line with exit
+    2 and no signature test; blowup:64 itself still answers."""
+    n = presets.MAX_BLOWUP + 2
+    gram = [[(i == j) * (1 if i == 0 else -1) for j in range(n)] for i in range(n)]
+    path = tmp_path / "rank66.json"
+    path.write_text(json.dumps({"name": "rank66", "ns_rank": n, "gram": gram,
+                                "canonical": [-3] + [1] * (n - 1),
+                                "polarization": [9] + [-1] * (n - 1), "c2_top": 2 + n}))
+    argv = ["criterion", "--surface", str(path), "-r", "2", "--c1=0", "--c2=0"]
+    clear_memos()
+    assert count_calls(ns_lattice.inertia, lambda: main(argv)) == 0
+    assert capsys.readouterr().err == "validation error: rank must be at most 65, got 66\n"
+    assert main(argv) == 2
+    assert run_json(capsys, "surface", "--surface", "blowup:64")["payload"]["ns_rank"] == 65
 
 
 def test_one_cover_per_query_built_without_pairing_or_inertia(capsys):
@@ -659,14 +686,15 @@ def library_refusal(build):
 
 @pytest.mark.parametrize("fields", WRONG_VALUES.values(), ids=WRONG_VALUES.keys())
 def test_wrong_surface_values_are_refused_by_the_library(tmp_path, capsys, fields):
-    """A file the CLI parses is judged by the constructors alone, word for word,
-    in one short line however long the value it refuses."""
+    """A file the CLI parses is judged by the library's one surface builder,
+    presets.surface, alone, word for word, in one short line however long
+    the value it refuses."""
     data = {**BLOWUP, **fields}
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(data))
-    message = library_refusal(lambda: SurfaceGeometry(
-        NSLattice(data["ns_rank"], data["gram"]), NSVector(data["canonical"]),
-        NSVector(data["polarization"]), data["c2_top"], data["name"]))
+    message = library_refusal(lambda: presets.surface(
+        data["name"], data["ns_rank"], data["gram"], data["canonical"], data["polarization"],
+        data["c2_top"]))
     assert len(message) < 100
     assert run(capsys, "surface", "--surface", str(path)) == (
         2, "", f"validation error: {message}\n")

@@ -63,6 +63,8 @@ from higgsnum import (
     pullback,
     pushforward_structure_ch,
     rank2_fixed_components,
+    ratnorm,
+    require_int,
     restrict_to_spectral,
     slope_gaps,
     solve_delta,
@@ -76,7 +78,7 @@ from higgsnum import (
     y_pushforward,
 )
 from higgsnum.cli import CLIError, batch, main
-from higgsnum.ns_lattice import Frozen
+from higgsnum.ns_lattice import Frozen, require_type
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -316,6 +318,52 @@ def test_refusal_messages_kept():
         SpectralCover(X, 0)
     with pytest.raises(ValidationError, match="^hypersurface degree must be a positive integer"):
         presets.hypersurface(0)
+
+
+# an int past the int-to-text limit, and a str of a million characters
+HUGE = 10**5000
+LONG = "x" * 10**6
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: require_int(-HUGE, "rank", 1), id="require_int"),
+    pytest.param(lambda: presets.blowup(HUGE), id="blowup"),
+    pytest.param(lambda: classify(HUGE, None), id="classify"),
+    pytest.param(lambda: olympic_sum((-HUGE,)), id="olympic_sum"),
+    pytest.param(lambda: require_type((1, -HUGE), NSVector, "a vector"), id="in-a-tuple"),
+])
+def test_an_int_too_long_to_print_is_echoed_as_a_fixed_phrase(call):
+    """Turning such an int into text raises a bare ValueError; the refusal
+    names it by one fixed phrase instead."""
+    with pytest.raises(HiggsError) as excinfo:
+        call()
+    assert "<an int too long to print>" in str(excinfo.value) and len(str(excinfo.value)) < 100
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: require_type(LONG, NSVector, "a vector"), id="require_type"),
+    pytest.param(lambda: ratnorm(LONG), id="ratnorm"),
+    pytest.param(lambda: QNSVector((LONG,)), id="NSVector.rational"),
+    pytest.param(lambda: lincomb(1, LONG, 1, LONG), id="lincomb"),
+    pytest.param(lambda: pair_num(X.lattice, LONG, L), id="pair_num"),
+    pytest.param(lambda: chow_mul(X, LONG, LONG), id="chow_mul"),
+    pytest.param(lambda: chow_inverse(X, LONG), id="chow_inverse"),
+    pytest.param(lambda: HiggsNumerics(1, QNSVector((Fraction(1, 2),) * 10**5), 0),
+                 id="HiggsNumerics-c1"),
+])
+def test_a_long_value_is_echoed_cut(call):
+    """A refusal echoes outside input through brief, so a long str or a long
+    vector is cut in the middle, never echoed whole."""
+    with pytest.raises(HiggsError) as excinfo:
+        call()
+    assert "..." in str(excinfo.value) and len(str(excinfo.value)) < 200
+
+
+def test_lincomb_names_all_three_value_types():
+    with pytest.raises(LatticeError) as excinfo:
+        lincomb(1, hyperplane_class(X), 1, L)
+    assert str(excinfo.value).startswith(
+        "not two vectors, two Chow classes or two classes on the threefold: YClass(")
 
 
 @pytest.mark.parametrize("call, value", [
