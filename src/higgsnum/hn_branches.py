@@ -460,8 +460,9 @@ def branches_report(x: SurfaceGeometry, h: HiggsNumerics) -> BranchesReport:
     count 0 and instanton_branch False.  With one, betas is component_betas
     and count partition_count of the witness's n points into r parts,
     counted without enumerating them and before betas is built, so r >= 4
-    and n > 10^6 is refused with partition_count's ValidationError.  The instanton branch is
-    marked for r = 2 and c1 = c1(L), the one place that rule is stated.
+    and n > 10^6 is refused with partition_count's ValidationError.  The
+    instanton branch is marked for r = 2 and c1 = c1(L), the one place
+    that rule is stated.
     """
     report = classify(x, h)
     w = report.witness
